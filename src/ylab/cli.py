@@ -537,10 +537,13 @@ def _audit_convergence(ctx: RunContext) -> diag.Verdict:
         u_inf, _ = solve_scalar_flat(ctx.bg)
     except NonPositiveYamabeError:
         return diag.Verdict("convergence", None, skipped_reason="no scalar-flat limit (Y <= 0)")
-    rep = diag.convergence_to_limit(
-        ctx.checkpoints(), u_inf, 0.0,
-        valid_t_max=ctx.summary.get("valid_t_max"),
-    )
+    try:
+        rep = diag.convergence_to_limit(
+            ctx.checkpoints(), u_inf, 0.0,
+            valid_t_max=ctx.summary.get("valid_t_max"),
+        )
+    except YlabError as exc:
+        return diag.Verdict("convergence", False, {"error": str(exc)})
     if rep.zero_series:
         return diag.Verdict("convergence", True, {"zero_series": True})
     return diag.Verdict(

@@ -226,7 +226,8 @@ def mass_drop_coefficient(n: int) -> float:
 def mass_drop_report(records, m_inf: float, n: int) -> MassDropReport:
     """Audit the mass accounting along a run.
 
-    Emits (i) the relative mass-constancy drift, (ii) the terminal value of
+    Emits (i) the mass-constancy drift relative to max(|m(0)|, 1), so a
+    zero-mass run is judged on its absolute drift, (ii) the terminal value of
     c(t) = m(t) - coeff * int R dV against m_inf, and (iii) the terminal
     coeff * int R dV against m(0) - m_inf.
     """
@@ -239,7 +240,7 @@ def mass_drop_report(records, m_inf: float, n: int) -> MassDropReport:
         raise SchemaError(f"monitor series lacks mass/l1_R columns: {exc}") from exc
     coeff = mass_drop_coefficient(n)
     m0 = mass[0]
-    scale = max(abs(m0), 1e-12)
+    scale = max(abs(m0), 1.0)
     drift_rel = float(np.max(np.abs(mass - m0)) / scale)
     combo = mass - coeff * l1
     drop_est = float(coeff * l1[-1])

@@ -219,7 +219,10 @@ def step_tolerances(
     The target is the per-unit-time residual newton_tol * dt.  The ceiling
     estimates the float round-off floor of the residual evaluation itself;
     a step whose Newton iteration stagnates at or below the ceiling is
-    accepted, since no better residual is representable.
+    accepted, since no better residual is representable.  The ceiling is
+    also damped_newton's floor: once the residual is at or below it, one
+    candidate that fails to reduce it ends the solve instead of a full
+    backtracking sweep.  It is never the Newton target.
     """
     eps = np.finfo(np.float64).eps
     umax = float(np.max(u))
@@ -265,7 +268,7 @@ def _attempt_step(u_prev: np.ndarray, dt: float, bg: BackgroundSpec, cfg: FlowCo
         return u_new
 
     u_new, rn, _, converged = damped_newton(
-        u_prev, residual_fn, jacobian_fn, target, cfg.newton_max
+        u_prev, residual_fn, jacobian_fn, target, cfg.newton_max, floor=ceiling
     )
     if not converged and rn > ceiling:
         return None

@@ -111,12 +111,17 @@ def damped_newton(
     max_iter: int,
     positivity: bool = True,
     max_backtracks: int = 40,
+    floor: float = 0.0,
 ):
     """Newton iteration with residual backtracking and a positivity guard.
 
     jacobian_fn returns tridiagonal bands (lower, diag, upper).  Returns
-    (u, residual_norm, iterations, converged); stagnation (a full backtrack
-    sweep without residual reduction) reports converged = False.
+    (u, residual_norm, iterations, converged); stagnation reports
+    converged = False.  A residual above floor stagnates after a full
+    sweep of max_backtracks halvings without reduction.  A residual at or
+    below floor (the round-off level of residual_fn) stagnates after the
+    first evaluated candidate that fails to reduce it, since halving the
+    step cannot beat round-off; floor = 0 always runs the full sweep.
     """
     u = np.array(u0, dtype=np.float64)
     res = residual_fn(u)
@@ -140,6 +145,8 @@ def damped_newton(
                 if np.isfinite(crn) and (crn < rn or crn <= tol):
                     u, res, rn = cand, cres, crn
                     accepted = True
+                    break
+                if rn <= floor:
                     break
             lam *= 0.5
         iterations += 1

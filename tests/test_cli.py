@@ -203,6 +203,17 @@ class TestReport:
         assert svg.exists()
         assert svg.read_text().startswith("<svg")
 
+    def test_convergence_with_too_few_checkpoints_fails_cleanly(self, tmp_path):
+        config = BUMP_CONFIG.replace("checkpoint_every = 20", "checkpoint_every = 100")
+        assert cmd_simulate(parse_config_text(config), tmp_path) == 0
+        out = tmp_path / "rep.json"
+        rc = main(["report", str(tmp_path / "bump-test"), "--audits", "convergence",
+                   "--out", str(out)])
+        assert rc == 4
+        (verdict,) = json.loads(out.read_text())["runs"][0]["audits"]
+        assert verdict["pass"] is False
+        assert "8 points" in verdict["details"]["error"]
+
     def test_schwarzschild_fixed_point_audits(self, tmp_path):
         config = (
             "[run]\nid = schw\n"

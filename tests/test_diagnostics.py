@@ -142,6 +142,19 @@ class TestMassDrop:
         assert rep.drop_estimate == pytest.approx(2.0, rel=1e-14)
         assert rep.combination_terminal == pytest.approx(0.0, abs=1e-14)
 
+    def test_zero_mass_roundoff_drift_passes(self):
+        # m0 = 0: the drift is judged in absolute terms, not divided by ~0
+        records = [make_record(0.0)] + [make_record(t, mass=1e-12) for t in range(1, 10)]
+        rep = mass_drop_report(records, m_inf=0.0, n=3)
+        assert rep.drift_rel == pytest.approx(1e-12)
+        assert rep.drift_rel <= 1e-2
+
+    def test_relative_drift_detected_at_nonzero_mass(self):
+        records = [make_record(0.0, mass=2.0), make_record(1.0, mass=2.05)]
+        rep = mass_drop_report(records, m_inf=0.0, n=3)
+        assert rep.drift_rel == pytest.approx(0.025)
+        assert rep.drift_rel > 1e-2
+
     def test_schema_error(self):
         with pytest.raises(SchemaError):
             mass_drop_report([], m_inf=0.0, n=3)

@@ -131,6 +131,35 @@ class TestStep:
         assert np.max(np.abs(lhs - rhs_val)[1:-1]) <= ceiling / dt + 10.0 * grid.h**2
 
 
+    def test_roundoff_stall_skips_backtracking_sweep(self, monkeypatch):
+        # README-like bump: every Newton solve stalls between the target and
+        # the round-off ceiling, which damped_newton receives as its floor
+        import ylab.flow as flow_module
+
+        solves = []
+        damped_newton = flow_module.damped_newton
+
+        def recording(u0, residual_fn, jacobian_fn, *args, **kwargs):
+            evals = [0]
+
+            def counted(v):
+                evals[0] += 1
+                return residual_fn(v)
+
+            out = damped_newton(u0, counted, jacobian_fn, *args, **kwargs)
+            solves.append((evals[0], out[1], kwargs["floor"]))
+            return out
+
+        monkeypatch.setattr(flow_module, "damped_newton", recording)
+        g = build_grid(3, 0.0, 512.0, 1024, LOG_STRETCHED)
+        cfg = FlowConfig(dt0=1e-3, dt_max=0.25, t_end=10.0, monitor_every=2)
+        res = run_flow(make_flat_background(3, g), gaussian_bump_data(g, 0.2, 1.0), cfg)
+        # one solve per step: no attempt was rejected
+        assert len(solves) == res.final.step_index > 0
+        assert sum(evals for evals, _, _ in solves) / len(solves) <= 8.0
+        assert all(rn <= ceiling for _, rn, ceiling in solves)
+
+
 class TestHeatKernelOracle:
     def test_linearized_flow_matches_heat_kernel(self):
         g = build_grid(3, 0.0, 64.0, 2048, LOG_STRETCHED)

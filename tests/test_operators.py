@@ -1,0 +1,69 @@
+import numpy as np
+import pytest
+
+from ylab.operators import damped_newton
+
+LEVEL = 1e-10  # round-off floor of the synthetic residual
+
+
+def counting(residual_fn):
+    """Wrap residual_fn; the returned list records every point it is evaluated at."""
+    points = []
+
+    def wrapped(v):
+        points.append(np.array(v))
+        return residual_fn(v)
+
+    return wrapped, points
+
+
+def floored_residual(v):
+    # root at v = 2, but no residual below LEVEL is representable
+    return np.maximum(np.abs(v - 2.0), LEVEL)
+
+
+def identity_jacobian(v):
+    return np.zeros(v.size - 1), np.ones(v.size), np.zeros(v.size - 1)
+
+
+class TestDampedNewton:
+    @pytest.mark.parametrize("floor", [LEVEL, 10.0 * LEVEL])
+    def test_floor_ends_stall_after_one_failed_candidate(self, floor):
+        fn, points = counting(floored_residual)
+        u, rn, iterations, converged = damped_newton(
+            np.full(4, 3.0), fn, identity_jacobian, tol=1e-14, max_iter=25, floor=floor
+        )
+        # initial residual, the accepted full step onto the floor, one failed candidate
+        assert len(points) == 3
+        assert (rn, iterations, converged) == (LEVEL, 2, False)
+        assert np.all(u == 2.0)
+
+    @pytest.mark.parametrize("max_backtracks", [40, 7])
+    def test_zero_floor_runs_full_sweep(self, max_backtracks):
+        fn, points = counting(floored_residual)
+        u, rn, iterations, converged = damped_newton(
+            np.full(4, 3.0), fn, identity_jacobian, tol=1e-14, max_iter=25,
+            max_backtracks=max_backtracks,
+        )
+        assert len(points) == 2 + max_backtracks
+        assert (rn, iterations, converged) == (LEVEL, 2, False)
+        assert np.all(u == 2.0)
+
+    def test_residual_above_floor_still_backtracks(self):
+        # full Newton steps overshoot arctan's root at 10; from 12 the full
+        # step is rejected and the half step accepted
+        fn, points = counting(lambda v: np.arctan(v - 10.0))
+
+        def jacobian_fn(v):
+            return np.zeros(0), 1.0 / (1.0 + (v - 10.0) ** 2), np.zeros(0)
+
+        u0 = np.array([12.0])
+        delta = -np.arctan(2.0) * 5.0
+        u, rn, _, converged = damped_newton(
+            u0, fn, jacobian_fn, tol=1e-12, max_iter=25, floor=1e-3
+        )
+        assert points[1][0] == pytest.approx(u0[0] + delta, rel=1e-15)
+        assert points[2][0] == pytest.approx(u0[0] + 0.5 * delta, rel=1e-15)
+        assert converged
+        assert rn <= 1e-12
+        assert u[0] == pytest.approx(10.0, abs=1e-12)
