@@ -53,7 +53,6 @@ from .flow import (  # noqa: F401
     RunResult,
     adm_mass,
     monitor,
-    rhs,
     run_flow,
     step,
 )

@@ -18,8 +18,9 @@ import json
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -55,20 +56,34 @@ from .flow import (
 from .grids import RadialField, build_grid, read_field_csv, write_field_csv
 from .svgplot import svg_line_chart
 
-_SCHEMA = {
-    "run": {"id", "seed"},
-    "grid": {"n", "r_in", "r_max", "m", "policy"},
-    "background": {"name"},
-    "initial": {"family", "m", "eps", "sigma", "total", "radius"},
-    "flow": {
-        "scheme", "dt0", "dt_max", "newton_tol", "newton_max", "t_end",
-        "monitor_every", "checkpoint_every", "safety", "stop_max_u",
-    },
-    "monitor": {"p_list", "tau_prime_list"},
-    "prescribe": {"amplitude"},
+_GRID_DEFAULTS = {"n": 3, "r_in": 0.0, "R_max": 256.0, "M": 1024, "policy": "log-stretched"}
+
+# initial-data family -> (parameter defaults in config order, builder(grid, **params))
+_FAMILIES = {
+    "flat": ({}, lambda grid: flat_data(grid)),
+    "schwarzschild": ({"m": 1.0}, lambda grid, m: schwarzschild_data(grid.n, m, grid)),
+    "gaussian_bump": (
+        {"eps": 0.2, "sigma": 1.0},
+        lambda grid, eps, sigma: gaussian_bump_data(grid, eps, sigma),
+    ),
+    "newtonian": (
+        {"total": 4.0 * math.pi, "radius": 4.0},
+        lambda grid, total, radius: newtonian_data(grid, bump_source(grid, total, radius)),
+    ),
 }
 
-_GRID_DEFAULTS = {"n": 3, "r_in": 0.0, "R_max": 256.0, "M": 1024, "policy": "log-stretched"}
+# FlowConfig fields are the [flow] keys, except these, which form [monitor]
+_MONITOR_KEYS = ("p_list", "tau_prime_list")
+
+_SCHEMA = {
+    "run": {"id", "seed"},
+    "grid": {key.lower() for key in _GRID_DEFAULTS},
+    "background": {"name"},
+    "initial": {"family"}.union(*(defaults for defaults, _ in _FAMILIES.values())),
+    "flow": {f.name for f in fields(FlowConfig) if f.name not in _MONITOR_KEYS},
+    "monitor": set(_MONITOR_KEYS),
+    "prescribe": {"amplitude"},
+}
 
 
 @dataclass(frozen=True)
@@ -97,8 +112,6 @@ def _get(cp, section, key, cast, default):
     if raw == "":
         return default
     try:
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes")
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
@@ -106,6 +119,12 @@ def _get(cp, section, key, cast, default):
 
 def _float_list(raw: str) -> tuple:
     return tuple(float(x) for x in raw.split(",") if x.strip() != "")
+
+
+def _flow_cast(annotation):
+    """Config cast of a FlowConfig field type: the type without None; tuples are float lists."""
+    base = next(t for t in typing.get_args(annotation) or (annotation,) if t is not type(None))
+    return _float_list if base is tuple else base
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunManifest:
@@ -123,41 +142,23 @@ def parse_config_text(text: str, source: str = "<config>") -> RunManifest:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
     grid = {
-        "n": _get(cp, "grid", "n", int, _GRID_DEFAULTS["n"]),
-        "r_in": _get(cp, "grid", "r_in", float, _GRID_DEFAULTS["r_in"]),
-        "R_max": _get(cp, "grid", "R_max", float, _GRID_DEFAULTS["R_max"]),
-        "M": _get(cp, "grid", "M", int, _GRID_DEFAULTS["M"]),
-        "policy": _get(cp, "grid", "policy", str, _GRID_DEFAULTS["policy"]),
+        key: _get(cp, "grid", key, type(default), default)
+        for key, default in _GRID_DEFAULTS.items()
     }
     background = _get(cp, "background", "name", str, "flat")
     family = _get(cp, "initial", "family", str, "flat")
-    initial = {"family": family}
-    if family == "schwarzschild":
-        initial["m"] = _get(cp, "initial", "m", float, 1.0)
-    elif family == "gaussian_bump":
-        initial["eps"] = _get(cp, "initial", "eps", float, 0.2)
-        initial["sigma"] = _get(cp, "initial", "sigma", float, 1.0)
-    elif family == "newtonian":
-        initial["total"] = _get(cp, "initial", "total", float, 4.0 * math.pi)
-        initial["radius"] = _get(cp, "initial", "radius", float, 4.0)
-    elif family != "flat":
+    if family not in _FAMILIES:
         raise ConfigError(f"unknown initial-data family {family!r}")
+    initial = {"family": family}
+    for key, default in _FAMILIES[family][0].items():
+        initial[key] = _get(cp, "initial", key, type(default), default)
 
-    defaults = FlowConfig()
-    flow = FlowConfig(
-        scheme=_get(cp, "flow", "scheme", str, defaults.scheme),
-        dt0=_get(cp, "flow", "dt0", float, defaults.dt0),
-        dt_max=_get(cp, "flow", "dt_max", float, None),
-        newton_tol=_get(cp, "flow", "newton_tol", float, defaults.newton_tol),
-        newton_max=_get(cp, "flow", "newton_max", int, defaults.newton_max),
-        t_end=_get(cp, "flow", "t_end", float, defaults.t_end),
-        monitor_every=_get(cp, "flow", "monitor_every", int, defaults.monitor_every),
-        checkpoint_every=_get(cp, "flow", "checkpoint_every", int, defaults.checkpoint_every),
-        safety=_get(cp, "flow", "safety", float, defaults.safety),
-        p_list=_get(cp, "monitor", "p_list", _float_list, None),
-        tau_prime_list=_get(cp, "monitor", "tau_prime_list", _float_list, (0.0, 0.5)),
-        stop_max_u=_get(cp, "flow", "stop_max_u", float, None),
-    )
+    hints = typing.get_type_hints(FlowConfig)
+    flow = FlowConfig(**{
+        f.name: _get(cp, "monitor" if f.name in _MONITOR_KEYS else "flow", f.name,
+                     _flow_cast(hints[f.name]), f.default)
+        for f in fields(FlowConfig)
+    })
     run_id = _get(cp, "run", "id", str, None) or _slug(f"{background}-{family}")
     seed = _get(cp, "run", "seed", int, None)
     prescribe = {"amplitude": _get(cp, "prescribe", "amplitude", float, 0.1)}
@@ -179,74 +180,51 @@ def parse_config(path) -> RunManifest:
     return parse_config_text(path.read_text(), source=str(path))
 
 
+def _ini_value(value) -> str:
+    """INI text of a value: floats as %.17g, tuples comma-separated, None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ", ".join(_ini_value(x) for x in value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
 def serialize_manifest(manifest: RunManifest) -> str:
     """INI text that parses back to an equal manifest."""
-    f = manifest.flow
-    lines = [
-        "[run]",
-        f"id = {manifest.run_id}",
-    ]
+    flow = asdict(manifest.flow)
+    family = manifest.initial_data["family"]
+    sections = {
+        "run": {"id": manifest.run_id},
+        "grid": {key: manifest.grid[key] for key in _GRID_DEFAULTS},
+        "background": {"name": manifest.background},
+        "initial": {
+            "family": family,
+            **{key: manifest.initial_data[key] for key in _FAMILIES[family][0]},
+        },
+        "flow": {key: value for key, value in flow.items() if key not in _MONITOR_KEYS},
+        "monitor": {key: flow[key] for key in _MONITOR_KEYS},
+        "prescribe": {"amplitude": manifest.prescribe.get("amplitude", 0.1)},
+    }
     if manifest.seed is not None:
-        lines.append(f"seed = {manifest.seed}")
-    lines += [
-        "",
-        "[grid]",
-        f"n = {manifest.grid['n']}",
-        f"r_in = {manifest.grid['r_in']:.17g}",
-        f"R_max = {manifest.grid['R_max']:.17g}",
-        f"M = {manifest.grid['M']}",
-        f"policy = {manifest.grid['policy']}",
-        "",
-        "[background]",
-        f"name = {manifest.background}",
-        "",
-        "[initial]",
-        f"family = {manifest.initial_data['family']}",
-    ]
-    for key, value in manifest.initial_data.items():
-        if key != "family":
-            lines.append(f"{key} = {value:.17g}")
-    lines += [
-        "",
-        "[flow]",
-        f"scheme = {f.scheme}",
-        f"dt0 = {f.dt0:.17g}",
-        f"dt_max = {'' if f.dt_max is None else format(f.dt_max, '.17g')}",
-        f"newton_tol = {f.newton_tol:.17g}",
-        f"newton_max = {f.newton_max}",
-        f"t_end = {f.t_end:.17g}",
-        f"monitor_every = {f.monitor_every}",
-        f"checkpoint_every = {f.checkpoint_every}",
-        f"safety = {f.safety:.17g}",
-        f"stop_max_u = {'' if f.stop_max_u is None else format(f.stop_max_u, '.17g')}",
-        "",
-        "[monitor]",
-        f"p_list = {'' if f.p_list is None else ', '.join(format(p, '.17g') for p in f.p_list)}",
-        f"tau_prime_list = {', '.join(format(tp, '.17g') for tp in f.tau_prime_list)}",
-        "",
-        "[prescribe]",
-        f"amplitude = {manifest.prescribe.get('amplitude', 0.1):.17g}",
-    ]
-    return "\n".join(lines) + "\n"
+        sections["run"]["seed"] = manifest.seed
+    lines = []
+    for section, values in sections.items():
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {_ini_value(value)}" for key, value in values.items()]
+    return "\n".join(lines[1:]) + "\n"
 
 
 def build_run(manifest: RunManifest):
     """Instantiate (grid, background, initial data, flow config)."""
-    g = manifest.grid
-    grid = build_grid(g["n"], g["r_in"], g["R_max"], g["M"], g["policy"])
+    grid = build_grid(**manifest.grid)
     bg = background_from_name(manifest.background, grid)
-    params = manifest.initial_data
-    family = params["family"]
-    if family == "flat":
-        init = flat_data(grid)
-    elif family == "schwarzschild":
-        init = schwarzschild_data(g["n"], params["m"], grid)
-    elif family == "gaussian_bump":
-        init = gaussian_bump_data(grid, params["eps"], params["sigma"])
-    elif family == "newtonian":
-        init = newtonian_data(grid, bump_source(grid, params["total"], params["radius"]))
-    else:
+    params = dict(manifest.initial_data)
+    family = params.pop("family")
+    if family not in _FAMILIES:
         raise ConfigError(f"unknown initial-data family {family!r}")
+    init = _FAMILIES[family][1](grid, **params)
     return grid, bg, init, manifest.flow
 
 
@@ -311,61 +289,10 @@ def read_monitor_csv(path):
 # ---------------------------------------------------------------------------
 # simulate
 
-def _manifest_json(manifest: RunManifest) -> dict:
-    f = manifest.flow
-    return {
-        "run_id": manifest.run_id,
-        "background": manifest.background,
-        "initial_data": manifest.initial_data,
-        "grid": manifest.grid,
-        "flow": {
-            "scheme": f.scheme,
-            "dt0": f.dt0,
-            "dt_max": f.dt_max,
-            "newton_tol": f.newton_tol,
-            "newton_max": f.newton_max,
-            "t_end": f.t_end,
-            "monitor_every": f.monitor_every,
-            "checkpoint_every": f.checkpoint_every,
-            "safety": f.safety,
-            "p_list": list(f.p_list) if f.p_list is not None else None,
-            "tau_prime_list": list(f.tau_prime_list),
-            "stop_max_u": f.stop_max_u,
-        },
-        "seed": manifest.seed,
-        "created_at": manifest.created_at,
-        "prescribe": manifest.prescribe,
-        "artifact_paths": manifest.artifact_paths,
-    }
-
-
 def manifest_from_json(data: dict) -> RunManifest:
-    fw = data["flow"]
-    flow = FlowConfig(
-        scheme=fw["scheme"],
-        dt0=fw["dt0"],
-        dt_max=fw["dt_max"],
-        newton_tol=fw["newton_tol"],
-        newton_max=fw["newton_max"],
-        t_end=fw["t_end"],
-        monitor_every=fw["monitor_every"],
-        checkpoint_every=fw["checkpoint_every"],
-        safety=fw["safety"],
-        p_list=tuple(fw["p_list"]) if fw["p_list"] is not None else None,
-        tau_prime_list=tuple(fw["tau_prime_list"]),
-        stop_max_u=fw["stop_max_u"],
-    )
-    return RunManifest(
-        run_id=data["run_id"],
-        background=data["background"],
-        initial_data=data["initial_data"],
-        grid=data["grid"],
-        flow=flow,
-        seed=data.get("seed"),
-        created_at=data.get("created_at"),
-        prescribe=data.get("prescribe", {}),
-        artifact_paths=data.get("artifact_paths", {}),
-    )
+    """Inverse of dataclasses.asdict on a RunManifest (JSON lists back to tuples)."""
+    flow = {key: tuple(v) if isinstance(v, list) else v for key, v in data["flow"].items()}
+    return RunManifest(**{**data, "flow": FlowConfig(**flow)})
 
 
 def _write_json(path, payload) -> None:
@@ -423,9 +350,9 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
     )
     manifest = replace(manifest, artifact_paths=paths)
     (rundir / paths["config"]).write_text(serialize_manifest(manifest))
-    _write_json(rundir / paths["manifest"], _manifest_json(manifest))
-    for rel in ("monitor", "final_state", "summary", "config", "manifest", "checkpoints"):
-        if not (rundir / paths[rel]).exists():
+    _write_json(rundir / paths["manifest"], asdict(manifest))
+    for rel, name in paths.items():
+        if not (rundir / name).exists():
             raise YlabError(f"artifact {rel} missing after run")
     return 3 if result.halted else 0
 
@@ -459,9 +386,11 @@ def load_run(rundir) -> RunContext:
     manifest_path = rundir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"{rundir} is not a run directory (no manifest.json)")
-    manifest = manifest_from_json(json.loads(manifest_path.read_text()))
-    g = manifest.grid
-    grid = build_grid(g["n"], g["r_in"], g["R_max"], g["M"], g["policy"])
+    try:
+        manifest = manifest_from_json(json.loads(manifest_path.read_text()))
+        grid = build_grid(**manifest.grid)
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{manifest_path} is malformed: {exc!r}") from exc
     bg = background_from_name(manifest.background, grid)
     records, _, _ = read_monitor_csv(rundir / "monitor.csv")
     summary = json.loads((rundir / "summary.json").read_text())
@@ -748,11 +677,7 @@ def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
     _write_json(
         outdir / "solve_report.json",
         {
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "final_residual": report.final_residual,
-            "positivity": report.positivity,
-            "tolerance": report.tolerance,
+            **asdict(report),
             "mass_of_limit": adm_mass(u_inf),
             # None when the R0 tail is not integrable against r^{n-1} dr
             "r0_truncation_tail_bound": tail if math.isfinite(tail) else None,
@@ -774,13 +699,7 @@ def cmd_yamabe_sign(manifest: RunManifest, out_root) -> int:
         "trial_params": list(result.trial_params) if result.trial_params else None,
     }
     if result.report is not None:
-        payload["solve_report"] = {
-            "converged": result.report.converged,
-            "iterations": result.report.iterations,
-            "final_residual": result.report.final_residual,
-            "positivity": result.report.positivity,
-            "tolerance": result.report.tolerance,
-        }
+        payload["solve_report"] = asdict(result.report)
     _write_json(outdir / "sign.json", payload)
     print(f"yamabe-sign: {result.sign}"
           + (f" (Q = {result.quotient:.4g})" if result.quotient is not None else ""))
@@ -802,16 +721,7 @@ def cmd_prescribe(manifest: RunManifest, out_root) -> int:
         return 3
     write_field_csv(phi, outdir / "phi.csv")
     write_field_csv(target, outdir / "target.csv")
-    _write_json(
-        outdir / "solve_report.json",
-        {
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "final_residual": report.final_residual,
-            "positivity": report.positivity,
-            "tolerance": report.tolerance,
-        },
-    )
+    _write_json(outdir / "solve_report.json", asdict(report))
     print(f"prescribe: converged in {report.iterations} Newton steps")
     return 0
 

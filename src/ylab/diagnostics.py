@@ -12,7 +12,7 @@ All auditors are pure functions of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,12 +35,7 @@ class DecayFit:
     window: tuple
 
     def to_json(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "constant": self.constant,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ from .grids import (
     RadialField,
     RadialGrid,
     integrate_dV,
-    laplacian_radial,
     lp_integral,
     origin_mask,
 )
@@ -171,25 +170,6 @@ class RunResult:
     halted: bool
     halt_reason: str | None
     valid_t_max: float
-
-
-def rhs(u: RadialField, bg: BackgroundSpec) -> RadialField:
-    """Time derivative ((n-2)/4) u^{1-N} (a lap u - R0 u).
-
-    Algebraically identical to -((n-2)/4) R[u] u with R from compute_R;
-    both forms share the one-sided boundary stencils.
-    """
-    if np.min(u.values) <= 0.0:
-        raise PositivityError("conformal factor must be positive")
-    if u.grid != bg.grid:
-        raise GridMismatchError("field and background live on different grids")
-    n = bg.n
-    a, N = conformal_exponents(n)
-    lap = laplacian_radial(u)
-    vals = 0.25 * (n - 2.0) * u.values ** (1.0 - N) * (
-        a * lap.values - bg.r0_profile.values * u.values
-    )
-    return RadialField(u.grid, vals)
 
 
 def initial_inner_flux(u0: RadialField) -> float:

@@ -13,7 +13,10 @@ Conventions:
 * the radial weight used by weighted norms is ``max(r, 1)``;
 * all stencils are three-point and exact for quadratics (second order on
   smoothly varying grids); the origin uses the even-extension regularity
-  limit ``lap f(0) = n f''(0)``.
+  limit ``lap f(0) = n f''(0)``;
+* ``stencil_weights`` is the one interior stencil: ``laplacian_radial`` and
+  the solver operator ``operators.boundary_laplacian`` both take their
+  interior rows from it.
 """
 
 from __future__ import annotations
@@ -230,10 +233,28 @@ def _derivative_weights(xs: np.ndarray, x0: float, order: int) -> np.ndarray:
     return np.linalg.solve(V, rhs)
 
 
+def stencil_weights(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Interior weights (w_lo, w_hi) of the radial Laplacian f'' + (n-1)/r f'.
+
+    Row i = 1..M-1 is w_lo[i-1] f_{i-1} - (w_lo + w_hi)[i-1] f_i + w_hi[i-1] f_{i+1},
+    the three-point stencil exact for quadratics.  Building the centre weight
+    as minus the sum of the others makes constants cancel exactly.
+    """
+    r = grid.nodes
+    n = grid.n
+    hm = grid.dr[:-1]
+    hp = grid.dr[1:]
+    denom = hm * hp * (hm + hp)
+    w_lo = (2.0 * hp - hp * hp * (n - 1) / r[1:-1]) / denom
+    w_hi = (2.0 * hm + hm * hm * (n - 1) / r[1:-1]) / denom
+    return w_lo, w_hi
+
+
 def laplacian_radial(f: RadialField) -> RadialField:
     """Discrete radial Laplacian f'' + (n-1)/r f'.
 
-    Interior nodes use the three-point stencil exact for quadratics.  At
+    Interior nodes use stencil_weights, summed in the order of
+    operators.BoundaryLaplacian.apply so both agree bit for bit.  At
     r = 0 the even-extension regularity limit lap f(0) = n f''(0) applies;
     other boundary nodes get one-sided stencils that callers normally
     overwrite with boundary conditions.
@@ -246,12 +267,8 @@ def laplacian_radial(f: RadialField) -> RadialField:
         raise StencilError("laplacian needs at least 3 nodes")
 
     out = np.empty_like(v)
-    hm = grid.dr[:-1]
-    hp = grid.dr[1:]
-    denom = hm * hp * (hm + hp)
-    d2 = 2.0 * (hp * v[:-2] - (hm + hp) * v[1:-1] + hm * v[2:]) / denom
-    d1 = (-hp * hp * v[:-2] + (hp * hp - hm * hm) * v[1:-1] + hm * hm * v[2:]) / denom
-    out[1:-1] = d2 + (n - 1) / r[1:-1] * d1
+    w_lo, w_hi = stencil_weights(grid)
+    out[1:-1] = w_hi * v[2:] + w_lo * v[:-2] - (w_lo + w_hi) * v[1:-1]
 
     if r[0] == 0.0:
         out[0] = 2.0 * n * (v[1] - v[0]) / grid.dr[0] ** 2

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError
-from .grids import RadialGrid
+from .grids import RadialGrid, stencil_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,14 +63,8 @@ def boundary_laplacian(grid: RadialGrid, inner_flux: float = 0.0) -> BoundaryLap
     upper = np.zeros(M)
     affine = np.zeros(M + 1)
 
-    hm = dr[:-1]
-    hp = dr[1:]
-    denom = hm * hp * (hm + hp)
-    w_lo = (2.0 * hp - hp * hp * (n - 1) / r[1:-1]) / denom
-    w_hi = (2.0 * hm + hm * hm * (n - 1) / r[1:-1]) / denom
+    w_lo, w_hi = stencil_weights(grid)
     lower[:-1] = w_lo
-    # row sums vanish analytically; build the diagonal from the off-diagonals
-    # so constants are annihilated exactly in floating point
     diag[1:-1] = -(w_lo + w_hi)
     upper[1:] = w_hi
 

@@ -1,9 +1,11 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from ylab.cli import (
+    _FAMILIES,
     build_run,
     cmd_report,
     cmd_simulate,
@@ -41,6 +43,65 @@ monitor_every = 4
 checkpoint_every = 20
 """
 
+README_CONFIG = """
+[grid]
+n = 3
+R_max = 512
+M = 4096
+policy = log-stretched
+
+[initial]
+family = gaussian_bump
+eps = 0.2
+sigma = 1.0
+
+[flow]
+dt0 = 1e-3
+dt_max = 0.25
+t_end = 50
+monitor_every = 2
+"""
+
+# serialize_manifest of README_CONFIG: key order, %.17g floats, empty None values
+# (\x20 keeps the trailing space of an empty value visible)
+README_INI = """[run]
+id = flat-gaussian_bump
+
+[grid]
+n = 3
+r_in = 0
+R_max = 512
+M = 4096
+policy = log-stretched
+
+[background]
+name = flat
+
+[initial]
+family = gaussian_bump
+eps = 0.20000000000000001
+sigma = 1
+
+[flow]
+scheme = backward-euler-newton
+dt0 = 0.001
+dt_max = 0.25
+newton_tol = 9.9999999999999998e-13
+newton_max = 25
+t_end = 50
+monitor_every = 2
+checkpoint_every = 100
+safety = 1.3
+stop_max_u =\x20
+
+[monitor]
+p_list =\x20
+tau_prime_list = 0, 0.5
+
+[prescribe]
+amplitude = 0.10000000000000001
+"""
+
 
 class TestParseConfig:
     def test_minimal_fills_defaults(self):
@@ -52,9 +113,18 @@ class TestParseConfig:
         assert m.run_id == "flat-flat"
 
     def test_round_trip(self):
-        m = parse_config_text(BUMP_CONFIG)
-        again = parse_config_text(serialize_manifest(m))
-        assert again == m
+        # every initial-data family, with non-default parameters that need 17 digits
+        for family, (defaults, _) in _FAMILIES.items():
+            params = "".join(f"{key} = {value / 3.0!r}\n" for key, value in defaults.items())
+            text = BUMP_CONFIG.replace(
+                "family = gaussian_bump\neps = 0.1\nsigma = 1.0\n", f"family = {family}\n{params}"
+            )
+            m = parse_config_text(text)
+            assert m.initial_data["family"] == family
+            assert parse_config_text(serialize_manifest(m)) == m, family
+
+    def test_serialized_text_is_pinned(self):
+        assert serialize_manifest(parse_config_text(README_CONFIG)) == README_INI
 
     def test_round_trip_with_every_section(self):
         text = BUMP_CONFIG + "\n[monitor]\np_list = 1.0, 1.5, 2.0\ntau_prime_list = 0.0\n"
@@ -85,9 +155,7 @@ class TestParseConfig:
 
     def test_manifest_json_round_trip(self):
         m = parse_config_text(BUMP_CONFIG)
-        from ylab.cli import _manifest_json
-
-        assert manifest_from_json(json.loads(json.dumps(_manifest_json(m)))) == m
+        assert manifest_from_json(json.loads(json.dumps(asdict(m)))) == m
 
 
 class TestBuildRun:
@@ -213,6 +281,26 @@ class TestReport:
         (verdict,) = json.loads(out.read_text())["runs"][0]["audits"]
         assert verdict["pass"] is False
         assert "8 points" in verdict["details"]["error"]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data.pop("flow"),
+            lambda data: data.update(colour="blue"),
+            lambda data: data["flow"].update(timestep=0.1),
+        ],
+        ids=["missing-flow", "unknown-key", "unknown-flow-key"],
+    )
+    def test_malformed_manifest_is_config_error(self, bump_run, tmp_path, capsys, corrupt):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        data = json.loads((bump_run / "manifest.json").read_text())
+        corrupt(data)
+        (broken / "manifest.json").write_text(json.dumps(data))
+        rc = main(["report", str(broken), "--audits", "mass-drift",
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert str(broken / "manifest.json") in capsys.readouterr().err
 
     def test_schwarzschild_fixed_point_audits(self, tmp_path):
         config = (

@@ -22,7 +22,6 @@ from ylab.flow import (
     initial_inner_flux,
     mass_estimate,
     monitor,
-    rhs,
     run_flow,
     step,
     step_tolerances,
@@ -67,31 +66,6 @@ class TestConfig:
 
     def test_valid_time_horizon(self, grid):
         assert valid_time_horizon(grid) == pytest.approx(200.0**2 / 32.0)
-
-
-class TestRhs:
-    def test_flat_fixed_point(self, grid, flat):
-        out = rhs(constant_field(grid, 1.0), flat)
-        assert np.max(np.abs(out.values)) < 1e-13
-
-    def test_schwarzschild_near_zero(self):
-        g = build_grid(3, 0.5, 1000.0, 2048, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
-        u = schwarzschild_data(3, 1.0, g).u0
-        out = rhs(u, bg)
-        assert np.max(np.abs(out.values[1:-1])) <= 10.0 * g.h**2
-
-    def test_cross_form_identity(self, grid, flat):
-        # ((n-2)/4) u^{1-N} (a lap u - R0 u) == -((n-2)/4) R[u] u, node by node
-        rng = np.random.default_rng(7)
-        smooth = 1.0 + 0.3 * np.exp(-(grid.nodes**2) / 4.0) + 0.05 * np.exp(
-            -((grid.nodes - 3.0) ** 2)
-        ) * rng.uniform(0.9, 1.1)
-        u = RadialField(grid, smooth)
-        form1 = rhs(u, flat).values
-        form2 = -0.25 * (3 - 2) * compute_R(u, flat).values * u.values
-        scale = np.max(np.abs(form1)) + 1.0
-        assert np.max(np.abs(form1 - form2)) <= 1e-12 * scale
 
 
 class TestStep:
