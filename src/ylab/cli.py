@@ -22,6 +22,7 @@ import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from io import StringIO
 from pathlib import Path
 
 from . import diagnostics as diag
@@ -51,9 +52,17 @@ from .errors import (
 from .flow import (
     FlowConfig,
     MonitorRecord,
+    adm_mass,
     run_flow,
 )
-from .grids import RadialField, build_grid, read_field_csv, write_field_csv
+from .grids import (
+    RadialField,
+    bind_field,
+    build_grid,
+    read_field_csv,
+    truncation_tail_bound,
+    write_field_csv,
+)
 from .svgplot import svg_line_chart
 
 _GRID_DEFAULTS = {"n": 3, "r_in": 0.0, "R_max": 256.0, "M": 1024, "policy": "log-stretched"}
@@ -149,6 +158,10 @@ def parse_config_text(text: str, source: str = "<config>") -> RunManifest:
     family = _get(cp, "initial", "family", str, "flat")
     if family not in _FAMILIES:
         raise ConfigError(f"unknown initial-data family {family!r}")
+    if cp.has_section("initial"):
+        stray = sorted(set(cp.options("initial")) - {"family", *_FAMILIES[family][0]})
+        if stray:
+            raise ConfigError(f"[initial] keys {stray} do not belong to family {family!r}")
     initial = {"family": family}
     for key, default in _FAMILIES[family][0].items():
         initial[key] = _get(cp, "initial", key, type(default), default)
@@ -369,16 +382,18 @@ class RunContext:
     records: list
     summary: dict
 
-    def checkpoints(self):
-        ckdir = self.rundir / "checkpoints"
-        out = []
-        for meta_path in sorted(ckdir.glob("ckpt_*.json")):
-            meta = json.loads(meta_path.read_text())
-            radii, values = read_field_csv(meta_path.with_suffix(".csv"))
-            from .grids import bind_field
+    _checkpoints: list | None = field(default=None, init=False, repr=False, compare=False)
 
-            out.append((meta["t"], bind_field(self.grid, radii, values)))
-        return out
+    def checkpoints(self):
+        """(t, u) per checkpoint in step order, read from disk on the first call only."""
+        if self._checkpoints is None:
+            out = []
+            for meta_path in sorted((self.rundir / "checkpoints").glob("ckpt_*.json")):
+                meta = json.loads(meta_path.read_text())
+                radii, values = read_field_csv(meta_path.with_suffix(".csv"))
+                out.append((meta["t"], bind_field(self.grid, radii, values)))
+            self._checkpoints = out
+        return self._checkpoints
 
 
 def load_run(rundir) -> RunContext:
@@ -392,8 +407,15 @@ def load_run(rundir) -> RunContext:
     except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{manifest_path} is malformed: {exc!r}") from exc
     bg = background_from_name(manifest.background, grid)
-    records, _, _ = read_monitor_csv(rundir / "monitor.csv")
-    summary = json.loads((rundir / "summary.json").read_text())
+    monitor_path, summary_path = rundir / "monitor.csv", rundir / "summary.json"
+    try:
+        records, _, _ = read_monitor_csv(monitor_path)
+    except (OSError, ValueError, KeyError, SchemaError) as exc:
+        raise ConfigError(f"{monitor_path} is missing or unreadable: {exc!r}") from exc
+    try:
+        summary = json.loads(summary_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{summary_path} is missing or unreadable: {exc!r}") from exc
     return RunContext(rundir, manifest, grid, bg, records, summary)
 
 
@@ -485,8 +507,6 @@ def _audit_mass_drop(ctx: RunContext) -> diag.Verdict:
     n = ctx.grid.n
     try:
         u_inf, _ = solve_scalar_flat(ctx.bg)
-        from .flow import adm_mass
-
         m_inf = adm_mass(u_inf)
     except NonPositiveYamabeError:
         return diag.Verdict("mass-drop", None, skipped_reason="no scalar-flat limit (Y <= 0)")
@@ -591,8 +611,6 @@ def _apply_overrides(text: str, overrides: dict) -> str:
         if not cp.has_section(section):
             cp.add_section(section)
         cp.set(section, key, value)
-    from io import StringIO
-
     buf = StringIO()
     cp.write(buf)
     return buf.getvalue()
@@ -670,9 +688,6 @@ def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
         print(f"scalar-flat: no positive solution ({exc})")
         return 3
     write_field_csv(u_inf, outdir / "u_inf.csv")
-    from .flow import adm_mass
-    from .grids import truncation_tail_bound
-
     tail = truncation_tail_bound(bg.decay_constant, 2.0 + bg.tau, grid)
     _write_json(
         outdir / "solve_report.json",

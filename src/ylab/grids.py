@@ -363,12 +363,14 @@ def truncation_tail_bound(C: float, decay_order: float, grid: RadialGrid) -> flo
 
 
 def write_field_csv(f: RadialField, path, header: str = "r,value") -> None:
-    """Serialize to CSV (17 significant digits); factor snapshots use ``r,u``."""
-    lines = [header]
-    for r, v in zip(f.grid.nodes, f.values):
-        lines.append(f"{r:.17g},{v:.17g}")
+    """Serialize to CSV (17 significant digits); factor snapshots use ``r,u``.
+
+    One ``%`` format over the interleaved (r, value) pairs builds the whole
+    text: the header line, then one ``%.17g,%.17g`` row per node.
+    """
+    pairs = np.column_stack([f.grid.nodes, f.values]).ravel().tolist()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{header}\n" + "%.17g,%.17g\n" * f.values.size % tuple(pairs))
 
 
 def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:

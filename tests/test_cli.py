@@ -4,12 +4,15 @@ from pathlib import Path
 
 import pytest
 
+import ylab.cli as cli
 from ylab.cli import (
+    _AUDITS,
     _FAMILIES,
     build_run,
     cmd_report,
     cmd_simulate,
     cmd_sweep,
+    load_run,
     main,
     manifest_from_json,
     parse_config_text,
@@ -152,6 +155,14 @@ class TestParseConfig:
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("[initial]\nfamily = soliton\n")
+
+    @pytest.mark.parametrize(
+        "family, stray",
+        [("flat", "eps = 0.3"), ("gaussian_bump", "m = 1.0"), ("schwarzschild", "radius = 4")],
+    )
+    def test_key_of_another_family_rejected(self, family, stray):
+        with pytest.raises(ConfigError, match=stray.split()[0]):
+            parse_config_text(f"[initial]\nfamily = {family}\n{stray}\n")
 
     def test_manifest_json_round_trip(self):
         m = parse_config_text(BUMP_CONFIG)
@@ -301,6 +312,56 @@ class TestReport:
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
         assert str(broken / "manifest.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("monitor.csv", lambda path: path.unlink()),
+            ("summary.json", lambda path: path.unlink()),
+            ("monitor.csv", lambda path: path.write_text("t,sup_R\n1,oops\n")),
+            ("monitor.csv", lambda path: path.write_text(path.read_text()[:-40])),
+            ("summary.json", lambda path: path.write_text("{not json")),
+        ],
+        ids=["missing-monitor", "missing-summary", "monitor-without-columns",
+             "truncated-monitor", "unreadable-summary"],
+    )
+    def test_incomplete_run_directory_is_config_error(
+        self, bump_run, tmp_path, capsys, name, corrupt
+    ):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for kept in ("manifest.json", "monitor.csv", "summary.json"):
+            (broken / kept).write_bytes((bump_run / kept).read_bytes())
+        corrupt(broken / name)
+        rc = main(["report", str(broken), "--audits", "mass-drift",
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert str(broken / name) in capsys.readouterr().err
+
+    def test_checkpoints_read_once_per_run(self, tmp_path, monkeypatch):
+        config = BUMP_CONFIG.replace("checkpoint_every = 20", "checkpoint_every = 1")
+        assert cmd_simulate(parse_config_text(config), tmp_path) == 0
+        rundir = tmp_path / "bump-test"
+        k = len(list((rundir / "checkpoints").glob("ckpt_*.json")))
+        assert k == 20
+        reads = []
+        read = cli.read_field_csv
+        monkeypatch.setattr(cli, "read_field_csv", lambda path: reads.append(path) or read(path))
+        out = tmp_path / "rep.json"
+        rc = main(["report", str(rundir), "--audits", "convergence,spacetime-decay",
+                   "--out", str(out)])
+        assert rc == 0
+        assert len(reads) == k
+        verdicts = json.loads(out.read_text())["runs"][0]["audits"]
+        # each audit on its own freshly loaded run, as when every audit read the checkpoints
+        assert verdicts == [
+            json.loads(json.dumps(_AUDITS[name](load_run(rundir)).to_json()))
+            for name in ("convergence", "spacetime-decay")
+        ]
+        convergence, spacetime = verdicts
+        assert convergence["pass"] is True and spacetime["pass"] is True
+        assert convergence["details"]["fit"]["exponent"] == pytest.approx(-1.43554174696, rel=1e-9)
+        assert spacetime["details"]["C_star"] == pytest.approx(0.0577852583785, rel=1e-9)
 
     def test_schwarzschild_fixed_point_audits(self, tmp_path):
         config = (

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ylab.backgrounds import make_flat_background
@@ -245,6 +245,33 @@ class TestSphereConstants:
         assert sphere_constants(4).omega == pytest.approx(2.0 * math.pi**2, rel=1e-15)
 
 
+def _per_row_csv(f, header):
+    """Field CSV text as built one f-string per row (the reference for the writer)."""
+    return header + "\n" + "".join(f"{r:.17g},{v:.17g}\n" for r, v in zip(f.grid.nodes, f.values))
+
+
+@st.composite
+def _fields_on_arbitrary_radii(draw):
+    radii = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=17, max_size=40,
+                          unique=True))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(radii), max_size=len(radii)))
+    return RadialField(RadialGrid(3, np.sort(radii), UNIFORM), np.array(values))
+
+
+# 17 nodes r = k/4 carrying 1, 0.1, -0.0, 1/3, the smallest subnormal, -1e300, then 0.5
+_GOLDEN_FIELD = RadialField(
+    RadialGrid(3, np.arange(17) * 0.25, UNIFORM),
+    np.array([1.0, 0.1, -0.0, 1.0 / 3.0, 5e-324, -1e300] + [0.5] * 11),
+)
+_GOLDEN_ROWS = (
+    "0,1\n0.25,0.10000000000000001\n0.5,-0\n0.75,0.33333333333333331\n"
+    "1,4.9406564584124654e-324\n1.25,-1.0000000000000001e+300\n"
+    "1.5,0.5\n1.75,0.5\n2,0.5\n2.25,0.5\n2.5,0.5\n2.75,0.5\n"
+    "3,0.5\n3.25,0.5\n3.5,0.5\n3.75,0.5\n4,0.5\n"
+)
+
+
 class TestFieldCsv:
     def test_round_trip(self, tmp_path):
         g = build_grid(3, 0.0, 50.0, 64, LOG_STRETCHED)
@@ -260,6 +287,23 @@ class TestFieldCsv:
         path = tmp_path / "field.csv"
         write_field_csv(constant_field(g, 1.0), path)
         assert path.read_text().splitlines()[0] == "r,value"
+
+    @pytest.mark.parametrize("header", ["r,value", "r,u"])
+    def test_golden_text(self, tmp_path, header):
+        path = tmp_path / "field.csv"
+        write_field_csv(_GOLDEN_FIELD, path, header=header)
+        assert path.read_bytes() == f"{header}\n{_GOLDEN_ROWS}".encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=_fields_on_arbitrary_radii(), header=st.sampled_from(["r,value", "r,u"]))
+    @example(f=_GOLDEN_FIELD, header="r,u")
+    def test_matches_per_row_text_and_reads_back_bitwise(self, tmp_path_factory, f, header):
+        path = tmp_path_factory.mktemp("csv") / "field.csv"
+        write_field_csv(f, path, header=header)
+        assert path.read_bytes() == _per_row_csv(f, header).encode()
+        radii, values = read_field_csv(path)
+        assert radii.tobytes() == f.grid.nodes.tobytes()
+        assert values.tobytes() == f.values.tobytes()
 
 
 class TestFieldInvariants:
