@@ -317,10 +317,10 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
     rundir = Path(out_root) / manifest.run_id
     if rundir.exists():
         raise ConfigError(f"run directory already exists: {rundir}")
-    rundir.mkdir(parents=True)
     manifest = replace(manifest, created_at=datetime.now(timezone.utc).isoformat())
+    grid, bg, init, cfg = build_run(manifest)  # config errors leave no directory behind
+    rundir.mkdir(parents=True)
 
-    grid, bg, init, cfg = build_run(manifest)
     result = run_flow(bg, init, cfg)
 
     paths = {
@@ -549,6 +549,9 @@ _AUDITS = {
     "mass-drop": _audit_mass_drop,
     "spacetime-decay": _audit_spacetime,
     "blowup": _audit_blowup,
+    "lp-inequality": lambda ctx: diag.lp_inequality_audit(
+        ctx.records, ctx.grid.n / 2.0 + 0.1, ctx.grid.n
+    ),
 }
 
 
@@ -717,6 +720,7 @@ def cmd_yamabe_sign(manifest: RunManifest, out_root) -> int:
         payload["solve_report"] = asdict(result.report)
     _write_json(outdir / "sign.json", payload)
     print(f"yamabe-sign: {result.sign}"
+          + (" (low confidence)" if result.low_confidence else "")
           + (f" (Q = {result.quotient:.4g})" if result.quotient is not None else ""))
     return 0
 

@@ -100,6 +100,14 @@ def _effective_tolerance(tol: float, curvature_scale: float, row_norm: float) ->
     return max(tol * (1.0 + curvature_scale), _EPS_FLOOR * row_norm)
 
 
+def _scalar_flat_residual(u: np.ndarray, bg: BackgroundSpec, lap, tol: float):
+    """(max|a(n) L u - R0 u|, effective tolerance) of u on the boundary-folded rows lap."""
+    a, _ = conformal_exponents(bg.n)
+    R0 = bg.r0_profile.values
+    residual = float(np.max(np.abs(a * lap.apply(u) - R0 * u)))
+    return residual, _effective_tolerance(tol, float(np.max(np.abs(R0))), a * lap.row_norm)
+
+
 def solve_scalar_flat(bg: BackgroundSpec, tol: float = 1e-10) -> tuple[RadialField, SolveReport]:
     """Solve a(n) lap u = R0 u with u -> 1: the scalar-flat member of the class.
 
@@ -124,8 +132,7 @@ def solve_scalar_flat(bg: BackgroundSpec, tol: float = 1e-10) -> tuple[RadialFie
         raise NonPositiveYamabeError("scalar-flat solve produced non-finite values")
 
     u = 1.0 + v
-    residual = float(np.max(np.abs(a * lap.apply(u) - R0 * u)))
-    tolerance = _effective_tolerance(tol, float(np.max(np.abs(R0))), a * lap.row_norm)
+    residual, tolerance = _scalar_flat_residual(u, bg, lap, tol)
     positivity = float(np.min(u))
     converged = residual <= tolerance and positivity > 0.0
     report = SolveReport(
@@ -239,15 +246,10 @@ def yamabe_sign(bg: BackgroundSpec, trials: TrialFamily | None = None) -> Yamabe
 def verify_certificate(result: YamabeSign, bg: BackgroundSpec, tol: float = 1e-10) -> bool:
     """Re-evaluate a sign certificate from scratch."""
     if result.sign == POSITIVE:
-        u = result.certificate
-        if float(np.min(u.values)) <= 0.0:
+        u = result.certificate.values
+        if float(np.min(u)) <= 0.0:
             return False
-        a, _ = conformal_exponents(bg.n)
-        lap = boundary_laplacian(bg.grid)
-        residual = float(np.max(np.abs(a * lap.apply(u.values) - bg.r0_profile.values * u.values)))
-        tolerance = _effective_tolerance(
-            tol, float(np.max(np.abs(bg.r0_profile.values))), a * lap.row_norm
-        )
+        residual, tolerance = _scalar_flat_residual(u, bg, boundary_laplacian(bg.grid), tol)
         return residual <= tolerance
     if result.low_confidence:
         return True  # nothing claimed beyond "no positive solution found"

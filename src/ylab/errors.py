@@ -24,10 +24,6 @@ class GridMismatchError(YlabError):
     """Fields that must share a grid do not."""
 
 
-class StencilError(YlabError):
-    """Grid too small for the requested stencil."""
-
-
 class PositivityError(YlabError):
     """A field required to be positive is not."""
 

@@ -17,8 +17,7 @@ r^{-(n-2)} fall-off.  Results are trustworthy for t below the horizon
 R_max^2 / (16(n-1)), which keeps the diffusive front away from the wall.
 
 Uniqueness of the continuum flow is an open matter; nothing here depends on
-it, but scheme choice is configurable and any scheme-dependence is visible
-in the monitor series.
+it.
 """
 
 from __future__ import annotations
@@ -44,11 +43,8 @@ from .grids import (
     lp_integral,
     origin_mask,
 )
-from .operators import boundary_laplacian, damped_newton, solve_tridiagonal
+from .operators import boundary_laplacian, damped_newton
 from .elliptic import compute_R
-
-BACKWARD_EULER = "backward-euler-newton"
-LINEARLY_IMPLICIT = "linearly-implicit"
 
 
 def default_p_list(n: int) -> tuple:
@@ -66,7 +62,6 @@ def valid_time_horizon(grid: RadialGrid) -> float:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    scheme: str = BACKWARD_EULER
     dt0: float = 1e-3
     dt_max: float | None = None
     newton_tol: float = 1e-12
@@ -80,14 +75,14 @@ class FlowConfig:
     stop_max_u: float | None = None
 
     def __post_init__(self):
-        if self.scheme not in (BACKWARD_EULER, LINEARLY_IMPLICIT):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.dt0 <= 0.0:
             raise ConfigError(f"dt0 must be positive, got {self.dt0}")
         if self.dt_max is not None and self.dt_max < self.dt0:
             raise ConfigError("dt_max must be >= dt0")
         if self.newton_tol <= 0.0:
             raise ConfigError("newton_tol must be positive")
+        if self.newton_max < 1:
+            raise ConfigError(f"newton_max must be >= 1, got {self.newton_max}")
         if self.t_end <= 0.0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.monitor_every < 1 or self.checkpoint_every < 1:
@@ -235,17 +230,6 @@ def _attempt_step(u_prev: np.ndarray, dt: float, bg: BackgroundSpec, cfg: FlowCo
     target, ceiling = step_tolerances(
         cfg.newton_tol, dt, u_prev, a, c, N, lap.row_norm
     )
-
-    if cfg.scheme == LINEARLY_IMPLICIT:
-        res = residual_fn(u_prev)
-        jl, jd, ju = jacobian_fn(u_prev)
-        try:
-            u_new = u_prev - solve_tridiagonal(jl, jd, ju, res)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(u_new)) or np.min(u_new) <= 0.0:
-            return None
-        return u_new
 
     u_new, rn, _, converged = damped_newton(
         u_prev, residual_fn, jacobian_fn, target, cfg.newton_max, floor=ceiling

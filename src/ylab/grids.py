@@ -31,7 +31,6 @@ from .errors import (
     GridMismatchError,
     ParameterError,
     PositivityError,
-    StencilError,
 )
 
 UNIFORM = "uniform"
@@ -263,8 +262,6 @@ def laplacian_radial(f: RadialField) -> RadialField:
     r = grid.nodes
     v = f.values
     n = grid.n
-    if r.size < 3:
-        raise StencilError("laplacian needs at least 3 nodes")
 
     out = np.empty_like(v)
     w_lo, w_hi = stencil_weights(grid)

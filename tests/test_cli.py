@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 from dataclasses import asdict
 from pathlib import Path
 
@@ -15,12 +17,15 @@ from ylab.cli import (
     load_run,
     main,
     manifest_from_json,
+    parse_config,
     parse_config_text,
     read_monitor_csv,
     serialize_manifest,
     write_monitor_csv,
 )
 from ylab.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BUMP_CONFIG = """
 [run]
@@ -86,7 +91,6 @@ eps = 0.20000000000000001
 sigma = 1
 
 [flow]
-scheme = backward-euler-newton
 dt0 = 0.001
 dt_max = 0.25
 newton_tol = 9.9999999999999998e-13
@@ -145,8 +149,10 @@ class TestParseConfig:
             parse_config_text("[flow]\ndt0 = -1\n")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("[flow]\ntimestep = 0.1\n")
+        for key in ("timestep = 0.1", "scheme = linearly-implicit",
+                    "scheme = backward-euler-newton"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config_text(f"[flow]\n{key}\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -170,6 +176,12 @@ class TestParseConfig:
 
 
 class TestBuildRun:
+    def test_experiment_configs_build(self):
+        configs = sorted((ROOT / "experiments").glob("*.ini"))
+        assert [p.name for p in configs] == ["bump_audit.ini", "dichotomy.ini", "mass_drop.ini"]
+        for path in configs:
+            build_run(parse_config(path))
+
     def test_bump_objects(self):
         grid, bg, init, cfg = build_run(parse_config_text(BUMP_CONFIG))
         assert grid.M == 512
@@ -227,6 +239,17 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             cmd_simulate(m, tmp_path)
 
+    def test_config_error_leaves_no_run_directory(self, tmp_path):
+        config = tmp_path / "run.ini"
+        out = tmp_path / "out"
+        text = "[run]\nid = x\n[grid]\nM = 64\nR_max = 64\n[flow]\nt_end = 0.01\n"
+        config.write_text(text + "[background]\nname = nosuch\n")
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert not (out / "x").exists()
+        config.write_text(text + "[background]\nname = flat\n")
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert (out / "x" / "manifest.json").exists()
+
     def test_determinism_bit_identical(self, tmp_path):
         m = parse_config_text(BUMP_CONFIG)
         from dataclasses import replace
@@ -250,26 +273,32 @@ def bump_run(tmp_path_factory):
 
 class TestReport:
     def test_passing_audits_exit_zero(self, bump_run, capsys):
-        rc = cmd_report([bump_run], ["lp-monotone", "min-r-monotone"], out=bump_run / "rep.json")
+        audits = ["lp-monotone", "min-r-monotone", "lp-inequality"]
+        rc = cmd_report([bump_run], audits, out=bump_run / "rep.json")
         assert rc == 0
         out = capsys.readouterr().out
-        assert "PASS" in out
+        assert out.count("PASS") == 3
+        assert "lp-inequality(p=1.6)" in out
 
     def test_corrupted_series_exit_four(self, bump_run, tmp_path):
-        import shutil
+        # force the audited lp column to increase: corrupt the last row
+        for column, audit in (("lpR_p1.5", "lp-monotone"), ("lpR_p1.6", "lp-inequality")):
+            broken = tmp_path / audit
+            shutil.copytree(bump_run, broken)
+            monitor = (broken / "monitor.csv").read_text().splitlines()
+            header = monitor[1].split(",")
+            col = header.index(column)
+            last = monitor[-1].split(",")
+            last[col] = "1e9"
+            monitor[-1] = ",".join(last)
+            (broken / "monitor.csv").write_text("\n".join(monitor) + "\n")
+            rc = cmd_report([broken], [audit], out=tmp_path / "rep.json")
+            assert rc == 4, audit
 
-        broken = tmp_path / "broken"
-        shutil.copytree(bump_run, broken)
-        monitor = (broken / "monitor.csv").read_text().splitlines()
-        # force the p = n/2 column to increase: corrupt the last row
-        header = monitor[1].split(",")
-        col = header.index("lpR_p1.5")
-        last = monitor[-1].split(",")
-        last[col] = "1e9"
-        monitor[-1] = ",".join(last)
-        (broken / "monitor.csv").write_text("\n".join(monitor) + "\n")
-        rc = cmd_report([broken], ["lp-monotone"], out=tmp_path / "rep.json")
-        assert rc == 4
+    def test_readme_lists_every_audit(self):
+        readme = (ROOT / "README.md").read_text()
+        paragraph = readme.split("Available audits for `report`:")[1].split("\n\n")[0]
+        assert re.findall(r"`([a-z-]+)`", paragraph) == sorted(_AUDITS)
 
     def test_unknown_audit_rejected(self, bump_run):
         with pytest.raises(ConfigError):
@@ -446,6 +475,15 @@ class TestMainExitCodes:
         payload = json.loads(sign_files[0].read_text())
         assert payload["sign"] == "NonPositive"
         assert payload["quotient"] < 0.0
+
+    def test_yamabe_sign_prints_low_confidence(self, tmp_path, capsys):
+        rc = main([
+            "yamabe-sign", "--config", str(ROOT / "experiments" / "dichotomy.ini"),
+            "--background", "synthetic:A=-35,rc=2,sigma=1,tau=1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == "yamabe-sign: NonPositive (low confidence) (Q = 9.812)\n"
 
     def test_env_var_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("YLAB_OUT", str(tmp_path / "envout"))

@@ -13,8 +13,6 @@ from ylab.backgrounds import (
 from ylab.elliptic import compute_R
 from ylab.errors import ConfigError, MassUndefinedError
 from ylab.flow import (
-    BACKWARD_EULER,
-    LINEARLY_IMPLICIT,
     FlowConfig,
     FlowState,
     adm_mass,
@@ -56,9 +54,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             FlowConfig(dt0=-1.0)
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ConfigError):
-            FlowConfig(scheme="leapfrog")
+    @pytest.mark.parametrize("newton_max", [0, -1])
+    def test_newton_max_below_one_rejected(self, newton_max):
+        with pytest.raises(ConfigError, match="newton_max"):
+            FlowConfig(newton_max=newton_max)
+        assert FlowConfig(newton_max=1).newton_max == 1
 
     def test_default_p_list(self):
         assert default_p_list(3) == (1.0, 1.4, 1.5, 1.6, 2.0)
@@ -276,17 +276,6 @@ class TestRunFlow:
         l1 = np.array([r.l1_R for r in res.records])
         rhs_val = -1.5 * np.trapezoid(l1, ts) / (t1 - t0)  # time-averaged -(n/2) int R dV
         assert abs(lhs - rhs_val) <= 15.0 * (dt + grid.h**2) * abs(rhs_val)
-
-    def test_scheme_linearly_implicit_close_to_newton(self, grid, flat):
-        init = gaussian_bump_data(grid, 0.1, 1.0)
-        out = {}
-        for scheme in (BACKWARD_EULER, LINEARLY_IMPLICIT):
-            cfg = FlowConfig(
-                scheme=scheme, dt0=0.01, dt_max=0.01, safety=1.0, t_end=0.2,
-                monitor_every=10**9, checkpoint_every=10**9,
-            )
-            out[scheme] = run_flow(flat, init, cfg).final.u.values
-        assert np.max(np.abs(out[BACKWARD_EULER] - out[LINEARLY_IMPLICIT])) < 1e-4
 
     def test_grid_mismatch_rejected(self, grid, flat):
         g2 = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
