@@ -3,8 +3,9 @@
 Configuration is INI-style ``key = value`` under the sections [run] [grid]
 [background] [initial] [flow] [monitor] [prescribe]; unknown sections or
 keys abort before any compute (fail-closed).  Every run writes a manifest,
-the monitor CSV, checkpoints with JSON sidecars, the final state, and a
-summary; `report` turns monitor series into audit verdicts.
+the monitor CSV, one binary checkpoint series with its JSON time columns,
+the final state, and a summary; `report` turns monitor series and
+checkpoints into audit verdicts.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure or halt,
 4 audit failure.
@@ -50,6 +51,7 @@ from .errors import (
     YlabError,
 )
 from .flow import (
+    Checkpoint,
     FlowConfig,
     MonitorRecord,
     adm_mass,
@@ -57,11 +59,11 @@ from .flow import (
 )
 from .grids import (
     RadialField,
-    bind_field,
     build_grid,
-    read_field_csv,
+    read_field_series,
     truncation_tail_bound,
     write_field_csv,
+    write_field_series,
 )
 from .svgplot import svg_line_chart
 
@@ -312,6 +314,49 @@ def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+_CHECKPOINT_COLUMNS = ("t", "dt", "step_index")
+
+
+def write_checkpoints(path, checkpoints, background_name: str) -> None:
+    """Persist checkpoints as one field series plus its time columns.
+
+    ``path`` (``.npy``) holds the radii row and one row per snapshot; the
+    ``.json`` beside it holds the t, dt and step_index columns and the
+    background name.
+    """
+    path = Path(path)
+    write_field_series([ck.u for ck in checkpoints], path)
+    columns = {key: [getattr(ck, key) for ck in checkpoints] for key in _CHECKPOINT_COLUMNS}
+    _write_json(path.with_suffix(".json"), {**columns, "background_name": background_name})
+
+
+def read_checkpoints(path, grid) -> list:
+    """Checkpoints written by write_checkpoints, bound to grid (one load of the series).
+
+    A missing, truncated or malformed series, radii that differ from grid, or
+    time columns whose lengths differ from the number of snapshots raise a
+    ConfigError naming the file.
+    """
+    path = Path(path)
+    try:
+        fields = read_field_series(path, grid)
+    except (OSError, ValueError, EOFError, YlabError) as exc:
+        raise ConfigError(f"{path} is missing or unreadable: {exc!r}") from exc
+    meta_path = path.with_suffix(".json")
+    try:
+        meta = json.loads(meta_path.read_text())
+        columns = [meta[key] for key in _CHECKPOINT_COLUMNS]
+        lengths = [len(column) for column in columns]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{meta_path} is missing or unreadable: {exc!r}") from exc
+    if lengths != [len(fields)] * len(columns):
+        raise ConfigError(
+            f"{meta_path} has columns {dict(zip(_CHECKPOINT_COLUMNS, lengths))} long"
+            f" for {len(fields)} snapshots in {path.name}"
+        )
+    return [Checkpoint(t, u, dt, step) for t, dt, step, u in zip(*columns, fields)]
+
+
 def cmd_simulate(manifest: RunManifest, out_root) -> int:
     """Run the flow and persist every artifact under out_root/run_id."""
     rundir = Path(out_root) / manifest.run_id
@@ -329,22 +374,12 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
         "summary": "summary.json",
         "config": "config.ini",
         "manifest": "manifest.json",
-        "checkpoints": "checkpoints",
+        "checkpoints": "checkpoints.npy",
     }
     p_list = cfg.monitored_p(bg.n)
     write_monitor_csv(rundir / paths["monitor"], result.records, p_list, cfg.tau_prime_list)
     write_field_csv(result.final.u, rundir / paths["final_state"], header="r,u")
-
-    ckdir = rundir / paths["checkpoints"]
-    ckdir.mkdir()
-    for ck in result.checkpoints:
-        stem = f"ckpt_{ck.step_index:08d}"
-        write_field_csv(ck.u, ckdir / f"{stem}.csv", header="r,u")
-        _write_json(
-            ckdir / f"{stem}.json",
-            {"t": ck.t, "dt": ck.dt, "step_index": ck.step_index,
-             "background_name": bg.name},
-        )
+    write_checkpoints(rundir / paths["checkpoints"], result.checkpoints, bg.name)
 
     last = result.records[-1]
     _write_json(
@@ -385,14 +420,9 @@ class RunContext:
     _checkpoints: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def checkpoints(self):
-        """(t, u) per checkpoint in step order, read from disk on the first call only."""
+        """Checkpoints in step order (each unpacks as (t, u)), read on the first call only."""
         if self._checkpoints is None:
-            out = []
-            for meta_path in sorted((self.rundir / "checkpoints").glob("ckpt_*.json")):
-                meta = json.loads(meta_path.read_text())
-                radii, values = read_field_csv(meta_path.with_suffix(".csv"))
-                out.append((meta["t"], bind_field(self.grid, radii, values)))
-            self._checkpoints = out
+            self._checkpoints = read_checkpoints(self.rundir / "checkpoints.npy", self.grid)
         return self._checkpoints
 
 
@@ -440,9 +470,17 @@ def _audit_mass_drift(ctx: RunContext) -> diag.Verdict:
     )
 
 
+def _lp_series(records, p: float) -> list:
+    """The lpR_p<p> monitor column; SchemaError when the run did not monitor p."""
+    try:
+        return [r.lp_R[p] for r in records]
+    except KeyError:
+        raise SchemaError(f"monitor.csv has no lpR_p{p:g} column") from None
+
+
 def _audit_lp_monotone(ctx: RunContext) -> diag.Verdict:
     n = ctx.grid.n
-    series = [r.lp_R[n / 2.0] for r in _skip_transient(ctx.records)]
+    series = _lp_series(_skip_transient(ctx.records), n / 2.0)
     audit = diag.audit_monotone(series, diag.NONINCREASING, 1e-8, quantity=f"lpR_p{n / 2:g}")
     return diag.Verdict("lp-monotone", audit.passed, audit.to_json())
 
@@ -452,7 +490,7 @@ def _audit_lp_window(ctx: RunContext) -> diag.Verdict:
     details = {}
     ok = True
     for p in (n / 2.0 - 0.1, n / 2.0 + 0.1):
-        series = [r.lp_R[p] for r in _skip_transient(ctx.records)]
+        series = _lp_series(_skip_transient(ctx.records), p)
         audit = diag.audit_monotone(series, diag.NONINCREASING, 1e-8, quantity=f"lpR_p{p:g}")
         details[f"p={p:g}"] = audit.to_json()
         ok = ok and audit.passed
@@ -484,13 +522,14 @@ def _audit_sup_r_decay(ctx: RunContext) -> diag.Verdict:
 
 
 def _audit_convergence(ctx: RunContext) -> diag.Verdict:
+    checkpoints = ctx.checkpoints()  # an unreadable series is a ConfigError, not a verdict
     try:
         u_inf, _ = solve_scalar_flat(ctx.bg)
     except NonPositiveYamabeError:
         return diag.Verdict("convergence", None, skipped_reason="no scalar-flat limit (Y <= 0)")
     try:
         rep = diag.convergence_to_limit(
-            ctx.checkpoints(), u_inf, 0.0,
+            checkpoints, u_inf, 0.0,
             valid_t_max=ctx.summary.get("valid_t_max"),
         )
     except YlabError as exc:
@@ -555,6 +594,14 @@ _AUDITS = {
 }
 
 
+def _run_audit(name: str, ctx: RunContext) -> diag.Verdict:
+    """One audit's verdict; a monitor column it needs but the run lacks fails it."""
+    try:
+        return _AUDITS[name](ctx)
+    except SchemaError as exc:
+        return diag.Verdict(name, False, {"error": str(exc)})
+
+
 def cmd_report(run_dirs, audits, out=None, plots=False) -> int:
     """Aggregate audits over run directories; exit 4 when a required one fails."""
     for name in audits:
@@ -564,7 +611,7 @@ def cmd_report(run_dirs, audits, out=None, plots=False) -> int:
     any_failed = False
     for rundir in run_dirs:
         ctx = load_run(rundir)
-        verdicts = [_AUDITS[name](ctx) for name in audits]
+        verdicts = [_run_audit(name, ctx) for name in audits]
         any_failed |= any(v.passed is False for v in verdicts)
         runs.append({"run_id": ctx.manifest.run_id, "audits": [v.to_json() for v in verdicts]})
         if plots:

@@ -328,7 +328,7 @@ def lp_inequality_audit(
         series = np.array([r.lp_R[p] for r in records], dtype=np.float64)
         gate = np.array([r.lp_R[half_n] for r in records], dtype=np.float64)
     except (AttributeError, KeyError) as exc:
-        raise SchemaError(f"monitor series lacks lp_R[{p}] or lp_R[{half_n}]") from exc
+        raise SchemaError(f"monitor series lacks lpR_p{p:g} or lpR_p{half_n:g}") from exc
     threshold = 4.0 * (n - 1.0) * (p - 1.0) / p / sobolev_D
     condition = np.abs(p - half_n) * gate ** (2.0 / n) <= threshold
     active = condition[:-1]

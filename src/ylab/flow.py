@@ -146,7 +146,7 @@ class MassEstimate:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Full factor snapshot with step metadata (serialized next to the CSV)."""
+    """Full factor snapshot with step metadata (one row of the checkpoint series)."""
 
     t: float
     u: RadialField

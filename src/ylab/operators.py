@@ -11,7 +11,8 @@ mirrored ghost node at each end:
   r^{-(n-2)} fall-off at the truncation radius.
 
 The resulting operator is affine, u -> L u + b, with b carrying the flux
-and Robin constants.  Linear systems are solved by direct banded LU.
+and Robin constants.  Linear systems are solved by LAPACK's tridiagonal
+LU with partial pivoting (gtsv).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError
 from .grids import RadialGrid, stencil_weights
@@ -88,13 +89,16 @@ def boundary_laplacian(grid: RadialGrid, inner_flux: float = 0.0) -> BoundaryLap
 def solve_tridiagonal(
     lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Direct banded LU solve of the tridiagonal system."""
-    m = diag.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
+    """Direct LU solve (LAPACK dgtsv) of the tridiagonal system; inputs are not modified.
+
+    Raises np.linalg.LinAlgError when the matrix is singular.
+    """
+    if diag.size == 1:  # the wrapper rejects the empty bands of a 1x1 system
+        lower = upper = np.zeros(1)
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular tridiagonal matrix (zero pivot {info})")
+    return x
 
 
 def damped_newton(

@@ -4,7 +4,10 @@ import shutil
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ylab.cli as cli
 from ylab.cli import (
@@ -19,11 +22,15 @@ from ylab.cli import (
     manifest_from_json,
     parse_config,
     parse_config_text,
+    read_checkpoints,
     read_monitor_csv,
     serialize_manifest,
+    write_checkpoints,
     write_monitor_csv,
 )
 from ylab.errors import ConfigError
+from ylab.flow import Checkpoint, run_flow
+from ylab.grids import UNIFORM, RadialField, RadialGrid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -216,10 +223,12 @@ class TestSimulate:
         m = parse_config_text(BUMP_CONFIG)
         assert cmd_simulate(m, tmp_path) == 0
         rundir = tmp_path / "bump-test"
-        for name in ("monitor.csv", "final_state.csv", "summary.json",
-                      "manifest.json", "config.ini"):
-            assert (rundir / name).exists()
-        assert list((rundir / "checkpoints").glob("ckpt_*.csv"))
+        assert sorted(p.name for p in rundir.iterdir()) == [
+            "checkpoints.json", "checkpoints.npy", "config.ini", "final_state.csv",
+            "manifest.json", "monitor.csv", "summary.json",
+        ]
+        manifest = json.loads((rundir / "manifest.json").read_text())
+        assert manifest["artifact_paths"]["checkpoints"] == "checkpoints.npy"
         summary = json.loads((rundir / "summary.json").read_text())
         assert not summary["halted"]
         assert summary["final_t"] == pytest.approx(2.0)
@@ -228,10 +237,16 @@ class TestSimulate:
         cmd_simulate(parse_config_text(BUMP_CONFIG), tmp_path)
         rundir = tmp_path / "bump-test"
         assert (rundir / "final_state.csv").read_text().splitlines()[0] == "r,u"
-        ckpt = next((rundir / "checkpoints").glob("ckpt_*.csv"))
-        assert ckpt.read_text().splitlines()[0] == "r,u"
-        sidecar = json.loads(ckpt.with_suffix(".json").read_text())
+        series = np.load(rundir / "checkpoints.npy")
+        grid = build_run(parse_config_text(BUMP_CONFIG))[0]
+        assert series.dtype == np.dtype("<f8")
+        assert series.shape[1] == grid.M + 1
+        assert series[0].tobytes() == grid.nodes.tobytes()
+        sidecar = json.loads((rundir / "checkpoints.json").read_text())
         assert set(sidecar) == {"t", "dt", "step_index", "background_name"}
+        assert sidecar["background_name"] == "flat3"
+        for column in ("t", "dt", "step_index"):
+            assert len(sidecar[column]) == series.shape[0] - 1
 
     def test_duplicate_run_id_rejected(self, tmp_path):
         m = parse_config_text(BUMP_CONFIG)
@@ -269,6 +284,29 @@ def bump_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("runs")
     cmd_simulate(parse_config_text(BUMP_CONFIG), root)
     return root / "bump-test"
+
+
+DENSE_CONFIG = BUMP_CONFIG.replace("checkpoint_every = 20", "checkpoint_every = 1")
+
+
+@pytest.fixture(scope="module")
+def dense_run(tmp_path_factory):
+    """BUMP_CONFIG with a checkpoint after every step (20 checkpoints)."""
+    root = tmp_path_factory.mktemp("dense")
+    assert cmd_simulate(parse_config_text(DENSE_CONFIG), root) == 0
+    return root / "bump-test"
+
+
+def _shift_radius(path):
+    data = np.load(path)
+    data[0, 1] *= 1.0 + 1e-9
+    np.save(path, data)
+
+
+def _drop_last_time(path):
+    meta = json.loads(path.read_text())
+    meta["t"].pop()
+    path.write_text(json.dumps(meta))
 
 
 class TestReport:
@@ -367,20 +405,65 @@ class TestReport:
         assert rc == 2
         assert str(broken / name) in capsys.readouterr().err
 
-    def test_checkpoints_read_once_per_run(self, tmp_path, monkeypatch):
-        config = BUMP_CONFIG.replace("checkpoint_every = 20", "checkpoint_every = 1")
-        assert cmd_simulate(parse_config_text(config), tmp_path) == 0
-        rundir = tmp_path / "bump-test"
-        k = len(list((rundir / "checkpoints").glob("ckpt_*.json")))
+    @pytest.mark.parametrize("audit", ["convergence", "spacetime-decay"])
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("checkpoints.npy", lambda path: path.unlink()),
+            ("checkpoints.npy", lambda path: path.write_bytes(path.read_bytes()[:-40])),
+            ("checkpoints.npy", lambda path: np.save(path, np.load(path)[:, :-1])),
+            ("checkpoints.npy", _shift_radius),
+            ("checkpoints.json", _drop_last_time),
+        ],
+        ids=["missing-series", "truncated-series", "wrong-shape-series",
+             "radii-mismatch", "short-time-column"],
+    )
+    def test_unreadable_checkpoint_series_is_config_error(
+        self, bump_run, tmp_path, capsys, name, corrupt, audit
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(bump_run, broken)
+        corrupt(broken / name)
+        rc = main(["report", str(broken), "--audits", audit,
+                   "--out", str(tmp_path / "rep.json")])
+        assert rc == 2
+        assert str(broken / name) in capsys.readouterr().err
+
+    @pytest.fixture(scope="class")
+    def p2_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("p2")
+        config = BUMP_CONFIG + "\n[monitor]\np_list = 2.0\n"
+        assert cmd_simulate(parse_config_text(config), root) == 0
+        return root / "bump-test"
+
+    @pytest.mark.parametrize(
+        "audit, column",
+        [("lp-monotone", "lpR_p1.5"), ("lp-monotone-window", "lpR_p1.4"),
+         ("lp-inequality", "lpR_p1.6")],
+    )
+    def test_unmonitored_lp_column_fails_cleanly(self, p2_run, tmp_path, audit, column):
+        out = tmp_path / "rep.json"
+        rc = main(["report", str(p2_run), "--audits", audit, "--out", str(out)])
+        assert rc == 4
+        (verdict,) = json.loads(out.read_text())["runs"][0]["audits"]
+        assert verdict["name"] == audit
+        assert verdict["pass"] is False
+        assert column in verdict["details"]["error"]
+
+    def test_checkpoints_read_once_per_run(self, dense_run, tmp_path, monkeypatch):
+        rundir = dense_run
+        k = len(json.loads((rundir / "checkpoints.json").read_text())["t"])
         assert k == 20
-        reads = []
-        read = cli.read_field_csv
-        monkeypatch.setattr(cli, "read_field_csv", lambda path: reads.append(path) or read(path))
+        loads = []
+        load = cli.read_field_series
+        monkeypatch.setattr(
+            cli, "read_field_series", lambda path, grid: loads.append(path) or load(path, grid)
+        )
         out = tmp_path / "rep.json"
         rc = main(["report", str(rundir), "--audits", "convergence,spacetime-decay",
                    "--out", str(out)])
         assert rc == 0
-        assert len(reads) == k
+        assert loads == [rundir / "checkpoints.npy"]
         verdicts = json.loads(out.read_text())["runs"][0]["audits"]
         # each audit on its own freshly loaded run, as when every audit read the checkpoints
         assert verdicts == [
@@ -391,6 +474,23 @@ class TestReport:
         assert convergence["pass"] is True and spacetime["pass"] is True
         assert convergence["details"]["fit"]["exponent"] == pytest.approx(-1.43554174696, rel=1e-9)
         assert spacetime["details"]["C_star"] == pytest.approx(0.0577852583785, rel=1e-9)
+
+    def test_series_verdicts_equal_in_memory_checkpoints(self, dense_run, tmp_path):
+        _, bg, init, cfg = build_run(parse_config_text(DENSE_CONFIG))
+        in_memory = run_flow(bg, init, cfg).checkpoints
+        ctx = load_run(dense_run)
+        stored = ctx.checkpoints()
+        assert [(c.t, c.dt, c.step_index, c.u.values.tobytes()) for c in stored] == [
+            (c.t, c.dt, c.step_index, c.u.values.tobytes()) for c in in_memory
+        ]
+        out = tmp_path / "rep.json"
+        audits = ("convergence", "spacetime-decay")
+        assert main(["report", str(dense_run), "--audits", ",".join(audits),
+                     "--out", str(out)]) == 0
+        ctx._checkpoints = in_memory
+        assert json.loads(out.read_text())["runs"][0]["audits"] == [
+            json.loads(json.dumps(_AUDITS[name](ctx).to_json())) for name in audits
+        ]
 
     def test_schwarzschild_fixed_point_audits(self, tmp_path):
         config = (
@@ -404,6 +504,50 @@ class TestReport:
             [tmp_path / "schw"], ["fixed-point", "mass-drift"], out=tmp_path / "rep.json"
         )
         assert rc == 0
+
+
+@st.composite
+def _checkpoint_series(draw):
+    """K >= 1 checkpoints of arbitrary finite float64 on a grid of arbitrary radii."""
+    radii = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=17,
+                          max_size=40, unique=True))
+    grid = RadialGrid(3, np.sort(radii), UNIFORM)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    k = draw(st.integers(min_value=1, max_value=6))
+    return [
+        Checkpoint(
+            draw(finite),
+            RadialField(grid, np.array(draw(st.lists(finite, min_size=grid.M + 1,
+                                                     max_size=grid.M + 1)))),
+            draw(finite),
+            draw(st.integers(min_value=0, max_value=2**53)),
+        )
+        for _ in range(k)
+    ]
+
+
+_EDGE_GRID = RadialGrid(3, np.arange(17) * 0.25, UNIFORM)
+_EDGE_SERIES = [
+    Checkpoint(-0.0, RadialField(_EDGE_GRID, np.array([5e-324, -0.0, -1e300] + [1 / 3] * 14)),
+               5e-324, 0),
+    Checkpoint(0.1, RadialField(_EDGE_GRID, np.full(17, -2.2250738585072014e-308)), 1e300, 7),
+]
+
+
+class TestCheckpointSeries:
+    @settings(max_examples=100, deadline=None)
+    @given(checkpoints=_checkpoint_series())
+    @example(checkpoints=_EDGE_SERIES)
+    def test_round_trip_is_bitwise(self, tmp_path_factory, checkpoints):
+        path = tmp_path_factory.mktemp("series") / "checkpoints.npy"
+        write_checkpoints(path, checkpoints, "flat3")
+        back = read_checkpoints(path, checkpoints[0].u.grid)
+        assert len(back) == len(checkpoints)
+        for got, want in zip(back, checkpoints):
+            assert got.u.values.tobytes() == want.u.values.tobytes()
+            for key in ("t", "dt", "step_index"):
+                assert np.array(getattr(got, key)).tobytes() == np.array(getattr(want, key)).tobytes()
+        assert json.loads(path.with_suffix(".json").read_text())["background_name"] == "flat3"
 
 
 class TestSweep:

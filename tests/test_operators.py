@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ylab.operators import damped_newton
+from ylab.operators import damped_newton, solve_tridiagonal
 
 LEVEL = 1e-10  # round-off floor of the synthetic residual
 
@@ -67,3 +67,37 @@ class TestDampedNewton:
         assert converged
         assert rn <= 1e-12
         assert u[0] == pytest.approx(10.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_singular_jacobian_stops_without_a_step(self, m):
+        fn, points = counting(lambda v: v - 2.0)
+
+        def singular_jacobian(v):
+            return np.zeros(v.size - 1), np.zeros(v.size), np.zeros(v.size - 1)
+
+        u0 = np.full(m, 3.0)
+        u, rn, iterations, converged = damped_newton(
+            u0, fn, singular_jacobian, tol=1e-12, max_iter=25
+        )
+        assert (rn, iterations, converged) == (1.0, 0, False)
+        assert np.array_equal(u, u0)
+        assert len(points) == 1
+
+
+class TestSolveTridiagonal:
+    def test_matches_dense_solve_and_keeps_inputs(self):
+        rng = np.random.default_rng(7)
+        lower, upper = rng.standard_normal(9), rng.standard_normal(9)
+        diag, rhs = rng.standard_normal(10) + 4.0, rng.standard_normal(10)
+        copies = [a.copy() for a in (lower, diag, upper, rhs)]
+        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        x = solve_tridiagonal(lower, diag, upper, rhs)
+        assert np.allclose(dense @ x, rhs, rtol=0, atol=1e-13)
+        for a, b in zip((lower, diag, upper, rhs), copies):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_singular_matrix_raises(self, m):
+        with pytest.raises(np.linalg.LinAlgError):
+            # zero diagonal, unit off-diagonals: singular for odd m even with pivoting
+            solve_tridiagonal(np.ones(m - 1), np.zeros(m), np.ones(m - 1), np.ones(m))
