@@ -4,12 +4,14 @@ A background is presented through the only two pieces of data the flow PDE
 consumes: the flat radial Laplacian (module grids) and a scalar-curvature
 coefficient profile R0(r) with decay |R0| <= C max(r,1)^{-2-tau}.
 
-Two modes exist.  In geometric mode R0 is the honest scalar curvature of a
-stated conformal seed factor over flat space (the flat background is the
-seed-1 case).  Synthetic mode prescribes R0 directly as a free coefficient of
-the PDE; this is loudly a model problem, used to reach the nonpositive
+The flat background has R0 = 0.  A conformally flat start s^{4/(n-2)} delta
+needs no background of its own: by conformal covariance its flow is the
+flat-background flow from initial data s, which the initial-data families
+pose.  Every other background prescribes R0 directly as a free coefficient
+of the PDE; this is loudly a model problem, used to reach the nonpositive
 Yamabe regime that rotationally symmetric conformally flat geometry cannot
-realize.  All PDE-level claims depend only on the pair (Laplacian, R0).
+realize.  All PDE-level claims depend only on the pair (Laplacian, R0), and
+elliptic.compute_R is the one formula for the scalar curvature of a factor.
 """
 
 from __future__ import annotations
@@ -19,15 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ParameterError, PositivityError, UndefinedFitError
-from .grids import (
-    RadialField,
-    RadialGrid,
-    constant_field,
-    laplacian_radial,
-)
-
-GEOMETRIC = "geometric"
-SYNTHETIC = "synthetic"
+from .grids import RadialField, RadialGrid, constant_field
 
 
 def conformal_exponents(n: int) -> tuple[float, float]:
@@ -44,31 +38,13 @@ class BackgroundSpec:
     n: int
     tau: float
     r0_profile: RadialField
-    mode: str
     name: str
     decay_constant: float
-    seed: RadialField | None = None
 
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ConfigError(f"decay order tau must be positive, got {self.tau}")
-        if self.mode not in (GEOMETRIC, SYNTHETIC):
-            raise ConfigError(f"unknown background mode {self.mode!r}")
         check_decay(self.r0_profile, 2.0 + self.tau, self.decay_constant)
-        if self.mode == GEOMETRIC:
-            if self.seed is None:
-                raise ConfigError("geometric mode requires a seed factor")
-            self._check_geometric_consistency()
-
-    def _check_geometric_consistency(self):
-        grid = self.grid
-        computed = curvature_of_seed(self.seed)
-        scale = 1.0 + float(np.max(np.abs(computed.values)))
-        err = np.max(np.abs(computed.values[1:-1] - self.r0_profile.values[1:-1]))
-        if err > 10.0 * grid.h**2 * scale:
-            raise ConfigError(
-                f"geometric-mode profile disagrees with seed curvature (err {err:.3e})"
-            )
 
     @property
     def grid(self) -> RadialGrid:
@@ -86,45 +62,16 @@ def check_decay(profile: RadialField, order: float, C: float) -> None:
         )
 
 
-def curvature_of_seed(seed: RadialField) -> RadialField:
-    """Scalar curvature u^{-N} (-a(n) lap u) of the metric with factor u over flat."""
-    if np.min(seed.values) <= 0.0:
-        raise PositivityError("seed factor must be positive")
-    n = seed.grid.n
-    a, N = conformal_exponents(n)
-    lap = laplacian_radial(seed)
-    return RadialField(seed.grid, seed.values ** (-N) * (-a * lap.values))
-
-
 def make_flat_background(n: int, grid: RadialGrid, tau: float | None = None) -> BackgroundSpec:
-    """Flat space: R0 identically zero, seed factor identically one."""
+    """Flat space: R0 identically zero."""
     if n < 3:
         raise ParameterError(f"dimension n must be >= 3, got {n}")
     if grid.n != n:
         raise ConfigError(f"grid has dimension {grid.n}, requested {n}")
     if tau is None:
         tau = n - 2.0 - 0.01
-    one = constant_field(grid, 1.0)
     return BackgroundSpec(
-        n=n,
-        tau=tau,
-        r0_profile=constant_field(grid, 0.0),
-        mode=GEOMETRIC,
-        name=f"flat{n}",
-        decay_constant=0.0,
-        seed=one,
-    )
-
-
-def make_geometric_background(
-    grid: RadialGrid, seed: RadialField, tau: float, name: str = "geometric"
-) -> BackgroundSpec:
-    """Background whose R0 is the curvature of the given seed factor over flat."""
-    profile = curvature_of_seed(seed)
-    C = float(np.max(np.abs(profile.values) * grid.w ** (2.0 + tau)))
-    return BackgroundSpec(
-        n=grid.n, tau=tau, r0_profile=profile, mode=GEOMETRIC,
-        name=name, decay_constant=C, seed=seed,
+        n=n, tau=tau, r0_profile=constant_field(grid, 0.0), name=f"flat{n}", decay_constant=0.0,
     )
 
 
@@ -153,19 +100,17 @@ def make_synthetic_background(
     if name is None:
         name = f"synthetic:A={amplitude:g},rc={center:g},sigma={width:g},tau={tau:g}"
     return BackgroundSpec(
-        n=n, tau=tau, r0_profile=RadialField(grid, values), mode=SYNTHETIC,
-        name=name, decay_constant=abs(amplitude),
+        n=n, tau=tau, r0_profile=RadialField(grid, values), name=name,
+        decay_constant=abs(amplitude),
     )
 
 
 def make_profile_background(
     n: int, tau: float, profile: RadialField, name: str = "profile"
 ) -> BackgroundSpec:
-    """Synthetic background from an explicit R0 profile (manufactured solves)."""
+    """Background from an explicit R0 profile (manufactured solves)."""
     C = float(np.max(np.abs(profile.values) * profile.grid.w ** (2.0 + tau)))
-    return BackgroundSpec(
-        n=n, tau=tau, r0_profile=profile, mode=SYNTHETIC, name=name, decay_constant=C,
-    )
+    return BackgroundSpec(n=n, tau=tau, r0_profile=profile, name=name, decay_constant=C)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,6 +158,8 @@ def gaussian_bump_data(grid: RadialGrid, eps: float, sigma: float) -> InitialDat
     """u0 = 1 + eps exp(-r^2/sigma^2); requires eps > -1 for positivity."""
     if sigma <= 0.0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
+    if eps <= -1.0:
+        raise ParameterError(f"eps must be > -1 for a positive factor, got {eps}")
     u0 = 1.0 + eps * np.exp(-(grid.nodes**2) / sigma**2)
     return InitialData(RadialField(grid, u0), "gaussian_bump", {"eps": eps, "sigma": sigma})
 

@@ -51,10 +51,12 @@ from .errors import (
     YlabError,
 )
 from .flow import (
+    MONITOR_SCALARS,
     Checkpoint,
     FlowConfig,
     MonitorRecord,
     adm_mass,
+    far_field_window,
     run_flow,
 )
 from .grids import (
@@ -246,25 +248,16 @@ def build_run(manifest: RunManifest):
 # ---------------------------------------------------------------------------
 # monitor CSV
 
-_FIXED_COLUMNS = ("t", "sup_R", "min_R", "l1_R", "mass", "min_u", "max_u")
-
-
-def monitor_columns(p_list, tau_list) -> list:
-    cols = list(_FIXED_COLUMNS)
-    cols += [f"lpR_p{p:g}" for p in p_list]
-    cols += [f"wsupR_tau{tp:g}" for tp in tau_list]
-    return cols
-
-
 def write_monitor_csv(path, records, p_list, tau_list) -> None:
-    cols = monitor_columns(p_list, tau_list)
+    cols = [*MONITOR_SCALARS, *(f"lpR_p{p:g}" for p in p_list)]
+    cols += [f"wsupR_tau{tp:g}" for tp in tau_list]
     lines = [
         "# one row per monitor record; lpR_p<x> = integral of |R|^p dV_t,"
         " wsupR_tau<y> = sup max(r,1)^y |R| (boundary stencil nodes excluded)",
         ",".join(cols),
     ]
     for rec in records:
-        row = [rec.t, rec.sup_R, rec.min_R, rec.l1_R, rec.mass, rec.min_u, rec.max_u]
+        row = [getattr(rec, col) for col in MONITOR_SCALARS]
         row += [rec.lp_R[p] for p in p_list]
         row += [rec.weighted_sup_R[tp] for tp in tau_list]
         lines.append(",".join(f"{x:.17g}" for x in row))
@@ -277,7 +270,7 @@ def read_monitor_csv(path):
     if not lines:
         raise SchemaError(f"monitor CSV {path} is empty")
     header = lines[0].split(",")
-    for col in _FIXED_COLUMNS:
+    for col in MONITOR_SCALARS:
         if col not in header:
             raise SchemaError(f"monitor CSV missing column {col!r}")
     p_list = [float(c[len("lpR_p"):]) for c in header if c.startswith("lpR_p")]
@@ -287,13 +280,7 @@ def read_monitor_csv(path):
         vals = dict(zip(header, (float(x) for x in line.split(","))))
         records.append(
             MonitorRecord(
-                t=vals["t"],
-                sup_R=vals["sup_R"],
-                min_R=vals["min_R"],
-                l1_R=vals["l1_R"],
-                mass=vals["mass"],
-                min_u=vals["min_u"],
-                max_u=vals["max_u"],
+                **{col: vals[col] for col in MONITOR_SCALARS},
                 lp_R={p: vals[f"lpR_p{p:g}"] for p in p_list},
                 weighted_sup_R={tp: vals[f"wsupR_tau{tp:g}"] for tp in tau_list},
             )
@@ -364,6 +351,7 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
         raise ConfigError(f"run directory already exists: {rundir}")
     manifest = replace(manifest, created_at=datetime.now(timezone.utc).isoformat())
     grid, bg, init, cfg = build_run(manifest)  # config errors leave no directory behind
+    far_field_window(grid)  # so does a grid too coarse to read the mass off
     rundir.mkdir(parents=True)
 
     result = run_flow(bg, init, cfg)
@@ -621,7 +609,7 @@ def cmd_report(run_dirs, audits, out=None, plots=False) -> int:
                 svg_line_chart(
                     Path(rundir) / "sup_R.svg", ts, ys,
                     title=f"{ctx.manifest.run_id}: sup |R|",
-                    xlabel="t", ylabel="sup |R|", loglog=True,
+                    xlabel="t", ylabel="sup |R|",
                 )
             except ValueError:
                 pass
@@ -727,6 +715,7 @@ def _solver_outdir(out_root, name) -> Path:
 
 def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
     grid, bg, _, _ = build_run(manifest)
+    far_field_window(grid)  # before any output: the report holds the limit's mass
     outdir = _solver_outdir(out_root, f"scalar-flat-{_slug(bg.name)}")
     try:
         u_inf, report = solve_scalar_flat(bg)
@@ -822,11 +811,10 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", help="INI config path")
-            p.add_argument("--background", help="catalog name, e.g. flat3 or synthetic:A=-50,rc=2,sigma=1,tau=1")
-            p.add_argument("--seed", type=int, help="stored in the manifest (pipeline is deterministic)")
+    def add_common(p):
+        p.add_argument("--config", help="INI config path")
+        p.add_argument("--background", help="catalog name, e.g. flat3 or synthetic:A=-50,rc=2,sigma=1,tau=1")
+        p.add_argument("--seed", type=int, help="stored in the manifest (pipeline is deterministic)")
         p.add_argument("--out", default=_default_out(), help="output root (default $YLAB_OUT or ./ylab-out)")
 
     p_sim = sub.add_parser("simulate", help="run one flow and persist artifacts")

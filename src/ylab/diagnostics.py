@@ -305,31 +305,26 @@ def flat_sobolev_constant(n: int) -> float:
     return a / (n * (n - 1.0) * vol_sn ** (2.0 / n))
 
 
-def lp_inequality_audit(
-    records,
-    p: float,
-    n: int,
-    sobolev_D: float | None = None,
-    slack: float = 1e-8,
-) -> Verdict:
+def lp_inequality_audit(records, p: float, n: int) -> Verdict:
     """Conditional monotonicity of int |R|^p dV_t.
 
     Whenever |p - n/2| (int |R|^{n/2} dV)^{2/n} falls below the threshold
     C(n,p)/D, with C(n,p) = 4(n-1)(p-1)/p the gradient-absorption constant
-    and D the Sobolev constant, the series must be locally nonincreasing.
-    At p = n/2 the condition is unconditional.
+    and D the flat Sobolev constant, the series must be locally
+    nonincreasing up to a slack of 1e-8.  At p = n/2 the condition is
+    unconditional.
     """
     if not records:
         raise SchemaError("empty monitor series")
     half_n = n / 2.0
-    if sobolev_D is None:
-        sobolev_D = flat_sobolev_constant(n)
+    D = flat_sobolev_constant(n)
+    slack = 1e-8
     try:
         series = np.array([r.lp_R[p] for r in records], dtype=np.float64)
         gate = np.array([r.lp_R[half_n] for r in records], dtype=np.float64)
     except (AttributeError, KeyError) as exc:
         raise SchemaError(f"monitor series lacks lpR_p{p:g} or lpR_p{half_n:g}") from exc
-    threshold = 4.0 * (n - 1.0) * (p - 1.0) / p / sobolev_D
+    threshold = 4.0 * (n - 1.0) * (p - 1.0) / p / D
     condition = np.abs(p - half_n) * gate ** (2.0 / n) <= threshold
     active = condition[:-1]
     increases = np.diff(series) - slack
@@ -345,6 +340,6 @@ def lp_inequality_audit(
             "active_pairs": int(np.count_nonzero(active)),
             "violations": violations,
             "slack": slack,
-            "sobolev_D": sobolev_D,
+            "sobolev_D": D,  # report.json key
         },
     )

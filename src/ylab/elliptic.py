@@ -32,6 +32,12 @@ POSITIVE = "Positive"
 NON_POSITIVE = "NonPositive"
 
 _EPS_FLOOR = 100.0 * np.finfo(np.float64).eps
+_TOL = 1e-10  # solve tolerance, relative to 1 + the curvature scale
+_PRESCRIBE_MAX_ITER = 40
+
+# truncated-Gaussian trial functions for the quotient scan
+_TRIAL_CENTERS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
+_TRIAL_WIDTHS = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 
 @dataclass(frozen=True)
@@ -39,8 +45,8 @@ class SolveReport:
     """Outcome of an elliptic solve.
 
     final_residual is the raw max-norm residual of the discrete equation;
-    tolerance is the effective threshold it was compared against (user
-    tolerance times a curvature scale, floored at the round-off level of the
+    tolerance is the effective threshold it was compared against (1e-10
+    times 1 + a curvature scale, floored at the round-off level of the
     stencil rows).  converged implies final_residual <= tolerance and
     positivity > 0.
     """
@@ -71,14 +77,6 @@ class YamabeSign:
     trial_params: tuple | None = None  # (center, width, cut) of a Gaussian trial
 
 
-@dataclass(frozen=True)
-class TrialFamily:
-    """Truncated-Gaussian trial functions for the quotient scan."""
-
-    centers: tuple = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
-    widths: tuple = (0.5, 1.0, 2.0, 4.0, 8.0)
-
-
 def compute_R(u: RadialField, bg: BackgroundSpec) -> RadialField:
     """Scalar curvature of u^{4/(n-2)} g_bg: u^{-N} (-a(n) lap u + R0 u).
 
@@ -96,19 +94,19 @@ def compute_R(u: RadialField, bg: BackgroundSpec) -> RadialField:
     return RadialField(u.grid, vals)
 
 
-def _effective_tolerance(tol: float, curvature_scale: float, row_norm: float) -> float:
-    return max(tol * (1.0 + curvature_scale), _EPS_FLOOR * row_norm)
+def _effective_tolerance(curvature_scale: float, row_norm: float) -> float:
+    return max(_TOL * (1.0 + curvature_scale), _EPS_FLOOR * row_norm)
 
 
-def _scalar_flat_residual(u: np.ndarray, bg: BackgroundSpec, lap, tol: float):
+def _scalar_flat_residual(u: np.ndarray, bg: BackgroundSpec, lap):
     """(max|a(n) L u - R0 u|, effective tolerance) of u on the boundary-folded rows lap."""
     a, _ = conformal_exponents(bg.n)
     R0 = bg.r0_profile.values
     residual = float(np.max(np.abs(a * lap.apply(u) - R0 * u)))
-    return residual, _effective_tolerance(tol, float(np.max(np.abs(R0))), a * lap.row_norm)
+    return residual, _effective_tolerance(float(np.max(np.abs(R0))), a * lap.row_norm)
 
 
-def solve_scalar_flat(bg: BackgroundSpec, tol: float = 1e-10) -> tuple[RadialField, SolveReport]:
+def solve_scalar_flat(bg: BackgroundSpec) -> tuple[RadialField, SolveReport]:
     """Solve a(n) lap u = R0 u with u -> 1: the scalar-flat member of the class.
 
     Linear tridiagonal solve for v = u - 1 (zero-flux inner / Robin outer).
@@ -132,7 +130,7 @@ def solve_scalar_flat(bg: BackgroundSpec, tol: float = 1e-10) -> tuple[RadialFie
         raise NonPositiveYamabeError("scalar-flat solve produced non-finite values")
 
     u = 1.0 + v
-    residual, tolerance = _scalar_flat_residual(u, bg, lap, tol)
+    residual, tolerance = _scalar_flat_residual(u, bg, lap)
     positivity = float(np.min(u))
     converged = residual <= tolerance and positivity > 0.0
     report = SolveReport(
@@ -197,13 +195,12 @@ def _truncated_gaussian(grid, center: float, width: float):
     return v, (center, width, cut)
 
 
-def yamabe_sign(bg: BackgroundSpec, trials: TrialFamily | None = None) -> YamabeSign:
+def yamabe_sign(bg: BackgroundSpec) -> YamabeSign:
     """Dichotomy: positive iff a positive scalar-flat factor exists.
 
-    Tries the scalar-flat solve first; on failure scans the trial family for
-    a certificate with quotient <= 0.
+    Tries the scalar-flat solve first; on failure scans the truncated-Gaussian
+    trials for a certificate with quotient <= 0.
     """
-    trials = trials or TrialFamily()
     try:
         u_inf, report = solve_scalar_flat(bg)
     except NonPositiveYamabeError:
@@ -214,8 +211,8 @@ def yamabe_sign(bg: BackgroundSpec, trials: TrialFamily | None = None) -> Yamabe
     best_q = np.inf
     best_v = None
     best_params = None
-    for center in trials.centers:
-        for width in trials.widths:
+    for center in _TRIAL_CENTERS:
+        for width in _TRIAL_WIDTHS:
             vals, params = _truncated_gaussian(bg.grid, center, width)
             if vals is None:
                 continue
@@ -243,13 +240,13 @@ def yamabe_sign(bg: BackgroundSpec, trials: TrialFamily | None = None) -> Yamabe
     )
 
 
-def verify_certificate(result: YamabeSign, bg: BackgroundSpec, tol: float = 1e-10) -> bool:
+def verify_certificate(result: YamabeSign, bg: BackgroundSpec) -> bool:
     """Re-evaluate a sign certificate from scratch."""
     if result.sign == POSITIVE:
         u = result.certificate.values
         if float(np.min(u)) <= 0.0:
             return False
-        residual, tolerance = _scalar_flat_residual(u, bg, boundary_laplacian(bg.grid), tol)
+        residual, tolerance = _scalar_flat_residual(u, bg, boundary_laplacian(bg.grid))
         return residual <= tolerance
     if result.low_confidence:
         return True  # nothing claimed beyond "no positive solution found"
@@ -257,10 +254,7 @@ def verify_certificate(result: YamabeSign, bg: BackgroundSpec, tol: float = 1e-1
 
 
 def prescribe_scalar_curvature(
-    bg: BackgroundSpec,
-    r_target: RadialField,
-    tol: float = 1e-10,
-    max_iter: int = 40,
+    bg: BackgroundSpec, r_target: RadialField
 ) -> tuple[RadialField, SolveReport]:
     """Find phi > 0 with phi -> 1 whose conformal metric has curvature r_target.
 
@@ -292,10 +286,10 @@ def prescribe_scalar_curvature(
         dd = -a * lap.diag + R0 - N * Rt * phi ** (N - 1.0)
         return -a * lap.lower, dd, -a * lap.upper
 
-    tolerance = _effective_tolerance(tol, curvature_scale, a * lap.row_norm)
+    tolerance = _effective_tolerance(curvature_scale, a * lap.row_norm)
     phi0 = np.ones(grid.nodes.shape)
     phi, rn, iters, converged = damped_newton(
-        phi0, residual_fn, jacobian_fn, tolerance, max_iter
+        phi0, residual_fn, jacobian_fn, tolerance, _PRESCRIBE_MAX_ITER
     )
     require_converged(converged, "prescribed-curvature Newton", rn, iters)
     report = SolveReport(

@@ -1,6 +1,7 @@
 """Exception taxonomy shared by all ylab modules.
 
-Exit-code mapping used by the CLI: ConfigError -> 2, numerical failures
+Exit-code mapping used by the CLI: ConfigError (MassUndefinedError
+included) and ParameterError -> 2, numerical failures
 (ConvergenceError, NonPositiveYamabeError, FlowSingularityError) -> 3,
 audit failures -> 4.
 """
@@ -61,8 +62,11 @@ class FlowSingularityError(YlabError):
         self.reason = reason or message
 
 
-class MassUndefinedError(YlabError):
-    """The far-field fit window is degenerate; no mass can be read off."""
+class MassUndefinedError(ConfigError):
+    """The far-field fit window is degenerate; no mass can be read off.
+
+    A grid property, so the CLI treats it as a configuration error.
+    """
 
 
 class FitDomainError(YlabError):

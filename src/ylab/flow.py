@@ -23,7 +23,7 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -128,20 +128,14 @@ class MonitorRecord:
     weighted_sup_R: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        scalars = [self.t, self.sup_R, self.min_R, self.l1_R, self.mass, self.min_u, self.max_u]
+        scalars = [getattr(self, name) for name in MONITOR_SCALARS]
         scalars += list(self.lp_R.values()) + list(self.weighted_sup_R.values())
         if not all(math.isfinite(x) for x in scalars):
             raise ParameterError(f"monitor record at t={self.t} contains non-finite entries")
 
 
-@dataclass(frozen=True)
-class MassEstimate:
-    """Far-field mass fit plus the flux-integral cross-check at R_max/2."""
-
-    value: float
-    flux_value: float
-    window: tuple
-    disagreement: float
+# the scalar monitor columns in record order: every float field of MonitorRecord
+MONITOR_SCALARS = tuple(f.name for f in fields(MonitorRecord) if f.type == "float")
 
 
 @dataclass(frozen=True)
@@ -270,42 +264,24 @@ def step(state: FlowState, bg: BackgroundSpec, cfg: FlowConfig) -> FlowState:
     )
 
 
-def mass_estimate(u: RadialField) -> MassEstimate:
-    """ADM mass of the conformally flat factor: 2A with u ~ 1 + A r^{-(n-2)}.
-
-    A comes from a linear least-squares fit over the far-field window
-    [R_max/4, R_max]; the flux integral -2 r^{n-1} u'/(n-2) at R_max/2 is
-    returned as a cross-check.
-    """
-    grid = u.grid
-    n = grid.n
+def far_field_window(grid: RadialGrid) -> np.ndarray:
+    """Mask of the mass fit window [R_max/4, R_max]; MassUndefinedError below 8 nodes."""
     window = grid.nodes >= grid.R_max / 4.0
     if np.count_nonzero(window) < 8:
         raise MassUndefinedError("fewer than 8 nodes in the far-field fit window")
-    basis = grid.nodes[window] ** (-(n - 2.0))
-    dev = u.values[window] - 1.0
-    A = float(basis @ dev / (basis @ basis))
-
-    i = int(np.argmin(np.abs(grid.nodes - grid.R_max / 2.0)))
-    i = min(max(i, 1), grid.M - 1)
-    hm = grid.nodes[i] - grid.nodes[i - 1]
-    hp = grid.nodes[i + 1] - grid.nodes[i]
-    du = (
-        -hp / (hm * (hm + hp)) * u.values[i - 1]
-        + (hp - hm) / (hm * hp) * u.values[i]
-        + hm / (hp * (hm + hp)) * u.values[i + 1]
-    )
-    flux_value = -2.0 * grid.nodes[i] ** (n - 1.0) * du / (n - 2.0)
-    return MassEstimate(
-        value=2.0 * A,
-        flux_value=flux_value,
-        window=(grid.R_max / 4.0, grid.R_max),
-        disagreement=abs(2.0 * A - flux_value),
-    )
+    return window
 
 
 def adm_mass(u: RadialField) -> float:
-    return mass_estimate(u).value
+    """ADM mass of the conformally flat factor: 2A with u ~ 1 + A r^{-(n-2)}.
+
+    A comes from a linear least-squares fit over the far-field window.
+    """
+    grid = u.grid
+    window = far_field_window(grid)
+    basis = grid.nodes[window] ** (-(grid.n - 2.0))
+    dev = u.values[window] - 1.0
+    return 2.0 * float(basis @ dev / (basis @ basis))
 
 
 def monitor(state: FlowState, bg: BackgroundSpec, cfg: FlowConfig) -> MonitorRecord:
@@ -323,7 +299,7 @@ def monitor(state: FlowState, bg: BackgroundSpec, cfg: FlowConfig) -> MonitorRec
         sup_R=float(np.max(np.abs(Ri))),
         min_R=float(np.min(Ri)),
         l1_R=integrate_dV(R, u),
-        mass=mass_estimate(u).value,
+        mass=adm_mass(u),
         min_u=float(np.min(u.values)),
         max_u=float(np.max(u.values)),
         lp_R=lp,

@@ -277,11 +277,12 @@ def laplacian_radial(f: RadialField) -> RadialField:
 
 
 def _one_sided_laplacian(r: np.ndarray, v: np.ndarray, n: int, i: int) -> float:
+    # weights of a derivative sum to zero, so applying them to v - v[i]
+    # makes constants cancel exactly
     sl = slice(0, 4) if i == 0 else slice(r.size - 4, r.size)
     xs = r[sl]
-    w2 = _derivative_weights(xs, r[i], 2)
-    w1 = _derivative_weights(xs, r[i], 1)
-    return float(w2 @ v[sl] + (n - 1) / r[i] * (w1 @ v[sl]))
+    w = _derivative_weights(xs, r[i], 2) + (n - 1) / r[i] * _derivative_weights(xs, r[i], 1)
+    return float(w @ (v[sl] - v[i]))
 
 
 def origin_mask(grid: RadialGrid) -> np.ndarray:

@@ -25,6 +25,8 @@ from scipy.linalg.lapack import dgtsv
 from .errors import ConvergenceError
 from .grids import RadialGrid, stencil_weights
 
+_MAX_BACKTRACKS = 40  # step halvings per Newton iteration before it stagnates
+
 
 @dataclass(frozen=True, eq=False)
 class BoundaryLaplacian:
@@ -107,19 +109,18 @@ def damped_newton(
     jacobian_fn,
     tol: float,
     max_iter: int,
-    positivity: bool = True,
-    max_backtracks: int = 40,
     floor: float = 0.0,
 ):
     """Newton iteration with residual backtracking and a positivity guard.
 
     jacobian_fn returns tridiagonal bands (lower, diag, upper).  Returns
     (u, residual_norm, iterations, converged); stagnation reports
-    converged = False.  A residual above floor stagnates after a full
-    sweep of max_backtracks halvings without reduction.  A residual at or
-    below floor (the round-off level of residual_fn) stagnates after the
-    first evaluated candidate that fails to reduce it, since halving the
-    step cannot beat round-off; floor = 0 always runs the full sweep.
+    converged = False.  Candidates must stay positive.  A residual above
+    floor stagnates after a full sweep of _MAX_BACKTRACKS halvings without
+    reduction.  A residual at or below floor (the round-off level of
+    residual_fn) stagnates after the first evaluated candidate that fails to
+    reduce it, since halving the step cannot beat round-off; floor = 0
+    always runs the full sweep.
     """
     u = np.array(u0, dtype=np.float64)
     res = residual_fn(u)
@@ -135,9 +136,9 @@ def damped_newton(
             return u, rn, iterations, False
         lam = 1.0
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = u + lam * delta
-            if not positivity or np.min(cand) > 0.0:
+            if np.min(cand) > 0.0:
                 cres = residual_fn(cand)
                 crn = float(np.max(np.abs(cres)))
                 if np.isfinite(crn) and (crn < rn or crn <= tol):

@@ -1,4 +1,4 @@
-"""Minimal dependency-free SVG line charts (log-log for decay series)."""
+"""Minimal dependency-free log-log SVG line charts for decay series."""
 
 from __future__ import annotations
 
@@ -8,33 +8,22 @@ _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
-def _ticks(lo: float, hi: float, log: bool):
-    if log:
-        lo_e = math.floor(math.log10(lo))
-        hi_e = math.ceil(math.log10(hi))
-        step = max(1, (hi_e - lo_e) // 6)
-        return [10.0**e for e in range(lo_e, hi_e + 1, step)]
-    span = hi - lo or 1.0
-    step = 10.0 ** math.floor(math.log10(span / 4.0))
-    if span / step > 8:
-        step *= 2
-    start = math.ceil(lo / step) * step
-    out = []
-    x = start
-    while x <= hi + 1e-12 * span:
-        out.append(x)
-        x += step
-    return out
+def _ticks(lo: float, hi: float):
+    """Decade ticks spanning [lo, hi], thinned to about seven."""
+    lo_e = math.floor(math.log10(lo))
+    hi_e = math.ceil(math.log10(hi))
+    step = max(1, (hi_e - lo_e) // 6)
+    return [10.0**e for e in range(lo_e, hi_e + 1, step)]
 
 
-def svg_line_chart(path, xs, ys, title: str, xlabel: str, ylabel: str, loglog: bool = True):
-    """Write one polyline chart; log-log axes drop nonpositive points."""
-    pts = [(x, y) for x, y in zip(xs, ys) if not loglog or (x > 0 and y > 0)]
+def svg_line_chart(path, xs, ys, title: str, xlabel: str, ylabel: str):
+    """Write one polyline chart on log-log axes; nonpositive points are dropped."""
+    pts = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
     if len(pts) < 2:
         raise ValueError("need at least 2 plottable points")
-    fx = (lambda v: math.log10(v)) if loglog else (lambda v: v)
-    pxs = [fx(p[0]) for p in pts]
-    pys = [fx(p[1]) for p in pts]
+    log = math.log10
+    pxs = [log(p[0]) for p in pts]
+    pys = [log(p[1]) for p in pts]
     x0, x1 = min(pxs), max(pxs)
     y0, y1 = min(pys), max(pys)
     if x1 == x0:
@@ -43,10 +32,10 @@ def svg_line_chart(path, xs, ys, title: str, xlabel: str, ylabel: str, loglog: b
         y1 = y0 + 1.0
 
     def sx(v):
-        return _ML + (fx(v) - x0) / (x1 - x0) * (_W - _ML - _MR)
+        return _ML + (log(v) - x0) / (x1 - x0) * (_W - _ML - _MR)
 
     def sy(v):
-        return _H - _MB - (fx(v) - y0) / (y1 - y0) * (_H - _MT - _MB)
+        return _H - _MB - (log(v) - y0) / (y1 - y0) * (_H - _MT - _MB)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
@@ -58,14 +47,14 @@ def svg_line_chart(path, xs, ys, title: str, xlabel: str, ylabel: str, loglog: b
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         'fill="none" stroke="black"/>',
     ]
-    for tv in _ticks(pts[0][0] if not loglog else 10.0**x0, 10.0**x1 if loglog else pts[-1][0], loglog):
-        if fx(tv) < x0 - 1e-9 or fx(tv) > x1 + 1e-9:
+    for tv in _ticks(10.0**x0, 10.0**x1):
+        if log(tv) < x0 - 1e-9 or log(tv) > x1 + 1e-9:
             continue
         x = sx(tv)
         parts.append(f'<line x1="{x:.1f}" y1="{_H - _MB}" x2="{x:.1f}" y2="{_H - _MB + 5}" stroke="black"/>')
         parts.append(f'<text x="{x:.1f}" y="{_H - _MB + 18}" text-anchor="middle" font-size="10">{tv:g}</text>')
-    for tv in _ticks(10.0**y0 if loglog else y0, 10.0**y1 if loglog else y1, loglog):
-        if fx(tv) < y0 - 1e-9 or fx(tv) > y1 + 1e-9:
+    for tv in _ticks(10.0**y0, 10.0**y1):
+        if log(tv) < y0 - 1e-9 or log(tv) > y1 + 1e-9:
             continue
         y = sy(tv)
         parts.append(f'<line x1="{_ML - 5}" y1="{y:.1f}" x2="{_ML}" y2="{y:.1f}" stroke="black"/>')

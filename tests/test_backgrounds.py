@@ -10,11 +10,9 @@ from ylab.backgrounds import (
     bump_source,
     check_decay,
     conformal_exponents,
-    curvature_of_seed,
     decay_order_estimate,
     gaussian_bump_data,
     make_flat_background,
-    make_geometric_background,
     make_profile_background,
     make_synthetic_background,
     newtonian_data,
@@ -52,7 +50,7 @@ class TestFlatBackground:
     def test_profile_is_zero(self, grid):
         bg = make_flat_background(3, grid)
         assert np.all(bg.r0_profile.values == 0.0)
-        assert bg.mode == "geometric"
+        assert bg.name == "flat3"
 
     def test_n4_profile_is_zero(self):
         g = build_grid(4, 0.0, 100.0, 256, LOG_STRETCHED)
@@ -91,20 +89,6 @@ class TestSyntheticBackground:
     def test_catalog_passes_own_decay_invariant(self, grid, A, rc, sigma, tau):
         bg = make_synthetic_background(3, tau, A, rc, sigma, grid)
         check_decay(bg.r0_profile, 2.0 + bg.tau, bg.decay_constant)
-
-
-class TestGeometricMode:
-    def test_schwarzschild_seed_has_flat_profile(self):
-        g = build_grid(3, 0.5, 500.0, 2048, LOG_STRETCHED)
-        seed = field_from_function(g, lambda r: 1.0 + 0.5 / r)
-        bg = make_geometric_background(g, seed, tau=0.9)
-        assert np.max(np.abs(bg.r0_profile.values[1:-1])) <= 10.0 * g.h**2
-
-    def test_curvature_of_seed_matches_closed_form(self, grid):
-        # R(0) = -a(3) u(0)^{-5} lap u(0) with lap e^{-r^2}|_0 = -6
-        seed = field_from_function(grid, lambda r: 1.0 + 0.1 * np.exp(-(r**2)))
-        R = curvature_of_seed(seed)
-        assert R.values[0] == pytest.approx(4.8 / 1.1**5, abs=20.0 * grid.h**2)
 
 
 class TestSchwarzschildData:
@@ -167,7 +151,7 @@ class TestGaussianBump:
         assert np.min(d.u0.values) > 0.0
 
     def test_too_deep_rejected(self, grid):
-        with pytest.raises(Exception):
+        with pytest.raises(ParameterError):
             gaussian_bump_data(grid, eps=-1.5, sigma=1.0)
 
     def test_decay_constant(self, grid):
@@ -204,7 +188,7 @@ class TestCatalogNames:
 
     def test_synthetic(self, grid):
         bg = background_from_name("synthetic:A=-50,rc=2,sigma=1,tau=1", grid)
-        assert bg.mode == "synthetic"
+        assert bg.name == "synthetic:A=-50,rc=2,sigma=1,tau=1"
         assert bg.tau == 1.0
         assert bg.decay_constant == 50.0
 

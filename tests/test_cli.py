@@ -199,7 +199,7 @@ class TestBuildRun:
     def test_synthetic_background_cli_name(self):
         m = parse_config_text("[background]\nname = synthetic:A=-50,rc=2,sigma=1,tau=1\n")
         _, bg, _, _ = build_run(m)
-        assert bg.mode == "synthetic"
+        assert bg.name == "synthetic:A=-50,rc=2,sigma=1,tau=1"
 
 
 class TestMonitorCsv:
@@ -254,14 +254,29 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             cmd_simulate(m, tmp_path)
 
-    def test_config_error_leaves_no_run_directory(self, tmp_path):
+    @pytest.mark.parametrize(
+        "bad, good, message",
+        [
+            ("[background]\nname = nosuch\n", "[background]\nname = flat\n",
+             "unknown background"),
+            ("[initial]\nfamily = gaussian_bump\neps = -1.5\n",
+             "[initial]\nfamily = gaussian_bump\neps = -0.5\n", "eps must be > -1"),
+            ("[grid]\nM = 16\nR_max = 512\n", "[grid]\nM = 64\nR_max = 512\n",
+             "fewer than 8 nodes in the far-field fit window"),
+        ],
+        ids=["unknown-background", "too-deep-bump", "coarse-grid"],
+    )
+    def test_config_error_leaves_no_run_directory(self, tmp_path, capsys, bad, good, message):
         config = tmp_path / "run.ini"
         out = tmp_path / "out"
-        text = "[run]\nid = x\n[grid]\nM = 64\nR_max = 64\n[flow]\nt_end = 0.01\n"
-        config.write_text(text + "[background]\nname = nosuch\n")
+        text = "[run]\nid = x\n[flow]\nt_end = 0.01\n"
+        if "[grid]" not in bad:
+            text += "[grid]\nM = 64\nR_max = 64\n"
+        config.write_text(text + bad)
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not (out / "x").exists()
-        config.write_text(text + "[background]\nname = flat\n")
+        config.write_text(text + good)
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "x" / "manifest.json").exists()
 
@@ -628,6 +643,19 @@ class TestMainExitCodes:
         ])
         assert rc == 0
         assert capsys.readouterr().out == "yamabe-sign: NonPositive (low confidence) (Q = 9.812)\n"
+
+    @pytest.mark.parametrize(
+        "command, code", [("scalar-flat", 2), ("yamabe-sign", 0), ("prescribe", 0)]
+    )
+    def test_coarse_grid_fails_only_where_mass_is_read(self, tmp_path, capsys, command, code):
+        # M = 16 leaves fewer than 8 nodes in [R_max/4, R_max]; simulate is
+        # covered by TestSimulate::test_config_error_leaves_no_run_directory
+        config = tmp_path / "coarse.ini"
+        config.write_text("[grid]\nM = 16\nR_max = 512\n[flow]\nt_end = 0.01\n")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == code
+        if code == 2:
+            assert "fewer than 8 nodes" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
 
     def test_env_var_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("YLAB_OUT", str(tmp_path / "envout"))

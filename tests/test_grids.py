@@ -116,11 +116,11 @@ class TestLaplacian:
     @pytest.mark.parametrize("r_in", [0.0, 0.5])
     def test_constant_annihilated_exactly(self, r_in, policy):
         g = build_grid(3, r_in, 100.0, 256, policy)
-        assert np.all(laplacian_radial(constant_field(g, 1.0)).values[1:-1] == 0.0)
+        assert np.all(laplacian_radial(constant_field(g, 1.0)).values == 0.0)
 
     def test_flat_background_on_fine_grid(self):
-        # the geometric-mode check of flat3 compares the seed curvature against
-        # zero, which needs exact cancellation at fine spacing
+        # flat3 builds at fine spacing, where a curvature check against R0 = 0
+        # once failed on inexact cancellation of constants
         make_flat_background(3, build_grid(3, 0.0, 512.0, 131072))
 
     def test_origin_regularity_limit(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ylab.operators import damped_newton, solve_tridiagonal
+from ylab.operators import _MAX_BACKTRACKS, damped_newton, solve_tridiagonal
 
 LEVEL = 1e-10  # round-off floor of the synthetic residual
 
@@ -38,12 +38,11 @@ class TestDampedNewton:
         assert (rn, iterations, converged) == (LEVEL, 2, False)
         assert np.all(u == 2.0)
 
-    @pytest.mark.parametrize("max_backtracks", [40, 7])
+    @pytest.mark.parametrize("max_backtracks", [_MAX_BACKTRACKS])
     def test_zero_floor_runs_full_sweep(self, max_backtracks):
         fn, points = counting(floored_residual)
         u, rn, iterations, converged = damped_newton(
-            np.full(4, 3.0), fn, identity_jacobian, tol=1e-14, max_iter=25,
-            max_backtracks=max_backtracks,
+            np.full(4, 3.0), fn, identity_jacobian, tol=1e-14, max_iter=25
         )
         assert len(points) == 2 + max_backtracks
         assert (rn, iterations, converged) == (LEVEL, 2, False)
