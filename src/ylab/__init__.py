@@ -3,12 +3,13 @@ asymptotically flat radial backgrounds.
 
 Modules:
 
-* grids        -- radial grids, stencils, quadrature, plain/weighted norms
+* grids        -- radial grids, quadrature, plain/weighted norms, field I/O
+* operators    -- the boundary-folded radial Laplacian, tridiagonal and Newton solves
 * backgrounds  -- catalog of asymptotically flat backgrounds and initial data
 * elliptic     -- scalar-flat solve, Yamabe sign/quotient, prescribed curvature
 * flow         -- implicit time integration with per-step monitoring
 * diagnostics  -- post-hoc auditors: monotonicity, decay fits, mass drop
-* cli          -- config parsing, run orchestration, sweeps, reports
+* cli          -- config parsing, simulate/report and the elliptic commands
 """
 
 __version__ = "0.1.0"
@@ -21,7 +22,6 @@ from .grids import (  # noqa: F401
     SphereConstants,
     build_grid,
     integrate_dV,
-    laplacian_radial,
     lp_norm,
     sphere_constants,
     weighted_sup_norm,

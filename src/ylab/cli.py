@@ -1,11 +1,13 @@
-"""Command-line front end: configs, runs, sweeps, persistence, reports.
+"""Command-line front end: configs, runs, persistence, reports.
 
 Configuration is INI-style ``key = value`` under the sections [run] [grid]
 [background] [initial] [flow] [monitor] [prescribe]; unknown sections or
-keys abort before any compute (fail-closed).  Every run writes a manifest,
-the monitor CSV, one binary checkpoint series with its JSON time columns,
-the final state, and a summary; `report` turns monitor series and
-checkpoints into audit verdicts.
+keys abort before any compute (fail-closed).  Every run writes its config
+as ``config.ini`` (the one run description), the monitor CSV, one binary
+checkpoint series with its JSON time columns, the final state, and a
+summary; `report` turns monitor series and checkpoints into audit verdicts.
+A sweep is a loop of `simulate --config` and one `report` over its run
+directories.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure or halt,
 4 audit failure.
@@ -20,10 +22,7 @@ import math
 import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from datetime import datetime, timezone
-from io import StringIO
 from pathlib import Path
 
 from . import diagnostics as diag
@@ -109,9 +108,7 @@ class RunManifest:
     grid: dict
     flow: FlowConfig
     seed: int | None = None
-    created_at: str | None = None
     prescribe: dict = field(default_factory=dict)
-    artifact_paths: dict = field(default_factory=dict)
 
 
 def _slug(text: str) -> str:
@@ -291,12 +288,6 @@ def read_monitor_csv(path):
 # ---------------------------------------------------------------------------
 # simulate
 
-def manifest_from_json(data: dict) -> RunManifest:
-    """Inverse of dataclasses.asdict on a RunManifest (JSON lists back to tuples)."""
-    flow = {key: tuple(v) if isinstance(v, list) else v for key, v in data["flow"].items()}
-    return RunManifest(**{**data, "flow": FlowConfig(**flow)})
-
-
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -304,17 +295,16 @@ def _write_json(path, payload) -> None:
 _CHECKPOINT_COLUMNS = ("t", "dt", "step_index")
 
 
-def write_checkpoints(path, checkpoints, background_name: str) -> None:
+def write_checkpoints(path, checkpoints) -> None:
     """Persist checkpoints as one field series plus its time columns.
 
     ``path`` (``.npy``) holds the radii row and one row per snapshot; the
-    ``.json`` beside it holds the t, dt and step_index columns and the
-    background name.
+    ``.json`` beside it holds the t, dt and step_index columns.
     """
     path = Path(path)
     write_field_series([ck.u for ck in checkpoints], path)
     columns = {key: [getattr(ck, key) for ck in checkpoints] for key in _CHECKPOINT_COLUMNS}
-    _write_json(path.with_suffix(".json"), {**columns, "background_name": background_name})
+    _write_json(path.with_suffix(".json"), columns)
 
 
 def read_checkpoints(path, grid) -> list:
@@ -349,29 +339,20 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
     rundir = Path(out_root) / manifest.run_id
     if rundir.exists():
         raise ConfigError(f"run directory already exists: {rundir}")
-    manifest = replace(manifest, created_at=datetime.now(timezone.utc).isoformat())
     grid, bg, init, cfg = build_run(manifest)  # config errors leave no directory behind
     far_field_window(grid)  # so does a grid too coarse to read the mass off
     rundir.mkdir(parents=True)
 
     result = run_flow(bg, init, cfg)
 
-    paths = {
-        "monitor": "monitor.csv",
-        "final_state": "final_state.csv",
-        "summary": "summary.json",
-        "config": "config.ini",
-        "manifest": "manifest.json",
-        "checkpoints": "checkpoints.npy",
-    }
     p_list = cfg.monitored_p(bg.n)
-    write_monitor_csv(rundir / paths["monitor"], result.records, p_list, cfg.tau_prime_list)
-    write_field_csv(result.final.u, rundir / paths["final_state"], header="r,u")
-    write_checkpoints(rundir / paths["checkpoints"], result.checkpoints, bg.name)
+    write_monitor_csv(rundir / "monitor.csv", result.records, p_list, cfg.tau_prime_list)
+    write_field_csv(result.final.u, rundir / "final_state.csv", header="r,u")
+    write_checkpoints(rundir / "checkpoints.npy", result.checkpoints)
 
     last = result.records[-1]
     _write_json(
-        rundir / paths["summary"],
+        rundir / "summary.json",
         {
             "run_id": manifest.run_id,
             "halted": result.halted,
@@ -384,12 +365,7 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
             "valid_t_max": result.valid_t_max,
         },
     )
-    manifest = replace(manifest, artifact_paths=paths)
-    (rundir / paths["config"]).write_text(serialize_manifest(manifest))
-    _write_json(rundir / paths["manifest"], asdict(manifest))
-    for rel, name in paths.items():
-        if not (rundir / name).exists():
-            raise YlabError(f"artifact {rel} missing after run")
+    (rundir / "config.ini").write_text(serialize_manifest(manifest))
     return 3 if result.halted else 0
 
 
@@ -415,16 +391,17 @@ class RunContext:
 
 
 def load_run(rundir) -> RunContext:
+    """A run directory as written by cmd_simulate, described by its config.ini."""
     rundir = Path(rundir)
-    manifest_path = rundir / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"{rundir} is not a run directory (no manifest.json)")
+    config_path = rundir / "config.ini"
+    if not config_path.exists():
+        raise ConfigError(f"{rundir} is not a run directory (no config.ini)")
     try:
-        manifest = manifest_from_json(json.loads(manifest_path.read_text()))
+        manifest = parse_config(config_path)
         grid = build_grid(**manifest.grid)
-    except (json.JSONDecodeError, KeyError, TypeError, AttributeError) as exc:
-        raise ConfigError(f"{manifest_path} is malformed: {exc!r}") from exc
-    bg = background_from_name(manifest.background, grid)
+        bg = background_from_name(manifest.background, grid)
+    except (ConfigError, ParameterError) as exc:
+        raise ConfigError(f"{config_path} is malformed: {exc}") from exc
     monitor_path, summary_path = rundir / "monitor.csv", rundir / "summary.json"
     try:
         records, _, _ = read_monitor_csv(monitor_path)
@@ -618,90 +595,32 @@ def cmd_report(run_dirs, audits, out=None, plots=False) -> int:
     out_path = Path(out) if out else Path(run_dirs[0]).parent / "report.json"
     _write_json(out_path, report)
 
-    print(f"{'run':<32} {'audit':<22} {'result':<8} detail")
+    width = max([len("audit")] + [len(v["name"]) for run in runs for v in run["audits"]])
+    print(f"{'run':<32} {'audit':<{width}} {'result':<8} detail")
     for run in runs:
         for v in run["audits"]:
             status = "PASS" if v["pass"] else ("SKIP" if v["pass"] is None else "FAIL")
             detail = v["skipped_reason"] or _short_detail(v["details"])
-            print(f"{run['run_id']:<32} {v['name']:<22} {status:<8} {detail}")
+            print(f"{run['run_id']:<32} {v['name']:<{width}} {status:<8} {detail}")
     print(f"report written to {out_path}")
     return 4 if any_failed else 0
 
 
 def _short_detail(details: dict) -> str:
+    """The first three scalar details; nested dicts print as key.sub=value, lists not at all."""
+    items = []
+    for key, value in details.items():
+        if isinstance(value, dict):
+            items += [(f"{key}.{sub}", inner) for sub, inner in value.items()]
+        else:
+            items.append((key, value))
     parts = []
-    for key, value in list(details.items())[:3]:
+    for key, value in items:
         if isinstance(value, float):
             parts.append(f"{key}={value:.3g}")
         elif isinstance(value, (int, bool, str)):
             parts.append(f"{key}={value}")
-    return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# sweep
-
-def _apply_overrides(text: str, overrides: dict) -> str:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    cp.read_string(text)
-    for dotted, value in overrides.items():
-        section, _, key = dotted.partition(".")
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, key, value)
-    buf = StringIO()
-    cp.write(buf)
-    return buf.getvalue()
-
-
-def _sweep_worker(args) -> tuple:
-    text, out_root, run_id = args
-    manifest = parse_config_text(text)
-    manifest = replace(manifest, run_id=run_id)
-    try:
-        status = cmd_simulate(manifest, out_root)
-    except (ConvergenceError, NonPositiveYamabeError, FlowSingularityError) as exc:
-        return run_id, 3, str(exc)
-    return run_id, status, ""
-
-
-def cmd_sweep(config_path, params, out_root, jobs, audits) -> int:
-    """Cartesian sweep: independent runs in a worker pool, then a report."""
-    base_text = Path(config_path).read_text()
-    base = parse_config_text(base_text)
-
-    axes = []
-    for raw in params:
-        dotted, _, values = raw.partition("=")
-        if not values:
-            raise ConfigError(f"malformed --param {raw!r} (need section.key=v1;v2)")
-        section = dotted.partition(".")[0]
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section in --param {raw!r}")
-        axes.append((dotted, values.split(";")))
-
-    combos = [{}]
-    for dotted, values in axes:
-        combos = [dict(c, **{dotted: v}) for c in combos for v in values]
-
-    tasks = []
-    for idx, combo in enumerate(combos):
-        run_id = f"{base.run_id}-{idx:03d}"
-        tasks.append((_apply_overrides(base_text, combo), str(out_root), run_id))
-
-    results = []
-    if jobs <= 1:
-        results = [_sweep_worker(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, tasks))
-
-    for run_id, status, message in results:
-        note = f" ({message})" if message else ""
-        print(f"sweep run {run_id}: exit {status}{note}")
-
-    run_dirs = [Path(out_root) / run_id for run_id, _, _ in results]
-    return cmd_report(run_dirs, audits, out=Path(out_root) / "report.json")
+    return " ".join(parts[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -829,14 +748,6 @@ def main(argv=None) -> int:
     p_pr = sub.add_parser("prescribe", help="prescribe a negative curvature profile")
     add_common(p_pr)
 
-    p_sw = sub.add_parser("sweep", help="Cartesian parameter sweep of simulate")
-    add_common(p_sw)
-    p_sw.add_argument("--param", action="append", default=[],
-                      help="section.key=v1;v2;... (repeatable, Cartesian product)")
-    p_sw.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                      help="worker pool size (1 = sequential, deterministic)")
-    p_sw.add_argument("--audits", default="", help="comma-separated audit names for the report")
-
     p_rep = sub.add_parser("report", help="audit one or more completed runs")
     p_rep.add_argument("run_dirs", nargs="+", help="run directories to audit")
     p_rep.add_argument("--audits", default="", help="comma-separated audit names (required set)")
@@ -853,11 +764,6 @@ def main(argv=None) -> int:
             return cmd_yamabe_sign(_manifest_from_args(args), args.out)
         if args.command == "prescribe":
             return cmd_prescribe(_manifest_from_args(args), args.out)
-        if args.command == "sweep":
-            if not args.config:
-                raise ConfigError("sweep requires --config")
-            audits = [a for a in args.audits.split(",") if a]
-            return cmd_sweep(args.config, args.param, args.out, args.jobs, audits)
         if args.command == "report":
             audits = [a for a in args.audits.split(",") if a]
             return cmd_report(args.run_dirs, audits, out=args.out, plots=args.plots)

@@ -2,9 +2,9 @@
 
 Provides the pointwise conformal curvature map, the scalar-flat solve, the
 Yamabe quotient/sign dichotomy, and prescribed scalar curvature via damped
-Newton.  All solves share the tridiagonal boundary-folded Laplacian from
-module operators: zero-flux inner wall (or origin regularity) and an outer
-Robin condition matching the r^{-(n-2)} fall-off.
+Newton.  The curvature map and all solves share the one boundary-folded
+Laplacian of module operators: zero-flux inner wall (or origin
+regularity) and an outer Robin condition matching the r^{-(n-2)} fall-off.
 """
 
 from __future__ import annotations
@@ -21,11 +21,7 @@ from .errors import (
     PositivityError,
     SupportError,
 )
-from .grids import (
-    RadialField,
-    laplacian_radial,
-    sphere_constants,
-)
+from .grids import RadialField, sphere_constants
 from .operators import boundary_laplacian, damped_newton, require_converged, solve_tridiagonal
 
 POSITIVE = "Positive"
@@ -77,20 +73,22 @@ class YamabeSign:
     trial_params: tuple | None = None  # (center, width, cut) of a Gaussian trial
 
 
-def compute_R(u: RadialField, bg: BackgroundSpec) -> RadialField:
+def compute_R(u: RadialField, bg: BackgroundSpec, inner_flux: float = 0.0) -> RadialField:
     """Scalar curvature of u^{4/(n-2)} g_bg: u^{-N} (-a(n) lap u + R0 u).
 
-    Boundary nodes use one-sided stencils; treat them as flagged (see
-    grids.origin_mask) when taking extrema.
+    lap is boundary_laplacian(grid, inner_flux), the operator the flow steps
+    with, so the flow's own identity holds at every node when inner_flux is
+    its frozen wall flux.  The wall and R_max rows carry the boundary
+    conditions; take extrema over the nodes grids.origin_mask leaves out.
     """
     if np.min(u.values) <= 0.0:
         raise PositivityError("conformal factor must be positive")
     if u.grid != bg.grid:
         raise ParameterError("field and background live on different grids")
     a, N = conformal_exponents(bg.n)
-    lap = laplacian_radial(u)
+    lap = boundary_laplacian(u.grid, inner_flux).apply(u.values)
     R0 = bg.r0_profile.values
-    vals = u.values ** (-N) * (-a * lap.values + R0 * u.values)
+    vals = u.values ** (-N) * (-a * lap + R0 * u.values)
     return RadialField(u.grid, vals)
 
 

@@ -89,6 +89,10 @@ class FlowConfig:
             raise ConfigError("cadences must be >= 1")
         if self.safety < 1.0:
             raise ConfigError("safety factor must be >= 1")
+        if self.p_list is not None and any(p < 1.0 for p in self.p_list):
+            raise ConfigError(f"every monitored p must be >= 1, got p_list = {self.p_list}")
+        if self.stop_max_u is not None and self.stop_max_u <= 0.0:
+            raise ConfigError(f"stop_max_u must be positive, got {self.stop_max_u}")
 
     def monitored_p(self, n: int) -> tuple:
         return self.p_list if self.p_list is not None else default_p_list(n)
@@ -113,8 +117,8 @@ class MonitorRecord:
 
     lp_R maps p to the integral of |R|^p against dV_t (the monotone
     quantities themselves, not their p-th roots); weighted_sup_R maps tau'
-    to sup max(r,1)^{tau'} |R|.  Extrema of R exclude the one-sided
-    boundary stencil nodes.
+    to sup max(r,1)^{tau'} |R|.  Extrema of R exclude the boundary-condition
+    nodes (grids.origin_mask).
     """
 
     t: float
@@ -172,12 +176,15 @@ def initial_inner_flux(u0: RadialField) -> float:
     grid = u0.grid
     if grid.r_in == 0.0:
         return 0.0
-    from .grids import _one_sided_laplacian
-
-    lap0 = _one_sided_laplacian(grid.nodes, u0.values, grid.n, 0)
+    r, v = grid.nodes[:4], u0.values[:4]
+    # four-point one-sided weights of u'' and u' at the wall; derivative
+    # weights sum to zero, so acting on v - v[0] cancels constants exactly
+    V = np.vander(r - r[0], 4, increasing=True).T
+    d2, d1 = (np.linalg.solve(V, np.eye(4)[order] * math.factorial(order)) for order in (2, 1))
+    lap0 = float((d2 + (grid.n - 1) / r[0] * d1) @ (v - v[0]))
     h0 = grid.dr[0]
-    kappa = (grid.n - 1.0) / grid.nodes[0] - 2.0 / h0
-    return float((lap0 - 2.0 * (u0.values[1] - u0.values[0]) / h0**2) / kappa)
+    kappa = (grid.n - 1.0) / r[0] - 2.0 / h0
+    return float((lap0 - 2.0 * (v[1] - v[0]) / h0**2) / kappa)
 
 
 def step_tolerances(
@@ -288,7 +295,7 @@ def monitor(state: FlowState, bg: BackgroundSpec, cfg: FlowConfig) -> MonitorRec
     """Evaluate every audited quantity at the current state."""
     u = state.u
     grid = u.grid
-    R = compute_R(u, bg)
+    R = compute_R(u, bg, state.inner_flux)
     interior = ~origin_mask(grid)
     Ri = R.values[interior]
     wi = grid.w[interior]

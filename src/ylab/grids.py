@@ -1,4 +1,4 @@
-"""Radial grids, stencils, quadrature and norms.
+"""Radial grids, quadrature and norms.
 
 Everything downstream (backgrounds, elliptic solves, the flow itself) works
 on a fixed radial grid over [r_in, R_max].  The grid is either uniform or
@@ -11,12 +11,7 @@ Conventions:
 * dimension n >= 3, volume element ``omega_{n-1} r^{n-1} dr`` against the
   flat reference metric, conformal volume weight ``u^{2n/(n-2)}``;
 * the radial weight used by weighted norms is ``max(r, 1)``;
-* all stencils are three-point and exact for quadratics (second order on
-  smoothly varying grids); the origin uses the even-extension regularity
-  limit ``lap f(0) = n f''(0)``;
-* ``stencil_weights`` is the one interior stencil: ``laplacian_radial`` and
-  the solver operator ``operators.boundary_laplacian`` both take their
-  interior rows from it.
+* the one discrete Laplacian is ``operators.boundary_laplacian``.
 """
 
 from __future__ import annotations
@@ -224,73 +219,13 @@ def build_grid(n: int, r_in: float, R_max: float, M: int, policy: str = LOG_STRE
     return RadialGrid(n=n, nodes=nodes, policy=LOG_STRETCHED)
 
 
-def _derivative_weights(xs: np.ndarray, x0: float, order: int) -> np.ndarray:
-    """Finite-difference weights for the order-th derivative at x0 from nodes xs."""
-    m = xs.size
-    V = np.vander(xs - x0, m, increasing=True).T  # V[k, j] = (xs_j - x0)^k
-    rhs = np.zeros(m)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(V, rhs)
-
-
-def stencil_weights(grid: RadialGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Interior weights (w_lo, w_hi) of the radial Laplacian f'' + (n-1)/r f'.
-
-    Row i = 1..M-1 is w_lo[i-1] f_{i-1} - (w_lo + w_hi)[i-1] f_i + w_hi[i-1] f_{i+1},
-    the three-point stencil exact for quadratics.  Building the centre weight
-    as minus the sum of the others makes constants cancel exactly.
-    """
-    r = grid.nodes
-    n = grid.n
-    hm = grid.dr[:-1]
-    hp = grid.dr[1:]
-    denom = hm * hp * (hm + hp)
-    w_lo = (2.0 * hp - hp * hp * (n - 1) / r[1:-1]) / denom
-    w_hi = (2.0 * hm + hm * hm * (n - 1) / r[1:-1]) / denom
-    return w_lo, w_hi
-
-
-def laplacian_radial(f: RadialField) -> RadialField:
-    """Discrete radial Laplacian f'' + (n-1)/r f'.
-
-    Interior nodes use stencil_weights, summed in the order of
-    operators.BoundaryLaplacian.apply so both agree bit for bit.  At
-    r = 0 the even-extension regularity limit lap f(0) = n f''(0) applies;
-    other boundary nodes get one-sided stencils that callers normally
-    overwrite with boundary conditions.
-    """
-    grid = f.grid
-    r = grid.nodes
-    v = f.values
-    n = grid.n
-
-    out = np.empty_like(v)
-    w_lo, w_hi = stencil_weights(grid)
-    out[1:-1] = w_hi * v[2:] + w_lo * v[:-2] - (w_lo + w_hi) * v[1:-1]
-
-    if r[0] == 0.0:
-        out[0] = 2.0 * n * (v[1] - v[0]) / grid.dr[0] ** 2
-    else:
-        out[0] = _one_sided_laplacian(r, v, n, 0)
-    out[-1] = _one_sided_laplacian(r, v, n, r.size - 1)
-    return RadialField(grid, out)
-
-
-def _one_sided_laplacian(r: np.ndarray, v: np.ndarray, n: int, i: int) -> float:
-    # weights of a derivative sum to zero, so applying them to v - v[i]
-    # makes constants cancel exactly
-    sl = slice(0, 4) if i == 0 else slice(r.size - 4, r.size)
-    xs = r[sl]
-    w = _derivative_weights(xs, r[i], 2) + (n - 1) / r[i] * _derivative_weights(xs, r[i], 1)
-    return float(w @ (v[sl] - v[i]))
-
-
 def origin_mask(grid: RadialGrid) -> np.ndarray:
-    """Boolean mask of boundary nodes whose stencils are one-sided.
+    """Boolean mask of the boundary nodes whose Laplacian rows fold in a condition.
 
-    The origin node of an r_in = 0 grid is *not* flagged (the regularity
-    stencil there is interior-grade); an inner wall at r_in > 0 and the
-    truncation node at R_max are.
+    An inner wall at r_in > 0 (Neumann row) and the truncation node at R_max
+    (Robin row) are flagged: curvature there carries the boundary condition,
+    so extrema skip them.  The origin node of an r_in = 0 grid is *not*
+    flagged (its regularity row is interior-grade).
     """
     mask = np.zeros(grid.nodes.shape, dtype=bool)
     if grid.r_in > 0.0:

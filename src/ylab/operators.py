@@ -1,7 +1,9 @@
-"""Tridiagonal radial operators with folded boundary conditions.
+"""The radial Laplacian, with folded boundary conditions, and its solvers.
 
-The solve-facing Laplacian keeps every row tridiagonal by eliminating a
-mirrored ghost node at each end:
+boundary_laplacian is the one discrete Laplacian: the curvature map, the
+flow and every elliptic solve apply it.  Interior rows are the three-point
+stencil of f'' + (n-1)/r f', exact for quadratics.  Every row stays
+tridiagonal by eliminating a mirrored ghost node at each end:
 
 * r_0 = 0: even-extension regularity row, lap u(0) = 2n (u_1 - u_0)/h^2;
 * r_0 > 0: Neumann wall with a prescribed flux u'(r_0) (zero for elliptic
@@ -11,8 +13,9 @@ mirrored ghost node at each end:
   r^{-(n-2)} fall-off at the truncation radius.
 
 The resulting operator is affine, u -> L u + b, with b carrying the flux
-and Robin constants.  Linear systems are solved by LAPACK's tridiagonal
-LU with partial pivoting (gtsv).
+and Robin constants; at zero flux every row maps a constant to exactly 0.
+Linear systems are solved by LAPACK's tridiagonal LU with partial
+pivoting (gtsv).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError
-from .grids import RadialGrid, stencil_weights
+from .grids import RadialGrid
 
 _MAX_BACKTRACKS = 40  # step halvings per Newton iteration before it stagnates
 
@@ -66,10 +69,12 @@ def boundary_laplacian(grid: RadialGrid, inner_flux: float = 0.0) -> BoundaryLap
     upper = np.zeros(M)
     affine = np.zeros(M + 1)
 
-    w_lo, w_hi = stencil_weights(grid)
-    lower[:-1] = w_lo
-    diag[1:-1] = -(w_lo + w_hi)
-    upper[1:] = w_hi
+    # interior rows; the centre weight is minus the sum of the others
+    hm, hp = dr[:-1], dr[1:]
+    denom = hm * hp * (hm + hp)
+    lower[:-1] = (2.0 * hp - hp * hp * (n - 1) / r[1:-1]) / denom
+    upper[1:] = (2.0 * hm + hm * hm * (n - 1) / r[1:-1]) / denom
+    diag[1:-1] = -(lower[:-1] + upper[1:])
 
     h0 = dr[0]
     if r[0] == 0.0:
@@ -84,7 +89,7 @@ def boundary_laplacian(grid: RadialGrid, inner_flux: float = 0.0) -> BoundaryLap
     kappa = 2.0 * (n - 2) / (r[-1] * hM) + (n - 1) * (n - 2) / r[-1] ** 2
     lower[-1] = 2.0 / hM**2
     diag[-1] = -2.0 / hM**2 - kappa
-    affine[-1] = kappa
+    affine[-1] = -(lower[-1] + diag[-1])  # kappa, rounded so constants cancel
     return BoundaryLaplacian(grid=grid, lower=lower, diag=diag, upper=upper, affine=affine)
 
 

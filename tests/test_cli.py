@@ -1,7 +1,7 @@
 import json
 import re
 import shutil
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +16,8 @@ from ylab.cli import (
     build_run,
     cmd_report,
     cmd_simulate,
-    cmd_sweep,
     load_run,
     main,
-    manifest_from_json,
     parse_config,
     parse_config_text,
     read_checkpoints,
@@ -177,10 +175,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=stray.split()[0]):
             parse_config_text(f"[initial]\nfamily = {family}\n{stray}\n")
 
-    def test_manifest_json_round_trip(self):
-        m = parse_config_text(BUMP_CONFIG)
-        assert manifest_from_json(json.loads(json.dumps(asdict(m)))) == m
-
 
 class TestBuildRun:
     def test_experiment_configs_build(self):
@@ -225,10 +219,9 @@ class TestSimulate:
         rundir = tmp_path / "bump-test"
         assert sorted(p.name for p in rundir.iterdir()) == [
             "checkpoints.json", "checkpoints.npy", "config.ini", "final_state.csv",
-            "manifest.json", "monitor.csv", "summary.json",
+            "monitor.csv", "summary.json",
         ]
-        manifest = json.loads((rundir / "manifest.json").read_text())
-        assert manifest["artifact_paths"]["checkpoints"] == "checkpoints.npy"
+        assert parse_config(rundir / "config.ini") == m
         summary = json.loads((rundir / "summary.json").read_text())
         assert not summary["halted"]
         assert summary["final_t"] == pytest.approx(2.0)
@@ -243,8 +236,7 @@ class TestSimulate:
         assert series.shape[1] == grid.M + 1
         assert series[0].tobytes() == grid.nodes.tobytes()
         sidecar = json.loads((rundir / "checkpoints.json").read_text())
-        assert set(sidecar) == {"t", "dt", "step_index", "background_name"}
-        assert sidecar["background_name"] == "flat3"
+        assert set(sidecar) == {"t", "dt", "step_index"}
         for column in ("t", "dt", "step_index"):
             assert len(sidecar[column]) == series.shape[0] - 1
 
@@ -263,8 +255,10 @@ class TestSimulate:
              "[initial]\nfamily = gaussian_bump\neps = -0.5\n", "eps must be > -1"),
             ("[grid]\nM = 16\nR_max = 512\n", "[grid]\nM = 64\nR_max = 512\n",
              "fewer than 8 nodes in the far-field fit window"),
+            ("[monitor]\np_list = 0.5, 1.5\n", "[monitor]\np_list = 1.5\n",
+             "every monitored p must be >= 1"),
         ],
-        ids=["unknown-background", "too-deep-bump", "coarse-grid"],
+        ids=["unknown-background", "too-deep-bump", "coarse-grid", "p-below-one"],
     )
     def test_config_error_leaves_no_run_directory(self, tmp_path, capsys, bad, good, message):
         config = tmp_path / "run.ini"
@@ -278,12 +272,10 @@ class TestSimulate:
         assert not (out / "x").exists()
         config.write_text(text + good)
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        assert (out / "x" / "manifest.json").exists()
+        assert (out / "x" / "config.ini").exists()
 
     def test_determinism_bit_identical(self, tmp_path):
         m = parse_config_text(BUMP_CONFIG)
-        from dataclasses import replace
-
         cmd_simulate(replace(m, run_id="a"), tmp_path)
         cmd_simulate(replace(m, run_id="b"), tmp_path)
         a = (tmp_path / "a" / "monitor.csv").read_bytes()
@@ -292,6 +284,14 @@ class TestSimulate:
         fa = (tmp_path / "a" / "final_state.csv").read_bytes()
         fb = (tmp_path / "b" / "final_state.csv").read_bytes()
         assert fa == fb
+        # a replayed manifest reproduces its whole run directory byte for byte
+        for root in ("first", "second"):
+            cmd_simulate(m, tmp_path / root)
+        first, second = (tmp_path / root / m.run_id for root in ("first", "second"))
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -348,6 +348,18 @@ class TestReport:
             rc = cmd_report([broken], [audit], out=tmp_path / "rep.json")
             assert rc == 4, audit
 
+    def test_console_lines_have_aligned_details(self, tmp_path, capsys):
+        config = README_CONFIG.replace("monitor_every = 2", "monitor_every = 2\ncheckpoint_every = 4")
+        assert cmd_simulate(parse_config_text(config), tmp_path) == 0
+        cmd_report([tmp_path / "flat-gaussian_bump"], sorted(_AUDITS), out=tmp_path / "rep.json")
+        header, *lines, _ = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(_AUDITS)
+        column = header.index("result")
+        for line in lines:
+            assert line[column:column + 5] in ("PASS ", "FAIL ", "SKIP "), line
+            assert line[column + 9:].strip(), line
+        assert any("fit.exponent=" in line for line in lines)
+
     def test_readme_lists_every_audit(self):
         readme = (ROOT / "README.md").read_text()
         paragraph = readme.split("Available audits for `report`:")[1].split("\n\n")[0]
@@ -378,22 +390,21 @@ class TestReport:
     @pytest.mark.parametrize(
         "corrupt",
         [
-            lambda data: data.pop("flow"),
-            lambda data: data.update(colour="blue"),
-            lambda data: data["flow"].update(timestep=0.1),
+            # without its header the [flow] keys fall into [initial]
+            lambda text: text.replace("[flow]\n", ""),
+            lambda text: text.replace("[run]\n", "[run]\ncolour = blue\n"),
+            lambda text: text.replace("[flow]\n", "[flow]\ntimestep = 0.1\n"),
         ],
         ids=["missing-flow", "unknown-key", "unknown-flow-key"],
     )
     def test_malformed_manifest_is_config_error(self, bump_run, tmp_path, capsys, corrupt):
         broken = tmp_path / "broken"
         broken.mkdir()
-        data = json.loads((bump_run / "manifest.json").read_text())
-        corrupt(data)
-        (broken / "manifest.json").write_text(json.dumps(data))
+        (broken / "config.ini").write_text(corrupt((bump_run / "config.ini").read_text()))
         rc = main(["report", str(broken), "--audits", "mass-drift",
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
-        assert str(broken / "manifest.json") in capsys.readouterr().err
+        assert str(broken / "config.ini") in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, corrupt",
@@ -412,7 +423,7 @@ class TestReport:
     ):
         broken = tmp_path / "broken"
         broken.mkdir()
-        for kept in ("manifest.json", "monitor.csv", "summary.json"):
+        for kept in ("config.ini", "monitor.csv", "summary.json"):
             (broken / kept).write_bytes((bump_run / kept).read_bytes())
         corrupt(broken / name)
         rc = main(["report", str(broken), "--audits", "mass-drift",
@@ -555,54 +566,24 @@ class TestCheckpointSeries:
     @example(checkpoints=_EDGE_SERIES)
     def test_round_trip_is_bitwise(self, tmp_path_factory, checkpoints):
         path = tmp_path_factory.mktemp("series") / "checkpoints.npy"
-        write_checkpoints(path, checkpoints, "flat3")
+        write_checkpoints(path, checkpoints)
         back = read_checkpoints(path, checkpoints[0].u.grid)
         assert len(back) == len(checkpoints)
         for got, want in zip(back, checkpoints):
             assert got.u.values.tobytes() == want.u.values.tobytes()
             for key in ("t", "dt", "step_index"):
                 assert np.array(getattr(got, key)).tobytes() == np.array(getattr(want, key)).tobytes()
-        assert json.loads(path.with_suffix(".json").read_text())["background_name"] == "flat3"
+        assert set(json.loads(path.with_suffix(".json").read_text())) == {"t", "dt", "step_index"}
 
 
-class TestSweep:
-    def test_dichotomy_sweep(self, tmp_path):
-        config = tmp_path / "template.ini"
-        config.write_text(
-            "[run]\nid = dich\n"
-            "[grid]\nn = 3\nr_in = 0.0\nR_max = 128\nM = 512\npolicy = log-stretched\n"
-            "[flow]\ndt0 = 1e-3\nsafety = 2.0\nt_end = 1e13\nmonitor_every = 20\n"
-            "checkpoint_every = 1000000\nstop_max_u = 1e3\nnewton_max = 40\n"
-        )
-        rc = cmd_sweep(
-            config,
-            ["background.name=synthetic:A=-50,rc=2,sigma=1,tau=1;"
-             "synthetic:A=0.01,rc=2,sigma=1,tau=1"],
-            tmp_path / "out",
-            jobs=1,
-            audits=[],
-        )
-        assert rc == 0
-        summaries = sorted((tmp_path / "out").glob("dich-*/summary.json"))
-        assert len(summaries) == 2
-        halted = [json.loads(p.read_text())["halted"] for p in summaries]
-        assert sorted(halted) == [False, True]  # one blow-up, one convergent
-
-    def test_parallel_jobs(self, tmp_path):
-        config = tmp_path / "template.ini"
-        config.write_text(
-            "[run]\nid = par\n[grid]\nM = 512\nR_max = 64\n"
-            "[flow]\ndt0 = 0.01\nt_end = 0.1\n"
-        )
-        rc = cmd_sweep(
-            config,
-            ["initial.family=flat;gaussian_bump"],
-            tmp_path / "out",
-            jobs=2,
-            audits=[],
-        )
-        assert rc == 0
-        assert len(list((tmp_path / "out").glob("par-*/monitor.csv"))) == 2
+class TestReadmeCli:
+    def test_readme_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        registered = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+        block = (ROOT / "README.md").read_text().split("## CLI")[1].split("```")[1]
+        listed = re.findall(r"^ylab ([a-z-]+)", block, flags=re.MULTILINE)
+        assert sorted(listed) == sorted(registered.split(","))
 
 
 class TestMainExitCodes:

@@ -34,6 +34,27 @@ from ylab.grids import (
 )
 
 
+def _flow_identity_gap(state, bg):
+    """(|(u+ - u)/dt + ((n-2)/4) R[u+] u+| per node, ceiling/dt) after one step.
+
+    At convergence the Newton residual, at most the step's round-off
+    ceiling, bounds the gap times dt.
+    """
+    from ylab.backgrounds import conformal_exponents
+    from ylab.operators import boundary_laplacian
+
+    cfg = FlowConfig(dt0=state.dt)
+    new = step(state, bg, cfg)
+    dt = new.t - state.t
+    c = 0.25 * (bg.n - 2)
+    R = compute_R(new.u, bg, state.inner_flux).values
+    gap = np.abs((new.u.values - state.u.values) / dt + c * R * new.u.values)
+    a, N = conformal_exponents(bg.n)
+    lap = boundary_laplacian(bg.grid, state.inner_flux)
+    _, ceiling = step_tolerances(cfg.newton_tol, dt, state.u.values, a, c, N, lap.row_norm)
+    return gap, ceiling / dt
+
+
 def heat_kernel(r, s):
     return (4.0 * math.pi * s) ** -1.5 * np.exp(-(r**2) / (4.0 * s))
 
@@ -58,6 +79,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="newton_max"):
             FlowConfig(newton_max=newton_max)
         assert FlowConfig(newton_max=1).newton_max == 1
+
+    @pytest.mark.parametrize("stop_max_u", [0.0, -1.0])
+    def test_nonpositive_stop_max_u_rejected(self, stop_max_u):
+        with pytest.raises(ConfigError, match="stop_max_u"):
+            FlowConfig(stop_max_u=stop_max_u)
+        assert FlowConfig(stop_max_u=1e3).stop_max_u == 1e3
 
     def test_default_p_list(self):
         assert default_p_list(3) == (1.0, 1.4, 1.5, 1.6, 2.0)
@@ -87,21 +114,18 @@ class TestStep:
         assert step(state, flat, cfg).dt == pytest.approx(0.12)
 
     def test_discrete_flow_identity(self, grid, flat):
-        # residual at convergence bounds |(u+ - u)/dt + ((n-2)/4) R(u+) u+|
         init = gaussian_bump_data(grid, 0.2, 1.0)
-        cfg = FlowConfig(dt0=0.05)
-        state = FlowState(t=0.0, u=init.u0, dt=0.05, step_index=0)
-        new = step(state, flat, cfg)
-        dt = new.t - state.t
-        lhs = (new.u.values - state.u.values) / dt
-        rhs_val = -0.25 * compute_R(new.u, flat).values * new.u.values
-        from ylab.backgrounds import conformal_exponents
-        from ylab.operators import boundary_laplacian
+        gap, bound = _flow_identity_gap(FlowState(0.0, init.u0, 0.05, 0), flat)
+        assert np.max(gap) <= bound
 
-        a, N = conformal_exponents(3)
-        lap = boundary_laplacian(grid)
-        _, ceiling = step_tolerances(cfg.newton_tol, dt, state.u.values, a, 0.25, N, lap.row_norm)
-        assert np.max(np.abs(lhs - rhs_val)[1:-1]) <= ceiling / dt + 10.0 * grid.h**2
+    def test_flow_identity_at_every_node_with_a_wall(self):
+        # the monitored R is the flow's own: at the frozen-flux wall and the
+        # Robin row too
+        g = build_grid(3, 0.5, 64.0, 512, LOG_STRETCHED)
+        u0 = field_from_function(g, lambda r: 1.0 + 0.5 / r + 0.2 * np.exp(-((r - 1.0) ** 2)))
+        state = FlowState(0.0, u0, 0.05, 0, inner_flux=initial_inner_flux(u0))
+        gap, bound = _flow_identity_gap(state, make_flat_background(3, g))
+        assert np.max(gap) <= bound
 
 
     def test_roundoff_stall_skips_backtracking_sweep(self, monkeypatch):

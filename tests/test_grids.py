@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ylab.backgrounds import make_flat_background
+from ylab.backgrounds import conformal_exponents, make_flat_background
+from ylab.elliptic import compute_R
 from ylab.errors import ConfigError, GridMismatchError, ParameterError, PositivityError
 from ylab.grids import (
     LOG_STRETCHED,
@@ -17,7 +18,6 @@ from ylab.grids import (
     constant_field,
     field_from_function,
     integrate_dV,
-    laplacian_radial,
     lp_norm,
     read_field_csv,
     sphere_constants,
@@ -73,32 +73,36 @@ class TestBuildGrid:
         assert g.nodes[-1] == pytest.approx(10.0**logR)
 
 
+def laplacian(f):
+    return boundary_laplacian(f.grid).apply(f.values)
+
+
 class TestLaplacian:
     def test_quadratic_reproduced_exactly(self):
         g = build_grid(3, 0.0, 10.0, 64, UNIFORM)
-        lap = laplacian_radial(field_from_function(g, lambda r: r**2))
-        assert np.max(np.abs(lap.values[1:-1] - 6.0)) < 1e-10
+        lap = laplacian(field_from_function(g, lambda r: r**2))
+        assert np.max(np.abs(lap[1:-1] - 6.0)) < 1e-10
 
     def test_harmonic_one_over_r(self):
         g = geom_grid()
-        lap = laplacian_radial(field_from_function(g, lambda r: 1.0 / r))
-        assert np.max(np.abs(lap.values[1:-1])) <= 10.0 * g.h**2
+        lap = laplacian(field_from_function(g, lambda r: 1.0 / r))
+        assert np.max(np.abs(lap[1:-1])) <= 10.0 * g.h**2
 
     def test_gaussian_oracle_at_r1(self):
         # symbolic oracle: lap e^{-r^2} = (4r^2 - 2n) e^{-r^2} -> -2/e at r=1, n=3
         g = build_grid(3, 0.0, 4.0, 400, UNIFORM)
-        lap = laplacian_radial(field_from_function(g, lambda r: np.exp(-(r**2))))
+        lap = laplacian(field_from_function(g, lambda r: np.exp(-(r**2))))
         i = int(np.argmin(np.abs(g.nodes - 1.0)))
         assert g.nodes[i] == pytest.approx(1.0)
-        assert abs(lap.values[i] - (-2.0 / math.e)) <= 5.0 * g.h**2
+        assert abs(lap[i] - (-2.0 / math.e)) <= 5.0 * g.h**2
 
     def test_second_order_under_refinement(self):
         errs = []
         for M in (64, 128, 256):
             g = build_grid(3, 0.0, 6.0, M, UNIFORM)
-            lap = laplacian_radial(field_from_function(g, lambda r: np.exp(-(r**2))))
+            lap = laplacian(field_from_function(g, lambda r: np.exp(-(r**2))))
             exact = (4.0 * g.nodes**2 - 6.0) * np.exp(-(g.nodes**2))
-            errs.append(np.max(np.abs(lap.values[1:-1] - exact[1:-1])))
+            errs.append(np.max(np.abs(lap[1:-1] - exact[1:-1])))
         order1 = math.log2(errs[0] / errs[1])
         order2 = math.log2(errs[1] / errs[2])
         assert 1.8 <= order1 <= 2.2
@@ -107,16 +111,21 @@ class TestLaplacian:
     @pytest.mark.parametrize("policy", [UNIFORM, LOG_STRETCHED])
     @pytest.mark.parametrize("r_in", [0.0, 0.5])
     def test_interior_matches_solver_operator_bitwise(self, r_in, policy):
+        # the curvature map applies the solver's operator, boundary rows included
         g = build_grid(3, r_in, 100.0, 256, policy)
-        f = field_from_function(g, lambda r: np.exp(-r) + 1.0 / (1.0 + r**2))
-        lap = laplacian_radial(f).values
-        assert np.array_equal(lap[1:-1], boundary_laplacian(g).apply(f.values)[1:-1])
+        u = field_from_function(g, lambda r: np.exp(-r) + 1.0 / (1.0 + r**2))
+        bg = make_flat_background(3, g)
+        a, N = conformal_exponents(3)
+        for flux in (0.0, -0.3):
+            lap = boundary_laplacian(g, flux).apply(u.values)
+            expected = u.values ** (-N) * (-a * lap + bg.r0_profile.values * u.values)
+            assert np.array_equal(compute_R(u, bg, flux).values, expected)
 
     @pytest.mark.parametrize("policy", [UNIFORM, LOG_STRETCHED])
     @pytest.mark.parametrize("r_in", [0.0, 0.5])
     def test_constant_annihilated_exactly(self, r_in, policy):
         g = build_grid(3, r_in, 100.0, 256, policy)
-        assert np.all(laplacian_radial(constant_field(g, 1.0)).values == 0.0)
+        assert np.all(laplacian(constant_field(g, 1.0)) == 0.0)
 
     def test_flat_background_on_fine_grid(self):
         # flat3 builds at fine spacing, where a curvature check against R0 = 0
@@ -126,8 +135,8 @@ class TestLaplacian:
     def test_origin_regularity_limit(self):
         # lap f(0) = n f''(0): for f = exp(-r^2), that is -2n
         g = build_grid(4, 0.0, 6.0, 600, UNIFORM)
-        lap = laplacian_radial(field_from_function(g, lambda r: np.exp(-(r**2))))
-        assert abs(lap.values[0] - (-8.0)) <= 10.0 * g.h**2
+        lap = laplacian(field_from_function(g, lambda r: np.exp(-(r**2))))
+        assert abs(lap[0] - (-8.0)) <= 10.0 * g.h**2
 
 
 class TestIntegration:
