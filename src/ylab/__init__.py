@@ -13,56 +13,3 @@ Modules:
 """
 
 __version__ = "0.1.0"
-
-from .grids import (  # noqa: F401
-    LOG_STRETCHED,
-    UNIFORM,
-    RadialField,
-    RadialGrid,
-    SphereConstants,
-    build_grid,
-    integrate_dV,
-    lp_norm,
-    sphere_constants,
-    weighted_sup_norm,
-)
-from .backgrounds import (  # noqa: F401
-    BackgroundSpec,
-    InitialData,
-    background_from_name,
-    decay_order_estimate,
-    gaussian_bump_data,
-    make_flat_background,
-    make_synthetic_background,
-    newtonian_data,
-    schwarzschild_data,
-)
-from .elliptic import (  # noqa: F401
-    SolveReport,
-    YamabeSign,
-    compute_R,
-    prescribe_scalar_curvature,
-    solve_scalar_flat,
-    yamabe_quotient,
-    yamabe_sign,
-)
-from .flow import (  # noqa: F401
-    FlowConfig,
-    FlowState,
-    MonitorRecord,
-    RunResult,
-    adm_mass,
-    monitor,
-    run_flow,
-    step,
-)
-from .diagnostics import (  # noqa: F401
-    DecayFit,
-    MonotonicityAudit,
-    audit_monotone,
-    convergence_to_limit,
-    fit_decay_exponent,
-    lp_inequality_audit,
-    mass_drop_report,
-    spacetime_decay_audit,
-)

@@ -46,17 +46,19 @@ from .errors import (
     HypothesisViolationError,
     NonPositiveYamabeError,
     ParameterError,
+    PositivityError,
     SchemaError,
     YlabError,
 )
 from .flow import (
     MONITOR_SCALARS,
-    Checkpoint,
     FlowConfig,
+    FlowState,
     MonitorRecord,
     adm_mass,
     far_field_window,
     run_flow,
+    valid_time_horizon,
 )
 from .grids import (
     RadialField,
@@ -109,6 +111,11 @@ class RunManifest:
     flow: FlowConfig
     seed: int | None = None
     prescribe: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        # the id names the run directory, which must stay inside the output root
+        if self.run_id in ("", ".", "..") or any(sep in self.run_id for sep in "/\\"):
+            raise ConfigError(f"[run] id {self.run_id!r} is not a plain directory name")
 
 
 def _slug(text: str) -> str:
@@ -230,10 +237,15 @@ def serialize_manifest(manifest: RunManifest) -> str:
     return "\n".join(lines[1:]) + "\n"
 
 
+def build_background(manifest: RunManifest):
+    """Instantiate (grid, background): all that the elliptic commands and report need."""
+    grid = build_grid(**manifest.grid)
+    return grid, background_from_name(manifest.background, grid)
+
+
 def build_run(manifest: RunManifest):
     """Instantiate (grid, background, initial data, flow config)."""
-    grid = build_grid(**manifest.grid)
-    bg = background_from_name(manifest.background, grid)
+    grid, bg = build_background(manifest)
     params = dict(manifest.initial_data)
     family = params.pop("family")
     if family not in _FAMILIES:
@@ -245,7 +257,9 @@ def build_run(manifest: RunManifest):
 # ---------------------------------------------------------------------------
 # monitor CSV
 
-def write_monitor_csv(path, records, p_list, tau_list) -> None:
+def write_monitor_csv(path, records) -> None:
+    """One row per record; the lpR and wsupR columns are the first record's keys."""
+    p_list, tau_list = list(records[0].lp_R), list(records[0].weighted_sup_R)
     cols = [*MONITOR_SCALARS, *(f"lpR_p{p:g}" for p in p_list)]
     cols += [f"wsupR_tau{tp:g}" for tp in tau_list]
     lines = [
@@ -261,8 +275,8 @@ def write_monitor_csv(path, records, p_list, tau_list) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_monitor_csv(path):
-    """Return (records, p_list, tau_list) parsed back from the CSV."""
+def read_monitor_csv(path) -> list:
+    """The monitor records parsed back from the CSV."""
     lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
     if not lines:
         raise SchemaError(f"monitor CSV {path} is empty")
@@ -282,7 +296,7 @@ def read_monitor_csv(path):
                 weighted_sup_R={tp: vals[f"wsupR_tau{tp:g}"] for tp in tau_list},
             )
         )
-    return records, p_list, tau_list
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +322,11 @@ def write_checkpoints(path, checkpoints) -> None:
 
 
 def read_checkpoints(path, grid) -> list:
-    """Checkpoints written by write_checkpoints, bound to grid (one load of the series).
+    """FlowStates written by write_checkpoints, bound to grid (one load of the series).
 
-    A missing, truncated or malformed series, radii that differ from grid, or
-    time columns whose lengths differ from the number of snapshots raise a
-    ConfigError naming the file.
+    A missing, truncated or malformed series, radii that differ from grid, a
+    nonpositive snapshot, or time columns whose lengths differ from the
+    number of snapshots raise a ConfigError naming the file.
     """
     path = Path(path)
     try:
@@ -331,7 +345,10 @@ def read_checkpoints(path, grid) -> list:
             f"{meta_path} has columns {dict(zip(_CHECKPOINT_COLUMNS, lengths))} long"
             f" for {len(fields)} snapshots in {path.name}"
         )
-    return [Checkpoint(t, u, dt, step) for t, dt, step, u in zip(*columns, fields)]
+    try:
+        return [FlowState(t, u, dt, step) for t, dt, step, u in zip(*columns, fields)]
+    except PositivityError as exc:
+        raise ConfigError(f"{path} holds a nonpositive snapshot: {exc}") from exc
 
 
 def cmd_simulate(manifest: RunManifest, out_root) -> int:
@@ -345,8 +362,7 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
 
     result = run_flow(bg, init, cfg)
 
-    p_list = cfg.monitored_p(bg.n)
-    write_monitor_csv(rundir / "monitor.csv", result.records, p_list, cfg.tau_prime_list)
+    write_monitor_csv(rundir / "monitor.csv", result.records)
     write_field_csv(result.final.u, rundir / "final_state.csv", header="r,u")
     write_checkpoints(rundir / "checkpoints.npy", result.checkpoints)
 
@@ -379,7 +395,7 @@ class RunContext:
     grid: object
     bg: object
     records: list
-    summary: dict
+    halted: bool
 
     _checkpoints: list | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -398,20 +414,22 @@ def load_run(rundir) -> RunContext:
         raise ConfigError(f"{rundir} is not a run directory (no config.ini)")
     try:
         manifest = parse_config(config_path)
-        grid = build_grid(**manifest.grid)
-        bg = background_from_name(manifest.background, grid)
+        grid, bg = build_background(manifest)
     except (ConfigError, ParameterError) as exc:
         raise ConfigError(f"{config_path} is malformed: {exc}") from exc
     monitor_path, summary_path = rundir / "monitor.csv", rundir / "summary.json"
     try:
-        records, _, _ = read_monitor_csv(monitor_path)
+        records = read_monitor_csv(monitor_path)
     except (OSError, ValueError, KeyError, SchemaError) as exc:
         raise ConfigError(f"{monitor_path} is missing or unreadable: {exc!r}") from exc
     try:
         summary = json.loads(summary_path.read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{summary_path} is missing or unreadable: {exc!r}") from exc
-    return RunContext(rundir, manifest, grid, bg, records, summary)
+    halted = summary.get("halted") if isinstance(summary, dict) else None
+    if not isinstance(halted, bool):
+        raise ConfigError(f"{summary_path} has no boolean 'halted' entry")
+    return RunContext(rundir, manifest, grid, bg, records, halted)
 
 
 def _skip_transient(records, count=5):
@@ -471,7 +489,7 @@ def _audit_min_r(ctx: RunContext) -> diag.Verdict:
 
 
 def _decay_window(ctx: RunContext):
-    t_hi = min(ctx.records[-1].t, ctx.summary.get("valid_t_max", math.inf))
+    t_hi = min(ctx.records[-1].t, valid_time_horizon(ctx.grid))
     return (t_hi / 2.0, t_hi)
 
 
@@ -495,7 +513,7 @@ def _audit_convergence(ctx: RunContext) -> diag.Verdict:
     try:
         rep = diag.convergence_to_limit(
             checkpoints, u_inf, 0.0,
-            valid_t_max=ctx.summary.get("valid_t_max"),
+            valid_t_max=valid_time_horizon(ctx.grid),
         )
     except YlabError as exc:
         return diag.Verdict("convergence", False, {"error": str(exc)})
@@ -514,7 +532,7 @@ def _audit_mass_drop(ctx: RunContext) -> diag.Verdict:
         m_inf = adm_mass(u_inf)
     except NonPositiveYamabeError:
         return diag.Verdict("mass-drop", None, skipped_reason="no scalar-flat limit (Y <= 0)")
-    records = [r for r in ctx.records if r.t <= ctx.summary.get("valid_t_max", math.inf)]
+    records = [r for r in ctx.records if r.t <= valid_time_horizon(ctx.grid)]
     rep = diag.mass_drop_report(records, m_inf, n)
     m0 = records[0].mass
     ok = (
@@ -528,18 +546,15 @@ def _audit_mass_drop(ctx: RunContext) -> diag.Verdict:
 
 
 def _audit_spacetime(ctx: RunContext) -> diag.Verdict:
-    applicable = not ctx.summary.get("halted", False)
     return diag.spacetime_decay_audit(
-        ctx.checkpoints(), ctx.bg, tau_prime=0.5, delta0=0.1, applicable=applicable
+        ctx.checkpoints(), ctx.bg, tau_prime=0.5, delta0=0.1, applicable=not ctx.halted
     )
 
 
 def _audit_blowup(ctx: RunContext) -> diag.Verdict:
     max_u = max(r.max_u for r in ctx.records)
-    ok = ctx.summary.get("halted", False) or max_u >= 1e3
-    return diag.Verdict(
-        "blowup", ok, {"halted": ctx.summary.get("halted"), "max_u": max_u}
-    )
+    ok = ctx.halted or max_u >= 1e3
+    return diag.Verdict("blowup", ok, {"halted": ctx.halted, "max_u": max_u})
 
 
 _AUDITS = {
@@ -593,7 +608,10 @@ def cmd_report(run_dirs, audits, out=None, plots=False) -> int:
 
     report = {"runs": runs, "audits_requested": list(audits)}
     out_path = Path(out) if out else Path(run_dirs[0]).parent / "report.json"
-    _write_json(out_path, report)
+    try:
+        _write_json(out_path, report)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the report to {out_path}: {exc}") from exc
 
     width = max([len("audit")] + [len(v["name"]) for run in runs for v in run["audits"]])
     print(f"{'run':<32} {'audit':<{width}} {'result':<8} detail")
@@ -633,7 +651,7 @@ def _solver_outdir(out_root, name) -> Path:
 
 
 def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
-    grid, bg, _, _ = build_run(manifest)
+    grid, bg = build_background(manifest)
     far_field_window(grid)  # before any output: the report holds the limit's mass
     outdir = _solver_outdir(out_root, f"scalar-flat-{_slug(bg.name)}")
     try:
@@ -661,7 +679,7 @@ def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
 
 
 def cmd_yamabe_sign(manifest: RunManifest, out_root) -> int:
-    grid, bg, _, _ = build_run(manifest)
+    grid, bg = build_background(manifest)
     outdir = _solver_outdir(out_root, f"yamabe-sign-{_slug(bg.name)}")
     result = yamabe_sign(bg)
     write_field_csv(result.certificate, outdir / "certificate.csv")
@@ -681,7 +699,7 @@ def cmd_yamabe_sign(manifest: RunManifest, out_root) -> int:
 
 
 def cmd_prescribe(manifest: RunManifest, out_root) -> int:
-    grid, bg, _, _ = build_run(manifest)
+    grid, bg = build_background(manifest)
     outdir = _solver_outdir(out_root, f"prescribe-{_slug(bg.name)}")
     c = manifest.prescribe.get("amplitude", 0.1)
     target = RadialField(
@@ -718,8 +736,6 @@ def _manifest_from_args(args) -> RunManifest:
             background=args.background,
             run_id=_slug(f"{args.background}-{manifest.initial_data['family']}"),
         )
-    if getattr(args, "seed", None) is not None:
-        manifest = replace(manifest, seed=args.seed)
     return manifest
 
 
@@ -733,7 +749,6 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("--config", help="INI config path")
         p.add_argument("--background", help="catalog name, e.g. flat3 or synthetic:A=-50,rc=2,sigma=1,tau=1")
-        p.add_argument("--seed", type=int, help="stored in the manifest (pipeline is deterministic)")
         p.add_argument("--out", default=_default_out(), help="output root (default $YLAB_OUT or ./ylab-out)")
 
     p_sim = sub.add_parser("simulate", help="run one flow and persist artifacts")

@@ -20,6 +20,7 @@ from .backgrounds import BackgroundSpec, conformal_exponents
 from .elliptic import compute_R
 from .errors import FitDomainError, ParameterError, SchemaError
 from .grids import RadialField, origin_mask, sphere_constants, weighted_sup_norm
+from .operators import boundary_laplacian
 
 NONINCREASING = "nonincreasing"
 NONDECREASING = "nondecreasing"
@@ -274,9 +275,10 @@ def spacetime_decay_audit(
         )
     interior = ~origin_mask(bg.grid)
     w = bg.grid.w[interior]
+    lap = boundary_laplacian(bg.grid)
     cstars = []
     for t, u in usable:
-        R = compute_R(u, bg)
+        R = compute_R(u, bg, lap)
         cstars.append(float(np.max(np.abs(R.values[interior]) * w**tau_prime))
                       * (1.0 + t) ** (1.0 + delta0))
     cstars_a = np.asarray(cstars)

@@ -22,7 +22,13 @@ from .errors import (
     SupportError,
 )
 from .grids import RadialField, sphere_constants
-from .operators import boundary_laplacian, damped_newton, require_converged, solve_tridiagonal
+from .operators import (
+    BoundaryLaplacian,
+    boundary_laplacian,
+    damped_newton,
+    require_converged,
+    solve_tridiagonal,
+)
 
 POSITIVE = "Positive"
 NON_POSITIVE = "NonPositive"
@@ -73,22 +79,26 @@ class YamabeSign:
     trial_params: tuple | None = None  # (center, width, cut) of a Gaussian trial
 
 
-def compute_R(u: RadialField, bg: BackgroundSpec, inner_flux: float = 0.0) -> RadialField:
+def compute_R(
+    u: RadialField, bg: BackgroundSpec, lap: BoundaryLaplacian | None = None
+) -> RadialField:
     """Scalar curvature of u^{4/(n-2)} g_bg: u^{-N} (-a(n) lap u + R0 u).
 
-    lap is boundary_laplacian(grid, inner_flux), the operator the flow steps
-    with, so the flow's own identity holds at every node when inner_flux is
-    its frozen wall flux.  The wall and R_max rows carry the boundary
-    conditions; take extrema over the nodes grids.origin_mask leaves out.
+    lap is the operator to apply: a flow passes the one it steps with, so
+    the flow's own identity holds at every node; without one, the zero-flux
+    boundary_laplacian of u's grid is built.  The wall and R_max rows carry
+    the boundary conditions; take extrema over the nodes grids.origin_mask
+    leaves out.
     """
     if np.min(u.values) <= 0.0:
         raise PositivityError("conformal factor must be positive")
     if u.grid != bg.grid:
         raise ParameterError("field and background live on different grids")
+    if lap is None:
+        lap = boundary_laplacian(u.grid)
     a, N = conformal_exponents(bg.n)
-    lap = boundary_laplacian(u.grid, inner_flux).apply(u.values)
     R0 = bg.r0_profile.values
-    vals = u.values ** (-N) * (-a * lap + R0 * u.values)
+    vals = u.values ** (-N) * (-a * lap.apply(u.values) + R0 * u.values)
     return RadialField(u.grid, vals)
 
 

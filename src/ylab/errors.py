@@ -54,12 +54,7 @@ class NonPositiveYamabeError(YlabError):
 
 
 class FlowSingularityError(YlabError):
-    """The time stepper could not continue (positivity loss or dt collapse)."""
-
-    def __init__(self, message: str, state=None, reason: str = ""):
-        super().__init__(message)
-        self.state = state
-        self.reason = reason or message
+    """The time stepper could not continue: ten halvings of dt all failed."""
 
 
 class MassUndefinedError(ConfigError):

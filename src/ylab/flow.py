@@ -10,11 +10,12 @@ prohibitive on stretched grids).  Failed Newton solves halve dt, up to ten
 times, before the run is declared singular; successful steps grow dt by a
 safety factor.
 
-Boundary rows: origin regularity (r_in = 0) or a Neumann wall whose flux is
-frozen from the initial data, so scalar-flat exteriors such as the
-Schwarzschild factor remain stationary; outer Robin row on u - 1 with the
-r^{-(n-2)} fall-off.  Results are trustworthy for t below the horizon
-R_max^2 / (16(n-1)), which keeps the diffusive front away from the wall.
+A run builds its operator once: boundary_laplacian with the wall flux frozen
+from the initial data (operators.initial_inner_flux), so scalar-flat
+exteriors such as the Schwarzschild factor remain stationary.  step and
+monitor apply that operator.  Results are trustworthy for t below the
+horizon R_max^2 / (16(n-1)), which keeps the diffusive front away from the
+wall.
 
 Uniqueness of the continuum flow is an open matter; nothing here depends on
 it.
@@ -43,7 +44,7 @@ from .grids import (
     lp_integral,
     origin_mask,
 )
-from .operators import boundary_laplacian, damped_newton
+from .operators import BoundaryLaplacian, boundary_laplacian, damped_newton, initial_inner_flux
 from .elliptic import compute_R
 
 
@@ -100,15 +101,23 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
+    """The positive factor at one step, with the dt its next step tries.
+
+    Also one row of a run's checkpoint series; unpacks as a (t, u) pair for
+    the diagnostics.
+    """
+
     t: float
     u: RadialField
     dt: float
     step_index: int
-    inner_flux: float = 0.0
 
     def __post_init__(self):
         if np.min(self.u.values) <= 0.0:
             raise PositivityError(f"conformal factor lost positivity at t={self.t}")
+
+    def __iter__(self):
+        return iter((self.t, self.u))
 
 
 @dataclass(frozen=True)
@@ -142,49 +151,14 @@ class MonitorRecord:
 MONITOR_SCALARS = tuple(f.name for f in fields(MonitorRecord) if f.type == "float")
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """Full factor snapshot with step metadata (one row of the checkpoint series)."""
-
-    t: float
-    u: RadialField
-    dt: float
-    step_index: int
-
-    def __iter__(self):  # unpacks as a (t, u) pair for the diagnostics
-        return iter((self.t, self.u))
-
-
 @dataclass(frozen=True, eq=False)
 class RunResult:
     records: list
-    checkpoints: list  # Checkpoint snapshots
+    checkpoints: list  # FlowState snapshots
     final: FlowState
     halted: bool
     halt_reason: str | None
     valid_t_max: float
-
-
-def initial_inner_flux(u0: RadialField) -> float:
-    """Frozen Neumann datum for the inner wall, calibrated to the initial data.
-
-    Chosen so the mirrored-ghost wall row reproduces the accurate one-sided
-    Laplacian of u0 at the wall; this agrees with u0'(r_in) to O(h^2) and
-    removes the initial-layer transient for stationary exteriors.  Zero at
-    an r_in = 0 origin (regularity row, no wall).
-    """
-    grid = u0.grid
-    if grid.r_in == 0.0:
-        return 0.0
-    r, v = grid.nodes[:4], u0.values[:4]
-    # four-point one-sided weights of u'' and u' at the wall; derivative
-    # weights sum to zero, so acting on v - v[0] cancels constants exactly
-    V = np.vander(r - r[0], 4, increasing=True).T
-    d2, d1 = (np.linalg.solve(V, np.eye(4)[order] * math.factorial(order)) for order in (2, 1))
-    lap0 = float((d2 + (grid.n - 1) / r[0] * d1) @ (v - v[0]))
-    h0 = grid.dr[0]
-    kappa = (grid.n - 1.0) / r[0] - 2.0 / h0
-    return float((lap0 - 2.0 * (v[1] - v[0]) / h0**2) / kappa)
 
 
 def step_tolerances(
@@ -242,13 +216,14 @@ def _attempt_step(u_prev: np.ndarray, dt: float, bg: BackgroundSpec, cfg: FlowCo
     return u_new
 
 
-def step(state: FlowState, bg: BackgroundSpec, cfg: FlowConfig) -> FlowState:
-    """Advance one accepted time step, halving dt on Newton failure.
+def step(
+    state: FlowState, bg: BackgroundSpec, cfg: FlowConfig, lap: BoundaryLaplacian
+) -> FlowState:
+    """Advance one accepted step with the run's operator lap, halving dt on Newton failure.
 
-    Raises FlowSingularityError (state preserved) after ten halvings: the
-    discrete stand-in for the curvature blow-up alternative.
+    Raises FlowSingularityError after ten halvings: the discrete stand-in
+    for the curvature blow-up alternative.
     """
-    lap = boundary_laplacian(state.u.grid, inner_flux=state.inner_flux)
     dt = state.dt
     for _ in range(11):
         u_new = _attempt_step(state.u.values, dt, bg, cfg, lap)
@@ -261,14 +236,9 @@ def step(state: FlowState, bg: BackgroundSpec, cfg: FlowConfig) -> FlowState:
                 u=RadialField(state.u.grid, u_new),
                 dt=next_dt,
                 step_index=state.step_index + 1,
-                inner_flux=state.inner_flux,
             )
         dt *= 0.5
-    raise FlowSingularityError(
-        f"step rejected after 10 halvings at t={state.t:.6g} (dt={dt:.3e})",
-        state=state,
-        reason="dt-collapse",
-    )
+    raise FlowSingularityError(f"step rejected after 10 halvings at t={state.t:.6g} (dt={dt:.3e})")
 
 
 def far_field_window(grid: RadialGrid) -> np.ndarray:
@@ -291,11 +261,13 @@ def adm_mass(u: RadialField) -> float:
     return 2.0 * float(basis @ dev / (basis @ basis))
 
 
-def monitor(state: FlowState, bg: BackgroundSpec, cfg: FlowConfig) -> MonitorRecord:
-    """Evaluate every audited quantity at the current state."""
+def monitor(
+    state: FlowState, bg: BackgroundSpec, cfg: FlowConfig, lap: BoundaryLaplacian
+) -> MonitorRecord:
+    """Evaluate every audited quantity at the current state, R with the run's operator lap."""
     u = state.u
     grid = u.grid
-    R = compute_R(u, bg, state.inner_flux)
+    R = compute_R(u, bg, lap)
     interior = ~origin_mask(grid)
     Ri = R.values[interior]
     wi = grid.w[interior]
@@ -323,15 +295,10 @@ def run_flow(bg: BackgroundSpec, init: InitialData, cfg: FlowConfig) -> RunResul
     """
     if init.u0.grid != bg.grid:
         raise GridMismatchError("initial data and background live on different grids")
-    state = FlowState(
-        t=0.0,
-        u=init.u0,
-        dt=cfg.dt0,
-        step_index=0,
-        inner_flux=initial_inner_flux(init.u0),
-    )
-    records = [monitor(state, bg, cfg)]
-    checkpoints = [Checkpoint(0.0, state.u, state.dt, 0)]
+    lap = boundary_laplacian(bg.grid, initial_inner_flux(init.u0))
+    state = FlowState(t=0.0, u=init.u0, dt=cfg.dt0, step_index=0)
+    records = [monitor(state, bg, cfg, lap)]
+    checkpoints = [state]
     last_monitored = 0
     last_checkpointed = 0
     halted = False
@@ -344,18 +311,17 @@ def run_flow(bg: BackgroundSpec, init: InitialData, cfg: FlowConfig) -> RunResul
         if state.dt > remaining:
             state = replace(state, dt=remaining)
         try:
-            state = step(state, bg, cfg)
-        except FlowSingularityError as exc:
-            state = exc.state
+            state = step(state, bg, cfg, lap)
+        except FlowSingularityError:
             halted = True
-            halt_reason = exc.reason
+            halt_reason = "dt-collapse"
             break
         idx = state.step_index
         if idx % cfg.monitor_every == 0:
-            records.append(monitor(state, bg, cfg))
+            records.append(monitor(state, bg, cfg, lap))
             last_monitored = idx
         if idx % cfg.checkpoint_every == 0:
-            checkpoints.append(Checkpoint(state.t, state.u, state.dt, idx))
+            checkpoints.append(state)
             last_checkpointed = idx
         if cfg.stop_max_u is not None and float(np.max(state.u.values)) >= cfg.stop_max_u:
             halted = True
@@ -363,9 +329,9 @@ def run_flow(bg: BackgroundSpec, init: InitialData, cfg: FlowConfig) -> RunResul
             break
 
     if state.step_index != last_monitored:
-        records.append(monitor(state, bg, cfg))
+        records.append(monitor(state, bg, cfg, lap))
     if state.step_index != last_checkpointed:
-        checkpoints.append(Checkpoint(state.t, state.u, state.dt, state.step_index))
+        checkpoints.append(state)
     return RunResult(
         records=records,
         checkpoints=checkpoints,

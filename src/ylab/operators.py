@@ -6,9 +6,9 @@ stencil of f'' + (n-1)/r f', exact for quadratics.  Every row stays
 tridiagonal by eliminating a mirrored ghost node at each end:
 
 * r_0 = 0: even-extension regularity row, lap u(0) = 2n (u_1 - u_0)/h^2;
-* r_0 > 0: Neumann wall with a prescribed flux u'(r_0) (zero for elliptic
-  solves; the flow freezes the initial data's flux so that harmonic
-  exteriors remain stationary);
+* r_0 > 0: Neumann wall with a prescribed flux u'(r_0): zero for elliptic
+  solves, initial_inner_flux(u0) for a flow, which inverts the wall row on
+  the initial data so that harmonic exteriors remain stationary;
 * r_M: Robin row (u-1)' + (n-2)(u-1)/r = 0 encoding the leading
   r^{-(n-2)} fall-off at the truncation radius.
 
@@ -20,13 +20,14 @@ pivoting (gtsv).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError
-from .grids import RadialGrid
+from .grids import RadialField, RadialGrid
 
 _MAX_BACKTRACKS = 40  # step halvings per Newton iteration before it stagnates
 
@@ -59,7 +60,13 @@ class BoundaryLaplacian:
         return float(np.max(s))
 
 
+def _wall_flux_weight(grid: RadialGrid) -> float:
+    """kappa = (n-1)/r_0 - 2/h_0: the wall row's coefficient of the prescribed flux."""
+    return (grid.n - 1.0) / grid.nodes[0] - 2.0 / grid.dr[0]
+
+
 def boundary_laplacian(grid: RadialGrid, inner_flux: float = 0.0) -> BoundaryLaplacian:
+    """The operator on grid, with the wall (r_in > 0) flux u'(r_0) = inner_flux."""
     r = grid.nodes
     n = grid.n
     M = grid.M
@@ -83,7 +90,7 @@ def boundary_laplacian(grid: RadialGrid, inner_flux: float = 0.0) -> BoundaryLap
     else:
         diag[0] = -2.0 / h0**2
         upper[0] = 2.0 / h0**2
-        affine[0] = inner_flux * ((n - 1) / r[0] - 2.0 / h0)
+        affine[0] = inner_flux * _wall_flux_weight(grid)
 
     hM = dr[-1]
     kappa = 2.0 * (n - 2) / (r[-1] * hM) + (n - 1) * (n - 2) / r[-1] ** 2
@@ -91,6 +98,28 @@ def boundary_laplacian(grid: RadialGrid, inner_flux: float = 0.0) -> BoundaryLap
     diag[-1] = -2.0 / hM**2 - kappa
     affine[-1] = -(lower[-1] + diag[-1])  # kappa, rounded so constants cancel
     return BoundaryLaplacian(grid=grid, lower=lower, diag=diag, upper=upper, affine=affine)
+
+
+def initial_inner_flux(u0: RadialField) -> float:
+    """Wall flux that makes the wall row reproduce the accurate Laplacian of u0.
+
+    Inverts the wall row, (2/h_0^2)(u_1 - u_0) + kappa * flux, for the
+    four-point one-sided Laplacian of u0 at the wall.  The result agrees with
+    u0'(r_in) to O(h^2) and removes the initial-layer transient for
+    stationary exteriors.  Zero at an r_in = 0 origin (regularity row, no
+    wall).
+    """
+    grid = u0.grid
+    if grid.r_in == 0.0:
+        return 0.0
+    r, v = grid.nodes[:4], u0.values[:4]
+    # four-point one-sided weights of u'' and u' at the wall; derivative
+    # weights sum to zero, so acting on v - v[0] cancels constants exactly
+    V = np.vander(r - r[0], 4, increasing=True).T
+    d2, d1 = (np.linalg.solve(V, np.eye(4)[order] * math.factorial(order)) for order in (2, 1))
+    lap0 = float((d2 + (grid.n - 1) / r[0] * d1) @ (v - v[0]))
+    h0 = grid.dr[0]
+    return float((lap0 - 2.0 * (v[1] - v[0]) / h0**2) / _wall_flux_weight(grid))
 
 
 def solve_tridiagonal(

@@ -27,8 +27,8 @@ from ylab.cli import (
     write_monitor_csv,
 )
 from ylab.errors import ConfigError
-from ylab.flow import Checkpoint, run_flow
-from ylab.grids import UNIFORM, RadialField, RadialGrid
+from ylab.flow import FlowState, run_flow
+from ylab.grids import UNIFORM, RadialField, RadialGrid, read_field_series, write_field_series
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -153,6 +153,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config_text("[flow]\ndt0 = -1\n")
 
+    @pytest.mark.parametrize("run_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "/abs"])
+    def test_run_id_must_be_a_plain_name(self, run_id):
+        with pytest.raises(ConfigError, match="plain directory name"):
+            replace(parse_config_text(""), run_id=run_id)
+        if run_id:  # an empty value in the INI means unset, so the default id
+            with pytest.raises(ConfigError, match="plain directory name"):
+                parse_config_text(f"[run]\nid = {run_id}\n")
+
     def test_unknown_key_rejected(self):
         for key in ("timestep = 0.1", "scheme = linearly-implicit",
                     "scheme = backward-euler-newton"):
@@ -202,14 +210,14 @@ class TestMonitorCsv:
         from ylab.flow import run_flow
 
         res = run_flow(bg, init, cfg)
-        p_list = cfg.monitored_p(3)
         path = tmp_path / "monitor.csv"
-        write_monitor_csv(path, res.records, p_list, cfg.tau_prime_list)
-        records, ps, taus = read_monitor_csv(path)
-        assert ps == list(p_list)
-        assert taus == list(cfg.tau_prime_list)
-        assert len(records) == len(res.records)
-        assert records[3].sup_R == res.records[3].sup_R  # 17 digits round-trips floats
+        write_monitor_csv(path, res.records)
+        header = path.read_text().splitlines()[1].split(",")
+        assert [c for c in header if c.startswith(("lpR", "wsupR"))] == [
+            *(f"lpR_p{p:g}" for p in cfg.monitored_p(3)),
+            *(f"wsupR_tau{tp:g}" for tp in cfg.tau_prime_list),
+        ]
+        assert read_monitor_csv(path) == res.records  # 17 digits round-trip floats
 
 
 class TestSimulate:
@@ -274,6 +282,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "x" / "config.ini").exists()
 
+    @pytest.mark.parametrize("absolute", [False, True], ids=["dotdot", "absolute"])
+    def test_run_directory_stays_under_out(self, tmp_path, capsys, absolute):
+        run_id = str(tmp_path / "escaped") if absolute else "../escaped"
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nid = {run_id}\n[grid]\nM = 64\nR_max = 64\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert run_id in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini"]
+
     def test_determinism_bit_identical(self, tmp_path):
         m = parse_config_text(BUMP_CONFIG)
         cmd_simulate(replace(m, run_id="a"), tmp_path)
@@ -315,6 +333,12 @@ def dense_run(tmp_path_factory):
 def _shift_radius(path):
     data = np.load(path)
     data[0, 1] *= 1.0 + 1e-9
+    np.save(path, data)
+
+
+def _negate_one_value(path):
+    data = np.load(path)
+    data[-1, 3] = -1.0
     np.save(path, data)
 
 
@@ -414,9 +438,12 @@ class TestReport:
             ("monitor.csv", lambda path: path.write_text("t,sup_R\n1,oops\n")),
             ("monitor.csv", lambda path: path.write_text(path.read_text()[:-40])),
             ("summary.json", lambda path: path.write_text("{not json")),
+            ("summary.json", lambda path: path.write_text("{}")),
+            ("summary.json", lambda path: path.write_text('{"halted": 0}')),
         ],
         ids=["missing-monitor", "missing-summary", "monitor-without-columns",
-             "truncated-monitor", "unreadable-summary"],
+             "truncated-monitor", "unreadable-summary", "summary-without-halted",
+             "non-boolean-halted"],
     )
     def test_incomplete_run_directory_is_config_error(
         self, bump_run, tmp_path, capsys, name, corrupt
@@ -439,10 +466,11 @@ class TestReport:
             ("checkpoints.npy", lambda path: path.write_bytes(path.read_bytes()[:-40])),
             ("checkpoints.npy", lambda path: np.save(path, np.load(path)[:, :-1])),
             ("checkpoints.npy", _shift_radius),
+            ("checkpoints.npy", _negate_one_value),
             ("checkpoints.json", _drop_last_time),
         ],
         ids=["missing-series", "truncated-series", "wrong-shape-series",
-             "radii-mismatch", "short-time-column"],
+             "radii-mismatch", "nonpositive-row", "short-time-column"],
     )
     def test_unreadable_checkpoint_series_is_config_error(
         self, bump_run, tmp_path, capsys, name, corrupt, audit
@@ -454,6 +482,33 @@ class TestReport:
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
         assert str(broken / name) in capsys.readouterr().err
+
+    def test_horizon_comes_from_the_grid(self, tmp_path):
+        # a run past its valid-time horizon R_max^2/32 = 1.125: the audits
+        # that cut at the horizon give the same verdicts when summary.json
+        # does not record it
+        config = DENSE_CONFIG.replace("R_max = 128", "R_max = 6").replace(
+            "dt_max = 0.2", "dt_max = 0.05").replace("monitor_every = 4", "monitor_every = 1")
+        assert cmd_simulate(parse_config_text(config), tmp_path) == 0
+        intact, stripped = tmp_path / "bump-test", tmp_path / "stripped"
+        shutil.copytree(intact, stripped)
+        summary = json.loads((stripped / "summary.json").read_text())
+        assert summary.pop("valid_t_max") == 1.125
+        (stripped / "summary.json").write_text(json.dumps(summary))
+        verdicts = []
+        for rundir in (intact, stripped):
+            out = tmp_path / f"{rundir.name}.json"
+            main(["report", str(rundir), "--audits", "sup-r-decay,convergence,mass-drop",
+                  "--out", str(out)])
+            verdicts.append(json.loads(out.read_text())["runs"][0]["audits"])
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0][0]["details"]["window"] == [0.5625, 1.125]
+
+    def test_unwritable_report_path_is_config_error(self, bump_run, tmp_path, capsys):
+        out = tmp_path / "nonexistent" / "dir" / "r.json"
+        rc = main(["report", str(bump_run), "--audits", "mass-drift", "--out", str(out)])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
 
     @pytest.fixture(scope="class")
     def p2_run(self, tmp_path_factory):
@@ -533,30 +588,40 @@ class TestReport:
 
 
 @st.composite
-def _checkpoint_series(draw):
-    """K >= 1 checkpoints of arbitrary finite float64 on a grid of arbitrary radii."""
+def _field_series(draw, values):
+    """K >= 1 fields of floats drawn from values on a grid of arbitrary radii."""
     radii = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=17,
                           max_size=40, unique=True))
     grid = RadialGrid(3, np.sort(radii), UNIFORM)
-    finite = st.floats(allow_nan=False, allow_infinity=False)
     k = draw(st.integers(min_value=1, max_value=6))
     return [
-        Checkpoint(
-            draw(finite),
-            RadialField(grid, np.array(draw(st.lists(finite, min_size=grid.M + 1,
-                                                     max_size=grid.M + 1)))),
-            draw(finite),
-            draw(st.integers(min_value=0, max_value=2**53)),
-        )
+        RadialField(grid, np.array(draw(st.lists(values, min_size=grid.M + 1,
+                                                 max_size=grid.M + 1))))
         for _ in range(k)
     ]
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _checkpoint_series(draw):
+    """K >= 1 flow states with positive factors and arbitrary finite t and dt."""
+    return [
+        FlowState(draw(_FINITE), u, draw(_FINITE), draw(st.integers(min_value=0, max_value=2**53)))
+        for u in draw(_field_series(_POSITIVE))
+    ]
+
+
 _EDGE_GRID = RadialGrid(3, np.arange(17) * 0.25, UNIFORM)
+_EDGE_FIELDS = [
+    RadialField(_EDGE_GRID, np.array([5e-324, -0.0, -1e300] + [1 / 3] * 14)),
+    RadialField(_EDGE_GRID, np.full(17, -2.2250738585072014e-308)),
+]
 _EDGE_SERIES = [
-    Checkpoint(-0.0, RadialField(_EDGE_GRID, np.array([5e-324, -0.0, -1e300] + [1 / 3] * 14)),
-               5e-324, 0),
-    Checkpoint(0.1, RadialField(_EDGE_GRID, np.full(17, -2.2250738585072014e-308)), 1e300, 7),
+    FlowState(-0.0, RadialField(_EDGE_GRID, np.array([5e-324, 1e300] + [1 / 3] * 15)), 5e-324, 0),
+    FlowState(0.1, RadialField(_EDGE_GRID, np.full(17, 2.2250738585072014e-308)), 1e300, 7),
 ]
 
 
@@ -574,6 +639,17 @@ class TestCheckpointSeries:
             for key in ("t", "dt", "step_index"):
                 assert np.array(getattr(got, key)).tobytes() == np.array(getattr(want, key)).tobytes()
         assert set(json.loads(path.with_suffix(".json").read_text())) == {"t", "dt", "step_index"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(fields=_field_series(_FINITE))
+    @example(fields=_EDGE_FIELDS)
+    def test_field_series_round_trip_is_bitwise(self, tmp_path_factory, fields):
+        # the series format itself carries any finite float64: signed zeros,
+        # negatives and subnormals
+        path = tmp_path_factory.mktemp("series") / "series.npy"
+        write_field_series(fields, path)
+        back = read_field_series(path, fields[0].grid)
+        assert [f.values.tobytes() for f in back] == [f.values.tobytes() for f in fields]
 
 
 class TestReadmeCli:
@@ -637,6 +713,18 @@ class TestMainExitCodes:
         if code == 2:
             assert "fewer than 8 nodes" in capsys.readouterr().err
             assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [("simulate", 2), ("scalar-flat", 0), ("yamabe-sign", 0), ("prescribe", 0)],
+    )
+    def test_elliptic_commands_ignore_initial_data(self, tmp_path, capsys, command, code):
+        # Schwarzschild data is singular at an r_in = 0 node; only simulate builds it
+        config = tmp_path / "schw.ini"
+        config.write_text("[initial]\nfamily = schwarzschild\n[flow]\nt_end = 0.01\n")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == code
+        if code == 2:
+            assert "singular node" in capsys.readouterr().err
 
     def test_env_var_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("YLAB_OUT", str(tmp_path / "envout"))

@@ -17,7 +17,6 @@ from ylab.flow import (
     FlowState,
     adm_mass,
     default_p_list,
-    initial_inner_flux,
     monitor,
     run_flow,
     step,
@@ -32,25 +31,26 @@ from ylab.grids import (
     field_from_function,
     integrate_dV,
 )
+from ylab.operators import boundary_laplacian, initial_inner_flux
 
 
 def _flow_identity_gap(state, bg):
     """(|(u+ - u)/dt + ((n-2)/4) R[u+] u+| per node, ceiling/dt) after one step.
 
-    At convergence the Newton residual, at most the step's round-off
+    The step and R share the operator a run builds from the state's wall
+    flux.  At convergence the Newton residual, at most the step's round-off
     ceiling, bounds the gap times dt.
     """
     from ylab.backgrounds import conformal_exponents
-    from ylab.operators import boundary_laplacian
 
     cfg = FlowConfig(dt0=state.dt)
-    new = step(state, bg, cfg)
+    lap = boundary_laplacian(bg.grid, initial_inner_flux(state.u))
+    new = step(state, bg, cfg, lap)
     dt = new.t - state.t
     c = 0.25 * (bg.n - 2)
-    R = compute_R(new.u, bg, state.inner_flux).values
+    R = compute_R(new.u, bg, lap).values
     gap = np.abs((new.u.values - state.u.values) / dt + c * R * new.u.values)
     a, N = conformal_exponents(bg.n)
-    lap = boundary_laplacian(bg.grid, state.inner_flux)
     _, ceiling = step_tolerances(cfg.newton_tol, dt, state.u.values, a, c, N, lap.row_norm)
     return gap, ceiling / dt
 
@@ -98,20 +98,20 @@ class TestStep:
     def test_flat_is_exact_fixed_point(self, grid, flat):
         state = FlowState(t=0.0, u=constant_field(grid, 1.0), dt=0.5, step_index=0)
         for _ in range(5):
-            state = step(state, flat, FlowConfig(dt0=0.5))
+            state = step(state, flat, FlowConfig(dt0=0.5), boundary_laplacian(grid))
         assert np.all(state.u.values == 1.0)
 
     def test_dt_grows_by_safety(self, grid, flat):
         cfg = FlowConfig(dt0=0.1, safety=1.5)
         state = FlowState(t=0.0, u=constant_field(grid, 1.0), dt=0.1, step_index=0)
-        out = step(state, flat, cfg)
+        out = step(state, flat, cfg, boundary_laplacian(grid))
         assert out.dt == pytest.approx(0.15)
         assert out.step_index == 1
 
     def test_dt_capped_by_dt_max(self, grid, flat):
         cfg = FlowConfig(dt0=0.1, dt_max=0.12, safety=2.0)
         state = FlowState(t=0.0, u=constant_field(grid, 1.0), dt=0.1, step_index=0)
-        assert step(state, flat, cfg).dt == pytest.approx(0.12)
+        assert step(state, flat, cfg, boundary_laplacian(grid)).dt == pytest.approx(0.12)
 
     def test_discrete_flow_identity(self, grid, flat):
         init = gaussian_bump_data(grid, 0.2, 1.0)
@@ -123,7 +123,7 @@ class TestStep:
         # Robin row too
         g = build_grid(3, 0.5, 64.0, 512, LOG_STRETCHED)
         u0 = field_from_function(g, lambda r: 1.0 + 0.5 / r + 0.2 * np.exp(-((r - 1.0) ** 2)))
-        state = FlowState(0.0, u0, 0.05, 0, inner_flux=initial_inner_flux(u0))
+        state = FlowState(0.0, u0, 0.05, 0)
         gap, bound = _flow_identity_gap(state, make_flat_background(3, g))
         assert np.max(gap) <= bound
 
@@ -206,7 +206,8 @@ class TestAdmMass:
 class TestMonitor:
     def test_flat_record_trivial(self, grid, flat):
         cfg = FlowConfig()
-        rec = monitor(FlowState(0.0, constant_field(grid, 1.0), 0.1, 0), flat, cfg)
+        state = FlowState(0.0, constant_field(grid, 1.0), 0.1, 0)
+        rec = monitor(state, flat, cfg, boundary_laplacian(grid))
         assert rec.sup_R == 0.0
         assert rec.mass == 0.0
         assert rec.min_u == rec.max_u == 1.0

@@ -119,7 +119,7 @@ class TestLaplacian:
         for flux in (0.0, -0.3):
             lap = boundary_laplacian(g, flux).apply(u.values)
             expected = u.values ** (-N) * (-a * lap + bg.r0_profile.values * u.values)
-            assert np.array_equal(compute_R(u, bg, flux).values, expected)
+            assert np.array_equal(compute_R(u, bg, boundary_laplacian(g, flux)).values, expected)
 
     @pytest.mark.parametrize("policy", [UNIFORM, LOG_STRETCHED])
     @pytest.mark.parametrize("r_in", [0.0, 0.5])

@@ -1,0 +1,92 @@
+"""The benchmark's span tracer (perfbench/tracing.py) still installs on ylab.
+
+The tracer patches functions and methods by name, so a rename or a moved
+call site breaks the benchmark's per-layer metrics silently; this runs it
+around a tiny simulate plus report.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import ylab.cli as cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CONFIG = """
+[run]
+id = traced
+
+[grid]
+n = 3
+R_max = 64
+M = 256
+
+[initial]
+family = gaussian_bump
+eps = 0.1
+sigma = 1.0
+
+[flow]
+dt0 = 0.01
+dt_max = 0.1
+t_end = 0.5
+monitor_every = 2
+checkpoint_every = 2
+"""
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("tracing")
+
+
+def _bindings(tracing):
+    """Every attribute the tracer may patch: module globals and the traced methods."""
+    bindings = {}
+    for short in tracing.MODULES:
+        module = importlib.import_module(f"ylab.{short}")
+        bindings.update({(module, attr): value for attr, value in vars(module).items()})
+    for short, cls_name, method in tracing.METHODS:
+        cls = getattr(importlib.import_module(f"ylab.{short}"), cls_name)
+        bindings[(cls, method)] = vars(cls)[method]
+    bindings.update({(sys.modules["ylab"], attr): value
+                     for attr, value in vars(sys.modules["ylab"]).items()})
+    return bindings
+
+
+def test_tracer_spans_one_operator_per_run_and_uninstalls(tracing, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG)
+    out = tmp_path / "out"
+    before = _bindings(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        rc = cli.main(["report", str(out / "traced"), "--audits", "convergence",
+                       "--out", str(tmp_path / "report.json")])
+        assert rc in (0, 4)  # a verdict, not a configuration error
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    names = {span.name for span in spans}
+    for name in ("flow.step", "flow._attempt_step", "operators.BoundaryLaplacian.apply",
+                 "cli.RunContext.checkpoints"):
+        assert name in names
+
+    def under_run_flow(span):
+        while span.parent >= 0:
+            span = spans[span.parent]
+            if span.name == "flow.run_flow":
+                return True
+        return False
+
+    builds = [s for s in spans if s.name == "operators.boundary_laplacian" and under_run_flow(s)]
+    assert len(builds) == 1
+    after = _bindings(tracing)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
