@@ -1,13 +1,13 @@
 """Command-line front end: configs, runs, persistence, reports.
 
 Configuration is INI-style ``key = value`` under the sections [run] [grid]
-[background] [initial] [flow] [monitor] [prescribe]; unknown sections or
-keys abort before any compute (fail-closed).  Every run writes its config
-as ``config.ini`` (the one run description), the monitor CSV, one binary
-checkpoint series with its JSON time columns, the final state, and a
-summary; `report` turns monitor series and checkpoints into audit verdicts.
-A sweep is a loop of `simulate --config` and one `report` over its run
-directories.
+[background] [initial] [flow]; unknown sections or keys abort before any
+compute (fail-closed).  Every run writes its config as ``config.ini`` (the
+one run description), the monitor CSV (whose columns the dimension fixes),
+one binary checkpoint series with its JSON time columns, the final state,
+and a summary; `report` checks a run's files once when it loads them and
+turns monitor series and checkpoints into audit verdicts.  A sweep is a
+loop of `simulate --config` and one `report` over its run directories.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure or halt,
 4 audit failure.
@@ -52,10 +52,12 @@ from .errors import (
 )
 from .flow import (
     MONITOR_SCALARS,
+    TAU_PRIMES,
     FlowConfig,
     FlowState,
     MonitorRecord,
     adm_mass,
+    default_p_list,
     far_field_window,
     run_flow,
     valid_time_horizon,
@@ -86,18 +88,16 @@ _FAMILIES = {
     ),
 }
 
-# FlowConfig fields are the [flow] keys, except these, which form [monitor]
-_MONITOR_KEYS = ("p_list", "tau_prime_list")
-
 _SCHEMA = {
     "run": {"id", "seed"},
     "grid": {key.lower() for key in _GRID_DEFAULTS},
     "background": {"name"},
     "initial": {"family"}.union(*(defaults for defaults, _ in _FAMILIES.values())),
-    "flow": {f.name for f in fields(FlowConfig) if f.name not in _MONITOR_KEYS},
-    "monitor": set(_MONITOR_KEYS),
-    "prescribe": {"amplitude"},
+    "flow": {f.name for f in fields(FlowConfig)},
 }
+
+# `prescribe` targets -PRESCRIBE_AMPLITUDE (1 + r^2)^(-(2+tau)/2)
+PRESCRIBE_AMPLITUDE = 0.1
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,6 @@ class RunManifest:
     grid: dict
     flow: FlowConfig
     seed: int | None = None
-    prescribe: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # the id names the run directory, which must stay inside the output root
@@ -134,14 +133,9 @@ def _get(cp, section, key, cast, default):
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
-def _float_list(raw: str) -> tuple:
-    return tuple(float(x) for x in raw.split(",") if x.strip() != "")
-
-
 def _flow_cast(annotation):
-    """Config cast of a FlowConfig field type: the type without None; tuples are float lists."""
-    base = next(t for t in typing.get_args(annotation) or (annotation,) if t is not type(None))
-    return _float_list if base is tuple else base
+    """Config cast of a FlowConfig field type: the type without None."""
+    return next(t for t in typing.get_args(annotation) or (annotation,) if t is not type(None))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunManifest:
@@ -176,13 +170,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunManifest:
 
     hints = typing.get_type_hints(FlowConfig)
     flow = FlowConfig(**{
-        f.name: _get(cp, "monitor" if f.name in _MONITOR_KEYS else "flow", f.name,
-                     _flow_cast(hints[f.name]), f.default)
+        f.name: _get(cp, "flow", f.name, _flow_cast(hints[f.name]), f.default)
         for f in fields(FlowConfig)
     })
     run_id = _get(cp, "run", "id", str, None) or _slug(f"{background}-{family}")
     seed = _get(cp, "run", "seed", int, None)
-    prescribe = {"amplitude": _get(cp, "prescribe", "amplitude", float, 0.1)}
     return RunManifest(
         run_id=run_id,
         background=background,
@@ -190,7 +182,6 @@ def parse_config_text(text: str, source: str = "<config>") -> RunManifest:
         grid=grid,
         flow=flow,
         seed=seed,
-        prescribe=prescribe,
     )
 
 
@@ -202,11 +193,9 @@ def parse_config(path) -> RunManifest:
 
 
 def _ini_value(value) -> str:
-    """INI text of a value: floats as %.17g, tuples comma-separated, None empty."""
+    """INI text of a value: floats as %.17g, None empty."""
     if value is None:
         return ""
-    if isinstance(value, tuple):
-        return ", ".join(_ini_value(x) for x in value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -214,7 +203,6 @@ def _ini_value(value) -> str:
 
 def serialize_manifest(manifest: RunManifest) -> str:
     """INI text that parses back to an equal manifest."""
-    flow = asdict(manifest.flow)
     family = manifest.initial_data["family"]
     sections = {
         "run": {"id": manifest.run_id},
@@ -224,9 +212,7 @@ def serialize_manifest(manifest: RunManifest) -> str:
             "family": family,
             **{key: manifest.initial_data[key] for key in _FAMILIES[family][0]},
         },
-        "flow": {key: value for key, value in flow.items() if key not in _MONITOR_KEYS},
-        "monitor": {key: flow[key] for key in _MONITOR_KEYS},
-        "prescribe": {"amplitude": manifest.prescribe.get("amplitude", 0.1)},
+        "flow": asdict(manifest.flow),
     }
     if manifest.seed is not None:
         sections["run"]["seed"] = manifest.seed
@@ -257,43 +243,55 @@ def build_run(manifest: RunManifest):
 # ---------------------------------------------------------------------------
 # monitor CSV
 
-def write_monitor_csv(path, records) -> None:
-    """One row per record; the lpR and wsupR columns are the first record's keys."""
-    p_list, tau_list = list(records[0].lp_R), list(records[0].weighted_sup_R)
-    cols = [*MONITOR_SCALARS, *(f"lpR_p{p:g}" for p in p_list)]
-    cols += [f"wsupR_tau{tp:g}" for tp in tau_list]
+def _monitor_columns(n: int) -> list:
+    """The monitor.csv header in dimension n: the scalars, then lpR_p<p>, then wsupR_tau<tau'>."""
+    return [
+        *MONITOR_SCALARS,
+        *(f"lpR_p{p:g}" for p in default_p_list(n)),
+        *(f"wsupR_tau{tp:g}" for tp in TAU_PRIMES),
+    ]
+
+
+def write_monitor_csv(path, records, n: int) -> None:
+    """One row per record, in the columns of _monitor_columns(n)."""
+    ps = default_p_list(n)
     lines = [
         "# one row per monitor record; lpR_p<x> = integral of |R|^p dV_t,"
         " wsupR_tau<y> = sup max(r,1)^y |R| (boundary stencil nodes excluded)",
-        ",".join(cols),
+        ",".join(_monitor_columns(n)),
     ]
     for rec in records:
         row = [getattr(rec, col) for col in MONITOR_SCALARS]
-        row += [rec.lp_R[p] for p in p_list]
-        row += [rec.weighted_sup_R[tp] for tp in tau_list]
+        row += [rec.lp_R[p] for p in ps]
+        row += [rec.weighted_sup_R[tp] for tp in TAU_PRIMES]
         lines.append(",".join(f"{x:.17g}" for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_monitor_csv(path) -> list:
-    """The monitor records parsed back from the CSV."""
+def read_monitor_csv(path, n: int) -> list:
+    """The monitor records of a run in dimension n parsed back from the CSV.
+
+    SchemaError unless the header is exactly _monitor_columns(n) and at least
+    one row follows it, each with one value per column.
+    """
     lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
-    if not lines:
-        raise SchemaError(f"monitor CSV {path} is empty")
-    header = lines[0].split(",")
-    for col in MONITOR_SCALARS:
-        if col not in header:
-            raise SchemaError(f"monitor CSV missing column {col!r}")
-    p_list = [float(c[len("lpR_p"):]) for c in header if c.startswith("lpR_p")]
-    tau_list = [float(c[len("wsupR_tau"):]) for c in header if c.startswith("wsupR_tau")]
+    columns = _monitor_columns(n)
+    if not lines or lines[0].split(",") != columns:
+        raise SchemaError(f"monitor CSV {path} lacks the dimension-{n} header {','.join(columns)}")
+    if len(lines) < 2:
+        raise SchemaError(f"monitor CSV {path} holds no record")
+    ps = default_p_list(n)
+    lp_end = len(MONITOR_SCALARS) + len(ps)
     records = []
     for line in lines[1:]:
-        vals = dict(zip(header, (float(x) for x in line.split(","))))
+        values = [float(x) for x in line.split(",")]
+        if len(values) != len(columns):
+            raise SchemaError(f"monitor CSV {path} has a row of {len(values)} values")
         records.append(
             MonitorRecord(
-                **{col: vals[col] for col in MONITOR_SCALARS},
-                lp_R={p: vals[f"lpR_p{p:g}"] for p in p_list},
-                weighted_sup_R={tp: vals[f"wsupR_tau{tp:g}"] for tp in tau_list},
+                *values[:len(MONITOR_SCALARS)],
+                lp_R=dict(zip(ps, values[len(MONITOR_SCALARS):lp_end])),
+                weighted_sup_R=dict(zip(TAU_PRIMES, values[lp_end:])),
             )
         )
     return records
@@ -306,7 +304,8 @@ def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-_CHECKPOINT_COLUMNS = ("t", "dt", "step_index")
+# checkpoint time column -> the JSON numbers it holds
+_CHECKPOINT_COLUMNS = {"t": (int, float), "dt": (int, float), "step_index": int}
 
 
 def write_checkpoints(path, checkpoints) -> None:
@@ -325,8 +324,9 @@ def read_checkpoints(path, grid) -> list:
     """FlowStates written by write_checkpoints, bound to grid (one load of the series).
 
     A missing, truncated or malformed series, radii that differ from grid, a
-    nonpositive snapshot, or time columns whose lengths differ from the
-    number of snapshots raise a ConfigError naming the file.
+    nonpositive snapshot, time columns whose lengths differ from the number
+    of snapshots, or a t or dt that is not a finite number or a step_index
+    that is not an integer raise a ConfigError naming the file.
     """
     path = Path(path)
     try:
@@ -345,6 +345,12 @@ def read_checkpoints(path, grid) -> list:
             f"{meta_path} has columns {dict(zip(_CHECKPOINT_COLUMNS, lengths))} long"
             f" for {len(fields)} snapshots in {path.name}"
         )
+    for (key, kinds), column in zip(_CHECKPOINT_COLUMNS.items(), columns):
+        for x in column:
+            if (isinstance(x, bool) or not isinstance(x, kinds)
+                    or isinstance(x, float) and not math.isfinite(x)):
+                raise ConfigError(f"{meta_path} has a {key} entry {x!r} that is not a"
+                                  f" finite {'integer' if kinds is int else 'number'}")
     try:
         return [FlowState(t, u, dt, step) for t, dt, step, u in zip(*columns, fields)]
     except PositivityError as exc:
@@ -362,7 +368,7 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
 
     result = run_flow(bg, init, cfg)
 
-    write_monitor_csv(rundir / "monitor.csv", result.records)
+    write_monitor_csv(rundir / "monitor.csv", result.records, grid.n)
     write_field_csv(result.final.u, rundir / "final_state.csv", header="r,u")
     write_checkpoints(rundir / "checkpoints.npy", result.checkpoints)
 
@@ -419,8 +425,8 @@ def load_run(rundir) -> RunContext:
         raise ConfigError(f"{config_path} is malformed: {exc}") from exc
     monitor_path, summary_path = rundir / "monitor.csv", rundir / "summary.json"
     try:
-        records = read_monitor_csv(monitor_path)
-    except (OSError, ValueError, KeyError, SchemaError) as exc:
+        records = read_monitor_csv(monitor_path, grid.n)
+    except (OSError, ValueError, SchemaError) as exc:
         raise ConfigError(f"{monitor_path} is missing or unreadable: {exc!r}") from exc
     try:
         summary = json.loads(summary_path.read_text())
@@ -453,17 +459,9 @@ def _audit_mass_drift(ctx: RunContext) -> diag.Verdict:
     )
 
 
-def _lp_series(records, p: float) -> list:
-    """The lpR_p<p> monitor column; SchemaError when the run did not monitor p."""
-    try:
-        return [r.lp_R[p] for r in records]
-    except KeyError:
-        raise SchemaError(f"monitor.csv has no lpR_p{p:g} column") from None
-
-
 def _audit_lp_monotone(ctx: RunContext) -> diag.Verdict:
     n = ctx.grid.n
-    series = _lp_series(_skip_transient(ctx.records), n / 2.0)
+    series = [r.lp_R[n / 2.0] for r in _skip_transient(ctx.records)]
     audit = diag.audit_monotone(series, diag.NONINCREASING, 1e-8, quantity=f"lpR_p{n / 2:g}")
     return diag.Verdict("lp-monotone", audit.passed, audit.to_json())
 
@@ -473,7 +471,7 @@ def _audit_lp_window(ctx: RunContext) -> diag.Verdict:
     details = {}
     ok = True
     for p in (n / 2.0 - 0.1, n / 2.0 + 0.1):
-        series = _lp_series(_skip_transient(ctx.records), p)
+        series = [r.lp_R[p] for r in _skip_transient(ctx.records)]
         audit = diag.audit_monotone(series, diag.NONINCREASING, 1e-8, quantity=f"lpR_p{p:g}")
         details[f"p={p:g}"] = audit.to_json()
         ok = ok and audit.passed
@@ -496,10 +494,7 @@ def _decay_window(ctx: RunContext):
 def _audit_sup_r_decay(ctx: RunContext) -> diag.Verdict:
     ts = [r.t for r in ctx.records]
     ys = [r.sup_R for r in ctx.records]
-    try:
-        fit = diag.fit_decay_exponent(ts, ys, window=_decay_window(ctx))
-    except YlabError as exc:
-        return diag.Verdict("sup-r-decay", False, {"error": str(exc)})
+    fit = diag.fit_decay_exponent(ts, ys, window=_decay_window(ctx))
     passed = fit.exponent <= -1.0 and fit.r_squared >= 0.9
     return diag.Verdict("sup-r-decay", passed, fit.to_json())
 
@@ -510,13 +505,10 @@ def _audit_convergence(ctx: RunContext) -> diag.Verdict:
         u_inf, _ = solve_scalar_flat(ctx.bg)
     except NonPositiveYamabeError:
         return diag.Verdict("convergence", None, skipped_reason="no scalar-flat limit (Y <= 0)")
-    try:
-        rep = diag.convergence_to_limit(
-            checkpoints, u_inf, 0.0,
-            valid_t_max=valid_time_horizon(ctx.grid),
-        )
-    except YlabError as exc:
-        return diag.Verdict("convergence", False, {"error": str(exc)})
+    rep = diag.convergence_to_limit(
+        checkpoints, u_inf, 0.0,
+        valid_t_max=valid_time_horizon(ctx.grid),
+    )
     if rep.zero_series:
         return diag.Verdict("convergence", True, {"zero_series": True})
     return diag.Verdict(
@@ -574,11 +566,23 @@ _AUDITS = {
 }
 
 
+# errors main turns into exit codes 2 and 3; report passes them on
+_CONFIG_ERRORS = (ConfigError, ParameterError)
+_NUMERICAL_ERRORS = (ConvergenceError, NonPositiveYamabeError, FlowSingularityError)
+
+
 def _run_audit(name: str, ctx: RunContext) -> diag.Verdict:
-    """One audit's verdict; a monitor column it needs but the run lacks fails it."""
+    """One audit's verdict; an audit that cannot be computed from the run fails it.
+
+    Such an audit (say, a decay fit with too few points in its window)
+    reports the reason in details.error.  Errors with an exit code of their
+    own propagate.
+    """
     try:
         return _AUDITS[name](ctx)
-    except SchemaError as exc:
+    except _CONFIG_ERRORS + _NUMERICAL_ERRORS:
+        raise
+    except YlabError as exc:
         return diag.Verdict(name, False, {"error": str(exc)})
 
 
@@ -588,6 +592,7 @@ def cmd_report(run_dirs, audits, out=None, plots=False) -> int:
         if name not in _AUDITS:
             raise ConfigError(f"unknown audit {name!r}; known: {sorted(_AUDITS)}")
     runs = []
+    charts = []  # (run_id, rundir, t, sup_R) of each run when plots is set
     any_failed = False
     for rundir in run_dirs:
         ctx = load_run(rundir)
@@ -595,16 +600,8 @@ def cmd_report(run_dirs, audits, out=None, plots=False) -> int:
         any_failed |= any(v.passed is False for v in verdicts)
         runs.append({"run_id": ctx.manifest.run_id, "audits": [v.to_json() for v in verdicts]})
         if plots:
-            ts = [r.t for r in ctx.records]
-            ys = [r.sup_R for r in ctx.records]
-            try:
-                svg_line_chart(
-                    Path(rundir) / "sup_R.svg", ts, ys,
-                    title=f"{ctx.manifest.run_id}: sup |R|",
-                    xlabel="t", ylabel="sup |R|",
-                )
-            except ValueError:
-                pass
+            charts.append((ctx.manifest.run_id, ctx.rundir,
+                           [r.t for r in ctx.records], [r.sup_R for r in ctx.records]))
 
     report = {"runs": runs, "audits_requested": list(audits)}
     out_path = Path(out) if out else Path(run_dirs[0]).parent / "report.json"
@@ -612,6 +609,16 @@ def cmd_report(run_dirs, audits, out=None, plots=False) -> int:
         _write_json(out_path, report)
     except OSError as exc:
         raise ConfigError(f"cannot write the report to {out_path}: {exc}") from exc
+    # charts only after the report, so a report that cannot be written leaves none
+    for run_id, rundir, ts, ys in charts:
+        try:
+            svg_line_chart(
+                rundir / "sup_R.svg", ts, ys,
+                title=f"{run_id}: sup |R|",
+                xlabel="t", ylabel="sup |R|",
+            )
+        except ValueError:
+            pass
 
     width = max([len("audit")] + [len(v["name"]) for run in runs for v in run["audits"]])
     print(f"{'run':<32} {'audit':<{width}} {'result':<8} detail")
@@ -701,9 +708,8 @@ def cmd_yamabe_sign(manifest: RunManifest, out_root) -> int:
 def cmd_prescribe(manifest: RunManifest, out_root) -> int:
     grid, bg = build_background(manifest)
     outdir = _solver_outdir(out_root, f"prescribe-{_slug(bg.name)}")
-    c = manifest.prescribe.get("amplitude", 0.1)
     target = RadialField(
-        grid, -c * (1.0 + grid.nodes**2) ** (-(2.0 + bg.tau) / 2.0)
+        grid, -PRESCRIBE_AMPLITUDE * (1.0 + grid.nodes**2) ** (-(2.0 + bg.tau) / 2.0)
     )
     try:
         phi, report = prescribe_scalar_curvature(bg, target)
@@ -783,10 +789,10 @@ def main(argv=None) -> int:
             audits = [a for a in args.audits.split(",") if a]
             return cmd_report(args.run_dirs, audits, out=args.out, plots=args.plots)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, ParameterError) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, NonPositiveYamabeError, FlowSingularityError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -202,7 +202,7 @@ def convergence_to_limit(
     norms_a = np.asarray(norms)
     if np.all(norms_a == 0.0):
         return ConvergenceReport(tuple(times), tuple(norms), None, zero_series=True)
-    t_hi = times_a[-1] if valid_t_max is None else min(times_a[-1], valid_t_max)
+    t_hi = times[-1] if valid_t_max is None else min(times[-1], valid_t_max)
     window = (t_hi / 2.0, t_hi)
     usable = (times_a > 0.0) & (times_a <= t_hi)
     if np.count_nonzero((times_a >= window[0]) & usable) < 8:

@@ -56,6 +56,10 @@ def default_p_list(n: int) -> tuple:
     return tuple(sorted(ps))
 
 
+# monitored weights tau' of sup max(r,1)^{tau'} |R|
+TAU_PRIMES = (0.0, 0.5)
+
+
 def valid_time_horizon(grid: RadialGrid) -> float:
     """Horizon t <= R_max^2 / (16 (n-1)) inside which truncation is faithful."""
     return grid.R_max**2 / (16.0 * (grid.n - 1.0))
@@ -71,8 +75,6 @@ class FlowConfig:
     monitor_every: int = 10
     checkpoint_every: int = 100
     safety: float = 1.3
-    p_list: tuple | None = None
-    tau_prime_list: tuple = (0.0, 0.5)
     stop_max_u: float | None = None
 
     def __post_init__(self):
@@ -90,13 +92,8 @@ class FlowConfig:
             raise ConfigError("cadences must be >= 1")
         if self.safety < 1.0:
             raise ConfigError("safety factor must be >= 1")
-        if self.p_list is not None and any(p < 1.0 for p in self.p_list):
-            raise ConfigError(f"every monitored p must be >= 1, got p_list = {self.p_list}")
         if self.stop_max_u is not None and self.stop_max_u <= 0.0:
             raise ConfigError(f"stop_max_u must be positive, got {self.stop_max_u}")
-
-    def monitored_p(self, n: int) -> tuple:
-        return self.p_list if self.p_list is not None else default_p_list(n)
 
 
 @dataclass(frozen=True)
@@ -261,18 +258,19 @@ def adm_mass(u: RadialField) -> float:
     return 2.0 * float(basis @ dev / (basis @ basis))
 
 
-def monitor(
-    state: FlowState, bg: BackgroundSpec, cfg: FlowConfig, lap: BoundaryLaplacian
-) -> MonitorRecord:
-    """Evaluate every audited quantity at the current state, R with the run's operator lap."""
+def monitor(state: FlowState, bg: BackgroundSpec, lap: BoundaryLaplacian) -> MonitorRecord:
+    """Evaluate every audited quantity at the current state, R with the run's operator lap.
+
+    lp_R holds p in default_p_list(n), weighted_sup_R tau' in TAU_PRIMES.
+    """
     u = state.u
     grid = u.grid
     R = compute_R(u, bg, lap)
     interior = ~origin_mask(grid)
     Ri = R.values[interior]
     wi = grid.w[interior]
-    lp = {p: lp_integral(R, p, u) for p in cfg.monitored_p(bg.n)}
-    wsup = {tp: float(np.max(wi**tp * np.abs(Ri))) for tp in cfg.tau_prime_list}
+    lp = {p: lp_integral(R, p, u) for p in default_p_list(bg.n)}
+    wsup = {tp: float(np.max(wi**tp * np.abs(Ri))) for tp in TAU_PRIMES}
     return MonitorRecord(
         t=state.t,
         sup_R=float(np.max(np.abs(Ri))),
@@ -297,7 +295,7 @@ def run_flow(bg: BackgroundSpec, init: InitialData, cfg: FlowConfig) -> RunResul
         raise GridMismatchError("initial data and background live on different grids")
     lap = boundary_laplacian(bg.grid, initial_inner_flux(init.u0))
     state = FlowState(t=0.0, u=init.u0, dt=cfg.dt0, step_index=0)
-    records = [monitor(state, bg, cfg, lap)]
+    records = [monitor(state, bg, lap)]
     checkpoints = [state]
     last_monitored = 0
     last_checkpointed = 0
@@ -318,7 +316,7 @@ def run_flow(bg: BackgroundSpec, init: InitialData, cfg: FlowConfig) -> RunResul
             break
         idx = state.step_index
         if idx % cfg.monitor_every == 0:
-            records.append(monitor(state, bg, cfg, lap))
+            records.append(monitor(state, bg, lap))
             last_monitored = idx
         if idx % cfg.checkpoint_every == 0:
             checkpoints.append(state)
@@ -329,7 +327,7 @@ def run_flow(bg: BackgroundSpec, init: InitialData, cfg: FlowConfig) -> RunResul
             break
 
     if state.step_index != last_monitored:
-        records.append(monitor(state, bg, cfg, lap))
+        records.append(monitor(state, bg, lap))
     if state.step_index != last_checkpointed:
         checkpoints.append(state)
     return RunResult(

@@ -307,12 +307,6 @@ def write_field_csv(f: RadialField, path, header: str = "r,value") -> None:
         fh.write(f"{header}\n" + "%.17g,%.17g\n" * f.values.size % tuple(pairs))
 
 
-def read_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a field CSV back as (radii, values); grid binding is up to the caller."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return data[:, 0].copy(), data[:, 1].copy()
-
-
 def bind_field(grid: RadialGrid, radii: np.ndarray, values: np.ndarray) -> RadialField:
     if radii.shape != grid.nodes.shape or not np.allclose(radii, grid.nodes, rtol=0, atol=1e-15):
         raise GridMismatchError("stored radii do not match the target grid")

@@ -13,6 +13,8 @@ import ylab.cli as cli
 from ylab.cli import (
     _AUDITS,
     _FAMILIES,
+    _SCHEMA,
+    _monitor_columns,
     build_run,
     cmd_report,
     cmd_simulate,
@@ -105,13 +107,6 @@ monitor_every = 2
 checkpoint_every = 100
 safety = 1.3
 stop_max_u =\x20
-
-[monitor]
-p_list =\x20
-tau_prime_list = 0, 0.5
-
-[prescribe]
-amplitude = 0.10000000000000001
 """
 
 
@@ -139,10 +134,26 @@ class TestParseConfig:
         assert serialize_manifest(parse_config_text(README_CONFIG)) == README_INI
 
     def test_round_trip_with_every_section(self):
-        text = BUMP_CONFIG + "\n[monitor]\np_list = 1.0, 1.5, 2.0\ntau_prime_list = 0.0\n"
+        text = BUMP_CONFIG + "\n[background]\nname = flat3\n"
         m = parse_config_text(text)
-        assert m.flow.p_list == (1.0, 1.5, 2.0)
+        assert m.background == "flat3"
         assert parse_config_text(serialize_manifest(m)) == m
+
+    def test_formats_doc_lists_every_config_key(self):
+        doc = (ROOT / "docs" / "formats.md").read_text()
+        block = doc.split("### Config INI dialect")[1].split("```ini\n")[1].split("```")[0]
+        listed = {}
+        section = None
+        for line in block.splitlines():
+            line = line.split("#")[0]
+            head = re.match(r"\[(\w+)\]", line)
+            if head:
+                section = head.group(1)
+                line = line[head.end():]
+            listed.setdefault(section, set()).update(
+                key.lower() for key in re.findall(r"[A-Za-z_]\w*", line)
+            )
+        assert listed == _SCHEMA
 
     def test_seed_round_trips(self):
         m = parse_config_text("[run]\nseed = 42\n")
@@ -168,8 +179,10 @@ class TestParseConfig:
                 parse_config_text(f"[flow]\n{key}\n")
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("[paths]\nout = /tmp\n")
+        for text in ("[paths]\nout = /tmp\n", "[monitor]\np_list = 2.0\n",
+                     "[prescribe]\namplitude = 0.1\n"):
+            with pytest.raises(ConfigError, match="unknown config section"):
+                parse_config_text(text)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
@@ -211,13 +224,10 @@ class TestMonitorCsv:
 
         res = run_flow(bg, init, cfg)
         path = tmp_path / "monitor.csv"
-        write_monitor_csv(path, res.records)
+        write_monitor_csv(path, res.records, 3)
         header = path.read_text().splitlines()[1].split(",")
-        assert [c for c in header if c.startswith(("lpR", "wsupR"))] == [
-            *(f"lpR_p{p:g}" for p in cfg.monitored_p(3)),
-            *(f"wsupR_tau{tp:g}" for tp in cfg.tau_prime_list),
-        ]
-        assert read_monitor_csv(path) == res.records  # 17 digits round-trip floats
+        assert header == _monitor_columns(3)
+        assert read_monitor_csv(path, 3) == res.records  # 17 digits round-trip floats
 
 
 class TestSimulate:
@@ -263,10 +273,8 @@ class TestSimulate:
              "[initial]\nfamily = gaussian_bump\neps = -0.5\n", "eps must be > -1"),
             ("[grid]\nM = 16\nR_max = 512\n", "[grid]\nM = 64\nR_max = 512\n",
              "fewer than 8 nodes in the far-field fit window"),
-            ("[monitor]\np_list = 0.5, 1.5\n", "[monitor]\np_list = 1.5\n",
-             "every monitored p must be >= 1"),
         ],
-        ids=["unknown-background", "too-deep-bump", "coarse-grid", "p-below-one"],
+        ids=["unknown-background", "too-deep-bump", "coarse-grid"],
     )
     def test_config_error_leaves_no_run_directory(self, tmp_path, capsys, bad, good, message):
         config = tmp_path / "run.ini"
@@ -348,6 +356,23 @@ def _drop_last_time(path):
     path.write_text(json.dumps(meta))
 
 
+def _set_last(key, value):
+    def corrupt(path):
+        meta = json.loads(path.read_text())
+        meta[key][-1] = value
+        path.write_text(json.dumps(meta))
+    return corrupt
+
+
+def _drop_monitor_column(column):
+    def corrupt(path):
+        comment, *rows = path.read_text().splitlines()
+        col = rows[0].split(",").index(column)
+        rows = [",".join(v for i, v in enumerate(row.split(",")) if i != col) for row in rows]
+        path.write_text("\n".join([comment, *rows]) + "\n")
+    return corrupt
+
+
 class TestReport:
     def test_passing_audits_exit_zero(self, bump_run, capsys):
         audits = ["lp-monotone", "min-r-monotone", "lp-inequality"]
@@ -410,6 +435,7 @@ class TestReport:
         (verdict,) = json.loads(out.read_text())["runs"][0]["audits"]
         assert verdict["pass"] is False
         assert "8 points" in verdict["details"]["error"]
+        assert "np.float64" not in verdict["details"]["error"]
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -440,10 +466,13 @@ class TestReport:
             ("summary.json", lambda path: path.write_text("{not json")),
             ("summary.json", lambda path: path.write_text("{}")),
             ("summary.json", lambda path: path.write_text('{"halted": 0}')),
+            ("monitor.csv", _drop_monitor_column("lpR_p1.5")),
+            ("monitor.csv", lambda path: path.write_text(
+                "\n".join(path.read_text().splitlines()[:2]) + "\n")),
         ],
         ids=["missing-monitor", "missing-summary", "monitor-without-columns",
              "truncated-monitor", "unreadable-summary", "summary-without-halted",
-             "non-boolean-halted"],
+             "non-boolean-halted", "missing-lp-column", "header-only-monitor"],
     )
     def test_incomplete_run_directory_is_config_error(
         self, bump_run, tmp_path, capsys, name, corrupt
@@ -468,9 +497,13 @@ class TestReport:
             ("checkpoints.npy", _shift_radius),
             ("checkpoints.npy", _negate_one_value),
             ("checkpoints.json", _drop_last_time),
+            ("checkpoints.json", _set_last("t", "late")),
+            ("checkpoints.json", _set_last("t", None)),
+            ("checkpoints.json", _set_last("dt", "0.1")),
         ],
         ids=["missing-series", "truncated-series", "wrong-shape-series",
-             "radii-mismatch", "nonpositive-row", "short-time-column"],
+             "radii-mismatch", "nonpositive-row", "short-time-column",
+             "string-t", "null-t", "string-dt"],
     )
     def test_unreadable_checkpoint_series_is_config_error(
         self, bump_run, tmp_path, capsys, name, corrupt, audit
@@ -505,31 +538,15 @@ class TestReport:
         assert verdicts[0][0]["details"]["window"] == [0.5625, 1.125]
 
     def test_unwritable_report_path_is_config_error(self, bump_run, tmp_path, capsys):
+        rundir = tmp_path / "run"
+        shutil.copytree(bump_run, rundir, ignore=shutil.ignore_patterns("sup_R.svg"))
+        listing = sorted(p.name for p in rundir.iterdir())
         out = tmp_path / "nonexistent" / "dir" / "r.json"
-        rc = main(["report", str(bump_run), "--audits", "mass-drift", "--out", str(out)])
+        rc = main(["report", str(rundir), "--audits", "mass-drift", "--plots",
+                   "--out", str(out)])
         assert rc == 2
         assert str(out) in capsys.readouterr().err
-
-    @pytest.fixture(scope="class")
-    def p2_run(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("p2")
-        config = BUMP_CONFIG + "\n[monitor]\np_list = 2.0\n"
-        assert cmd_simulate(parse_config_text(config), root) == 0
-        return root / "bump-test"
-
-    @pytest.mark.parametrize(
-        "audit, column",
-        [("lp-monotone", "lpR_p1.5"), ("lp-monotone-window", "lpR_p1.4"),
-         ("lp-inequality", "lpR_p1.6")],
-    )
-    def test_unmonitored_lp_column_fails_cleanly(self, p2_run, tmp_path, audit, column):
-        out = tmp_path / "rep.json"
-        rc = main(["report", str(p2_run), "--audits", audit, "--out", str(out)])
-        assert rc == 4
-        (verdict,) = json.loads(out.read_text())["runs"][0]["audits"]
-        assert verdict["name"] == audit
-        assert verdict["pass"] is False
-        assert column in verdict["details"]["error"]
+        assert sorted(p.name for p in rundir.iterdir()) == listing  # no chart either
 
     def test_checkpoints_read_once_per_run(self, dense_run, tmp_path, monkeypatch):
         rundir = dense_run

@@ -205,9 +205,8 @@ class TestAdmMass:
 
 class TestMonitor:
     def test_flat_record_trivial(self, grid, flat):
-        cfg = FlowConfig()
         state = FlowState(0.0, constant_field(grid, 1.0), 0.1, 0)
-        rec = monitor(state, flat, cfg, boundary_laplacian(grid))
+        rec = monitor(state, flat, boundary_laplacian(grid))
         assert rec.sup_R == 0.0
         assert rec.mass == 0.0
         assert rec.min_u == rec.max_u == 1.0
