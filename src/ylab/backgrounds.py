@@ -16,7 +16,7 @@ elliptic.compute_R is the one formula for the scalar curvature of a factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,20 +119,14 @@ class InitialData:
 
     u0: RadialField
     family: str
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.min(self.u0.values) <= 0.0:
             raise PositivityError("initial factor must be positive everywhere")
 
-    def decay_constant(self, tau: float) -> float:
-        """Smallest C with |u0 - 1| <= C max(r,1)^{-tau} on the grid."""
-        g = self.u0.grid
-        return float(np.max(np.abs(self.u0.values - 1.0) * g.w**tau))
-
 
 def flat_data(grid: RadialGrid) -> InitialData:
-    return InitialData(constant_field(grid, 1.0), "flat", {})
+    return InitialData(constant_field(grid, 1.0), "flat")
 
 
 def schwarzschild_data(n: int, m: float, grid: RadialGrid) -> InitialData:
@@ -151,7 +145,7 @@ def schwarzschild_data(n: int, m: float, grid: RadialGrid) -> InitialData:
         u0 = 1.0 + m / (2.0 * grid.nodes ** (n - 2.0))
     else:
         u0 = np.ones(grid.nodes.shape)
-    return InitialData(RadialField(grid, u0), "schwarzschild", {"m": m})
+    return InitialData(RadialField(grid, u0), "schwarzschild")
 
 
 def gaussian_bump_data(grid: RadialGrid, eps: float, sigma: float) -> InitialData:
@@ -161,7 +155,7 @@ def gaussian_bump_data(grid: RadialGrid, eps: float, sigma: float) -> InitialDat
     if eps <= -1.0:
         raise ParameterError(f"eps must be > -1 for a positive factor, got {eps}")
     u0 = 1.0 + eps * np.exp(-(grid.nodes**2) / sigma**2)
-    return InitialData(RadialField(grid, u0), "gaussian_bump", {"eps": eps, "sigma": sigma})
+    return InitialData(RadialField(grid, u0), "gaussian_bump")
 
 
 def newtonian_data(grid: RadialGrid, source: RadialField) -> InitialData:
@@ -198,7 +192,7 @@ def newtonian_data(grid: RadialGrid, source: RadialField) -> InitialData:
     phi[inner] = I1[inner] / r[inner] + I2[inner]
     if not inner.all():
         phi[~inner] = I2[~inner]
-    return InitialData(RadialField(grid, 1.0 + phi), "newtonian", {})
+    return InitialData(RadialField(grid, 1.0 + phi), "newtonian")
 
 
 def bump_source(grid: RadialGrid, total: float, radius: float) -> RadialField:

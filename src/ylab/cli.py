@@ -6,8 +6,9 @@ compute (fail-closed).  Every run writes its config as ``config.ini`` (the
 one run description), the monitor CSV (whose columns the dimension fixes),
 one binary checkpoint series with its JSON time columns, the final state,
 and a summary; `report` checks a run's files once when it loads them and
-turns monitor series and checkpoints into audit verdicts.  A sweep is a
-loop of `simulate --config` and one `report` over its run directories.
+hands its monitor series and checkpoints to the audits of `diagnostics`.
+A sweep is a loop of `simulate --config` and one `report` over its run
+directories.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure or halt,
 4 audit failure.
@@ -23,6 +24,7 @@ import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 from . import diagnostics as diag
@@ -60,7 +62,6 @@ from .flow import (
     default_p_list,
     far_field_window,
     run_flow,
-    valid_time_horizon,
 )
 from .grids import (
     RadialField,
@@ -396,7 +397,13 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
 
 @dataclass
 class RunContext:
-    rundir: Path
+    """One run as the audits read it.
+
+    load_run reads a run directory, whose checkpoint series checkpoints()
+    loads on its first call; from_result holds a run_flow result in memory.
+    """
+
+    rundir: Path | None
     manifest: RunManifest
     grid: object
     bg: object
@@ -405,11 +412,26 @@ class RunContext:
 
     _checkpoints: list | None = field(default=None, init=False, repr=False, compare=False)
 
+    @classmethod
+    def from_result(cls, manifest: RunManifest, bg, result) -> "RunContext":
+        """The run_flow result of manifest on background bg, with no run directory."""
+        run = cls(None, manifest, bg.grid, bg, result.records, result.halted)
+        run._checkpoints = result.checkpoints
+        return run
+
     def checkpoints(self):
         """Checkpoints in step order (each unpacks as (t, u)), read on the first call only."""
         if self._checkpoints is None:
             self._checkpoints = read_checkpoints(self.rundir / "checkpoints.npy", self.grid)
         return self._checkpoints
+
+    @cached_property
+    def limit(self):
+        """The scalar-flat limit u_inf, or None when Y <= 0; solved on first use only."""
+        try:
+            return solve_scalar_flat(self.bg)[0]
+        except NonPositiveYamabeError:
+            return None
 
 
 def load_run(rundir) -> RunContext:
@@ -438,128 +460,22 @@ def load_run(rundir) -> RunContext:
     return RunContext(rundir, manifest, grid, bg, records, halted)
 
 
-def _skip_transient(records, count=5):
-    return records[count:] if len(records) > count + 2 else records
-
-
-def _audit_fixed_point(ctx: RunContext) -> diag.Verdict:
-    bound = 10.0 * ctx.grid.h**2
-    worst = max(r.sup_R for r in ctx.records)
-    return diag.Verdict(
-        "fixed-point", worst <= bound, {"max_sup_R": worst, "bound": bound}
-    )
-
-
-def _audit_mass_drift(ctx: RunContext) -> diag.Verdict:
-    m0 = ctx.records[0].mass
-    drift = max(abs(r.mass - m0) for r in ctx.records)
-    bound = 1e-2 * max(abs(m0), 1.0)
-    return diag.Verdict(
-        "mass-drift", drift <= bound, {"drift": drift, "bound": bound, "m0": m0}
-    )
-
-
-def _audit_lp_monotone(ctx: RunContext) -> diag.Verdict:
-    n = ctx.grid.n
-    series = [r.lp_R[n / 2.0] for r in _skip_transient(ctx.records)]
-    audit = diag.audit_monotone(series, diag.NONINCREASING, 1e-8, quantity=f"lpR_p{n / 2:g}")
-    return diag.Verdict("lp-monotone", audit.passed, audit.to_json())
-
-
-def _audit_lp_window(ctx: RunContext) -> diag.Verdict:
-    n = ctx.grid.n
-    details = {}
-    ok = True
-    for p in (n / 2.0 - 0.1, n / 2.0 + 0.1):
-        series = [r.lp_R[p] for r in _skip_transient(ctx.records)]
-        audit = diag.audit_monotone(series, diag.NONINCREASING, 1e-8, quantity=f"lpR_p{p:g}")
-        details[f"p={p:g}"] = audit.to_json()
-        ok = ok and audit.passed
-    return diag.Verdict("lp-monotone-window", ok, details)
-
-
-def _audit_min_r(ctx: RunContext) -> diag.Verdict:
-    series = [r.min_R for r in ctx.records]
-    audit = diag.audit_monotone(
-        series, diag.NONDECREASING, 10.0 * ctx.grid.h**2, quantity="min_R"
-    )
-    return diag.Verdict("min-r-monotone", audit.passed, audit.to_json())
-
-
-def _decay_window(ctx: RunContext):
-    t_hi = min(ctx.records[-1].t, valid_time_horizon(ctx.grid))
-    return (t_hi / 2.0, t_hi)
-
-
-def _audit_sup_r_decay(ctx: RunContext) -> diag.Verdict:
-    ts = [r.t for r in ctx.records]
-    ys = [r.sup_R for r in ctx.records]
-    fit = diag.fit_decay_exponent(ts, ys, window=_decay_window(ctx))
-    passed = fit.exponent <= -1.0 and fit.r_squared >= 0.9
-    return diag.Verdict("sup-r-decay", passed, fit.to_json())
-
-
-def _audit_convergence(ctx: RunContext) -> diag.Verdict:
-    checkpoints = ctx.checkpoints()  # an unreadable series is a ConfigError, not a verdict
-    try:
-        u_inf, _ = solve_scalar_flat(ctx.bg)
-    except NonPositiveYamabeError:
-        return diag.Verdict("convergence", None, skipped_reason="no scalar-flat limit (Y <= 0)")
-    rep = diag.convergence_to_limit(
-        checkpoints, u_inf, 0.0,
-        valid_t_max=valid_time_horizon(ctx.grid),
-    )
-    if rep.zero_series:
-        return diag.Verdict("convergence", True, {"zero_series": True})
-    return diag.Verdict(
-        "convergence", rep.fit.exponent < 0.0,
-        {"fit": rep.fit.to_json(), "terminal_norm": rep.norms[-1]},
-    )
-
-
-def _audit_mass_drop(ctx: RunContext) -> diag.Verdict:
-    n = ctx.grid.n
-    try:
-        u_inf, _ = solve_scalar_flat(ctx.bg)
-        m_inf = adm_mass(u_inf)
-    except NonPositiveYamabeError:
-        return diag.Verdict("mass-drop", None, skipped_reason="no scalar-flat limit (Y <= 0)")
-    records = [r for r in ctx.records if r.t <= valid_time_horizon(ctx.grid)]
-    rep = diag.mass_drop_report(records, m_inf, n)
-    m0 = records[0].mass
-    ok = (
-        rep.drift_rel <= 1e-2
-        and rep.drop_error <= 0.05 * max(abs(rep.drop_expected), 1.0)
-        and rep.combination_error <= 0.05 * max(abs(m0), 1.0)
-    )
-    details = rep.to_json()
-    details["m_inf"] = m_inf
-    return diag.Verdict("mass-drop", ok, details)
-
-
-def _audit_spacetime(ctx: RunContext) -> diag.Verdict:
-    return diag.spacetime_decay_audit(
-        ctx.checkpoints(), ctx.bg, tau_prime=0.5, delta0=0.1, applicable=not ctx.halted
-    )
-
-
-def _audit_blowup(ctx: RunContext) -> diag.Verdict:
-    max_u = max(r.max_u for r in ctx.records)
-    ok = ctx.halted or max_u >= 1e3
-    return diag.Verdict("blowup", ok, {"halted": ctx.halted, "max_u": max_u})
-
-
+# audit name -> its verdict on a run, from the diagnostics gate of that claim
+# (convergence reads the checkpoints first: an unreadable series is a
+# ConfigError even when Y <= 0)
 _AUDITS = {
-    "fixed-point": _audit_fixed_point,
-    "mass-drift": _audit_mass_drift,
-    "lp-monotone": _audit_lp_monotone,
-    "lp-monotone-window": _audit_lp_window,
-    "min-r-monotone": _audit_min_r,
-    "sup-r-decay": _audit_sup_r_decay,
-    "convergence": _audit_convergence,
-    "mass-drop": _audit_mass_drop,
-    "spacetime-decay": _audit_spacetime,
-    "blowup": _audit_blowup,
+    "fixed-point": lambda ctx: diag.fixed_point_audit(ctx.records, ctx.grid),
+    "mass-drift": lambda ctx: diag.mass_drift_audit(ctx.records),
+    "lp-monotone": lambda ctx: diag.lp_monotone_audit(ctx.records, ctx.grid.n),
+    "lp-monotone-window": lambda ctx: diag.lp_window_audit(ctx.records, ctx.grid.n),
+    "min-r-monotone": lambda ctx: diag.min_r_audit(ctx.records, ctx.grid),
+    "sup-r-decay": lambda ctx: diag.sup_r_decay_audit(ctx.records, ctx.grid),
+    "convergence": lambda ctx: diag.convergence_to_limit(ctx.checkpoints(), ctx.limit, ctx.bg),
+    "mass-drop": lambda ctx: diag.mass_drop_report(ctx.records, ctx.limit, ctx.grid),
+    "spacetime-decay": lambda ctx: diag.spacetime_decay_audit(
+        ctx.checkpoints(), ctx.bg, ctx.halted
+    ),
+    "blowup": lambda ctx: diag.blowup_audit(ctx.records, ctx.halted),
     "lp-inequality": lambda ctx: diag.lp_inequality_audit(
         ctx.records, ctx.grid.n / 2.0 + 0.1, ctx.grid.n
     ),

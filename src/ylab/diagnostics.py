@@ -6,7 +6,11 @@ violations, non-degrading space-time bounds) and report the fitted values
 rather than asserting any particular constant.  Fit windows default to the
 second half of the valid-time window to skip transients.
 
-All auditors are pure functions of their inputs.
+Each ``*_audit`` function (and ``convergence_to_limit``, ``mass_drop_report``)
+is the one gate of one claim: a pure function of the run data it reads that
+returns a Verdict.  ``ylab report`` and the acceptance suite both judge
+through them.  The audits that need the scalar-flat limit take it as
+``u_inf``, or None when Y <= 0, and are then skipped.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ import numpy as np
 from .backgrounds import BackgroundSpec, conformal_exponents
 from .elliptic import compute_R
 from .errors import FitDomainError, ParameterError, SchemaError
-from .grids import RadialField, origin_mask, sphere_constants, weighted_sup_norm
+from .flow import adm_mass, valid_time_horizon
+from .grids import RadialField, RadialGrid, origin_mask, sphere_constants, weighted_sup_norm
 from .operators import boundary_laplacian
 
 NONINCREASING = "nonincreasing"
@@ -80,43 +85,6 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    times: tuple
-    norms: tuple
-    fit: DecayFit | None
-    zero_series: bool
-
-
-@dataclass(frozen=True)
-class MassDropReport:
-    """The three mass-drop accounting lines.
-
-    coeff is 1/(2(n-1) omega_{n-1}); drop_estimate is coeff * int R dV at
-    the terminal record, to be compared with m(0) - m_inf; combination is
-    c(t) = m(t) - coeff * int R dV, whose terminal value approaches m_inf.
-    """
-
-    drift_rel: float
-    combination_terminal: float
-    combination_error: float
-    drop_estimate: float
-    drop_expected: float
-    drop_error: float
-    coeff: float
-
-    def to_json(self) -> dict:
-        return {
-            "mass_drift_rel": self.drift_rel,
-            "combination_terminal": self.combination_terminal,
-            "combination_error": self.combination_error,
-            "drop_estimate": self.drop_estimate,
-            "drop_expected": self.drop_expected,
-            "drop_error": self.drop_error,
-            "coeff": self.coeff,
-        }
-
-
 def fit_decay_exponent(times, values, window: tuple | None = None) -> DecayFit:
     """Ordinary least squares of log y against log t.
 
@@ -171,29 +139,91 @@ def audit_monotone(
     )
 
 
-def convergence_to_limit(
-    trajectory,
-    u_inf: RadialField,
-    tau_prime: float,
-    tau: float | None = None,
-    n: int | None = None,
-    valid_t_max: float | None = None,
-) -> ConvergenceReport:
-    """Weighted sup norms of u(t) - u_inf plus a decay fit on the tail.
+_NO_LIMIT = "no scalar-flat limit (Y <= 0)"
 
-    trajectory is a sequence of (t, RadialField) snapshots on u_inf's grid.
-    The fit covers the second half of the valid-time window; an identically
-    zero series is flagged instead of fitted.
+
+def _lp_audit(records, p: float) -> MonotonicityAudit:
+    """int |R|^p dV nonincreasing up to 1e-8, past the first 5 of more than 7 records."""
+    skip = 5 if len(records) > 7 else 0
+    series = [r.lp_R[p] for r in records[skip:]]
+    return audit_monotone(series, NONINCREASING, 1e-8, quantity=f"lpR_p{p:g}")
+
+
+def fixed_point_audit(records, grid: RadialGrid) -> Verdict:
+    """A scalar-flat factor is a fixed point: sup |R| <= 10 h^2 on every record."""
+    bound = 10.0 * grid.h**2
+    worst = max(r.sup_R for r in records)
+    return Verdict("fixed-point", worst <= bound, {"max_sup_R": worst, "bound": bound})
+
+
+def mass_drift_audit(records) -> Verdict:
+    """The mass is constant along the flow: max |m(t) - m(0)| <= 1e-2 max(|m(0)|, 1)."""
+    m0 = records[0].mass
+    drift = max(abs(r.mass - m0) for r in records)
+    bound = 1e-2 * max(abs(m0), 1.0)
+    return Verdict("mass-drift", drift <= bound, {"drift": drift, "bound": bound, "m0": m0})
+
+
+def lp_monotone_audit(records, n: int) -> Verdict:
+    """int |R|^{n/2} dV is nonincreasing once the transient is skipped (_lp_audit)."""
+    audit = _lp_audit(records, n / 2.0)
+    return Verdict("lp-monotone", audit.passed, audit.to_json())
+
+
+def lp_window_audit(records, n: int) -> Verdict:
+    """As lp_monotone_audit at p = n/2 - 0.1 and p = n/2 + 0.1, both required."""
+    audits = {f"p={p:g}": _lp_audit(records, p) for p in (n / 2.0 - 0.1, n / 2.0 + 0.1)}
+    return Verdict(
+        "lp-monotone-window",
+        all(audit.passed for audit in audits.values()),
+        {key: audit.to_json() for key, audit in audits.items()},
+    )
+
+
+def min_r_audit(records, grid: RadialGrid) -> Verdict:
+    """min R is nondecreasing along the flow, up to 10 h^2."""
+    audit = audit_monotone(
+        [r.min_R for r in records], NONDECREASING, 10.0 * grid.h**2, quantity="min_R"
+    )
+    return Verdict("min-r-monotone", audit.passed, audit.to_json())
+
+
+def sup_r_decay_audit(records, grid: RadialGrid) -> Verdict:
+    """sup |R| decays at least like 1/t: fitted exponent <= -1 with r^2 >= 0.9.
+
+    The fit covers the second half of the records' span cut at the valid-time
+    horizon.
     """
-    if tau is not None:
-        nn = n if n is not None else u_inf.grid.n
-        if tau_prime >= min(tau, nn - 2.0):
-            raise ParameterError(
-                f"tau_prime must be < min(tau, n-2) = {min(tau, nn - 2.0)}, got {tau_prime}"
-            )
+    t_hi = min(records[-1].t, valid_time_horizon(grid))
+    fit = fit_decay_exponent(
+        [r.t for r in records], [r.sup_R for r in records], window=(t_hi / 2.0, t_hi)
+    )
+    passed = fit.exponent <= -1.0 and fit.r_squared >= 0.9
+    return Verdict("sup-r-decay", passed, fit.to_json())
+
+
+def convergence_to_limit(
+    checkpoints, u_inf: RadialField | None, bg: BackgroundSpec, tau_prime: float = 0.0
+) -> Verdict:
+    """u(t) converges to the scalar-flat limit u_inf; skipped when u_inf is None.
+
+    Takes the weighted sup norms sup max(r,1)^{tau'} |u(t) - u_inf| of the
+    checkpoints (each unpacks as (t, u) on u_inf's grid) and fits a power law
+    over the second half of the valid-time window, or over the last 8 usable
+    checkpoints when that half holds fewer.  Passes when the fitted exponent
+    is negative and no norm after the first rises by more than 1e-12
+    (details.norm_increases counts the rises).  An identically zero series
+    passes without a fit.
+    """
+    if u_inf is None:
+        return Verdict("convergence", None, skipped_reason=_NO_LIMIT)
+    if tau_prime >= min(bg.tau, bg.n - 2.0):
+        raise ParameterError(
+            f"tau_prime must be < min(tau, n-2) = {min(bg.tau, bg.n - 2.0)}, got {tau_prime}"
+        )
     times = []
     norms = []
-    for t, u in trajectory:
+    for t, u in checkpoints:
         if u.grid != u_inf.grid:
             raise ParameterError("trajectory snapshot grid differs from the limit's")
         times.append(float(t))
@@ -201,8 +231,8 @@ def convergence_to_limit(
     times_a = np.asarray(times)
     norms_a = np.asarray(norms)
     if np.all(norms_a == 0.0):
-        return ConvergenceReport(tuple(times), tuple(norms), None, zero_series=True)
-    t_hi = times[-1] if valid_t_max is None else min(times[-1], valid_t_max)
+        return Verdict("convergence", True, {"zero_series": True})
+    t_hi = min(times[-1], valid_time_horizon(bg.grid))
     window = (t_hi / 2.0, t_hi)
     usable = (times_a > 0.0) & (times_a <= t_hi)
     if np.count_nonzero((times_a >= window[0]) & usable) < 8:
@@ -211,7 +241,12 @@ def convergence_to_limit(
         if tail.size >= 8:
             window = (float(tail[-8]), t_hi)
     fit = fit_decay_exponent(times_a, norms_a, window=window)
-    return ConvergenceReport(tuple(times), tuple(norms), fit, zero_series=False)
+    rises = audit_monotone(norms_a[1:], NONINCREASING, 1e-12, quantity="convergence norm")
+    return Verdict(
+        "convergence",
+        fit.exponent < 0.0 and rises.passed,
+        {"fit": fit.to_json(), "terminal_norm": norms[-1], "norm_increases": rises.violations},
+    )
 
 
 def mass_drop_coefficient(n: int) -> float:
@@ -219,14 +254,22 @@ def mass_drop_coefficient(n: int) -> float:
     return 1.0 / (2.0 * (n - 1.0) * sphere_constants(n).omega)
 
 
-def mass_drop_report(records, m_inf: float, n: int) -> MassDropReport:
-    """Audit the mass accounting along a run.
+def mass_drop_report(records, u_inf: RadialField | None, grid: RadialGrid) -> Verdict:
+    """The mass drops by the limit of coeff * int R dV; skipped when u_inf is None.
 
-    Emits (i) the mass-constancy drift relative to max(|m(0)|, 1), so a
-    zero-mass run is judged on its absolute drift, (ii) the terminal value of
+    coeff is 1/(2(n-1) omega_{n-1}), 1/(16 pi) for n = 3, and m_inf is the
+    mass of u_inf.  On the records up to the valid-time horizon it reports
+    (i) the mass-constancy drift relative to max(|m(0)|, 1), so a zero-mass
+    run is judged on its absolute drift, (ii) the terminal value of
     c(t) = m(t) - coeff * int R dV against m_inf, and (iii) the terminal
-    coeff * int R dV against m(0) - m_inf.
+    coeff * int R dV against m(0) - m_inf.  Passes when (i) <= 1e-2 and the
+    errors of (ii) and (iii) are <= 0.05 max(|m(0)|, 1) and
+    0.05 max(|m(0) - m_inf|, 1).
     """
+    if u_inf is None:
+        return Verdict("mass-drop", None, skipped_reason=_NO_LIMIT)
+    horizon = valid_time_horizon(grid)
+    records = [r for r in records if r.t <= horizon]
     if not records:
         raise SchemaError("empty monitor series")
     try:
@@ -234,39 +277,48 @@ def mass_drop_report(records, m_inf: float, n: int) -> MassDropReport:
         l1 = np.array([r.l1_R for r in records], dtype=np.float64)
     except AttributeError as exc:
         raise SchemaError(f"monitor series lacks mass/l1_R columns: {exc}") from exc
-    coeff = mass_drop_coefficient(n)
-    m0 = mass[0]
+    m_inf = adm_mass(u_inf)
+    coeff = mass_drop_coefficient(grid.n)
+    m0 = float(mass[0])
     scale = max(abs(m0), 1.0)
     drift_rel = float(np.max(np.abs(mass - m0)) / scale)
     combo = mass - coeff * l1
-    drop_est = float(coeff * l1[-1])
+    combination_error = float(abs(combo[-1] - m_inf))
+    drop_estimate = float(coeff * l1[-1])
     drop_expected = float(m0 - m_inf)
-    return MassDropReport(
-        drift_rel=drift_rel,
-        combination_terminal=float(combo[-1]),
-        combination_error=float(abs(combo[-1] - m_inf)),
-        drop_estimate=drop_est,
-        drop_expected=drop_expected,
-        drop_error=abs(drop_est - drop_expected),
-        coeff=coeff,
+    drop_error = abs(drop_estimate - drop_expected)
+    passed = (
+        drift_rel <= 1e-2
+        and drop_error <= 0.05 * max(abs(drop_expected), 1.0)
+        and combination_error <= 0.05 * scale
     )
+    return Verdict("mass-drop", passed, {
+        "mass_drift_rel": drift_rel,
+        "combination_terminal": float(combo[-1]),
+        "combination_error": combination_error,
+        "drop_estimate": drop_estimate,
+        "drop_expected": drop_expected,
+        "drop_error": drop_error,
+        "coeff": coeff,
+        "m_inf": m_inf,
+    })
 
 
 def spacetime_decay_audit(
     checkpoints,
     bg: BackgroundSpec,
-    tau_prime: float,
-    delta0: float,
-    applicable: bool = True,
+    halted: bool,
+    tau_prime: float = 0.5,
+    delta0: float = 0.1,
 ) -> Verdict:
     """Check |R| <= C / (r^{tau'} (1+t)^{1+delta0}) is not degrading in time.
 
     C* is maximized over checkpoints and interior nodes; the verdict passes
-    when the earliest checkpoint attains it.  Runs outside the positive-
-    Yamabe regime are skipped with a reason.
+    when the earliest checkpoint attains it.  A halted run is outside the
+    positive-Yamabe regime and is skipped with a reason.
     """
     name = f"spacetime-decay(tau'={tau_prime:g},delta0={delta0:g})"
-    if not applicable:
+    if halted:
         return Verdict(name, None, skipped_reason="hypothesis Y > 0 fails for this run")
     usable = [(t, u) for t, u in checkpoints if t >= 1.0]
     if len(usable) < 5:
@@ -294,6 +346,12 @@ def spacetime_decay_audit(
             "per_checkpoint": [float(c) for c in cstars_a],
         },
     )
+
+
+def blowup_audit(records, halted: bool) -> Verdict:
+    """No convergence when Y <= 0: the run halted or max u reached 1e3."""
+    max_u = max(r.max_u for r in records)
+    return Verdict("blowup", halted or max_u >= 1e3, {"halted": halted, "max_u": max_u})
 
 
 def flat_sobolev_constant(n: int) -> float:

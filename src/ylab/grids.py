@@ -144,10 +144,6 @@ class RadialField:
         _require_same_grid(self, other)
         return RadialField(self.grid, self.values - other.values)
 
-    def __add__(self, other: "RadialField") -> "RadialField":
-        _require_same_grid(self, other)
-        return RadialField(self.grid, self.values + other.values)
-
 
 @dataclass(frozen=True)
 class SphereConstants:

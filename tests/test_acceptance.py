@@ -1,37 +1,37 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one ``ACCEPTANCE <name>: PASS/FAIL`` line (run pytest -s to
-watch them).  Long runs are shared through module-scoped fixtures; the whole
-module stays well inside the stated runtime budgets.
+watch them).  Long runs are shared through module-scoped fixtures built from
+the experiment configs; the whole module stays well inside the stated
+runtime budgets.  A criterion about a paper claim takes its verdict from the
+audit that ``ylab report`` runs for that claim (``cli._AUDITS``), and states
+any stricter clause of its own on that verdict's details.
 """
 
 import math
 import shutil
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from ylab.backgrounds import (
-    bump_source,
     decay_order_estimate,
     flat_data,
-    gaussian_bump_data,
     make_flat_background,
     make_profile_background,
     make_synthetic_background,
-    newtonian_data,
-    schwarzschild_data,
 )
-from ylab.cli import cmd_report, cmd_simulate, parse_config_text
-from ylab.diagnostics import (
-    NONDECREASING,
-    NONINCREASING,
-    audit_monotone,
-    convergence_to_limit,
-    fit_decay_exponent,
-    mass_drop_report,
+from ylab.cli import (
+    RunContext,
+    _run_audit,
+    build_run,
+    cmd_report,
+    cmd_simulate,
+    parse_config,
+    parse_config_text,
 )
 from ylab.elliptic import (
     NON_POSITIVE,
@@ -41,13 +41,15 @@ from ylab.elliptic import (
     solve_scalar_flat,
     yamabe_sign,
 )
-from ylab.flow import FlowConfig, adm_mass, run_flow
+from ylab.flow import FlowConfig, run_flow
 from ylab.grids import (
     LOG_STRETCHED,
     UNIFORM,
     RadialField,
     build_grid,
 )
+
+EXPERIMENTS = Path(__file__).resolve().parent.parent / "experiments"
 
 
 def _criterion(name: str, ok: bool, detail: str = ""):
@@ -59,34 +61,26 @@ def heat_kernel(r, s):
     return (4.0 * math.pi * s) ** -1.5 * np.exp(-(r**2) / (4.0 * s))
 
 
+def flow_run(manifest) -> RunContext:
+    """The flow run of a manifest, held in memory as report reads it from disk."""
+    _, bg, init, cfg = build_run(manifest)
+    return RunContext.from_result(manifest, bg, run_flow(bg, init, cfg))
+
+
 @pytest.fixture(scope="module")
 def bump_run():
-    """Gaussian-bump Y>0 run shared by criteria 3, 4, 5."""
-    g = build_grid(3, 0.0, 512.0, 4096, LOG_STRETCHED)
-    bg = make_flat_background(3, g)
-    init = gaussian_bump_data(g, eps=0.2, sigma=1.0)
-    cfg = FlowConfig(
-        dt0=1e-3, dt_max=0.25, safety=1.2, t_end=50.0,
-        monitor_every=2, checkpoint_every=10,
-    )
-    res = run_flow(bg, init, cfg)
-    assert not res.halted
-    return g, bg, res
+    """experiments/bump_audit.ini: the Gaussian-bump Y>0 run shared by criteria 3, 4, 5."""
+    run = flow_run(parse_config(EXPERIMENTS / "bump_audit.ini"))
+    assert not run.halted
+    return run
 
 
 @pytest.fixture(scope="module")
 def newtonian_run():
-    """Nonnegative integrable-curvature run shared by criteria 4, 5, 6."""
-    g = build_grid(3, 0.0, 4096.0, 8192, LOG_STRETCHED)
-    bg = make_flat_background(3, g)
-    init = newtonian_data(g, bump_source(g, total=4.0 * math.pi, radius=4.0))
-    cfg = FlowConfig(
-        dt0=1e-3, dt_max=1.0, safety=1.25, t_end=200.0,
-        monitor_every=2, checkpoint_every=25,
-    )
-    res = run_flow(bg, init, cfg)
-    assert not res.halted
-    return g, bg, res
+    """experiments/mass_drop.ini: nonnegative integrable curvature, for criteria 4, 5, 6."""
+    run = flow_run(parse_config(EXPERIMENTS / "mass_drop.ini"))
+    assert not run.halted
+    return run
 
 
 class TestCriterion1FixedPoints:
@@ -106,18 +100,31 @@ class TestCriterion1FixedPoints:
             f"steps={res.final.step_index} deviation={dev:.3e}",
         )
 
+    SCHWARZSCHILD = """
+[grid]
+r_in = 0.5
+R_max = 1000
+M = 4096
+[initial]
+family = schwarzschild
+m = 1.0
+[flow]
+dt0 = 0.01
+t_end = 10
+monitor_every = 1
+safety = 1.5
+"""
+
     def test_schwarzschild_stationary(self):
-        g = build_grid(3, 0.5, 1000.0, 4096, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
-        init = schwarzschild_data(3, 1.0, g)
-        cfg = FlowConfig(dt0=0.01, t_end=10.0, monitor_every=1, safety=1.5)
-        res = run_flow(bg, init, cfg)
-        sup_r = max(r.sup_R for r in res.records)
-        mass_err = max(abs(r.mass - 1.0) for r in res.records)
+        run = flow_run(parse_config_text(self.SCHWARZSCHILD))
+        fixed = _run_audit("fixed-point", run)
+        drift = _run_audit("mass-drift", run).details
+        mass_err = abs(drift["m0"] - 1.0) + drift["drift"]  # bounds max |m(t) - 1|
         _criterion(
             "1b Schwarzschild stationary",
-            sup_r <= 10.0 * g.h**2 and mass_err <= 1e-2,
-            f"sup_R={sup_r:.3e} (bound {10 * g.h**2:.3e}) mass_err={mass_err:.3e}",
+            fixed.passed is True and mass_err <= 1e-2,
+            f"sup_R={fixed.details['max_sup_R']:.3e} (bound {fixed.details['bound']:.3e})"
+            f" mass_err<={mass_err:.3e}",
         )
 
 
@@ -150,72 +157,57 @@ class TestCriterion2Linearization:
 
 class TestCriterion3MonotoneInvariants:
     def test_lp_monotonicity(self, bump_run):
-        g, bg, res = bump_run
-        ok = True
-        detail = []
-        for p in (1.4, 1.5, 1.6):
-            series = [r.lp_R[p] for r in res.records[5:]]
-            audit = audit_monotone(series, NONINCREASING, 1e-8, quantity=f"p={p}")
-            ok = ok and audit.violations == 0
-            detail.append(f"p={p}: {audit.violations} violations")
-        _criterion("3a Lp monotone (p = 1.4, 1.5, 1.6)", ok, "; ".join(detail))
+        at_half_n = _run_audit("lp-monotone", bump_run)
+        window = _run_audit("lp-monotone-window", bump_run)
+        violations = {"p=1.5": at_half_n.details["violations"]}
+        violations.update({p: audit["violations"] for p, audit in window.details.items()})
+        _criterion(
+            "3a Lp monotone (p = 1.4, 1.5, 1.6)",
+            at_half_n.passed is True and window.passed is True,
+            f"violations {violations}",
+        )
 
     def test_min_r_nondecreasing(self, bump_run):
-        g, bg, res = bump_run
-        audit = audit_monotone(
-            [r.min_R for r in res.records], NONDECREASING, 10.0 * g.h**2, quantity="min_R"
-        )
+        v = _run_audit("min-r-monotone", bump_run)
         _criterion(
             "3b min R nondecreasing",
-            audit.violations == 0,
-            f"violations={audit.violations} worst={audit.worst_violation:.3e}",
+            v.passed is True,
+            f"violations={v.details['violations']} worst={v.details['worst_violation']:.3e}",
         )
 
 
 class TestCriterion4SupNormDecay:
     def test_bump_rate(self, bump_run):
-        g, bg, res = bump_run
-        ts = [r.t for r in res.records]
-        ys = [r.sup_R for r in res.records]
-        t_hi = min(ts[-1], res.valid_t_max)
-        fit = fit_decay_exponent(ts, ys, window=(t_hi / 2.0, t_hi))
+        v = _run_audit("sup-r-decay", bump_run)
         _criterion(
             "4a sup R decay (bump run)",
-            fit.exponent <= -1.0 and fit.r_squared >= 0.9,
-            f"exponent={fit.exponent:.3f} r2={fit.r_squared:.4f}",
+            v.passed is True,
+            f"exponent={v.details['exponent']:.3f} r2={v.details['r_squared']:.4f}",
         )
 
     def test_newtonian_rate(self, newtonian_run):
-        g, bg, res = newtonian_run
-        ts = [r.t for r in res.records]
-        ys = [r.sup_R for r in res.records]
-        t_hi = min(ts[-1], res.valid_t_max)
-        fit = fit_decay_exponent(ts, ys, window=(t_hi / 2.0, t_hi))
+        v = _run_audit("sup-r-decay", newtonian_run)
         _criterion(
             "4b sup R decay (nonnegative integrable curvature)",
-            fit.exponent <= -1.1,
-            f"exponent={fit.exponent:.3f} (alpha < 3/2 shape; asserting <= -1.1)",
+            v.passed is True and v.details["exponent"] <= -1.1,
+            f"exponent={v.details['exponent']:.3f} (alpha < 3/2 shape; asserting <= -1.1)",
         )
 
 
 class TestCriterion5Convergence:
     def test_weighted_convergence_to_limit(self, bump_run):
-        g, bg, res = bump_run
-        u_inf, report = solve_scalar_flat(bg)
-        rep = convergence_to_limit(
-            res.checkpoints, u_inf, tau_prime=0.0, valid_t_max=res.valid_t_max
-        )
-        norms = np.array(rep.norms)
-        decreasing = bool(np.all(np.diff(norms[1:]) <= 1e-12))
+        v = _run_audit("convergence", bump_run)
         _criterion(
             "5a convergence to the scalar-flat limit",
-            (not rep.zero_series) and decreasing and rep.fit.exponent < 0.0,
-            f"exponent={rep.fit.exponent:.3f} terminal={norms[-1]:.3e}",
+            v.passed is True and "zero_series" not in v.details,
+            f"exponent={v.details['fit']['exponent']:.3f}"
+            f" terminal={v.details['terminal_norm']:.3e}"
+            f" norm increases={v.details['norm_increases']}",
         )
 
     def test_spatial_decay_order(self, newtonian_run):
-        g, bg, res = newtonian_run
-        order = decay_order_estimate(RadialField(g, res.final.u.values - 1.0))
+        final = newtonian_run.checkpoints()[-1].u  # the last checkpoint is the final state
+        order = decay_order_estimate(RadialField(final.grid, final.values - 1.0))
         _criterion(
             "5b spatial decay order of u - 1 (tau = 1 data)",
             abs(order - 1.0) <= 0.3,
@@ -225,22 +217,17 @@ class TestCriterion5Convergence:
 
 class TestCriterion6MassDrop:
     def test_mass_accounting(self, newtonian_run):
-        g, bg, res = newtonian_run
-        u_inf, _ = solve_scalar_flat(bg)
-        m_inf = adm_mass(u_inf)
-        records = [r for r in res.records if r.t <= res.valid_t_max]
-        rep = mass_drop_report(records, m_inf, n=3)
-        m0 = records[0].mass
-        ok_m0 = abs(m0 - 2.0) <= 0.02
-        ok_drift = rep.drift_rel <= 1e-2
-        ok_drop = rep.drop_error <= 0.05 * abs(rep.drop_expected)
-        ok_combo = rep.combination_error <= 0.05 * max(abs(m0), 1.0)
+        v = _run_audit("mass-drop", newtonian_run)
+        d = v.details
+        m0 = newtonian_run.records[0].mass
         _criterion(
             "6 mass-drop identity",
-            ok_m0 and ok_drift and ok_drop and ok_combo,
-            f"m0={m0:.4f} drift={rep.drift_rel:.2e} "
-            f"terminal (1/16pi) int R dV={rep.drop_estimate:.4f} (target {rep.drop_expected:.4f}) "
-            f"|c(t_end) - m_inf|={rep.combination_error:.3e}",
+            v.passed is True
+            and abs(m0 - 2.0) <= 0.02
+            and d["drop_error"] <= 0.05 * abs(d["drop_expected"]),
+            f"m0={m0:.4f} drift={d['mass_drift_rel']:.2e} "
+            f"terminal (1/16pi) int R dV={d['drop_estimate']:.4f} (target {d['drop_expected']:.4f}) "
+            f"|c(t_end) - m_inf|={d['combination_error']:.3e}",
         )
 
 
@@ -288,19 +275,11 @@ class TestCriterion7YamabeDichotomy:
         )
 
     def test_nonpositive_flow_blows_up(self):
-        g = build_grid(3, 0.0, 512.0, 2048, LOG_STRETCHED)
-        bg = make_synthetic_background(3, 1.0, -50.0, 2.0, 1.0, g)
-        cfg = FlowConfig(
-            dt0=1e-3, safety=2.0, t_end=1e13, monitor_every=10,
-            checkpoint_every=10**9, stop_max_u=1e3, newton_max=40,
-        )
-        res = run_flow(bg, flat_data(g), cfg)
-        max_u = max(r.max_u for r in res.records + [])
-        max_u = max(max_u, float(np.max(res.final.u.values)))
+        v = _run_audit("blowup", flow_run(parse_config(EXPERIMENTS / "dichotomy.ini")))
         _criterion(
             "7c nonpositive background: no convergence",
-            res.halted or max_u >= 1e3,
-            f"halted={res.halted} reason={res.halt_reason} max_u={max_u:.1f}",
+            v.passed is True,
+            f"halted={v.details['halted']} max_u={v.details['max_u']:.1f}",
         )
 
 

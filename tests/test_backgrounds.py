@@ -154,10 +154,6 @@ class TestGaussianBump:
         with pytest.raises(ParameterError):
             gaussian_bump_data(grid, eps=-1.5, sigma=1.0)
 
-    def test_decay_constant(self, grid):
-        d = gaussian_bump_data(grid, eps=0.2, sigma=1.0)
-        assert d.decay_constant(1.0) <= 0.2 + 1e-12
-
 
 class TestDecayOrderEstimate:
     def test_exact_power_law(self, grid):

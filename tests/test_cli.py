@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import shutil
@@ -14,7 +15,9 @@ from ylab.cli import (
     _AUDITS,
     _FAMILIES,
     _SCHEMA,
+    RunContext,
     _monitor_columns,
+    _run_audit,
     build_run,
     cmd_report,
     cmd_simulate,
@@ -414,6 +417,16 @@ class TestReport:
         paragraph = readme.split("Available audits for `report`:")[1].split("\n\n")[0]
         assert re.findall(r"`([a-z-]+)`", paragraph) == sorted(_AUDITS)
 
+    def test_acceptance_judges_only_through_the_audits(self):
+        # the acceptance criteria take their verdicts from _AUDITS, never from a refit
+        tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        forbidden = {"fit_decay_exponent", "audit_monotone", "convergence_to_limit",
+                     "mass_drop_report"}
+        assert not names & forbidden
+
     def test_unknown_audit_rejected(self, bump_run):
         with pytest.raises(ConfigError):
             cmd_report([bump_run], ["vibes"], out=None)
@@ -574,21 +587,30 @@ class TestReport:
         assert spacetime["details"]["C_star"] == pytest.approx(0.0577852583785, rel=1e-9)
 
     def test_series_verdicts_equal_in_memory_checkpoints(self, dense_run, tmp_path):
-        _, bg, init, cfg = build_run(parse_config_text(DENSE_CONFIG))
-        in_memory = run_flow(bg, init, cfg).checkpoints
-        ctx = load_run(dense_run)
-        stored = ctx.checkpoints()
+        # every audit judges the run directory as it judges the run_flow result in memory
+        manifest = parse_config_text(DENSE_CONFIG)
+        _, bg, init, cfg = build_run(manifest)
+        in_memory = RunContext.from_result(manifest, bg, run_flow(bg, init, cfg))
+        stored = load_run(dense_run).checkpoints()
         assert [(c.t, c.dt, c.step_index, c.u.values.tobytes()) for c in stored] == [
-            (c.t, c.dt, c.step_index, c.u.values.tobytes()) for c in in_memory
+            (c.t, c.dt, c.step_index, c.u.values.tobytes()) for c in in_memory.checkpoints()
         ]
         out = tmp_path / "rep.json"
-        audits = ("convergence", "spacetime-decay")
-        assert main(["report", str(dense_run), "--audits", ",".join(audits),
-                     "--out", str(out)]) == 0
-        ctx._checkpoints = in_memory
+        main(["report", str(dense_run), "--audits", ",".join(_AUDITS), "--out", str(out)])
         assert json.loads(out.read_text())["runs"][0]["audits"] == [
-            json.loads(json.dumps(_AUDITS[name](ctx).to_json())) for name in audits
+            json.loads(json.dumps(_run_audit(name, in_memory).to_json())) for name in _AUDITS
         ]
+
+    def test_scalar_flat_limit_solved_once_per_run(self, dense_run, tmp_path, monkeypatch):
+        solves = []
+        solve = cli.solve_scalar_flat
+        monkeypatch.setattr(cli, "solve_scalar_flat", lambda bg: solves.append(bg) or solve(bg))
+        out = str(tmp_path / "rep.json")
+        for audits, count in (("mass-drift,spacetime-decay", 0), ("convergence,mass-drop", 2)):
+            solves.clear()
+            assert main(["report", str(dense_run), str(dense_run), "--audits", audits,
+                         "--out", out]) == 0
+            assert len(solves) == count, audits
 
     def test_schwarzschild_fixed_point_audits(self, tmp_path):
         config = (

@@ -93,41 +93,73 @@ class TestAuditMonotone:
         assert fwd.violations == rev.violations
 
 
+def heat_kernel_trajectory(g, rise_at=None):
+    # sup_x G(x, s0 + 2t) = (4 pi (s0 + 2t))^{-3/2}, optionally doubled at one snapshot
+    traj = []
+    for i, t in enumerate(np.linspace(1.0, 200.0, 40)):
+        s = 1.0 + 2.0 * t
+        amp = 1e-4 * (2.0 if i == rise_at else 1.0)
+        vals = 1.0 + amp * (4 * math.pi * s) ** -1.5 * np.exp(-g.nodes**2 / (4 * s))
+        traj.append((float(t), RadialField(g, vals)))
+    return traj
+
+
 class TestConvergenceToLimit:
     def test_limit_trajectory_flagged(self):
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
         u_inf = constant_field(g, 1.0)
         traj = [(float(t), u_inf) for t in range(12)]
-        rep = convergence_to_limit(traj, u_inf, 0.0)
-        assert rep.zero_series
-        assert rep.fit is None
+        v = convergence_to_limit(traj, u_inf, make_flat_background(3, g))
+        assert v.passed is True
+        assert v.details == {"zero_series": True}
 
     def test_heat_kernel_rate(self):
-        # sup_x G(x, s0 + 2t) = (4 pi (s0 + 2t))^{-3/2}
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
-        u_inf = constant_field(g, 1.0)
-        traj = []
-        for t in np.linspace(1.0, 200.0, 40):
-            s = 1.0 + 2.0 * t
-            vals = 1.0 + 1e-4 * (4 * math.pi * s) ** -1.5 * np.exp(-g.nodes**2 / (4 * s))
-            traj.append((float(t), RadialField(g, vals)))
-        rep = convergence_to_limit(traj, u_inf, 0.0)
-        assert rep.fit.exponent <= -1.5 + 0.2
+        v = convergence_to_limit(
+            heat_kernel_trajectory(g), constant_field(g, 1.0), make_flat_background(3, g)
+        )
+        assert v.passed is True
+        assert v.details["fit"]["exponent"] <= -1.5 + 0.2
+        assert v.details["norm_increases"] == 0
+
+    def test_rising_norm_fails(self):
+        g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
+        v = convergence_to_limit(
+            heat_kernel_trajectory(g, rise_at=20), constant_field(g, 1.0),
+            make_flat_background(3, g),
+        )
+        assert v.details["fit"]["exponent"] < 0.0
+        assert v.passed is False
+        assert v.details["norm_increases"] == 1
 
     def test_tau_prime_ceiling_enforced(self):
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
         u_inf = constant_field(g, 1.0)
+        bg = make_flat_background(3, g, tau=1.0)
         with pytest.raises(ParameterError):
-            convergence_to_limit([(0.0, u_inf)], u_inf, tau_prime=1.0, tau=1.0)
+            convergence_to_limit([(0.0, u_inf)], u_inf, bg, tau_prime=1.0)
+
+    def test_no_limit_skips(self):
+        g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
+        for v in (convergence_to_limit([], None, make_flat_background(3, g)),
+                  mass_drop_report([], None, g)):
+            assert v.passed is None
+            assert "Y <= 0" in v.skipped_reason
 
 
 class TestMassDrop:
+    GRID = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
+
+    def report(self, records):
+        """mass_drop_report against the flat limit u_inf = 1 (m_inf = 0)."""
+        return mass_drop_report(records, constant_field(self.GRID, 1.0), self.GRID).details
+
     def test_flat_run_all_zero(self):
-        records = [make_record(t) for t in np.linspace(0, 10, 11)]
-        rep = mass_drop_report(records, m_inf=0.0, n=3)
-        assert rep.drift_rel == 0.0
-        assert rep.combination_terminal == 0.0
-        assert rep.drop_estimate == 0.0
+        rep = self.report([make_record(t) for t in np.linspace(0, 10, 11)])
+        assert rep["m_inf"] == 0.0
+        assert rep["mass_drift_rel"] == 0.0
+        assert rep["combination_terminal"] == 0.0
+        assert rep["drop_estimate"] == 0.0
 
     def test_coefficient_value(self):
         assert mass_drop_coefficient(3) == pytest.approx(1.0 / (16.0 * math.pi), rel=1e-14)
@@ -137,34 +169,34 @@ class TestMassDrop:
         records = [
             make_record(t, mass=2.0, l1=32.0 * math.pi) for t in np.linspace(0, 10, 11)
         ]
-        rep = mass_drop_report(records, m_inf=0.0, n=3)
-        assert rep.drift_rel == 0.0
-        assert rep.drop_estimate == pytest.approx(2.0, rel=1e-14)
-        assert rep.combination_terminal == pytest.approx(0.0, abs=1e-14)
+        rep = self.report(records)
+        assert rep["mass_drift_rel"] == 0.0
+        assert rep["drop_estimate"] == pytest.approx(2.0, rel=1e-14)
+        assert rep["combination_terminal"] == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_mass_roundoff_drift_passes(self):
         # m0 = 0: the drift is judged in absolute terms, not divided by ~0
         records = [make_record(0.0)] + [make_record(t, mass=1e-12) for t in range(1, 10)]
-        rep = mass_drop_report(records, m_inf=0.0, n=3)
-        assert rep.drift_rel == pytest.approx(1e-12)
-        assert rep.drift_rel <= 1e-2
+        rep = self.report(records)
+        assert rep["mass_drift_rel"] == pytest.approx(1e-12)
+        assert rep["mass_drift_rel"] <= 1e-2
 
     def test_relative_drift_detected_at_nonzero_mass(self):
         records = [make_record(0.0, mass=2.0), make_record(1.0, mass=2.05)]
-        rep = mass_drop_report(records, m_inf=0.0, n=3)
-        assert rep.drift_rel == pytest.approx(0.025)
-        assert rep.drift_rel > 1e-2
+        v = mass_drop_report(records, constant_field(self.GRID, 1.0), self.GRID)
+        assert v.details["mass_drift_rel"] == pytest.approx(0.025)
+        assert v.passed is False
 
     def test_schema_error(self):
         with pytest.raises(SchemaError):
-            mass_drop_report([], m_inf=0.0, n=3)
+            self.report([])
 
 
 class TestSpacetimeDecay:
     def test_not_applicable_skips(self):
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
         bg = make_flat_background(3, g)
-        v = spacetime_decay_audit([], bg, 0.5, 0.1, applicable=False)
+        v = spacetime_decay_audit([], bg, halted=True)
         assert v.passed is None
         assert "Y > 0" in v.skipped_reason
 
@@ -172,7 +204,7 @@ class TestSpacetimeDecay:
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
         bg = make_flat_background(3, g)
         u = constant_field(g, 1.0)
-        v = spacetime_decay_audit([(0.5, u), (2.0, u)], bg, 0.5, 0.1)
+        v = spacetime_decay_audit([(0.5, u), (2.0, u)], bg, False)
         assert v.passed is None
 
     def test_decaying_run_passes(self):
@@ -182,13 +214,13 @@ class TestSpacetimeDecay:
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=30.0,
                          monitor_every=10, checkpoint_every=10)
         res = run_flow(bg, init, cfg)
-        v = spacetime_decay_audit(res.checkpoints, bg, 0.5, 0.1)
+        v = spacetime_decay_audit(res.checkpoints, bg, False)
         assert v.passed is True
 
     def test_json_shape(self):
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
         bg = make_flat_background(3, g)
-        v = spacetime_decay_audit([], bg, 0.5, 0.1, applicable=False)
+        v = spacetime_decay_audit([], bg, halted=True)
         out = json.loads(json.dumps(v.to_json()))
         assert set(out) == {"name", "pass", "details", "skipped_reason"}
 
@@ -226,8 +258,8 @@ class TestAuditorPurity:
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=5.0,
                          monitor_every=2, checkpoint_every=5)
         res = run_flow(bg, init, cfg)
-        first = spacetime_decay_audit(res.checkpoints, bg, 0.5, 0.1)
-        second = spacetime_decay_audit(res.checkpoints, bg, 0.5, 0.1)
+        first = spacetime_decay_audit(res.checkpoints, bg, False)
+        second = spacetime_decay_audit(res.checkpoints, bg, False)
         assert json.dumps(first.to_json()) == json.dumps(second.to_json())
         a1 = audit_monotone([r.min_R for r in res.records], NONDECREASING, 1e-8)
         a2 = audit_monotone([r.min_R for r in res.records], NONDECREASING, 1e-8)
