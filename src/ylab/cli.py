@@ -54,7 +54,7 @@ from .errors import (
 )
 from .flow import (
     MONITOR_SCALARS,
-    TAU_PRIMES,
+    TAU_PRIME,
     FlowConfig,
     FlowState,
     MonitorRecord,
@@ -129,9 +129,12 @@ def _get(cp, section, key, cast, default):
     if raw == "":
         return default
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a finite number")
+    return value
 
 
 def _flow_cast(annotation):
@@ -245,26 +248,21 @@ def build_run(manifest: RunManifest):
 # monitor CSV
 
 def _monitor_columns(n: int) -> list:
-    """The monitor.csv header in dimension n: the scalars, then lpR_p<p>, then wsupR_tau<tau'>."""
-    return [
-        *MONITOR_SCALARS,
-        *(f"lpR_p{p:g}" for p in default_p_list(n)),
-        *(f"wsupR_tau{tp:g}" for tp in TAU_PRIMES),
-    ]
+    """The monitor.csv header in dimension n: the scalars, then lpR_p<p>."""
+    return [*MONITOR_SCALARS, *(f"lpR_p{p:g}" for p in default_p_list(n))]
 
 
 def write_monitor_csv(path, records, n: int) -> None:
     """One row per record, in the columns of _monitor_columns(n)."""
     ps = default_p_list(n)
     lines = [
-        "# one row per monitor record; lpR_p<x> = integral of |R|^p dV_t,"
-        " wsupR_tau<y> = sup max(r,1)^y |R| (boundary stencil nodes excluded)",
+        f"# one row per monitor record; wsup_R = sup max(r,1)^{TAU_PRIME:g} |R|"
+        " (boundary stencil nodes excluded), lpR_p<x> = integral of |R|^p dV_t",
         ",".join(_monitor_columns(n)),
     ]
     for rec in records:
         row = [getattr(rec, col) for col in MONITOR_SCALARS]
         row += [rec.lp_R[p] for p in ps]
-        row += [rec.weighted_sup_R[tp] for tp in TAU_PRIMES]
         lines.append(",".join(f"{x:.17g}" for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -282,7 +280,6 @@ def read_monitor_csv(path, n: int) -> list:
     if len(lines) < 2:
         raise SchemaError(f"monitor CSV {path} holds no record")
     ps = default_p_list(n)
-    lp_end = len(MONITOR_SCALARS) + len(ps)
     records = []
     for line in lines[1:]:
         values = [float(x) for x in line.split(",")]
@@ -291,8 +288,7 @@ def read_monitor_csv(path, n: int) -> list:
         records.append(
             MonitorRecord(
                 *values[:len(MONITOR_SCALARS)],
-                lp_R=dict(zip(ps, values[len(MONITOR_SCALARS):lp_end])),
-                weighted_sup_R=dict(zip(TAU_PRIMES, values[lp_end:])),
+                lp_R=dict(zip(ps, values[len(MONITOR_SCALARS):])),
             )
         )
     return records
@@ -461,8 +457,8 @@ def load_run(rundir) -> RunContext:
 
 
 # audit name -> its verdict on a run, from the diagnostics gate of that claim
-# (convergence reads the checkpoints first: an unreadable series is a
-# ConfigError even when Y <= 0)
+# (convergence, the one reader of the checkpoints, reads them first: an
+# unreadable series is a ConfigError even when Y <= 0)
 _AUDITS = {
     "fixed-point": lambda ctx: diag.fixed_point_audit(ctx.records, ctx.grid),
     "mass-drift": lambda ctx: diag.mass_drift_audit(ctx.records),
@@ -472,9 +468,7 @@ _AUDITS = {
     "sup-r-decay": lambda ctx: diag.sup_r_decay_audit(ctx.records, ctx.grid),
     "convergence": lambda ctx: diag.convergence_to_limit(ctx.checkpoints(), ctx.limit, ctx.bg),
     "mass-drop": lambda ctx: diag.mass_drop_report(ctx.records, ctx.limit, ctx.grid),
-    "spacetime-decay": lambda ctx: diag.spacetime_decay_audit(
-        ctx.checkpoints(), ctx.bg, ctx.halted
-    ),
+    "spacetime-decay": lambda ctx: diag.spacetime_decay_audit(ctx.records, ctx.halted),
     "blowup": lambda ctx: diag.blowup_audit(ctx.records, ctx.halted),
     "lp-inequality": lambda ctx: diag.lp_inequality_audit(
         ctx.records, ctx.grid.n / 2.0 + 0.1, ctx.grid.n

@@ -21,14 +21,15 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .backgrounds import BackgroundSpec, conformal_exponents
-from .elliptic import compute_R
 from .errors import FitDomainError, ParameterError, SchemaError
-from .flow import adm_mass, valid_time_horizon
-from .grids import RadialField, RadialGrid, origin_mask, sphere_constants, weighted_sup_norm
-from .operators import boundary_laplacian
+from .flow import TAU_PRIME, adm_mass, valid_time_horizon
+from .grids import RadialField, RadialGrid, sphere_constants, weighted_sup_norm
 
 NONINCREASING = "nonincreasing"
 NONDECREASING = "nondecreasing"
+
+# extra time-decay exponent delta0 of the space-time bound C / (r^{tau'} (1+t)^{1+delta0})
+DELTA0 = 0.1
 
 
 @dataclass(frozen=True)
@@ -272,11 +273,8 @@ def mass_drop_report(records, u_inf: RadialField | None, grid: RadialGrid) -> Ve
     records = [r for r in records if r.t <= horizon]
     if not records:
         raise SchemaError("empty monitor series")
-    try:
-        mass = np.array([r.mass for r in records], dtype=np.float64)
-        l1 = np.array([r.l1_R for r in records], dtype=np.float64)
-    except AttributeError as exc:
-        raise SchemaError(f"monitor series lacks mass/l1_R columns: {exc}") from exc
+    mass = np.array([r.mass for r in records], dtype=np.float64)
+    l1 = np.array([r.l1_R for r in records], dtype=np.float64)
     m_inf = adm_mass(u_inf)
     coeff = mass_drop_coefficient(grid.n)
     m0 = float(mass[0])
@@ -304,46 +302,34 @@ def mass_drop_report(records, u_inf: RadialField | None, grid: RadialGrid) -> Ve
     })
 
 
-def spacetime_decay_audit(
-    checkpoints,
-    bg: BackgroundSpec,
-    halted: bool,
-    tau_prime: float = 0.5,
-    delta0: float = 0.1,
-) -> Verdict:
+def spacetime_decay_audit(records, halted: bool) -> Verdict:
     """Check |R| <= C / (r^{tau'} (1+t)^{1+delta0}) is not degrading in time.
 
-    C* is maximized over checkpoints and interior nodes; the verdict passes
-    when the earliest checkpoint attains it.  A halted run is outside the
-    positive-Yamabe regime and is skipped with a reason.
+    C(t) = wsup_R (1+t)^{1+delta0} on each monitor record with t >= 1, where
+    wsup_R is the monitored sup max(r,1)^{tau'} |R| (tau' = flow.TAU_PRIME);
+    the verdict passes when the earliest such record attains C* = max C(t).
+    A halted run is outside the positive-Yamabe regime and is skipped with a
+    reason.
     """
-    name = f"spacetime-decay(tau'={tau_prime:g},delta0={delta0:g})"
+    name = f"spacetime-decay(tau'={TAU_PRIME:g},delta0={DELTA0:g})"
     if halted:
         return Verdict(name, None, skipped_reason="hypothesis Y > 0 fails for this run")
-    usable = [(t, u) for t, u in checkpoints if t >= 1.0]
+    usable = [r for r in records if r.t >= 1.0]
     if len(usable) < 5:
         return Verdict(
-            name, None, skipped_reason=f"needs >= 5 checkpoints with t >= 1, have {len(usable)}"
+            name, None, skipped_reason=f"needs >= 5 records with t >= 1, have {len(usable)}"
         )
-    interior = ~origin_mask(bg.grid)
-    w = bg.grid.w[interior]
-    lap = boundary_laplacian(bg.grid)
-    cstars = []
-    for t, u in usable:
-        R = compute_R(u, bg, lap)
-        cstars.append(float(np.max(np.abs(R.values[interior]) * w**tau_prime))
-                      * (1.0 + t) ** (1.0 + delta0))
-    cstars_a = np.asarray(cstars)
-    c_star = float(np.max(cstars_a))
-    passed = bool(cstars_a[0] >= c_star * (1.0 - 1e-9))
+    cstars = np.array([r.wsup_R * (1.0 + r.t) ** (1.0 + DELTA0) for r in usable])
+    c_star = float(np.max(cstars))
+    passed = bool(cstars[0] >= c_star * (1.0 - 1e-9))
     return Verdict(
         name,
         passed,
         details={
             "C_star": c_star,
-            "attained_at_t": float(usable[int(np.argmax(cstars_a))][0]),
-            "first_t": float(usable[0][0]),
-            "per_checkpoint": [float(c) for c in cstars_a],
+            "attained_at_t": usable[int(np.argmax(cstars))].t,
+            "first_t": usable[0].t,
+            "per_record": [float(c) for c in cstars],
         },
     )
 
@@ -382,7 +368,7 @@ def lp_inequality_audit(records, p: float, n: int) -> Verdict:
     try:
         series = np.array([r.lp_R[p] for r in records], dtype=np.float64)
         gate = np.array([r.lp_R[half_n] for r in records], dtype=np.float64)
-    except (AttributeError, KeyError) as exc:
+    except KeyError as exc:
         raise SchemaError(f"monitor series lacks lpR_p{p:g} or lpR_p{half_n:g}") from exc
     threshold = 4.0 * (n - 1.0) * (p - 1.0) / p / D
     condition = np.abs(p - half_n) * gate ** (2.0 / n) <= threshold

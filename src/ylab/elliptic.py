@@ -87,7 +87,7 @@ def compute_R(
     lap is the operator to apply: a flow passes the one it steps with, so
     the flow's own identity holds at every node; without one, the zero-flux
     boundary_laplacian of u's grid is built.  The wall and R_max rows carry
-    the boundary conditions; take extrema over the nodes grids.origin_mask
+    the boundary conditions; take extrema over the nodes grids.boundary_mask
     leaves out.
     """
     if np.min(u.values) <= 0.0:

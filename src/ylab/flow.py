@@ -40,9 +40,9 @@ from .errors import (
 from .grids import (
     RadialField,
     RadialGrid,
+    boundary_mask,
     integrate_dV,
     lp_integral,
-    origin_mask,
 )
 from .operators import BoundaryLaplacian, boundary_laplacian, damped_newton, initial_inner_flux
 from .elliptic import compute_R
@@ -50,14 +50,11 @@ from .elliptic import compute_R
 
 def default_p_list(n: int) -> tuple:
     """Monitored exponents: n/2 and the fixed eps = 0.1 window around it."""
-    ps = {n / 2.0 - 0.1, n / 2.0, n / 2.0 + 0.1, 2.0}
-    if n == 3:
-        ps.add(1.0)
-    return tuple(sorted(ps))
+    return (n / 2.0 - 0.1, n / 2.0, n / 2.0 + 0.1)
 
 
-# monitored weights tau' of sup max(r,1)^{tau'} |R|
-TAU_PRIMES = (0.0, 0.5)
+# weight exponent tau' of the monitored sup max(r,1)^{tau'} |R|
+TAU_PRIME = 0.5
 
 
 def valid_time_horizon(grid: RadialGrid) -> float:
@@ -121,10 +118,10 @@ class FlowState:
 class MonitorRecord:
     """One time slice of every audited quantity.
 
-    lp_R maps p to the integral of |R|^p against dV_t (the monotone
-    quantities themselves, not their p-th roots); weighted_sup_R maps tau'
-    to sup max(r,1)^{tau'} |R|.  Extrema of R exclude the boundary-condition
-    nodes (grids.origin_mask).
+    wsup_R is sup max(r,1)^{TAU_PRIME} |R|; lp_R maps p to the integral of
+    |R|^p against dV_t (the monotone quantities themselves, not their p-th
+    roots).  Extrema of R exclude the boundary-condition nodes
+    (grids.boundary_mask).
     """
 
     t: float
@@ -134,12 +131,12 @@ class MonitorRecord:
     mass: float
     min_u: float
     max_u: float
+    wsup_R: float
     lp_R: dict = field(default_factory=dict)
-    weighted_sup_R: dict = field(default_factory=dict)
 
     def __post_init__(self):
         scalars = [getattr(self, name) for name in MONITOR_SCALARS]
-        scalars += list(self.lp_R.values()) + list(self.weighted_sup_R.values())
+        scalars += list(self.lp_R.values())
         if not all(math.isfinite(x) for x in scalars):
             raise ParameterError(f"monitor record at t={self.t} contains non-finite entries")
 
@@ -261,16 +258,14 @@ def adm_mass(u: RadialField) -> float:
 def monitor(state: FlowState, bg: BackgroundSpec, lap: BoundaryLaplacian) -> MonitorRecord:
     """Evaluate every audited quantity at the current state, R with the run's operator lap.
 
-    lp_R holds p in default_p_list(n), weighted_sup_R tau' in TAU_PRIMES.
+    This is the one evaluation of R along a run; lp_R holds p in
+    default_p_list(n).
     """
     u = state.u
     grid = u.grid
     R = compute_R(u, bg, lap)
-    interior = ~origin_mask(grid)
+    interior = ~boundary_mask(grid)
     Ri = R.values[interior]
-    wi = grid.w[interior]
-    lp = {p: lp_integral(R, p, u) for p in default_p_list(bg.n)}
-    wsup = {tp: float(np.max(wi**tp * np.abs(Ri))) for tp in TAU_PRIMES}
     return MonitorRecord(
         t=state.t,
         sup_R=float(np.max(np.abs(Ri))),
@@ -279,8 +274,8 @@ def monitor(state: FlowState, bg: BackgroundSpec, lap: BoundaryLaplacian) -> Mon
         mass=adm_mass(u),
         min_u=float(np.min(u.values)),
         max_u=float(np.max(u.values)),
-        lp_R=lp,
-        weighted_sup_R=wsup,
+        wsup_R=float(np.max(grid.w[interior] ** TAU_PRIME * np.abs(Ri))),
+        lp_R={p: lp_integral(R, p, u) for p in default_p_list(bg.n)},
     )
 
 

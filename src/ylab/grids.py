@@ -215,7 +215,7 @@ def build_grid(n: int, r_in: float, R_max: float, M: int, policy: str = LOG_STRE
     return RadialGrid(n=n, nodes=nodes, policy=LOG_STRETCHED)
 
 
-def origin_mask(grid: RadialGrid) -> np.ndarray:
+def boundary_mask(grid: RadialGrid) -> np.ndarray:
     """Boolean mask of the boundary nodes whose Laplacian rows fold in a condition.
 
     An inner wall at r_in > 0 (Neumann row) and the truncation node at R_max

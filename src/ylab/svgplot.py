@@ -16,8 +16,20 @@ def _ticks(lo: float, hi: float):
     return [10.0**e for e in range(lo_e, hi_e + 1, step)]
 
 
+def _escape(text: str) -> str:
+    """text with the markup characters & < > as XML entities.
+
+    The same as xml.sax.saxutils.escape, whose import pulls in urllib and
+    adds about 2 MiB to every ylab process.
+    """
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def svg_line_chart(path, xs, ys, title: str, xlabel: str, ylabel: str):
-    """Write one polyline chart on log-log axes; nonpositive points are dropped."""
+    """Write one polyline chart on log-log axes; nonpositive points are dropped.
+
+    The title and axis labels are plain text, escaped for XML.
+    """
     pts = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
     if len(pts) < 2:
         raise ValueError("need at least 2 plottable points")
@@ -40,10 +52,10 @@ def svg_line_chart(path, xs, ys, title: str, xlabel: str, ylabel: str):
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
-        f'<text x="{_W / 2}" y="{_H - 10}" text-anchor="middle" font-size="12">{xlabel}</text>',
+        f'<text x="{_W / 2}" y="24" text-anchor="middle" font-size="16">{_escape(title)}</text>',
+        f'<text x="{_W / 2}" y="{_H - 10}" text-anchor="middle" font-size="12">{_escape(xlabel)}</text>',
         f'<text x="16" y="{_H / 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {_H / 2})">{ylabel}</text>',
+        f'transform="rotate(-90 16 {_H / 2})">{_escape(ylabel)}</text>',
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" '
         'fill="none" stroke="black"/>',
     ]

@@ -2,6 +2,7 @@ import ast
 import json
 import re
 import shutil
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -232,6 +233,11 @@ class TestMonitorCsv:
         assert header == _monitor_columns(3)
         assert read_monitor_csv(path, 3) == res.records  # 17 digits round-trip floats
 
+    def test_formats_doc_pins_the_n3_header(self):
+        doc = (ROOT / "docs" / "formats.md").read_text()
+        block = doc.split("## Monitor series CSV")[1].split("```\n")[1].split("```")[0]
+        assert block == ",".join(_monitor_columns(3)) + "\n"
+
 
 class TestSimulate:
     def test_artifacts_and_exit(self, tmp_path):
@@ -276,13 +282,22 @@ class TestSimulate:
              "[initial]\nfamily = gaussian_bump\neps = -0.5\n", "eps must be > -1"),
             ("[grid]\nM = 16\nR_max = 512\n", "[grid]\nM = 64\nR_max = 512\n",
              "fewer than 8 nodes in the far-field fit window"),
+            ("[flow]\nt_end = inf\n", "[flow]\nt_end = 0.01\n", "[flow] t_end"),
+            ("[flow]\nt_end = nan\n", "[flow]\nt_end = 0.01\n", "[flow] t_end"),
+            ("[flow]\nt_end = 0.01\ndt0 = nan\n", "[flow]\nt_end = 0.01\n", "[flow] dt0"),
+            ("[flow]\nt_end = 0.01\nnewton_tol = nan\n", "[flow]\nt_end = 0.01\n",
+             "[flow] newton_tol"),
+            ("[grid]\nM = 64\nR_max = inf\n", "[grid]\nM = 64\nR_max = 64\n", "[grid] R_max"),
         ],
-        ids=["unknown-background", "too-deep-bump", "coarse-grid"],
+        ids=["unknown-background", "too-deep-bump", "coarse-grid", "infinite-t_end",
+             "nan-t_end", "nan-dt0", "nan-newton_tol", "infinite-R_max"],
     )
     def test_config_error_leaves_no_run_directory(self, tmp_path, capsys, bad, good, message):
         config = tmp_path / "run.ini"
         out = tmp_path / "out"
-        text = "[run]\nid = x\n[flow]\nt_end = 0.01\n"
+        text = "[run]\nid = x\n"
+        if "[flow]" not in bad:
+            text += "[flow]\nt_end = 0.01\n"
         if "[grid]" not in bad:
             text += "[grid]\nM = 64\nR_max = 64\n"
         config.write_text(text + bad)
@@ -330,12 +345,13 @@ def bump_run(tmp_path_factory):
     return root / "bump-test"
 
 
-DENSE_CONFIG = BUMP_CONFIG.replace("checkpoint_every = 20", "checkpoint_every = 1")
+DENSE_CONFIG = BUMP_CONFIG.replace("checkpoint_every = 20", "checkpoint_every = 1").replace(
+    "monitor_every = 4", "monitor_every = 1")
 
 
 @pytest.fixture(scope="module")
 def dense_run(tmp_path_factory):
-    """BUMP_CONFIG with a checkpoint after every step (20 checkpoints)."""
+    """BUMP_CONFIG with a checkpoint and a monitor record after every step (20 of each)."""
     root = tmp_path_factory.mktemp("dense")
     assert cmd_simulate(parse_config_text(DENSE_CONFIG), root) == 0
     return root / "bump-test"
@@ -438,6 +454,16 @@ class TestReport:
         assert svg.exists()
         assert svg.read_text().startswith("<svg")
 
+    def test_chart_of_a_markup_run_id_is_well_formed(self, bump_run, tmp_path):
+        rundir = tmp_path / "run"
+        shutil.copytree(bump_run, rundir, ignore=shutil.ignore_patterns("sup_R.svg"))
+        config = rundir / "config.ini"
+        config.write_text(config.read_text().replace("id = bump-test", "id = a&b<c>"))
+        assert cmd_report([rundir], [], out=tmp_path / "rep.json", plots=True) == 0
+        root = ET.parse(rundir / "sup_R.svg").getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[:3] == ["a&b<c>: sup |R|", "t", "sup |R|"]
+
     def test_convergence_with_too_few_checkpoints_fails_cleanly(self, tmp_path):
         config = BUMP_CONFIG.replace("checkpoint_every = 20", "checkpoint_every = 100")
         assert cmd_simulate(parse_config_text(config), tmp_path) == 0
@@ -500,7 +526,12 @@ class TestReport:
         assert rc == 2
         assert str(broken / name) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("audit", ["convergence", "spacetime-decay"])
+    # spacetime-decay reads only the monitor records: a report that asks for it
+    # first still reads, and rejects, the series for the convergence audit
+    @pytest.mark.parametrize(
+        "audits", ["convergence", "spacetime-decay,convergence"],
+        ids=["convergence", "spacetime-decay"],
+    )
     @pytest.mark.parametrize(
         "name, corrupt",
         [
@@ -519,22 +550,23 @@ class TestReport:
              "string-t", "null-t", "string-dt"],
     )
     def test_unreadable_checkpoint_series_is_config_error(
-        self, bump_run, tmp_path, capsys, name, corrupt, audit
+        self, bump_run, tmp_path, capsys, name, corrupt, audits
     ):
         broken = tmp_path / "broken"
         shutil.copytree(bump_run, broken)
         corrupt(broken / name)
-        rc = main(["report", str(broken), "--audits", audit,
+        rc = main(["report", str(broken), "--audits", audits,
                    "--out", str(tmp_path / "rep.json")])
         assert rc == 2
         assert str(broken / name) in capsys.readouterr().err
+        assert not (tmp_path / "rep.json").exists()
 
     def test_horizon_comes_from_the_grid(self, tmp_path):
         # a run past its valid-time horizon R_max^2/32 = 1.125: the audits
         # that cut at the horizon give the same verdicts when summary.json
         # does not record it
         config = DENSE_CONFIG.replace("R_max = 128", "R_max = 6").replace(
-            "dt_max = 0.2", "dt_max = 0.05").replace("monitor_every = 4", "monitor_every = 1")
+            "dt_max = 0.2", "dt_max = 0.05")
         assert cmd_simulate(parse_config_text(config), tmp_path) == 0
         intact, stripped = tmp_path / "bump-test", tmp_path / "stripped"
         shutil.copytree(intact, stripped)
@@ -571,12 +603,14 @@ class TestReport:
             cli, "read_field_series", lambda path, grid: loads.append(path) or load(path, grid)
         )
         out = tmp_path / "rep.json"
-        rc = main(["report", str(rundir), "--audits", "convergence,spacetime-decay",
-                   "--out", str(out)])
-        assert rc == 0
-        assert loads == [rundir / "checkpoints.npy"]
+        # spacetime-decay judges the monitor records; convergence loads the series once
+        for audits, loaded in (("spacetime-decay", []),
+                               ("convergence,spacetime-decay", [rundir / "checkpoints.npy"])):
+            loads.clear()
+            assert main(["report", str(rundir), "--audits", audits, "--out", str(out)]) == 0
+            assert loads == loaded, audits
         verdicts = json.loads(out.read_text())["runs"][0]["audits"]
-        # each audit on its own freshly loaded run, as when every audit read the checkpoints
+        # each audit on its own freshly loaded run
         assert verdicts == [
             json.loads(json.dumps(_AUDITS[name](load_run(rundir)).to_json()))
             for name in ("convergence", "spacetime-decay")
@@ -584,7 +618,7 @@ class TestReport:
         convergence, spacetime = verdicts
         assert convergence["pass"] is True and spacetime["pass"] is True
         assert convergence["details"]["fit"]["exponent"] == pytest.approx(-1.43554174696, rel=1e-9)
-        assert spacetime["details"]["C_star"] == pytest.approx(0.0577852583785, rel=1e-9)
+        assert spacetime["details"]["C_star"] == pytest.approx(0.0577852583448, rel=1e-9)
 
     def test_series_verdicts_equal_in_memory_checkpoints(self, dense_run, tmp_path):
         # every audit judges the run directory as it judges the run_flow result in memory

@@ -24,10 +24,10 @@ from ylab.flow import FlowConfig, MonitorRecord, run_flow
 from ylab.grids import LOG_STRETCHED, RadialField, build_grid, constant_field
 
 
-def make_record(t, mass=0.0, l1=0.0, lp=None):
+def make_record(t, mass=0.0, l1=0.0, lp=None, wsup=0.0):
     return MonitorRecord(
-        t=t, sup_R=0.0, min_R=0.0, l1_R=l1, mass=mass, min_u=1.0, max_u=1.0,
-        lp_R=lp or {}, weighted_sup_R={},
+        t=t, sup_R=0.0, min_R=0.0, l1_R=l1, mass=mass, min_u=1.0, max_u=1.0, wsup_R=wsup,
+        lp_R=lp or {},
     )
 
 
@@ -194,18 +194,23 @@ class TestMassDrop:
 
 class TestSpacetimeDecay:
     def test_not_applicable_skips(self):
-        g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
-        v = spacetime_decay_audit([], bg, halted=True)
+        v = spacetime_decay_audit([], halted=True)
         assert v.passed is None
         assert "Y > 0" in v.skipped_reason
 
-    def test_too_few_checkpoints_skips(self):
-        g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
-        u = constant_field(g, 1.0)
-        v = spacetime_decay_audit([(0.5, u), (2.0, u)], bg, False)
+    def test_too_few_records_skips(self):
+        records = [make_record(t, wsup=1.0) for t in (0.5, 1.0, 2.0, 3.0, 4.0)]
+        v = spacetime_decay_audit(records, False)
         assert v.passed is None
+        assert "have 4" in v.skipped_reason
+
+    def test_rising_bound_fails(self):
+        # wsup_R constant: C(t) = (1+t)^1.1 peaks at the last record
+        records = [make_record(float(t), wsup=1.0) for t in range(1, 6)]
+        v = spacetime_decay_audit(records, False)
+        assert v.passed is False
+        assert v.details["attained_at_t"] == 5.0
+        assert v.details["per_record"] == [(1.0 + t) ** 1.1 for t in range(1, 6)]
 
     def test_decaying_run_passes(self):
         g = build_grid(3, 0.0, 128.0, 1024, LOG_STRETCHED)
@@ -214,13 +219,11 @@ class TestSpacetimeDecay:
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=30.0,
                          monitor_every=10, checkpoint_every=10)
         res = run_flow(bg, init, cfg)
-        v = spacetime_decay_audit(res.checkpoints, bg, False)
+        v = spacetime_decay_audit(res.records, False)
         assert v.passed is True
 
     def test_json_shape(self):
-        g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
-        v = spacetime_decay_audit([], bg, halted=True)
+        v = spacetime_decay_audit([], halted=True)
         out = json.loads(json.dumps(v.to_json()))
         assert set(out) == {"name", "pass", "details", "skipped_reason"}
 
@@ -258,8 +261,8 @@ class TestAuditorPurity:
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=5.0,
                          monitor_every=2, checkpoint_every=5)
         res = run_flow(bg, init, cfg)
-        first = spacetime_decay_audit(res.checkpoints, bg, False)
-        second = spacetime_decay_audit(res.checkpoints, bg, False)
+        first = spacetime_decay_audit(res.records, False)
+        second = spacetime_decay_audit(res.records, False)
         assert json.dumps(first.to_json()) == json.dumps(second.to_json())
         a1 = audit_monotone([r.min_R for r in res.records], NONDECREASING, 1e-8)
         a2 = audit_monotone([r.min_R for r in res.records], NONDECREASING, 1e-8)

@@ -31,10 +31,10 @@ from ylab.grids import (
     LOG_STRETCHED,
     UNIFORM,
     RadialField,
+    boundary_mask,
     build_grid,
     constant_field,
     field_from_function,
-    origin_mask,
 )
 
 
@@ -93,7 +93,7 @@ class TestComputeR:
         bg = make_flat_background(3, g)
         u = field_from_function(g, lambda r: 1.0 + 0.5 / r)
         R = compute_R(u, bg)
-        interior = ~origin_mask(g)
+        interior = ~boundary_mask(g)
         assert np.max(np.abs(R.values[interior])) <= 10.0 * g.h**2
 
     def test_nonpositive_factor_rejected(self, grid, flat):
@@ -253,7 +253,7 @@ class TestPrescribe:
         target = RadialField(g, -0.1 * (1.0 + g.nodes**2) ** -1.5)
         phi, rep = prescribe_scalar_curvature(bg, target)
         assert rep.converged
-        interior = ~origin_mask(g)
+        interior = ~boundary_mask(g)
         R = compute_R(phi, bg)
         assert np.max(np.abs(R.values[interior] - target.values[interior])) <= 10.0 * g.h**2
         assert np.max(phi.values) <= 1.0 + 1e-12  # discrete maximum principle
@@ -289,6 +289,6 @@ class TestPrescribe:
         target = compute_R(phi_star, bg)
         phi, rep = prescribe_scalar_curvature(bg, target)
         assert rep.converged
-        interior = ~origin_mask(g)
+        interior = ~boundary_mask(g)
         R = compute_R(phi, bg)
         assert np.max(np.abs(R.values[interior] - target.values[interior])) <= 10.0 * g.h**2

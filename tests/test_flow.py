@@ -87,7 +87,7 @@ class TestConfig:
         assert FlowConfig(stop_max_u=1e3).stop_max_u == 1e3
 
     def test_default_p_list(self):
-        assert default_p_list(3) == (1.0, 1.4, 1.5, 1.6, 2.0)
+        assert default_p_list(3) == (1.4, 1.5, 1.6)
         assert default_p_list(4) == (1.9, 2.0, 2.1)
 
     def test_valid_time_horizon(self, grid):
@@ -211,7 +211,7 @@ class TestMonitor:
         assert rec.mass == 0.0
         assert rec.min_u == rec.max_u == 1.0
         assert set(rec.lp_R) == set(default_p_list(3))
-        assert set(rec.weighted_sup_R) == {0.0, 0.5}
+        assert rec.wsup_R == 0.0
 
     def test_schema_stable_across_records(self, grid, flat):
         cfg = FlowConfig(dt0=0.05, t_end=0.5, monitor_every=2)
