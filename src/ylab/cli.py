@@ -468,7 +468,9 @@ _AUDITS = {
     "sup-r-decay": lambda ctx: diag.sup_r_decay_audit(ctx.records, ctx.grid),
     "convergence": lambda ctx: diag.convergence_to_limit(ctx.checkpoints(), ctx.limit, ctx.bg),
     "mass-drop": lambda ctx: diag.mass_drop_report(ctx.records, ctx.limit, ctx.grid),
-    "spacetime-decay": lambda ctx: diag.spacetime_decay_audit(ctx.records, ctx.halted),
+    "spacetime-decay": lambda ctx: diag.spacetime_decay_audit(
+        ctx.records, ctx.halted, ctx.limit
+    ),
     "blowup": lambda ctx: diag.blowup_audit(ctx.records, ctx.halted),
     "lp-inequality": lambda ctx: diag.lp_inequality_audit(
         ctx.records, ctx.grid.n / 2.0 + 0.1, ctx.grid.n

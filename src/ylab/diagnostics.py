@@ -302,18 +302,20 @@ def mass_drop_report(records, u_inf: RadialField | None, grid: RadialGrid) -> Ve
     })
 
 
-def spacetime_decay_audit(records, halted: bool) -> Verdict:
+def spacetime_decay_audit(records, halted: bool, u_inf: RadialField | None) -> Verdict:
     """Check |R| <= C / (r^{tau'} (1+t)^{1+delta0}) is not degrading in time.
 
     C(t) = wsup_R (1+t)^{1+delta0} on each monitor record with t >= 1, where
     wsup_R is the monitored sup max(r,1)^{tau'} |R| (tau' = flow.TAU_PRIME);
     the verdict passes when the earliest such record attains C* = max C(t).
-    A halted run is outside the positive-Yamabe regime and is skipped with a
-    reason.
+    A halted run, or one with no scalar-flat limit u_inf (Y <= 0), is outside
+    the positive-Yamabe regime and is skipped with a reason.
     """
     name = f"spacetime-decay(tau'={TAU_PRIME:g},delta0={DELTA0:g})"
     if halted:
         return Verdict(name, None, skipped_reason="hypothesis Y > 0 fails for this run")
+    if u_inf is None:
+        return Verdict(name, None, skipped_reason=_NO_LIMIT)
     usable = [r for r in records if r.t >= 1.0]
     if len(usable) < 5:
         return Verdict(

@@ -41,8 +41,8 @@ from .grids import (
     RadialField,
     RadialGrid,
     boundary_mask,
-    integrate_dV,
-    lp_integral,
+    integrate_dr,
+    volume_weight,
 )
 from .operators import BoundaryLaplacian, boundary_laplacian, damped_newton, initial_inner_flux
 from .elliptic import compute_R
@@ -177,13 +177,28 @@ def step_tolerances(
 
 
 def _implicit_residual(lap, R0, a, N, c, u_prev, dt):
-    def residual_fn(v):
-        return v - u_prev - dt * c * v ** (1.0 - N) * (a * lap.apply(v) - R0 * v)
+    """Residual and Jacobian of one backward-Euler step, sharing one evaluation.
 
-    def jacobian_fn(v):
+    residual_fn(v) keeps v with its stencil term g = a L v - R0 v and its
+    power w = v^{1-N} until its next call; jacobian_fn builds the bands from
+    them, so it accepts only the array residual_fn saw last (the
+    damped_newton contract) and raises ValueError for any other.
+    """
+    diag_term = a * lap.diag - R0
+    kept = {}
+
+    def residual_fn(v):
+        kept.clear()
         g = a * lap.apply(v) - R0 * v
         w = v ** (1.0 - N)
-        jd = 1.0 - dt * c * ((1.0 - N) * v ** (-N) * g + w * (a * lap.diag - R0))
+        kept.update(v=v, g=g, w=w)
+        return v - u_prev - dt * c * w * g
+
+    def jacobian_fn(v):
+        if kept.get("v") is not v:
+            raise ValueError("jacobian_fn called at an array other than the last residual's")
+        g, w = kept["g"], kept["w"]
+        jd = 1.0 - dt * c * ((1.0 - N) * v ** (-N) * g + w * diag_term)
         jl = -dt * c * w[1:] * a * lap.lower
         ju = -dt * c * w[:-1] * a * lap.upper
         return jl, jd, ju
@@ -258,24 +273,26 @@ def adm_mass(u: RadialField) -> float:
 def monitor(state: FlowState, bg: BackgroundSpec, lap: BoundaryLaplacian) -> MonitorRecord:
     """Evaluate every audited quantity at the current state, R with the run's operator lap.
 
-    This is the one evaluation of R along a run; lp_R holds p in
-    default_p_list(n).
+    This is the one evaluation of R along a run; l1_R and lp_R (p in
+    default_p_list(n)) are integrate_dV and lp_integral of R against one
+    shared volume density.
     """
     u = state.u
     grid = u.grid
-    R = compute_R(u, bg, lap)
+    R = compute_R(u, bg, lap).values
+    dens = volume_weight(grid, u)
     interior = ~boundary_mask(grid)
-    Ri = R.values[interior]
+    Ri = R[interior]
     return MonitorRecord(
         t=state.t,
         sup_R=float(np.max(np.abs(Ri))),
         min_R=float(np.min(Ri)),
-        l1_R=integrate_dV(R, u),
+        l1_R=integrate_dr(R * dens, grid),
         mass=adm_mass(u),
         min_u=float(np.min(u.values)),
         max_u=float(np.max(u.values)),
         wsup_R=float(np.max(grid.w[interior] ** TAU_PRIME * np.abs(Ri))),
-        lp_R={p: lp_integral(R, p, u) for p in default_p_list(bg.n)},
+        lp_R={p: integrate_dr(np.abs(R) ** p * dens, grid) for p in default_p_list(bg.n)},
     )
 
 

@@ -230,8 +230,9 @@ def boundary_mask(grid: RadialGrid) -> np.ndarray:
     return mask
 
 
-def _trapezoid(y: np.ndarray, dr: np.ndarray) -> float:
-    return float(np.sum(0.5 * (y[:-1] + y[1:]) * dr))
+def integrate_dr(y: np.ndarray, grid: RadialGrid) -> float:
+    """Composite trapezoid of nodal samples y against dr: the one quadrature."""
+    return float(np.sum(0.5 * (y[:-1] + y[1:]) * grid.dr))
 
 
 def volume_weight(grid: RadialGrid, u: RadialField) -> np.ndarray:
@@ -255,8 +256,7 @@ def integrate_dV(f: RadialField, u: RadialField) -> float:
     discarded tail).
     """
     _require_same_grid(f, u)
-    dens = volume_weight(f.grid, u)
-    return _trapezoid(f.values * dens, f.grid.dr)
+    return integrate_dr(f.values * volume_weight(f.grid, u), f.grid)
 
 
 def lp_integral(f: RadialField, p: float, u: RadialField) -> float:
@@ -264,8 +264,7 @@ def lp_integral(f: RadialField, p: float, u: RadialField) -> float:
     if p < 1.0:
         raise ParameterError(f"p must be >= 1, got {p}")
     _require_same_grid(f, u)
-    dens = volume_weight(f.grid, u)
-    return _trapezoid(np.abs(f.values) ** p * dens, f.grid.dr)
+    return integrate_dr(np.abs(f.values) ** p * volume_weight(f.grid, u), f.grid)
 
 
 def lp_norm(f: RadialField, p: float, u: RadialField) -> float:

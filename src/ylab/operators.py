@@ -22,25 +22,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError
-from .grids import RadialField, RadialGrid
+from .grids import RadialField, RadialGrid, _readonly
 
 _MAX_BACKTRACKS = 40  # step halvings per Newton iteration before it stagnates
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryLaplacian:
-    """Affine discrete radial Laplacian u -> L u + b with boundary rows folded in."""
+    """Affine discrete radial Laplacian u -> L u + b with boundary rows folded in.
+
+    The bands are read-only, so row_norm, computed on first use, stays valid.
+    """
 
     grid: RadialGrid
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
     affine: np.ndarray
+
+    def __post_init__(self):
+        for name in ("lower", "diag", "upper", "affine"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         # off-diagonals first: constants then cancel bit-exactly against the
@@ -52,7 +60,7 @@ class BoundaryLaplacian:
         out += self.affine
         return out
 
-    @property
+    @cached_property
     def row_norm(self) -> float:
         s = np.abs(self.diag).copy()
         s[:-1] += np.abs(self.upper)
@@ -147,7 +155,9 @@ def damped_newton(
 ):
     """Newton iteration with residual backtracking and a positivity guard.
 
-    jacobian_fn returns tridiagonal bands (lower, diag, upper).  Returns
+    jacobian_fn returns tridiagonal bands (lower, diag, upper).  It is only
+    ever called at the iterate whose residual was evaluated last, and with
+    that very array object, so it may reuse what residual_fn computed.  Returns
     (u, residual_norm, iterations, converged); stagnation reports
     converged = False.  Candidates must stay positive.  A residual above
     floor stagnates after a full sweep of _MAX_BACKTRACKS halvings without

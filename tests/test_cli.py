@@ -640,11 +640,31 @@ class TestReport:
         solve = cli.solve_scalar_flat
         monkeypatch.setattr(cli, "solve_scalar_flat", lambda bg: solves.append(bg) or solve(bg))
         out = str(tmp_path / "rep.json")
-        for audits, count in (("mass-drift,spacetime-decay", 0), ("convergence,mass-drop", 2)):
+        for audits, count in (("mass-drift,spacetime-decay", 2), ("convergence,mass-drop", 2)):
             solves.clear()
             assert main(["report", str(dense_run), str(dense_run), "--audits", audits,
                          "--out", out]) == 0
             assert len(solves) == count, audits
+
+    def test_spacetime_decay_skips_a_run_without_a_limit(self, tmp_path):
+        # an A = -50 well (Y <= 0) that reaches t_end without halting
+        config = (
+            "[run]\nid = well\n"
+            "[grid]\nn = 3\nR_max = 64\nM = 512\npolicy = log-stretched\n"
+            "[background]\nname = synthetic:A=-50,rc=2,sigma=1,tau=1\n"
+            "[initial]\nfamily = flat\n"
+            "[flow]\ndt0 = 0.01\ndt_max = 0.5\nt_end = 8\nmonitor_every = 1\n"
+        )
+        assert cmd_simulate(parse_config_text(config), tmp_path) == 0
+        run = load_run(tmp_path / "well")
+        assert run.halted is False and run.limit is None
+        assert sum(r.t >= 1.0 for r in run.records) >= 5
+        out = tmp_path / "rep.json"
+        assert main(["report", str(tmp_path / "well"), "--audits", "spacetime-decay",
+                     "--out", str(out)]) == 0
+        (verdict,) = json.loads(out.read_text())["runs"][0]["audits"]
+        assert verdict["pass"] is None
+        assert verdict["skipped_reason"] == "no scalar-flat limit (Y <= 0)"
 
     def test_schwarzschild_fixed_point_audits(self, tmp_path):
         config = (

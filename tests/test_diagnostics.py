@@ -193,21 +193,23 @@ class TestMassDrop:
 
 
 class TestSpacetimeDecay:
+    LIMIT = constant_field(build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED), 1.0)
+
     def test_not_applicable_skips(self):
-        v = spacetime_decay_audit([], halted=True)
+        v = spacetime_decay_audit([], True, self.LIMIT)
         assert v.passed is None
         assert "Y > 0" in v.skipped_reason
 
     def test_too_few_records_skips(self):
         records = [make_record(t, wsup=1.0) for t in (0.5, 1.0, 2.0, 3.0, 4.0)]
-        v = spacetime_decay_audit(records, False)
+        v = spacetime_decay_audit(records, False, self.LIMIT)
         assert v.passed is None
         assert "have 4" in v.skipped_reason
 
     def test_rising_bound_fails(self):
         # wsup_R constant: C(t) = (1+t)^1.1 peaks at the last record
         records = [make_record(float(t), wsup=1.0) for t in range(1, 6)]
-        v = spacetime_decay_audit(records, False)
+        v = spacetime_decay_audit(records, False, self.LIMIT)
         assert v.passed is False
         assert v.details["attained_at_t"] == 5.0
         assert v.details["per_record"] == [(1.0 + t) ** 1.1 for t in range(1, 6)]
@@ -219,11 +221,11 @@ class TestSpacetimeDecay:
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=30.0,
                          monitor_every=10, checkpoint_every=10)
         res = run_flow(bg, init, cfg)
-        v = spacetime_decay_audit(res.records, False)
+        v = spacetime_decay_audit(res.records, False, constant_field(g, 1.0))
         assert v.passed is True
 
     def test_json_shape(self):
-        v = spacetime_decay_audit([], halted=True)
+        v = spacetime_decay_audit([], True, self.LIMIT)
         out = json.loads(json.dumps(v.to_json()))
         assert set(out) == {"name", "pass", "details", "skipped_reason"}
 
@@ -261,8 +263,8 @@ class TestAuditorPurity:
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=5.0,
                          monitor_every=2, checkpoint_every=5)
         res = run_flow(bg, init, cfg)
-        first = spacetime_decay_audit(res.records, False)
-        second = spacetime_decay_audit(res.records, False)
+        first = spacetime_decay_audit(res.records, False, constant_field(g, 1.0))
+        second = spacetime_decay_audit(res.records, False, constant_field(g, 1.0))
         assert json.dumps(first.to_json()) == json.dumps(second.to_json())
         a1 = audit_monotone([r.min_R for r in res.records], NONDECREASING, 1e-8)
         a2 = audit_monotone([r.min_R for r in res.records], NONDECREASING, 1e-8)

@@ -15,6 +15,7 @@ from ylab.errors import ConfigError, MassUndefinedError
 from ylab.flow import (
     FlowConfig,
     FlowState,
+    _implicit_residual,
     adm_mass,
     default_p_list,
     monitor,
@@ -30,6 +31,7 @@ from ylab.grids import (
     constant_field,
     field_from_function,
     integrate_dV,
+    lp_integral,
 )
 from ylab.operators import boundary_laplacian, initial_inner_flux
 
@@ -157,6 +159,61 @@ class TestStep:
         assert all(rn <= ceiling for _, rn, ceiling in solves)
 
 
+def _well_state():
+    """A nontrivial state on a walled grid, its synthetic background and run operator."""
+    g = build_grid(3, 0.5, 64.0, 512, LOG_STRETCHED)
+    bg = make_synthetic_background(3, 1.0, -10.0, 2.0, 1.0, g)
+    u0 = field_from_function(g, lambda r: 1.0 + 0.5 / r + 0.2 * np.exp(-((r - 1.0) ** 2)))
+    return FlowState(0.0, u0, 0.05, 0), bg, boundary_laplacian(g, initial_inner_flux(u0))
+
+
+class TestImplicitResidual:
+    def test_bands_match_standalone_expressions_bitwise(self):
+        from ylab.backgrounds import conformal_exponents
+
+        state, bg, lap = _well_state()
+        a, N = conformal_exponents(3)
+        c, dt, R0 = 0.25, 0.05, bg.r0_profile.values
+        u_prev = state.u.values
+        v = u_prev * (1.0 + 0.01 * np.sin(state.u.grid.nodes))
+        residual_fn, jacobian_fn = _implicit_residual(lap, R0, a, N, c, u_prev, dt)
+        res = residual_fn(v)
+        bands = jacobian_fn(v)
+        # the stand-alone residual and Jacobian expressions each evaluation repeats
+        g = a * lap.apply(v) - R0 * v
+        w = v ** (1.0 - N)
+        expected = (
+            -dt * c * w[1:] * a * lap.lower,
+            1.0 - dt * c * ((1.0 - N) * v ** (-N) * g + w * (a * lap.diag - R0)),
+            -dt * c * w[:-1] * a * lap.upper,
+        )
+        assert np.any(R0 != 0.0) and not np.all(v == 1.0)
+        assert res.tobytes() == (
+            v - u_prev - dt * c * v ** (1.0 - N) * (a * lap.apply(v) - R0 * v)
+        ).tobytes()
+        assert [b.tobytes() for b in bands] == [b.tobytes() for b in expected]
+
+    def test_jacobian_refuses_another_array(self):
+        from ylab.backgrounds import conformal_exponents
+
+        state, bg, lap = _well_state()
+        a, N = conformal_exponents(3)
+        u_prev = state.u.values
+        residual_fn, jacobian_fn = _implicit_residual(
+            lap, bg.r0_profile.values, a, N, 0.25, u_prev, 0.05
+        )
+        with pytest.raises(ValueError):
+            jacobian_fn(u_prev)  # no residual evaluated yet
+        v = u_prev.copy()
+        residual_fn(v)
+        with pytest.raises(ValueError):
+            jacobian_fn(u_prev)  # equal values, another array
+        residual_fn(u_prev)
+        with pytest.raises(ValueError):
+            jacobian_fn(v)  # a residual evaluated before the last
+        jacobian_fn(u_prev)
+
+
 class TestHeatKernelOracle:
     def test_linearized_flow_matches_heat_kernel(self):
         g = build_grid(3, 0.0, 64.0, 2048, LOG_STRETCHED)
@@ -212,6 +269,14 @@ class TestMonitor:
         assert rec.min_u == rec.max_u == 1.0
         assert set(rec.lp_R) == set(default_p_list(3))
         assert rec.wsup_R == 0.0
+
+    def test_integrals_match_standalone_quadrature_bitwise(self):
+        state, bg, lap = _well_state()
+        rec = monitor(state, bg, lap)
+        R = compute_R(state.u, bg, lap)
+        assert rec.l1_R != 0.0
+        assert rec.l1_R == integrate_dV(R, state.u)
+        assert rec.lp_R == {p: lp_integral(R, p, state.u) for p in default_p_list(3)}
 
     def test_schema_stable_across_records(self, grid, flat):
         cfg = FlowConfig(dt0=0.05, t_end=0.5, monitor_every=2)

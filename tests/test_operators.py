@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ylab.operators import _MAX_BACKTRACKS, damped_newton, solve_tridiagonal
+from ylab.grids import LOG_STRETCHED, build_grid
+from ylab.operators import _MAX_BACKTRACKS, boundary_laplacian, damped_newton, solve_tridiagonal
 
 LEVEL = 1e-10  # round-off floor of the synthetic residual
 
@@ -67,6 +68,32 @@ class TestDampedNewton:
         assert rn <= 1e-12
         assert u[0] == pytest.approx(10.0, abs=1e-12)
 
+    @pytest.mark.parametrize("floor", [0.0, 1e-3])
+    def test_jacobian_sees_the_last_residual_array(self, floor):
+        # arctan steps overshoot from 12, so candidates are rejected before a
+        # half step is accepted; every Jacobian call must receive the very
+        # array object the residual saw last
+        calls = []
+
+        def residual_fn(v):
+            calls.append(("residual", v))
+            return np.arctan(v - 10.0)
+
+        def jacobian_fn(v):
+            calls.append(("jacobian", v))
+            return np.zeros(0), 1.0 / (1.0 + (v - 10.0) ** 2), np.zeros(0)
+
+        _, _, iterations, converged = damped_newton(
+            np.array([12.0]), residual_fn, jacobian_fn, tol=1e-12, max_iter=25, floor=floor
+        )
+        assert converged
+        jacobians = [i for i, (kind, _) in enumerate(calls) if kind == "jacobian"]
+        assert len(jacobians) == iterations
+        assert len(calls) - len(jacobians) > iterations + 1  # some candidate was rejected
+        for i in jacobians:
+            assert calls[i - 1][0] == "residual"
+            assert calls[i][1] is calls[i - 1][1]
+
     @pytest.mark.parametrize("m", [1, 5])
     def test_singular_jacobian_stops_without_a_step(self, m):
         fn, points = counting(lambda v: v - 2.0)
@@ -100,3 +127,13 @@ class TestSolveTridiagonal:
         with pytest.raises(np.linalg.LinAlgError):
             # zero diagonal, unit off-diagonals: singular for odd m even with pivoting
             solve_tridiagonal(np.ones(m - 1), np.zeros(m), np.ones(m - 1), np.ones(m))
+
+
+class TestBoundaryLaplacian:
+    @pytest.mark.parametrize("band", ["lower", "diag", "upper", "affine"])
+    def test_bands_are_read_only(self, band):
+        lap = boundary_laplacian(build_grid(3, 0.5, 64.0, 64, LOG_STRETCHED), 0.25)
+        norm = lap.row_norm
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(lap, band)[0] = 1e6
+        assert lap.row_norm == norm
