@@ -12,6 +12,9 @@ of the PDE; this is loudly a model problem, used to reach the nonpositive
 Yamabe regime that rotationally symmetric conformally flat geometry cannot
 realize.  All PDE-level claims depend only on the pair (Laplacian, R0), and
 elliptic.compute_R is the one formula for the scalar curvature of a factor.
+
+The dimension is the grid's, and each initial-data family returns its
+positive factor u0 -> 1 as a RadialField.
 """
 
 from __future__ import annotations
@@ -20,22 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, PositivityError, UndefinedFitError
+from .errors import ConfigError, ParameterError, UndefinedFitError
 from .grids import RadialField, RadialGrid, constant_field
 
 
 def conformal_exponents(n: int) -> tuple[float, float]:
     """Return (a(n), N) = (4(n-1)/(n-2), (n+2)/(n-2))."""
-    if n < 3:
-        raise ParameterError(f"dimension n must be >= 3, got {n}")
     return 4.0 * (n - 1.0) / (n - 2.0), (n + 2.0) / (n - 2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class BackgroundSpec:
-    """An AF background: dimension, decay order tau, and the profile R0(r)."""
+    """An AF background on the grid of its profile R0(r), with decay order tau."""
 
-    n: int
     tau: float
     r0_profile: RadialField
     name: str
@@ -62,26 +62,21 @@ def check_decay(profile: RadialField, order: float, C: float) -> None:
         )
 
 
-def make_flat_background(n: int, grid: RadialGrid, tau: float | None = None) -> BackgroundSpec:
+def make_flat_background(grid: RadialGrid, tau: float | None = None) -> BackgroundSpec:
     """Flat space: R0 identically zero."""
-    if n < 3:
-        raise ParameterError(f"dimension n must be >= 3, got {n}")
-    if grid.n != n:
-        raise ConfigError(f"grid has dimension {grid.n}, requested {n}")
     if tau is None:
-        tau = n - 2.0 - 0.01
+        tau = grid.n - 2.0 - 0.01
     return BackgroundSpec(
-        n=n, tau=tau, r0_profile=constant_field(grid, 0.0), name=f"flat{n}", decay_constant=0.0,
+        tau=tau, r0_profile=constant_field(grid, 0.0), name=f"flat{grid.n}", decay_constant=0.0,
     )
 
 
 def make_synthetic_background(
-    n: int,
+    grid: RadialGrid,
     tau: float,
     amplitude: float,
     center: float,
     width: float,
-    grid: RadialGrid,
     name: str | None = None,
 ) -> BackgroundSpec:
     """Prescribed coefficient R0(r) = A exp(-(r-r_c)^2/sigma^2) (1+r^2)^{-(2+tau)/2}.
@@ -91,8 +86,6 @@ def make_synthetic_background(
     """
     if width <= 0.0:
         raise ParameterError(f"width must be positive, got {width}")
-    if grid.n != n:
-        raise ConfigError(f"grid has dimension {grid.n}, requested {n}")
     r = grid.nodes
     values = amplitude * np.exp(-((r - center) ** 2) / width**2) * (1.0 + r**2) ** (
         -(2.0 + tau) / 2.0
@@ -100,41 +93,27 @@ def make_synthetic_background(
     if name is None:
         name = f"synthetic:A={amplitude:g},rc={center:g},sigma={width:g},tau={tau:g}"
     return BackgroundSpec(
-        n=n, tau=tau, r0_profile=RadialField(grid, values), name=name,
-        decay_constant=abs(amplitude),
+        tau=tau, r0_profile=RadialField(grid, values), name=name, decay_constant=abs(amplitude),
     )
 
 
 def make_profile_background(
-    n: int, tau: float, profile: RadialField, name: str = "profile"
+    profile: RadialField, tau: float, name: str = "profile"
 ) -> BackgroundSpec:
     """Background from an explicit R0 profile (manufactured solves)."""
     C = float(np.max(np.abs(profile.values) * profile.grid.w ** (2.0 + tau)))
-    return BackgroundSpec(n=n, tau=tau, r0_profile=profile, name=name, decay_constant=C)
+    return BackgroundSpec(tau=tau, r0_profile=profile, name=name, decay_constant=C)
 
 
-@dataclass(frozen=True, eq=False)
-class InitialData:
-    """Positive conformal factor u0 -> 1 plus the family it came from."""
-
-    u0: RadialField
-    family: str
-
-    def __post_init__(self):
-        if np.min(self.u0.values) <= 0.0:
-            raise PositivityError("initial factor must be positive everywhere")
+def flat_data(grid: RadialGrid) -> RadialField:
+    return constant_field(grid, 1.0)
 
 
-def flat_data(grid: RadialGrid) -> InitialData:
-    return InitialData(constant_field(grid, 1.0), "flat")
-
-
-def schwarzschild_data(n: int, m: float, grid: RadialGrid) -> InitialData:
+def schwarzschild_data(grid: RadialGrid, m: float) -> RadialField:
     """Harmonic factor u0 = 1 + m / (2 r^{n-2}); scalar-flat for every m >= 0."""
     if m < 0.0:
         raise ParameterError(f"mass parameter must be nonnegative, got {m}")
-    if grid.n != n:
-        raise ConfigError(f"grid has dimension {grid.n}, requested {n}")
+    n = grid.n
     if m > 0.0:
         r_min_allowed = m ** (1.0 / (n - 2.0)) / 4.0
         if grid.r_in < r_min_allowed:
@@ -145,20 +124,20 @@ def schwarzschild_data(n: int, m: float, grid: RadialGrid) -> InitialData:
         u0 = 1.0 + m / (2.0 * grid.nodes ** (n - 2.0))
     else:
         u0 = np.ones(grid.nodes.shape)
-    return InitialData(RadialField(grid, u0), "schwarzschild")
+    return RadialField(grid, u0)
 
 
-def gaussian_bump_data(grid: RadialGrid, eps: float, sigma: float) -> InitialData:
+def gaussian_bump_data(grid: RadialGrid, eps: float, sigma: float) -> RadialField:
     """u0 = 1 + eps exp(-r^2/sigma^2); requires eps > -1 for positivity."""
     if sigma <= 0.0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     if eps <= -1.0:
         raise ParameterError(f"eps must be > -1 for a positive factor, got {eps}")
     u0 = 1.0 + eps * np.exp(-(grid.nodes**2) / sigma**2)
-    return InitialData(RadialField(grid, u0), "gaussian_bump")
+    return RadialField(grid, u0)
 
 
-def newtonian_data(grid: RadialGrid, source: RadialField) -> InitialData:
+def newtonian_data(grid: RadialGrid, source: RadialField) -> RadialField:
     """u0 = 1 + Newtonian potential of a nonnegative compactly supported source.
 
     Solves -lap phi = f radially (n = 3 only) through the Green's form
@@ -192,7 +171,7 @@ def newtonian_data(grid: RadialGrid, source: RadialField) -> InitialData:
     phi[inner] = I1[inner] / r[inner] + I2[inner]
     if not inner.all():
         phi[~inner] = I2[~inner]
-    return InitialData(RadialField(grid, 1.0 + phi), "newtonian")
+    return RadialField(grid, 1.0 + phi)
 
 
 def bump_source(grid: RadialGrid, total: float, radius: float) -> RadialField:
@@ -244,7 +223,7 @@ def background_from_name(name: str, grid: RadialGrid) -> BackgroundSpec:
                 raise ConfigError(f"unknown background {name!r}") from exc
             if dim != grid.n:
                 raise ConfigError(f"background {name!r} conflicts with grid dimension {grid.n}")
-        return make_flat_background(grid.n, grid)
+        return make_flat_background(grid)
     if name.startswith("synthetic:"):
         params = {}
         for item in name.split(":", 1)[1].split(","):
@@ -262,11 +241,7 @@ def background_from_name(name: str, grid: RadialGrid) -> BackgroundSpec:
         if extra:
             raise ConfigError(f"unknown synthetic background parameters {sorted(extra)}")
         return make_synthetic_background(
-            n=grid.n,
-            tau=params["tau"],
-            amplitude=params["A"],
-            center=params["rc"],
+            grid, tau=params["tau"], amplitude=params["A"], center=params["rc"],
             width=params["sigma"],
-            grid=grid,
         )
     raise ConfigError(f"unknown background {name!r}")

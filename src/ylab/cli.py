@@ -62,6 +62,7 @@ from .flow import (
     default_p_list,
     far_field_window,
     run_flow,
+    valid_time_horizon,
 )
 from .grids import (
     RadialField,
@@ -77,12 +78,9 @@ _GRID_DEFAULTS = {"n": 3, "r_in": 0.0, "R_max": 256.0, "M": 1024, "policy": "log
 
 # initial-data family -> (parameter defaults in config order, builder(grid, **params))
 _FAMILIES = {
-    "flat": ({}, lambda grid: flat_data(grid)),
-    "schwarzschild": ({"m": 1.0}, lambda grid, m: schwarzschild_data(grid.n, m, grid)),
-    "gaussian_bump": (
-        {"eps": 0.2, "sigma": 1.0},
-        lambda grid, eps, sigma: gaussian_bump_data(grid, eps, sigma),
-    ),
+    "flat": ({}, flat_data),
+    "schwarzschild": ({"m": 1.0}, schwarzschild_data),
+    "gaussian_bump": ({"eps": 0.2, "sigma": 1.0}, gaussian_bump_data),
     "newtonian": (
         {"total": 4.0 * math.pi, "radius": 4.0},
         lambda grid, total, radius: newtonian_data(grid, bump_source(grid, total, radius)),
@@ -234,14 +232,11 @@ def build_background(manifest: RunManifest):
 
 
 def build_run(manifest: RunManifest):
-    """Instantiate (grid, background, initial data, flow config)."""
+    """Instantiate (grid, background, initial factor u0, flow config)."""
     grid, bg = build_background(manifest)
     params = dict(manifest.initial_data)
-    family = params.pop("family")
-    if family not in _FAMILIES:
-        raise ConfigError(f"unknown initial-data family {family!r}")
-    init = _FAMILIES[family][1](grid, **params)
-    return grid, bg, init, manifest.flow
+    u0 = _FAMILIES[params.pop("family")][1](grid, **params)
+    return grid, bg, u0, manifest.flow
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +294,16 @@ def read_monitor_csv(path, n: int) -> list:
 
 def _write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _outdir(out_root, name) -> Path:
+    """out_root/name, created if absent; one that cannot be created is a ConfigError."""
+    outdir = Path(out_root) / name
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {outdir}: {exc}") from exc
+    return outdir
 
 
 # checkpoint time column -> the JSON numbers it holds
@@ -359,14 +364,15 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
     rundir = Path(out_root) / manifest.run_id
     if rundir.exists():
         raise ConfigError(f"run directory already exists: {rundir}")
-    grid, bg, init, cfg = build_run(manifest)  # config errors leave no directory behind
+    grid, bg, u0, cfg = build_run(manifest)  # config errors leave no directory behind
     far_field_window(grid)  # so does a grid too coarse to read the mass off
-    rundir.mkdir(parents=True)
+    _outdir(out_root, manifest.run_id)
 
-    result = run_flow(bg, init, cfg)
+    result = run_flow(bg, u0, cfg)
+    final = result.checkpoints[-1]
 
     write_monitor_csv(rundir / "monitor.csv", result.records, grid.n)
-    write_field_csv(result.final.u, rundir / "final_state.csv", header="r,u")
+    write_field_csv(final.u, rundir / "final_state.csv", header="r,u")
     write_checkpoints(rundir / "checkpoints.npy", result.checkpoints)
 
     last = result.records[-1]
@@ -376,12 +382,12 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
             "run_id": manifest.run_id,
             "halted": result.halted,
             "halt_reason": result.halt_reason,
-            "final_t": result.final.t,
+            "final_t": final.t,
             "final_sup_R": last.sup_R,
             "mass_series_endpoints": [result.records[0].mass, last.mass],
             "max_u_final": last.max_u,
-            "steps": result.final.step_index,
-            "valid_t_max": result.valid_t_max,
+            "steps": final.step_index,
+            "valid_t_max": valid_time_horizon(grid),
         },
     )
     (rundir / "config.ini").write_text(serialize_manifest(manifest))
@@ -529,8 +535,8 @@ def cmd_report(run_dirs, audits, out=None, plots=False) -> int:
                 title=f"{run_id}: sup |R|",
                 xlabel="t", ylabel="sup |R|",
             )
-        except ValueError:
-            pass
+        except ValueError as exc:
+            print(f"{run_id}: no sup_R.svg chart: {exc}")
 
     width = max([len("audit")] + [len(v["name"]) for run in runs for v in run["audits"]])
     print(f"{'run':<32} {'audit':<{width}} {'result':<8} detail")
@@ -563,16 +569,10 @@ def _short_detail(details: dict) -> str:
 # ---------------------------------------------------------------------------
 # elliptic subcommands
 
-def _solver_outdir(out_root, name) -> Path:
-    outdir = Path(out_root) / name
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
 def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
     grid, bg = build_background(manifest)
     far_field_window(grid)  # before any output: the report holds the limit's mass
-    outdir = _solver_outdir(out_root, f"scalar-flat-{_slug(bg.name)}")
+    outdir = _outdir(out_root, f"scalar-flat-{_slug(bg.name)}")
     try:
         u_inf, report = solve_scalar_flat(bg)
     except NonPositiveYamabeError as exc:
@@ -599,7 +599,7 @@ def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
 
 def cmd_yamabe_sign(manifest: RunManifest, out_root) -> int:
     grid, bg = build_background(manifest)
-    outdir = _solver_outdir(out_root, f"yamabe-sign-{_slug(bg.name)}")
+    outdir = _outdir(out_root, f"yamabe-sign-{_slug(bg.name)}")
     result = yamabe_sign(bg)
     write_field_csv(result.certificate, outdir / "certificate.csv")
     payload = {
@@ -619,7 +619,7 @@ def cmd_yamabe_sign(manifest: RunManifest, out_root) -> int:
 
 def cmd_prescribe(manifest: RunManifest, out_root) -> int:
     grid, bg = build_background(manifest)
-    outdir = _solver_outdir(out_root, f"prescribe-{_slug(bg.name)}")
+    outdir = _outdir(out_root, f"prescribe-{_slug(bg.name)}")
     target = RadialField(
         grid, -PRESCRIBE_AMPLITUDE * (1.0 + grid.nodes**2) ** (-(2.0 + bg.tau) / 2.0)
     )

@@ -16,56 +16,20 @@ through them.  The audits that need the scalar-flat limit take it as
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backgrounds import BackgroundSpec, conformal_exponents
 from .errors import FitDomainError, ParameterError, SchemaError
 from .flow import TAU_PRIME, adm_mass, valid_time_horizon
-from .grids import RadialField, RadialGrid, sphere_constants, weighted_sup_norm
+from .grids import RadialField, RadialGrid, sphere_volume, weighted_sup_norm
 
 NONINCREASING = "nonincreasing"
 NONDECREASING = "nondecreasing"
 
 # extra time-decay exponent delta0 of the space-time bound C / (r^{tau'} (1+t)^{1+delta0})
 DELTA0 = 0.1
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Power-law fit y ~ constant * t^exponent over a time window."""
-
-    exponent: float
-    constant: float
-    r_squared: float
-    window: tuple
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class MonotonicityAudit:
-    quantity: str
-    direction: str
-    violations: int
-    worst_violation: float
-    slack: float
-
-    @property
-    def passed(self) -> bool:
-        return self.violations == 0
-
-    def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "direction": self.direction,
-            "violations": self.violations,
-            "worst_violation": self.worst_violation,
-            "slack": self.slack,
-            "pass": self.passed,
-        }
 
 
 @dataclass(frozen=True)
@@ -86,9 +50,10 @@ class Verdict:
         }
 
 
-def fit_decay_exponent(times, values, window: tuple | None = None) -> DecayFit:
-    """Ordinary least squares of log y against log t.
+def fit_decay_exponent(times, values, window: tuple | None = None) -> dict:
+    """Power-law fit y ~ constant * t^exponent: least squares of log y against log t.
 
+    Returns the verdict details {exponent, constant, r_squared, window}:
     exponent is the slope (negative for decay), constant is exp(intercept).
     Nonpositive y inside the window is a fit-domain error; at least 8
     points are required.
@@ -109,18 +74,20 @@ def fit_decay_exponent(times, values, window: tuple | None = None) -> DecayFit:
     resid = ly - (slope * lt + intercept)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(
-        exponent=float(slope),
-        constant=float(math.exp(intercept)),
-        r_squared=r2,
-        window=(float(lo), float(hi)),
-    )
+    return {
+        "exponent": float(slope),
+        "constant": float(math.exp(intercept)),
+        "r_squared": r2,
+        "window": (float(lo), float(hi)),
+    }
 
 
-def audit_monotone(
-    values, direction: str, slack: float, quantity: str = "series"
-) -> MonotonicityAudit:
-    """Count adjacent-pair violations beyond the slack."""
+def audit_monotone(values, direction: str, slack: float, quantity: str = "series") -> dict:
+    """Count adjacent-pair violations beyond the slack.
+
+    Returns the verdict details {quantity, direction, violations,
+    worst_violation, slack, pass}; pass means no violation.
+    """
     y = np.asarray(values, dtype=np.float64)
     if y.size < 2:
         raise ParameterError("monotonicity audit needs at least 2 points")
@@ -130,20 +97,21 @@ def audit_monotone(
         exceed = -np.diff(y) - slack
     else:
         raise ParameterError(f"unknown direction {direction!r}")
-    bad = exceed > 0.0
-    return MonotonicityAudit(
-        quantity=quantity,
-        direction=direction,
-        violations=int(np.count_nonzero(bad)),
-        worst_violation=float(np.max(exceed)) if np.any(bad) else 0.0,
-        slack=slack,
-    )
+    violations = int(np.count_nonzero(exceed > 0.0))
+    return {
+        "quantity": quantity,
+        "direction": direction,
+        "violations": violations,
+        "worst_violation": float(np.max(exceed)) if violations else 0.0,
+        "slack": slack,
+        "pass": violations == 0,
+    }
 
 
 _NO_LIMIT = "no scalar-flat limit (Y <= 0)"
 
 
-def _lp_audit(records, p: float) -> MonotonicityAudit:
+def _lp_audit(records, p: float) -> dict:
     """int |R|^p dV nonincreasing up to 1e-8, past the first 5 of more than 7 records."""
     skip = 5 if len(records) > 7 else 0
     series = [r.lp_R[p] for r in records[skip:]]
@@ -168,7 +136,7 @@ def mass_drift_audit(records) -> Verdict:
 def lp_monotone_audit(records, n: int) -> Verdict:
     """int |R|^{n/2} dV is nonincreasing once the transient is skipped (_lp_audit)."""
     audit = _lp_audit(records, n / 2.0)
-    return Verdict("lp-monotone", audit.passed, audit.to_json())
+    return Verdict("lp-monotone", audit["pass"], audit)
 
 
 def lp_window_audit(records, n: int) -> Verdict:
@@ -176,8 +144,8 @@ def lp_window_audit(records, n: int) -> Verdict:
     audits = {f"p={p:g}": _lp_audit(records, p) for p in (n / 2.0 - 0.1, n / 2.0 + 0.1)}
     return Verdict(
         "lp-monotone-window",
-        all(audit.passed for audit in audits.values()),
-        {key: audit.to_json() for key, audit in audits.items()},
+        all(audit["pass"] for audit in audits.values()),
+        audits,
     )
 
 
@@ -186,7 +154,7 @@ def min_r_audit(records, grid: RadialGrid) -> Verdict:
     audit = audit_monotone(
         [r.min_R for r in records], NONDECREASING, 10.0 * grid.h**2, quantity="min_R"
     )
-    return Verdict("min-r-monotone", audit.passed, audit.to_json())
+    return Verdict("min-r-monotone", audit["pass"], audit)
 
 
 def sup_r_decay_audit(records, grid: RadialGrid) -> Verdict:
@@ -199,8 +167,8 @@ def sup_r_decay_audit(records, grid: RadialGrid) -> Verdict:
     fit = fit_decay_exponent(
         [r.t for r in records], [r.sup_R for r in records], window=(t_hi / 2.0, t_hi)
     )
-    passed = fit.exponent <= -1.0 and fit.r_squared >= 0.9
-    return Verdict("sup-r-decay", passed, fit.to_json())
+    passed = fit["exponent"] <= -1.0 and fit["r_squared"] >= 0.9
+    return Verdict("sup-r-decay", passed, fit)
 
 
 def convergence_to_limit(
@@ -218,10 +186,9 @@ def convergence_to_limit(
     """
     if u_inf is None:
         return Verdict("convergence", None, skipped_reason=_NO_LIMIT)
-    if tau_prime >= min(bg.tau, bg.n - 2.0):
-        raise ParameterError(
-            f"tau_prime must be < min(tau, n-2) = {min(bg.tau, bg.n - 2.0)}, got {tau_prime}"
-        )
+    bound = min(bg.tau, bg.grid.n - 2.0)
+    if tau_prime >= bound:
+        raise ParameterError(f"tau_prime must be < min(tau, n-2) = {bound}, got {tau_prime}")
     times = []
     norms = []
     for t, u in checkpoints:
@@ -245,14 +212,14 @@ def convergence_to_limit(
     rises = audit_monotone(norms_a[1:], NONINCREASING, 1e-12, quantity="convergence norm")
     return Verdict(
         "convergence",
-        fit.exponent < 0.0 and rises.passed,
-        {"fit": fit.to_json(), "terminal_norm": norms[-1], "norm_increases": rises.violations},
+        fit["exponent"] < 0.0 and rises["pass"],
+        {"fit": fit, "terminal_norm": norms[-1], "norm_increases": rises["violations"]},
     )
 
 
 def mass_drop_coefficient(n: int) -> float:
     """1 / (2 (n-1) omega_{n-1}): 1/(16 pi) in dimension three."""
-    return 1.0 / (2.0 * (n - 1.0) * sphere_constants(n).omega)
+    return 1.0 / (2.0 * (n - 1.0) * sphere_volume(n))
 
 
 def mass_drop_report(records, u_inf: RadialField | None, grid: RadialGrid) -> Verdict:
@@ -349,7 +316,7 @@ def flat_sobolev_constant(n: int) -> float:
     dilated bubble (1 + r^2)^{-(n-2)/2} attains it.
     """
     a, _ = conformal_exponents(n)
-    vol_sn = sphere_constants(n + 1).omega
+    vol_sn = sphere_volume(n + 1)
     return a / (n * (n - 1.0) * vol_sn ** (2.0 / n))
 
 

@@ -21,7 +21,7 @@ from .errors import (
     PositivityError,
     SupportError,
 )
-from .grids import RadialField, sphere_constants
+from .grids import RadialField, sphere_volume
 from .operators import (
     BoundaryLaplacian,
     boundary_laplacian,
@@ -96,7 +96,7 @@ def compute_R(
         raise ParameterError("field and background live on different grids")
     if lap is None:
         lap = boundary_laplacian(u.grid)
-    a, N = conformal_exponents(bg.n)
+    a, N = conformal_exponents(u.grid.n)
     R0 = bg.r0_profile.values
     vals = u.values ** (-N) * (-a * lap.apply(u.values) + R0 * u.values)
     return RadialField(u.grid, vals)
@@ -108,7 +108,7 @@ def _effective_tolerance(curvature_scale: float, row_norm: float) -> float:
 
 def _scalar_flat_residual(u: np.ndarray, bg: BackgroundSpec, lap):
     """(max|a(n) L u - R0 u|, effective tolerance) of u on the boundary-folded rows lap."""
-    a, _ = conformal_exponents(bg.n)
+    a, _ = conformal_exponents(bg.grid.n)
     R0 = bg.r0_profile.values
     residual = float(np.max(np.abs(a * lap.apply(u) - R0 * u)))
     return residual, _effective_tolerance(float(np.max(np.abs(R0))), a * lap.row_norm)
@@ -122,7 +122,7 @@ def solve_scalar_flat(bg: BackgroundSpec) -> tuple[RadialField, SolveReport]:
     solve is singular or the solution fails positivity.
     """
     grid = bg.grid
-    a, _ = conformal_exponents(bg.n)
+    a, _ = conformal_exponents(grid.n)
     R0 = bg.r0_profile.values
     lap = boundary_laplacian(grid)
 
@@ -173,7 +173,7 @@ def yamabe_quotient(v: RadialField, bg: BackgroundSpec) -> float:
     grid = v.grid
     n = grid.n
     a, _ = conformal_exponents(n)
-    omega = sphere_constants(n).omega
+    omega = sphere_volume(n)
     r = grid.nodes
     dr = grid.dr
 
@@ -273,7 +273,7 @@ def prescribe_scalar_curvature(
     if r_target.grid != bg.grid:
         raise ParameterError("target and background live on different grids")
     grid = bg.grid
-    a, N = conformal_exponents(bg.n)
+    a, N = conformal_exponents(grid.n)
     R0 = bg.r0_profile.values
     Rt = r_target.values
     curvature_scale = float(np.max(np.abs(R0)) + np.max(np.abs(Rt)))

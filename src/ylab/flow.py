@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .backgrounds import BackgroundSpec, InitialData, conformal_exponents
+from .backgrounds import BackgroundSpec, conformal_exponents
 from .errors import (
     ConfigError,
     FlowSingularityError,
@@ -147,12 +147,15 @@ MONITOR_SCALARS = tuple(f.name for f in fields(MonitorRecord) if f.type == "floa
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
+    """A run's series; however it ended, the last checkpoint is its final state.
+
+    The last monitor record is that state's record.
+    """
+
     records: list
     checkpoints: list  # FlowState snapshots
-    final: FlowState
     halted: bool
     halt_reason: str | None
-    valid_t_max: float
 
 
 def step_tolerances(
@@ -207,8 +210,9 @@ def _implicit_residual(lap, R0, a, N, c, u_prev, dt):
 
 
 def _attempt_step(u_prev: np.ndarray, dt: float, bg: BackgroundSpec, cfg: FlowConfig, lap):
-    a, N = conformal_exponents(bg.n)
-    c = 0.25 * (bg.n - 2.0)
+    n = bg.grid.n
+    a, N = conformal_exponents(n)
+    c = 0.25 * (n - 2.0)
     R0 = bg.r0_profile.values
     residual_fn, jacobian_fn = _implicit_residual(lap, R0, a, N, c, u_prev, dt)
     target, ceiling = step_tolerances(
@@ -292,21 +296,21 @@ def monitor(state: FlowState, bg: BackgroundSpec, lap: BoundaryLaplacian) -> Mon
         min_u=float(np.min(u.values)),
         max_u=float(np.max(u.values)),
         wsup_R=float(np.max(grid.w[interior] ** TAU_PRIME * np.abs(Ri))),
-        lp_R={p: integrate_dr(np.abs(R) ** p * dens, grid) for p in default_p_list(bg.n)},
+        lp_R={p: integrate_dr(np.abs(R) ** p * dens, grid) for p in default_p_list(grid.n)},
     )
 
 
-def run_flow(bg: BackgroundSpec, init: InitialData, cfg: FlowConfig) -> RunResult:
+def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
     """March from t = 0 to t_end, emitting monitor records and checkpoints.
 
     On a flow singularity the partial series is returned tagged halted; a
     configured stop_max_u threshold halts with reason 'blowup' once the
     factor exceeds it (the non-convergence alternative of the dichotomy).
     """
-    if init.u0.grid != bg.grid:
+    if u0.grid != bg.grid:
         raise GridMismatchError("initial data and background live on different grids")
-    lap = boundary_laplacian(bg.grid, initial_inner_flux(init.u0))
-    state = FlowState(t=0.0, u=init.u0, dt=cfg.dt0, step_index=0)
+    lap = boundary_laplacian(bg.grid, initial_inner_flux(u0))
+    state = FlowState(t=0.0, u=u0, dt=cfg.dt0, step_index=0)
     records = [monitor(state, bg, lap)]
     checkpoints = [state]
     last_monitored = 0
@@ -342,11 +346,4 @@ def run_flow(bg: BackgroundSpec, init: InitialData, cfg: FlowConfig) -> RunResul
         records.append(monitor(state, bg, lap))
     if state.step_index != last_checkpointed:
         checkpoints.append(state)
-    return RunResult(
-        records=records,
-        checkpoints=checkpoints,
-        final=state,
-        halted=halted,
-        halt_reason=halt_reason,
-        valid_t_max=valid_time_horizon(bg.grid),
-    )
+    return RunResult(records, checkpoints, halted, halt_reason)

@@ -145,19 +145,9 @@ class RadialField:
         return RadialField(self.grid, self.values - other.values)
 
 
-@dataclass(frozen=True)
-class SphereConstants:
-    """Dimension together with omega_{n-1}, the volume of the unit (n-1)-sphere."""
-
-    n: int
-    omega: float
-
-
-def sphere_constants(n: int) -> SphereConstants:
-    if n < 3:
-        raise ParameterError(f"dimension n must be >= 3, got {n}")
-    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    return SphereConstants(n=n, omega=omega)
+def sphere_volume(n: int) -> float:
+    """omega_{n-1} = 2 pi^{n/2} / Gamma(n/2), the volume of the unit sphere in R^n."""
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def constant_field(grid: RadialGrid, value: float) -> RadialField:
@@ -178,12 +168,8 @@ def build_grid(n: int, r_in: float, R_max: float, M: int, policy: str = LOG_STRE
 
     Uniform policy spaces nodes evenly.  Log-stretched keeps uniform spacing
     on [r_in, 1] and geometric spacing on [1, R_max], with the split chosen so
-    the spacing is continuous across r = 1.
+    the spacing is continuous across r = 1.  RadialGrid checks n and policy.
     """
-    if n < 3:
-        raise ParameterError(f"dimension n must be >= 3, got {n}")
-    if policy not in _POLICIES:
-        raise ConfigError(f"unknown grid policy {policy!r}")
     if M < _MIN_INTERVALS:
         raise ConfigError(f"M must be >= {_MIN_INTERVALS}, got {M}")
     if not (0.0 <= r_in < 1.0 < R_max):
@@ -191,9 +177,8 @@ def build_grid(n: int, r_in: float, R_max: float, M: int, policy: str = LOG_STRE
             f"radii must satisfy 0 <= r_in < 1 < R_max, got r_in={r_in}, R_max={R_max}"
         )
 
-    if policy == UNIFORM:
-        nodes = np.linspace(r_in, R_max, M + 1)
-        return RadialGrid(n=n, nodes=nodes, policy=UNIFORM)
+    if policy != LOG_STRETCHED:  # uniform, or an unknown policy that RadialGrid rejects
+        return RadialGrid(n=n, nodes=np.linspace(r_in, R_max, M + 1), policy=policy)
 
     # Spacing continuity at r=1: (1 - r_in)/k ~ R_max^(1/(M-k)) - 1.  The
     # mismatch is strictly decreasing in k, so scan for the sign change.
@@ -239,8 +224,7 @@ def volume_weight(grid: RadialGrid, u: RadialField) -> np.ndarray:
     """Pointwise conformal volume density u^{2n/(n-2)} omega r^{n-1}."""
     _require_positive(u)
     n = grid.n
-    omega = sphere_constants(n).omega
-    return u.values ** (2.0 * n / (n - 2.0)) * omega * grid.nodes ** (n - 1)
+    return u.values ** (2.0 * n / (n - 2.0)) * sphere_volume(n) * grid.nodes ** (n - 1)
 
 
 def _require_positive(u: RadialField) -> None:
@@ -287,8 +271,7 @@ def truncation_tail_bound(C: float, decay_order: float, grid: RadialGrid) -> flo
     n = grid.n
     if decay_order <= n:
         return math.inf
-    omega = sphere_constants(n).omega
-    return C * omega * grid.R_max ** (n - decay_order) / (decay_order - n)
+    return C * sphere_volume(n) * grid.R_max ** (n - decay_order) / (decay_order - n)
 
 
 def write_field_csv(f: RadialField, path, header: str = "r,value") -> None:

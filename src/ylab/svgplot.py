@@ -32,7 +32,7 @@ def svg_line_chart(path, xs, ys, title: str, xlabel: str, ylabel: str):
     """
     pts = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
     if len(pts) < 2:
-        raise ValueError("need at least 2 plottable points")
+        raise ValueError("fewer than 2 points are positive on both log axes")
     log = math.log10
     pxs = [log(p[0]) for p in pts]
     pys = [log(p[1]) for p in pts]

@@ -63,8 +63,8 @@ def heat_kernel(r, s):
 
 def flow_run(manifest) -> RunContext:
     """The flow run of a manifest, held in memory as report reads it from disk."""
-    _, bg, init, cfg = build_run(manifest)
-    return RunContext.from_result(manifest, bg, run_flow(bg, init, cfg))
+    _, bg, u0, cfg = build_run(manifest)
+    return RunContext.from_result(manifest, bg, run_flow(bg, u0, cfg))
 
 
 @pytest.fixture(scope="module")
@@ -86,18 +86,19 @@ def newtonian_run():
 class TestCriterion1FixedPoints:
     def test_flat_identity_thousand_steps(self):
         g = build_grid(3, 0.0, 256.0, 1024, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         cfg = FlowConfig(
             dt0=0.01, dt_max=0.01, safety=1.0, t_end=10.0,
             monitor_every=100, checkpoint_every=10**9,
         )
         res = run_flow(bg, flat_data(g), cfg)
-        dev = float(np.max(np.abs(res.final.u.values - 1.0)))
+        final = res.checkpoints[-1]
+        dev = float(np.max(np.abs(final.u.values - 1.0)))
         dev = max(dev, max(abs(r.max_u - 1.0) for r in res.records))
         _criterion(
             "1a flat fixed point (1000 steps)",
-            res.final.step_index == 1000 and dev <= 1e-12,
-            f"steps={res.final.step_index} deviation={dev:.3e}",
+            final.step_index == 1000 and dev <= 1e-12,
+            f"steps={final.step_index} deviation={dev:.3e}",
         )
 
     SCHWARZSCHILD = """
@@ -131,20 +132,18 @@ safety = 1.5
 class TestCriterion2Linearization:
     def test_heat_kernel_oracle(self):
         g = build_grid(3, 0.0, 64.0, 2048, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         eps = 1e-4
-        from ylab.backgrounds import InitialData
-
-        init = InitialData(RadialField(g, 1.0 + eps * heat_kernel(g.nodes, 1.0)), "custom")
+        u0 = RadialField(g, 1.0 + eps * heat_kernel(g.nodes, 1.0))
         errs = {}
         for dt in (0.02, 0.01, 0.00125):
             cfg = FlowConfig(
                 dt0=dt, dt_max=dt, safety=1.0, t_end=1.0,
                 monitor_every=10**9, checkpoint_every=10**9, newton_tol=1e-13,
             )
-            res = run_flow(bg, init, cfg)
-            exact = 1.0 + eps * heat_kernel(g.nodes, 1.0 + 2.0 * res.final.t)
-            errs[dt] = float(np.max(np.abs(res.final.u.values - exact)))
+            final = run_flow(bg, u0, cfg).checkpoints[-1]
+            exact = 1.0 + eps * heat_kernel(g.nodes, 1.0 + 2.0 * final.t)
+            errs[dt] = float(np.max(np.abs(final.u.values - exact)))
         bound = 5.0 * (1e-8 + 0.01 + g.h**2)
         floor = errs[0.00125]
         ratio = (errs[0.02] - floor) / (errs[0.01] - floor)
@@ -234,7 +233,7 @@ class TestCriterion6MassDrop:
 class TestCriterion7YamabeDichotomy:
     def test_flat_positive(self):
         g = build_grid(3, 0.0, 1000.0, 4096, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         sign = yamabe_sign(bg)
         _criterion(
             "7a flat class is Yamabe positive",
@@ -244,7 +243,7 @@ class TestCriterion7YamabeDichotomy:
 
     def test_deep_well_nonpositive_with_independent_quadrature(self):
         g = build_grid(3, 0.0, 512.0, 4096, LOG_STRETCHED)
-        bg = make_synthetic_background(3, 1.0, -50.0, 2.0, 1.0, g)
+        bg = make_synthetic_background(g, 1.0, -50.0, 2.0, 1.0)
         sign = yamabe_sign(bg)
         assert sign.sign == NON_POSITIVE and not sign.low_confidence
         center, width, cut = sign.trial_params
@@ -292,7 +291,7 @@ class TestCriterion8EllipticRoundTrips:
             r = g.nodes
             ustar = 1.0 + np.exp(-(r**2))
             r0 = 8.0 * (4.0 * r**2 - 6.0) * np.exp(-(r**2)) / ustar
-            bg = make_profile_background(3, 0.9, RadialField(g, r0), "manufactured")
+            bg = make_profile_background(RadialField(g, r0), 0.9, "manufactured")
             u, rep = solve_scalar_flat(bg)
             assert rep.converged
             errs.append(float(np.max(np.abs(u.values - ustar))))
@@ -309,11 +308,11 @@ class TestCriterion8EllipticRoundTrips:
         g = build_grid(3, 0.0, 60.0, 1024, LOG_STRETCHED)
         r = g.nodes
         phi_star = RadialField(g, 1.0 + 0.1 * np.exp(-(r**2)))
-        r_flat = compute_R(phi_star, make_flat_background(3, g)).values
+        r_flat = compute_R(phi_star, make_flat_background(g)).values
         denom = 1.0 - phi_star.values**-4.0
         ok_mask = (r_flat > 0.0) & (denom > 1e-12)
         lift = np.where(ok_mask, r_flat / np.where(ok_mask, denom, 1.0), 0.0)
-        bg = make_profile_background(3, 0.9, RadialField(g, lift + 1e-8), "lifted")
+        bg = make_profile_background(RadialField(g, lift + 1e-8), 0.9, "lifted")
         target = compute_R(phi_star, bg)
         phi, _ = prescribe_scalar_curvature(bg, target)
         err = float(np.max(np.abs(phi.values - phi_star.values)))
@@ -325,7 +324,7 @@ class TestCriterion8EllipticRoundTrips:
 
     def test_trivial_target_single_step(self):
         g = build_grid(3, 0.0, 256.0, 1024, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         phi, rep = prescribe_scalar_curvature(bg, bg.r0_profile)
         _criterion(
             "8c trivial target needs <= 1 Newton step",

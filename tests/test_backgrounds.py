@@ -48,33 +48,29 @@ class TestConformalExponents:
 
 class TestFlatBackground:
     def test_profile_is_zero(self, grid):
-        bg = make_flat_background(3, grid)
+        bg = make_flat_background(grid)
         assert np.all(bg.r0_profile.values == 0.0)
         assert bg.name == "flat3"
 
     def test_n4_profile_is_zero(self):
         g = build_grid(4, 0.0, 100.0, 256, LOG_STRETCHED)
-        bg = make_flat_background(4, g)
+        bg = make_flat_background(g)
         assert np.all(bg.r0_profile.values == 0.0)
-
-    def test_n2_rejected(self, grid):
-        with pytest.raises(ParameterError):
-            make_flat_background(2, grid)
 
 
 class TestSyntheticBackground:
     def test_zero_amplitude_is_flat(self, grid):
-        bg = make_synthetic_background(3, 1.0, 0.0, 2.0, 1.0, grid)
+        bg = make_synthetic_background(grid, 1.0, 0.0, 2.0, 1.0)
         assert np.all(bg.r0_profile.values == 0.0)
 
     def test_decay_constant_is_amplitude(self, grid):
-        bg = make_synthetic_background(3, 1.0, -50.0, 2.0, 1.0, grid)
+        bg = make_synthetic_background(grid, 1.0, -50.0, 2.0, 1.0)
         assert bg.decay_constant == 50.0
         check_decay(bg.r0_profile, 2.0 + bg.tau, bg.decay_constant)
 
     def test_explicit_profile_decay_violation(self, grid):
         profile = constant_field(grid, 1.0)  # no decay at all
-        spec_kwargs = dict(n=3, tau=1.0, profile=profile)
+        spec_kwargs = dict(tau=1.0, profile=profile)
         bg = make_profile_background(**spec_kwargs)  # auto constant adapts
         with pytest.raises(ConfigError):
             check_decay(bg.r0_profile, 2.0 + bg.tau, 1.0)  # claimed C=1 fails
@@ -87,31 +83,31 @@ class TestSyntheticBackground:
     )
     @settings(max_examples=25, deadline=None)
     def test_catalog_passes_own_decay_invariant(self, grid, A, rc, sigma, tau):
-        bg = make_synthetic_background(3, tau, A, rc, sigma, grid)
+        bg = make_synthetic_background(grid, tau, A, rc, sigma)
         check_decay(bg.r0_profile, 2.0 + bg.tau, bg.decay_constant)
 
 
 class TestSchwarzschildData:
     def test_zero_mass_is_one(self, grid):
-        d = schwarzschild_data(3, 0.0, grid)
-        assert np.all(d.u0.values == 1.0)
+        u0 = schwarzschild_data(grid, 0.0)
+        assert np.all(u0.values == 1.0)
 
     def test_point_value(self):
         g = build_grid(3, 0.5, 1000.0, 4096, LOG_STRETCHED)
-        d = schwarzschild_data(3, 1.0, g)
+        u0 = schwarzschild_data(g, 1.0)
         i = int(np.argmin(np.abs(g.nodes - 2.0)))
-        assert d.u0.values[i] == pytest.approx(1.0 + 1.0 / (2.0 * g.nodes[i]), rel=1e-14)
+        assert u0.values[i] == pytest.approx(1.0 + 1.0 / (2.0 * g.nodes[i]), rel=1e-14)
 
     def test_singular_grid_rejected(self, grid):
         # r_in = 0 grid cannot host a positive-mass factor
         with pytest.raises(ParameterError):
-            schwarzschild_data(3, 1.0, grid)
+            schwarzschild_data(grid, 1.0)
 
 
 class TestNewtonianData:
     def test_zero_source_is_one(self, grid):
-        d = newtonian_data(grid, constant_field(grid, 0.0))
-        assert np.all(d.u0.values == 1.0)
+        u0 = newtonian_data(grid, constant_field(grid, 0.0))
+        assert np.all(u0.values == 1.0)
 
     def test_far_field_coefficient(self, grid):
         # Green's-function oracle: u0 ~ 1 + A/r with A = (1/4pi) int f dx
@@ -119,9 +115,9 @@ class TestNewtonianData:
         assert integrate_dV(f, constant_field(grid, 1.0)) == pytest.approx(
             4.0 * math.pi, rel=1e-12
         )
-        d = newtonian_data(grid, f)
+        u0 = newtonian_data(grid, f)
         outer = grid.nodes > 10.0
-        coef = d.u0.values[outer] - 1.0
+        coef = u0.values[outer] - 1.0
         assert np.max(np.abs(coef * grid.nodes[outer] - 1.0)) < 1e-3
 
     def test_negative_source_rejected(self, grid):
@@ -138,17 +134,17 @@ class TestNewtonianData:
         from ylab.elliptic import compute_R
 
         f = bump_source(grid, total=4.0 * math.pi, radius=4.0)
-        d = newtonian_data(grid, f)
-        bg = make_flat_background(3, grid)
-        R = compute_R(d.u0, bg)
+        u0 = newtonian_data(grid, f)
+        bg = make_flat_background(grid)
+        R = compute_R(u0, bg)
         assert np.min(R.values[1:-1]) >= -1e-10
 
 
 class TestGaussianBump:
     def test_positive(self, grid):
-        d = gaussian_bump_data(grid, eps=0.2, sigma=1.0)
-        assert d.u0.values[0] == pytest.approx(1.2)
-        assert np.min(d.u0.values) > 0.0
+        u0 = gaussian_bump_data(grid, eps=0.2, sigma=1.0)
+        assert u0.values[0] == pytest.approx(1.2)
+        assert np.min(u0.values) > 0.0
 
     def test_too_deep_rejected(self, grid):
         with pytest.raises(ParameterError):

@@ -209,10 +209,11 @@ class TestBuildRun:
             build_run(parse_config(path))
 
     def test_bump_objects(self):
-        grid, bg, init, cfg = build_run(parse_config_text(BUMP_CONFIG))
+        grid, bg, u0, cfg = build_run(parse_config_text(BUMP_CONFIG))
         assert grid.M == 512
         assert bg.name == "flat3"
-        assert init.family == "gaussian_bump"
+        assert u0.grid is grid
+        assert u0.values[0] == pytest.approx(1.1)  # gaussian_bump, eps = 0.1
         assert cfg.t_end == 2.0
 
     def test_synthetic_background_cli_name(self):
@@ -223,10 +224,8 @@ class TestBuildRun:
 
 class TestMonitorCsv:
     def test_round_trip(self, tmp_path):
-        _, bg, init, cfg = build_run(parse_config_text(BUMP_CONFIG))
-        from ylab.flow import run_flow
-
-        res = run_flow(bg, init, cfg)
+        _, bg, u0, cfg = build_run(parse_config_text(BUMP_CONFIG))
+        res = run_flow(bg, u0, cfg)
         path = tmp_path / "monitor.csv"
         write_monitor_csv(path, res.records, 3)
         header = path.read_text().splitlines()[1].split(",")
@@ -454,6 +453,18 @@ class TestReport:
         assert svg.exists()
         assert svg.read_text().startswith("<svg")
 
+    def test_plots_name_a_run_without_a_chart(self, tmp_path, capsys):
+        # flat data on the flat background: sup |R| = 0 on every record
+        config = "[run]\nid = flat\n[grid]\nM = 64\nR_max = 64\n[flow]\nt_end = 0.05\n"
+        assert cmd_simulate(parse_config_text(config), tmp_path) == 0
+        capsys.readouterr()
+        assert cmd_report([tmp_path / "flat"], [], out=tmp_path / "rep.json", plots=True) == 0
+        assert not (tmp_path / "flat" / "sup_R.svg").exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "sup_R.svg" in line] == [
+            "flat: no sup_R.svg chart: fewer than 2 points are positive on both log axes"
+        ]
+
     def test_chart_of_a_markup_run_id_is_well_formed(self, bump_run, tmp_path):
         rundir = tmp_path / "run"
         shutil.copytree(bump_run, rundir, ignore=shutil.ignore_patterns("sup_R.svg"))
@@ -623,8 +634,8 @@ class TestReport:
     def test_series_verdicts_equal_in_memory_checkpoints(self, dense_run, tmp_path):
         # every audit judges the run directory as it judges the run_flow result in memory
         manifest = parse_config_text(DENSE_CONFIG)
-        _, bg, init, cfg = build_run(manifest)
-        in_memory = RunContext.from_result(manifest, bg, run_flow(bg, init, cfg))
+        _, bg, u0, cfg = build_run(manifest)
+        in_memory = RunContext.from_result(manifest, bg, run_flow(bg, u0, cfg))
         stored = load_run(dense_run).checkpoints()
         assert [(c.t, c.dt, c.step_index, c.u.values.tobytes()) for c in stored] == [
             (c.t, c.dt, c.step_index, c.u.values.tobytes()) for c in in_memory.checkpoints()
@@ -818,6 +829,15 @@ class TestMainExitCodes:
         assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == code
         if code == 2:
             assert "singular node" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "scalar-flat", "yamabe-sign", "prescribe"])
+    def test_uncreatable_out_is_config_error(self, tmp_path, capsys, command):
+        # an output root under a regular file cannot be created
+        config = tmp_path / "run.ini"
+        config.write_text("[grid]\nM = 64\nR_max = 64\n[flow]\nt_end = 0.01\n")
+        out = config / "sub"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
 
     def test_env_var_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("YLAB_OUT", str(tmp_path / "envout"))

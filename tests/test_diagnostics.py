@@ -35,15 +35,15 @@ class TestFitDecay:
     def test_exact_power_law(self):
         t = np.linspace(10.0, 1000.0, 50)
         fit = fit_decay_exponent(t, 5.0 * t**-2.0)
-        assert fit.exponent == pytest.approx(-2.0, abs=1e-10)
-        assert fit.constant == pytest.approx(5.0, rel=1e-10)
-        assert fit.r_squared == pytest.approx(1.0, abs=1e-10)
+        assert fit["exponent"] == pytest.approx(-2.0, abs=1e-10)
+        assert fit["constant"] == pytest.approx(5.0, rel=1e-10)
+        assert fit["r_squared"] == pytest.approx(1.0, abs=1e-10)
 
     def test_bounded_oscillation(self):
         t = np.geomspace(10.0, 1000.0, 200)
         y = t**-1.0 * (1.0 + 0.1 * np.sin(np.log(t)))
         fit = fit_decay_exponent(t, y)
-        assert -1.1 <= fit.exponent <= -0.9
+        assert -1.1 <= fit["exponent"] <= -0.9
 
     def test_zero_in_window_rejected(self):
         t = np.linspace(1.0, 10.0, 20)
@@ -63,24 +63,24 @@ class TestFitDecay:
         y = 2.0 * t**-1.7
         base = fit_decay_exponent(t, y)
         scaled = fit_decay_exponent(t, c * y)
-        assert scaled.exponent == pytest.approx(base.exponent, abs=1e-12)
-        assert scaled.constant == pytest.approx(c * base.constant, rel=1e-10)
+        assert scaled["exponent"] == pytest.approx(base["exponent"], abs=1e-12)
+        assert scaled["constant"] == pytest.approx(c * base["constant"], rel=1e-10)
 
 
 class TestAuditMonotone:
     def test_clean_nonincreasing(self):
         audit = audit_monotone([3.0, 2.0, 2.0, 1.0], NONINCREASING, 0.0)
-        assert audit.violations == 0
-        assert audit.passed
+        assert audit["violations"] == 0
+        assert audit["pass"]
 
     def test_single_violation(self):
         audit = audit_monotone([1.0, 2.0], NONINCREASING, 0.0)
-        assert audit.violations == 1
-        assert audit.worst_violation == pytest.approx(1.0)
+        assert audit["violations"] == 1
+        assert audit["worst_violation"] == pytest.approx(1.0)
 
     def test_slack_absorbs_noise(self):
         audit = audit_monotone([1.0, 1.0 + 1e-12], NONINCREASING, 1e-9)
-        assert audit.violations == 0
+        assert audit["violations"] == 0
 
     @given(
         values=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=30),
@@ -90,7 +90,7 @@ class TestAuditMonotone:
     def test_reversal_symmetry(self, values, slack):
         fwd = audit_monotone(values, NONINCREASING, slack)
         rev = audit_monotone(values[::-1], NONDECREASING, slack)
-        assert fwd.violations == rev.violations
+        assert fwd["violations"] == rev["violations"]
 
 
 def heat_kernel_trajectory(g, rise_at=None):
@@ -109,14 +109,14 @@ class TestConvergenceToLimit:
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
         u_inf = constant_field(g, 1.0)
         traj = [(float(t), u_inf) for t in range(12)]
-        v = convergence_to_limit(traj, u_inf, make_flat_background(3, g))
+        v = convergence_to_limit(traj, u_inf, make_flat_background(g))
         assert v.passed is True
         assert v.details == {"zero_series": True}
 
     def test_heat_kernel_rate(self):
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
         v = convergence_to_limit(
-            heat_kernel_trajectory(g), constant_field(g, 1.0), make_flat_background(3, g)
+            heat_kernel_trajectory(g), constant_field(g, 1.0), make_flat_background(g)
         )
         assert v.passed is True
         assert v.details["fit"]["exponent"] <= -1.5 + 0.2
@@ -126,7 +126,7 @@ class TestConvergenceToLimit:
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
         v = convergence_to_limit(
             heat_kernel_trajectory(g, rise_at=20), constant_field(g, 1.0),
-            make_flat_background(3, g),
+            make_flat_background(g),
         )
         assert v.details["fit"]["exponent"] < 0.0
         assert v.passed is False
@@ -135,13 +135,13 @@ class TestConvergenceToLimit:
     def test_tau_prime_ceiling_enforced(self):
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
         u_inf = constant_field(g, 1.0)
-        bg = make_flat_background(3, g, tau=1.0)
+        bg = make_flat_background(g, tau=1.0)
         with pytest.raises(ParameterError):
             convergence_to_limit([(0.0, u_inf)], u_inf, bg, tau_prime=1.0)
 
     def test_no_limit_skips(self):
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
-        for v in (convergence_to_limit([], None, make_flat_background(3, g)),
+        for v in (convergence_to_limit([], None, make_flat_background(g)),
                   mass_drop_report([], None, g)):
             assert v.passed is None
             assert "Y <= 0" in v.skipped_reason
@@ -216,11 +216,11 @@ class TestSpacetimeDecay:
 
     def test_decaying_run_passes(self):
         g = build_grid(3, 0.0, 128.0, 1024, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
-        init = gaussian_bump_data(g, 0.2, 1.0)
+        bg = make_flat_background(g)
+        u0 = gaussian_bump_data(g, 0.2, 1.0)
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=30.0,
                          monitor_every=10, checkpoint_every=10)
-        res = run_flow(bg, init, cfg)
+        res = run_flow(bg, u0, cfg)
         v = spacetime_decay_audit(res.records, False, constant_field(g, 1.0))
         assert v.passed is True
 
@@ -258,17 +258,17 @@ class TestLpInequality:
 class TestAuditorPurity:
     def test_identical_serialized_output(self):
         g = build_grid(3, 0.0, 128.0, 512, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
-        init = gaussian_bump_data(g, 0.2, 1.0)
+        bg = make_flat_background(g)
+        u0 = gaussian_bump_data(g, 0.2, 1.0)
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=5.0,
                          monitor_every=2, checkpoint_every=5)
-        res = run_flow(bg, init, cfg)
+        res = run_flow(bg, u0, cfg)
         first = spacetime_decay_audit(res.records, False, constant_field(g, 1.0))
         second = spacetime_decay_audit(res.records, False, constant_field(g, 1.0))
         assert json.dumps(first.to_json()) == json.dumps(second.to_json())
         a1 = audit_monotone([r.min_R for r in res.records], NONDECREASING, 1e-8)
         a2 = audit_monotone([r.min_R for r in res.records], NONDECREASING, 1e-8)
-        assert json.dumps(a1.to_json()) == json.dumps(a2.to_json())
+        assert json.dumps(a1) == json.dumps(a2)
 
 
 class TestSobolevConstant:

@@ -45,7 +45,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def flat(grid):
-    return make_flat_background(3, grid)
+    return make_flat_background(grid)
 
 
 def _lifted_pair(g, amplitude, width):
@@ -57,13 +57,13 @@ def _lifted_pair(g, amplitude, width):
     """
     r = g.nodes
     phi_star = RadialField(g, 1.0 + amplitude * np.exp(-((r / width) ** 2)))
-    r_flat = compute_R(phi_star, make_flat_background(3, g)).values
+    r_flat = compute_R(phi_star, make_flat_background(g)).values
     denom = 1.0 - phi_star.values ** -4.0
     # far-field nodes where phi*-1 underflows leave denom = 0; stencil noise
     # there is absorbed by the hypothesis-check slack, not by lifting
     ok = (r_flat > 0.0) & (denom > 1e-12)
     lift = np.where(ok, r_flat / np.where(ok, denom, 1.0), 0.0)
-    bg = make_profile_background(3, 0.9, RadialField(g, lift + 1e-8), "lifted")
+    bg = make_profile_background(RadialField(g, lift + 1e-8), 0.9, "lifted")
     return bg, phi_star
 
 
@@ -74,7 +74,7 @@ def manufactured_background(M):
     r = g.nodes
     ustar = 1.0 + np.exp(-(r**2))
     R0 = 8.0 * (4.0 * r**2 - 6.0) * np.exp(-(r**2)) / ustar
-    bg = make_profile_background(3, 0.9, RadialField(g, R0), "manufactured")
+    bg = make_profile_background(RadialField(g, R0), 0.9, "manufactured")
     return g, bg, ustar
 
 
@@ -90,7 +90,7 @@ class TestComputeR:
 
     def test_harmonic_factor_is_scalar_flat(self):
         g = build_grid(3, 0.5, 1000.0, 4096, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         u = field_from_function(g, lambda r: 1.0 + 0.5 / r)
         R = compute_R(u, bg)
         interior = ~boundary_mask(g)
@@ -125,7 +125,7 @@ class TestScalarFlat:
             assert 1.8 <= math.log2(e0 / e1) <= 2.2
 
     def test_deep_well_raises(self, grid):
-        bg = make_synthetic_background(3, 1.0, -50.0, 2.0, 1.0, grid)
+        bg = make_synthetic_background(grid, 1.0, -50.0, 2.0, 1.0)
         with pytest.raises(NonPositiveYamabeError) as err:
             solve_scalar_flat(bg)
         assert err.value.solution is not None
@@ -143,7 +143,7 @@ class TestYamabeQuotient:
     def test_tent_closed_form(self):
         # int_0^1 |v'|^2 4 pi r^2 dr = 4pi/3 and int v^6 dV = pi/63
         g = build_grid(3, 0.0, 4.0, 2048, UNIFORM)
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         v = field_from_function(g, lambda r: np.maximum(1.0 - r, 0.0))
         oracle = 8.0 * (4.0 * math.pi / 3.0) / (math.pi / 63.0) ** (1.0 / 3.0)
         assert yamabe_quotient(v, bg) == pytest.approx(oracle, rel=1e-2)
@@ -152,7 +152,7 @@ class TestYamabeQuotient:
     @settings(max_examples=20, deadline=None)
     def test_scale_invariance(self, c):
         g = build_grid(3, 0.0, 40.0, 256, UNIFORM)
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         v = field_from_function(g, lambda r: np.maximum(1.0 - (r / 3.0) ** 2, 0.0))
         q1 = yamabe_quotient(v, bg)
         q2 = yamabe_quotient(v.with_values(c * v.values), bg)
@@ -161,7 +161,7 @@ class TestYamabeQuotient:
     def test_gaussian_trial_negative_on_deep_well(self, grid):
         # a wide trial engulfing the well at r_c = 2 sees more potential than
         # gradient cost; narrow centered trials stay positive in 3d
-        bg = make_synthetic_background(3, 1.0, -50.0, 2.0, 1.0, grid)
+        bg = make_synthetic_background(grid, 1.0, -50.0, 2.0, 1.0)
         r = grid.nodes
         vals = np.maximum(np.exp(-((r / 4.0) ** 2)) - np.exp(-64.0), 0.0)
         vals[r >= 32.0] = 0.0
@@ -183,7 +183,7 @@ class TestYamabeQuotient:
         # the flat class has positive Yamabe constant: every nonzero
         # compactly supported trial has Q > 0
         g = build_grid(3, 0.0, 200.0, 512, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         r = g.nodes
         cut = center + 6.0 * width
         vals = (1.0 + tilt * np.sin(r)) * np.exp(-(((r - center) / width) ** 2))
@@ -208,7 +208,7 @@ class TestYamabeSign:
         assert verify_certificate(s, flat)
 
     def test_deep_well_nonpositive_with_certificate(self, grid):
-        bg = make_synthetic_background(3, 1.0, -50.0, 2.0, 1.0, grid)
+        bg = make_synthetic_background(grid, 1.0, -50.0, 2.0, 1.0)
         s = yamabe_sign(bg)
         assert s.sign == NON_POSITIVE
         assert not s.low_confidence
@@ -216,7 +216,7 @@ class TestYamabeSign:
         assert verify_certificate(s, bg)
 
     def test_small_positive_amplitude(self, grid):
-        bg = make_synthetic_background(3, 1.0, 0.01, 0.0, 1.0, grid)
+        bg = make_synthetic_background(grid, 1.0, 0.01, 0.0, 1.0)
         s = yamabe_sign(bg)
         assert s.sign == POSITIVE
         assert s.report.positivity > 0.0
@@ -224,14 +224,14 @@ class TestYamabeSign:
 
     def test_certificate_soundness_across_catalog(self, grid):
         for A in (-50.0, -5.0, 0.0, 0.01, 1.0):
-            bg = make_synthetic_background(3, 1.0, A, 2.0, 1.0, grid)
+            bg = make_synthetic_background(grid, 1.0, A, 2.0, 1.0)
             s = yamabe_sign(bg)
             assert verify_certificate(s, bg), f"A={A} certificate failed"
 
     def test_gap_between_solve_failure_and_certificate(self, grid):
         # near the eigenvalue crossing the solve fails but no trial certifies:
         # reported NonPositive with the low-confidence flag, never asserted
-        bg = make_synthetic_background(3, 1.0, -35.0, 2.0, 1.0, grid)
+        bg = make_synthetic_background(grid, 1.0, -35.0, 2.0, 1.0)
         with pytest.raises(NonPositiveYamabeError):
             solve_scalar_flat(bg)
         s = yamabe_sign(bg)
@@ -249,7 +249,7 @@ class TestPrescribe:
 
     def test_negative_power_target(self):
         g = build_grid(3, 0.0, 500.0, 2048, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         target = RadialField(g, -0.1 * (1.0 + g.nodes**2) ** -1.5)
         phi, rep = prescribe_scalar_curvature(bg, target)
         assert rep.converged

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,10 +50,10 @@ def _flow_identity_gap(state, bg):
     lap = boundary_laplacian(bg.grid, initial_inner_flux(state.u))
     new = step(state, bg, cfg, lap)
     dt = new.t - state.t
-    c = 0.25 * (bg.n - 2)
+    c = 0.25 * (bg.grid.n - 2)
     R = compute_R(new.u, bg, lap).values
     gap = np.abs((new.u.values - state.u.values) / dt + c * R * new.u.values)
-    a, N = conformal_exponents(bg.n)
+    a, N = conformal_exponents(bg.grid.n)
     _, ceiling = step_tolerances(cfg.newton_tol, dt, state.u.values, a, c, N, lap.row_norm)
     return gap, ceiling / dt
 
@@ -68,7 +69,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def flat(grid):
-    return make_flat_background(3, grid)
+    return make_flat_background(grid)
 
 
 class TestConfig:
@@ -116,8 +117,8 @@ class TestStep:
         assert step(state, flat, cfg, boundary_laplacian(grid)).dt == pytest.approx(0.12)
 
     def test_discrete_flow_identity(self, grid, flat):
-        init = gaussian_bump_data(grid, 0.2, 1.0)
-        gap, bound = _flow_identity_gap(FlowState(0.0, init.u0, 0.05, 0), flat)
+        u0 = gaussian_bump_data(grid, 0.2, 1.0)
+        gap, bound = _flow_identity_gap(FlowState(0.0, u0, 0.05, 0), flat)
         assert np.max(gap) <= bound
 
     def test_flow_identity_at_every_node_with_a_wall(self):
@@ -126,7 +127,7 @@ class TestStep:
         g = build_grid(3, 0.5, 64.0, 512, LOG_STRETCHED)
         u0 = field_from_function(g, lambda r: 1.0 + 0.5 / r + 0.2 * np.exp(-((r - 1.0) ** 2)))
         state = FlowState(0.0, u0, 0.05, 0)
-        gap, bound = _flow_identity_gap(state, make_flat_background(3, g))
+        gap, bound = _flow_identity_gap(state, make_flat_background(g))
         assert np.max(gap) <= bound
 
 
@@ -152,9 +153,9 @@ class TestStep:
         monkeypatch.setattr(flow_module, "damped_newton", recording)
         g = build_grid(3, 0.0, 512.0, 1024, LOG_STRETCHED)
         cfg = FlowConfig(dt0=1e-3, dt_max=0.25, t_end=10.0, monitor_every=2)
-        res = run_flow(make_flat_background(3, g), gaussian_bump_data(g, 0.2, 1.0), cfg)
+        res = run_flow(make_flat_background(g), gaussian_bump_data(g, 0.2, 1.0), cfg)
         # one solve per step: no attempt was rejected
-        assert len(solves) == res.final.step_index > 0
+        assert len(solves) == res.checkpoints[-1].step_index > 0
         assert sum(evals for evals, _, _ in solves) / len(solves) <= 8.0
         assert all(rn <= ceiling for _, rn, ceiling in solves)
 
@@ -162,7 +163,7 @@ class TestStep:
 def _well_state():
     """A nontrivial state on a walled grid, its synthetic background and run operator."""
     g = build_grid(3, 0.5, 64.0, 512, LOG_STRETCHED)
-    bg = make_synthetic_background(3, 1.0, -10.0, 2.0, 1.0, g)
+    bg = make_synthetic_background(g, 1.0, -10.0, 2.0, 1.0)
     u0 = field_from_function(g, lambda r: 1.0 + 0.5 / r + 0.2 * np.exp(-((r - 1.0) ** 2)))
     return FlowState(0.0, u0, 0.05, 0), bg, boundary_laplacian(g, initial_inner_flux(u0))
 
@@ -217,20 +218,18 @@ class TestImplicitResidual:
 class TestHeatKernelOracle:
     def test_linearized_flow_matches_heat_kernel(self):
         g = build_grid(3, 0.0, 64.0, 2048, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         eps = 1e-4
-        from ylab.backgrounds import InitialData
-
-        init = InitialData(RadialField(g, 1.0 + eps * heat_kernel(g.nodes, 1.0)), "custom")
+        u0 = RadialField(g, 1.0 + eps * heat_kernel(g.nodes, 1.0))
         errs = {}
         for dt in (0.02, 0.01, 0.0025):
             cfg = FlowConfig(
                 dt0=dt, dt_max=dt, safety=1.0, t_end=1.0,
                 monitor_every=10**9, checkpoint_every=10**9, newton_tol=1e-13,
             )
-            res = run_flow(bg, init, cfg)
-            exact = 1.0 + eps * heat_kernel(g.nodes, 1.0 + 2.0 * res.final.t)
-            errs[dt] = float(np.max(np.abs(res.final.u.values - exact)))
+            final = run_flow(bg, u0, cfg).checkpoints[-1]
+            exact = 1.0 + eps * heat_kernel(g.nodes, 1.0 + 2.0 * final.t)
+            errs[dt] = float(np.max(np.abs(final.u.values - exact)))
         assert errs[0.01] <= 5.0 * (1e-8 + 0.01 + g.h**2)
         ratio = (errs[0.02] - errs[0.0025]) / (errs[0.01] - errs[0.0025])
         assert ratio >= 1.8  # backward Euler is first order
@@ -242,7 +241,7 @@ class TestAdmMass:
 
     def test_schwarzschild_oracle(self):
         g = build_grid(3, 0.5, 1000.0, 4096, LOG_STRETCHED)
-        u = schwarzschild_data(3, 1.0, g).u0
+        u = schwarzschild_data(g, 1.0)
         assert adm_mass(u) == pytest.approx(1.0, abs=1e-6)
 
     def test_two_a_rule_n4(self):
@@ -297,17 +296,17 @@ class TestRunFlow:
     def test_monitor_cadence(self, grid, flat):
         cfg = FlowConfig(dt0=0.1, dt_max=0.1, safety=1.0, t_end=1.0, monitor_every=2)
         res = run_flow(flat, flat_data(grid), cfg)
-        assert res.final.step_index == 10
+        assert res.checkpoints[-1].step_index == 10
         assert len(res.records) == 6  # steps 0,2,4,6,8,10
 
     def test_final_time_hit_exactly(self, grid, flat):
         cfg = FlowConfig(dt0=0.3, t_end=1.0, monitor_every=5)
         res = run_flow(flat, flat_data(grid), cfg)
-        assert res.final.t == pytest.approx(1.0, rel=1e-12)
+        assert res.checkpoints[-1].t == pytest.approx(1.0, rel=1e-12)
 
     def test_bump_lp_monotone(self):
         g = build_grid(3, 0.0, 256.0, 2048, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=20.0, monitor_every=2)
         res = run_flow(bg, gaussian_bump_data(g, 0.2, 1.0), cfg)
         series = [r.lp_R[1.5] for r in res.records[5:]]
@@ -318,22 +317,22 @@ class TestRunFlow:
         # a 1e-3 floor in the factor makes the implicit system hopelessly
         # stiff (u^{-N} ~ 1e15); the run must halt cleanly, keeping state
         g = build_grid(3, 0.0, 64.0, 512, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
-        init = gaussian_bump_data(g, -0.999, 1.0)
+        bg = make_flat_background(g)
+        u0 = gaussian_bump_data(g, -0.999, 1.0)
         cfg = FlowConfig(dt0=0.1, t_end=10.0, monitor_every=1, newton_max=8)
-        res = run_flow(bg, init, cfg)
+        res = run_flow(bg, u0, cfg)
         assert res.halted
         assert res.halt_reason == "dt-collapse"
         assert len(res.records) >= 1
-        assert np.min(res.final.u.values) > 0.0
+        assert np.min(res.checkpoints[-1].u.values) > 0.0
 
     def test_uniform_u_bounds_on_flat_background(self):
         # discrete max principle: with R0 = 0 the factor's range cannot grow
         g = build_grid(3, 0.0, 256.0, 2048, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
-        init = gaussian_bump_data(g, 0.2, 1.0)
+        bg = make_flat_background(g)
+        u0 = gaussian_bump_data(g, 0.2, 1.0)
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=20.0, monitor_every=2)
-        res = run_flow(bg, init, cfg)
+        res = run_flow(bg, u0, cfg)
         max_u0 = res.records[0].max_u
         min_u0 = res.records[0].min_u
         assert max(r.max_u for r in res.records) <= max_u0 * (1.0 + 1e-2)
@@ -341,7 +340,7 @@ class TestRunFlow:
 
     def test_deep_well_blows_up_or_halts(self):
         g = build_grid(3, 0.0, 256.0, 1024, LOG_STRETCHED)
-        bg = make_synthetic_background(3, 1.0, -50.0, 2.0, 1.0, g)
+        bg = make_synthetic_background(g, 1.0, -50.0, 2.0, 1.0)
         cfg = FlowConfig(
             dt0=1e-3, safety=2.0, t_end=1e13, monitor_every=20,
             checkpoint_every=10**9, stop_max_u=1e3, newton_max=40,
@@ -351,10 +350,10 @@ class TestRunFlow:
 
     def test_volume_form_evolution(self, grid, flat):
         # d/dt of the (excess) volume tracks -(n/2) int R dV_t
-        init = gaussian_bump_data(grid, 0.1, 1.0)
+        u0 = gaussian_bump_data(grid, 0.1, 1.0)
         dt = 0.002
         cfg = FlowConfig(dt0=dt, dt_max=dt, safety=1.0, t_end=0.1, monitor_every=1)
-        res = run_flow(flat, init, cfg)
+        res = run_flow(flat, u0, cfg)
         one = constant_field(grid, 1.0)
         (t0, u0), (t1, u1) = res.checkpoints[0], res.checkpoints[-1]
         lhs = (integrate_dV(one, u1) - integrate_dV(one, u0)) / (t1 - t0)
@@ -371,23 +370,65 @@ class TestRunFlow:
             run_flow(flat, flat_data(g2), FlowConfig())
 
 
+# (data, background amplitude, flow config, halt reason, final step index) of
+# each way a run ends; the cadences 2 and 3 miss every final step index
+_RUN_ENDS = {
+    "t_end-off-cadence": (0.1, FlowConfig(dt0=0.1, dt_max=0.1, safety=1.0, t_end=0.65),
+                          None, 7),
+    "zero-steps": (0.1, FlowConfig(t_end=1e-13), None, 0),
+    "dt-collapse": (-0.999, FlowConfig(dt0=0.1, t_end=10.0, newton_max=8), "dt-collapse", 0),
+    "blowup": (0.2, FlowConfig(dt0=0.01, t_end=10.0, stop_max_u=1.0), "blowup", 1),
+}
+
+
+class TestRunEnd:
+    @pytest.mark.parametrize("ending", list(_RUN_ENDS))
+    def test_last_checkpoint_and_record_are_the_final_state(self, monkeypatch, ending):
+        import ylab.flow as flow_module
+
+        eps, cfg, reason, final_index = _RUN_ENDS[ending]
+        cfg = replace(cfg, monitor_every=2, checkpoint_every=3)
+        g = build_grid(3, 0.0, 64.0, 512, LOG_STRETCHED)
+        bg = make_flat_background(g)
+        u0 = gaussian_bump_data(g, eps, 1.0)
+        states = [FlowState(0.0, u0, cfg.dt0, 0)]  # the initial state, then each accepted step
+        accept = flow_module.step
+
+        def recording(*args):
+            states.append(accept(*args))
+            return states[-1]
+
+        monkeypatch.setattr(flow_module, "step", recording)
+        res = run_flow(bg, u0, cfg)
+        assert (res.halted, res.halt_reason) == (reason is not None, reason)
+        final = states[-1]
+        assert final.step_index == final_index
+        last = res.checkpoints[-1]
+        assert (last.t, last.step_index) == (final.t, final.step_index)
+        assert last.u.values.tobytes() == final.u.values.tobytes()
+        lap = boundary_laplacian(g, initial_inner_flux(u0))
+        assert res.records[-1] == monitor(final, bg, lap)
+        if ending == "t_end-off-cadence":
+            assert final.t == pytest.approx(cfg.t_end, rel=1e-12)
+
+
 class TestInnerFlux:
     def test_origin_grid_has_zero_flux(self, grid):
-        assert initial_inner_flux(flat_data(grid).u0) == 0.0
+        assert initial_inner_flux(flat_data(grid)) == 0.0
 
     def test_wall_flux_consistent_with_derivative(self):
         g = build_grid(3, 0.5, 1000.0, 4096, LOG_STRETCHED)
-        u = schwarzschild_data(3, 1.0, g).u0
+        u = schwarzschild_data(g, 1.0)
         flux = initial_inner_flux(u)
         # u'(0.5) = -1/(2 r^2) = -2
         assert flux == pytest.approx(-2.0, rel=1e-3)
 
     def test_schwarzschild_stationary(self):
         g = build_grid(3, 0.5, 1000.0, 4096, LOG_STRETCHED)
-        bg = make_flat_background(3, g)
-        init = schwarzschild_data(3, 1.0, g)
+        bg = make_flat_background(g)
+        u0 = schwarzschild_data(g, 1.0)
         cfg = FlowConfig(dt0=0.01, t_end=2.0, monitor_every=1, safety=1.5)
-        res = run_flow(bg, init, cfg)
+        res = run_flow(bg, u0, cfg)
         assert max(r.sup_R for r in res.records) <= 10.0 * g.h**2
-        assert np.max(np.abs(res.final.u.values - init.u0.values)) <= 10.0 * g.h**2
+        assert np.max(np.abs(res.checkpoints[-1].u.values - u0.values)) <= 10.0 * g.h**2
         assert max(abs(r.mass - 1.0) for r in res.records) <= 1e-2

@@ -19,7 +19,7 @@ from ylab.grids import (
     field_from_function,
     integrate_dV,
     lp_norm,
-    sphere_constants,
+    sphere_volume,
     weighted_sup_norm,
     write_field_csv,
 )
@@ -113,7 +113,7 @@ class TestLaplacian:
         # the curvature map applies the solver's operator, boundary rows included
         g = build_grid(3, r_in, 100.0, 256, policy)
         u = field_from_function(g, lambda r: np.exp(-r) + 1.0 / (1.0 + r**2))
-        bg = make_flat_background(3, g)
+        bg = make_flat_background(g)
         a, N = conformal_exponents(3)
         for flux in (0.0, -0.3):
             lap = boundary_laplacian(g, flux).apply(u.values)
@@ -129,7 +129,7 @@ class TestLaplacian:
     def test_flat_background_on_fine_grid(self):
         # flat3 builds at fine spacing, where a curvature check against R0 = 0
         # once failed on inexact cancellation of constants
-        make_flat_background(3, build_grid(3, 0.0, 512.0, 131072))
+        make_flat_background(build_grid(3, 0.0, 512.0, 131072))
 
     def test_origin_regularity_limit(self):
         # lap f(0) = n f''(0): for f = exp(-r^2), that is -2n
@@ -245,12 +245,12 @@ class TestWeightedSup:
         assert weighted_sup_norm(f, hi) <= weighted_sup_norm(f, lo) * (1.0 + 1e-12)
 
 
-class TestSphereConstants:
+class TestSphereVolume:
     def test_omega_two_is_4pi(self):
-        assert sphere_constants(3).omega == pytest.approx(4.0 * math.pi, rel=1e-15)
+        assert sphere_volume(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
 
     def test_omega_three_is_2pi_squared(self):
-        assert sphere_constants(4).omega == pytest.approx(2.0 * math.pi**2, rel=1e-15)
+        assert sphere_volume(4) == pytest.approx(2.0 * math.pi**2, rel=1e-15)
 
 
 def _per_row_csv(f, header):
