@@ -27,6 +27,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from . import diagnostics as diag
 from .backgrounds import (
     background_from_name,
@@ -49,29 +51,20 @@ from .errors import (
     NonPositiveYamabeError,
     ParameterError,
     PositivityError,
-    SchemaError,
     YlabError,
 )
 from .flow import (
-    MONITOR_SCALARS,
     TAU_PRIME,
     FlowConfig,
     FlowState,
     MonitorRecord,
     adm_mass,
-    default_p_list,
     far_field_window,
+    monitor_columns,
     run_flow,
     valid_time_horizon,
 )
-from .grids import (
-    RadialField,
-    build_grid,
-    read_field_series,
-    truncation_tail_bound,
-    write_field_csv,
-    write_field_series,
-)
+from .grids import RadialField, build_grid, truncation_tail_bound, write_field_csv
 from .svgplot import svg_line_chart
 
 _GRID_DEFAULTS = {"n": 3, "r_in": 0.0, "R_max": 256.0, "M": 1024, "policy": "log-stretched"}
@@ -242,50 +235,38 @@ def build_run(manifest: RunManifest):
 # ---------------------------------------------------------------------------
 # monitor CSV
 
-def _monitor_columns(n: int) -> list:
-    """The monitor.csv header in dimension n: the scalars, then lpR_p<p>."""
-    return [*MONITOR_SCALARS, *(f"lpR_p{p:g}" for p in default_p_list(n))]
-
-
 def write_monitor_csv(path, records, n: int) -> None:
-    """One row per record, in the columns of _monitor_columns(n)."""
-    ps = default_p_list(n)
+    """One row per record: its fields in order, under the header monitor_columns(n)."""
+    names = [f.name for f in fields(MonitorRecord)]
     lines = [
         f"# one row per monitor record; wsup_R = sup max(r,1)^{TAU_PRIME:g} |R|"
         " (boundary stencil nodes excluded), lpR_p<x> = integral of |R|^p dV_t",
-        ",".join(_monitor_columns(n)),
+        ",".join(monitor_columns(n)),
     ]
     for rec in records:
-        row = [getattr(rec, col) for col in MONITOR_SCALARS]
-        row += [rec.lp_R[p] for p in ps]
-        lines.append(",".join(f"{x:.17g}" for x in row))
+        lines.append(",".join(f"{getattr(rec, name):.17g}" for name in names))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_monitor_csv(path, n: int) -> list:
     """The monitor records of a run in dimension n parsed back from the CSV.
 
-    SchemaError unless the header is exactly _monitor_columns(n) and at least
-    one row follows it, each with one value per column.
+    ConfigError naming the file unless the header is exactly
+    monitor_columns(n) and at least one row follows it, each with one value
+    per column.
     """
     lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
-    columns = _monitor_columns(n)
+    columns = monitor_columns(n)
     if not lines or lines[0].split(",") != columns:
-        raise SchemaError(f"monitor CSV {path} lacks the dimension-{n} header {','.join(columns)}")
+        raise ConfigError(f"monitor CSV {path} lacks the dimension-{n} header {','.join(columns)}")
     if len(lines) < 2:
-        raise SchemaError(f"monitor CSV {path} holds no record")
-    ps = default_p_list(n)
+        raise ConfigError(f"monitor CSV {path} holds no record")
     records = []
     for line in lines[1:]:
         values = [float(x) for x in line.split(",")]
         if len(values) != len(columns):
-            raise SchemaError(f"monitor CSV {path} has a row of {len(values)} values")
-        records.append(
-            MonitorRecord(
-                *values[:len(MONITOR_SCALARS)],
-                lp_R=dict(zip(ps, values[len(MONITOR_SCALARS):])),
-            )
-        )
+            raise ConfigError(f"monitor CSV {path} has a row of {len(values)} values")
+        records.append(MonitorRecord(*values))
     return records
 
 
@@ -311,13 +292,20 @@ _CHECKPOINT_COLUMNS = {"t": (int, float), "dt": (int, float), "step_index": int}
 
 
 def write_checkpoints(path, checkpoints) -> None:
-    """Persist checkpoints as one field series plus its time columns.
+    """Persist checkpoints as one ``.npy`` series plus its time columns.
 
-    ``path`` (``.npy``) holds the radii row and one row per snapshot; the
+    ``path`` holds a (K+1, M+1) little-endian float64 array: the radii row,
+    then one row per snapshot.  The header is written once and each row's
+    bytes follow it, so no stacked copy of the series is held.  The
     ``.json`` beside it holds the t, dt and step_index columns.
     """
     path = Path(path)
-    write_field_series([ck.u for ck in checkpoints], path)
+    nodes = checkpoints[0].u.grid.nodes
+    header = {"descr": "<f8", "fortran_order": False, "shape": (len(checkpoints) + 1, nodes.size)}
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for row in [nodes, *(ck.u.values for ck in checkpoints)]:
+            fh.write(row.astype("<f8", copy=False).tobytes())
     columns = {key: [getattr(ck, key) for ck in checkpoints] for key in _CHECKPOINT_COLUMNS}
     _write_json(path.with_suffix(".json"), columns)
 
@@ -325,16 +313,25 @@ def write_checkpoints(path, checkpoints) -> None:
 def read_checkpoints(path, grid) -> list:
     """FlowStates written by write_checkpoints, bound to grid (one load of the series).
 
-    A missing, truncated or malformed series, radii that differ from grid, a
-    nonpositive snapshot, time columns whose lengths differ from the number
-    of snapshots, or a t or dt that is not a finite number or a step_index
-    that is not an integer raise a ConfigError naming the file.
+    Each snapshot is a read-only view of its row.  A missing, truncated or
+    malformed series (not a (K+1, M+1) ``<f8`` array), radii that differ from
+    grid, a non-finite or nonpositive snapshot, time columns whose lengths
+    differ from the number of snapshots, or a t or dt that is not a finite
+    number or a step_index that is not an integer raise a ConfigError naming
+    the file.
     """
     path = Path(path)
     try:
-        fields = read_field_series(path, grid)
-    except (OSError, ValueError, EOFError, YlabError) as exc:
+        data = np.load(path)
+    except (OSError, ValueError, EOFError) as exc:
         raise ConfigError(f"{path} is missing or unreadable: {exc!r}") from exc
+    size = grid.nodes.size
+    if data.dtype != "<f8" or data.ndim != 2 or data.shape[0] < 1 or data.shape[1] != size:
+        raise ConfigError(f"{path} holds a {data.dtype} array of shape {data.shape};"
+                          f" expected (K+1, {size}) <f8")
+    if not np.allclose(data[0], grid.nodes, rtol=0, atol=1e-15):
+        raise ConfigError(f"{path} has radii that do not match the grid")
+    rows = data[1:]
     meta_path = path.with_suffix(".json")
     try:
         meta = json.loads(meta_path.read_text())
@@ -342,10 +339,10 @@ def read_checkpoints(path, grid) -> list:
         lengths = [len(column) for column in columns]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{meta_path} is missing or unreadable: {exc!r}") from exc
-    if lengths != [len(fields)] * len(columns):
+    if lengths != [len(rows)] * len(columns):
         raise ConfigError(
             f"{meta_path} has columns {dict(zip(_CHECKPOINT_COLUMNS, lengths))} long"
-            f" for {len(fields)} snapshots in {path.name}"
+            f" for {len(rows)} snapshots in {path.name}"
         )
     for (key, kinds), column in zip(_CHECKPOINT_COLUMNS.items(), columns):
         for x in column:
@@ -354,9 +351,10 @@ def read_checkpoints(path, grid) -> list:
                 raise ConfigError(f"{meta_path} has a {key} entry {x!r} that is not a"
                                   f" finite {'integer' if kinds is int else 'number'}")
     try:
-        return [FlowState(t, u, dt, step) for t, dt, step, u in zip(*columns, fields)]
-    except PositivityError as exc:
-        raise ConfigError(f"{path} holds a nonpositive snapshot: {exc}") from exc
+        return [FlowState(t, RadialField(grid, u), dt, step)
+                for t, dt, step, u in zip(*columns, rows)]
+    except (ParameterError, PositivityError) as exc:
+        raise ConfigError(f"{path} holds a non-finite or nonpositive snapshot: {exc}") from exc
 
 
 def cmd_simulate(manifest: RunManifest, out_root) -> int:
@@ -450,7 +448,7 @@ def load_run(rundir) -> RunContext:
     monitor_path, summary_path = rundir / "monitor.csv", rundir / "summary.json"
     try:
         records = read_monitor_csv(monitor_path, grid.n)
-    except (OSError, ValueError, SchemaError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{monitor_path} is missing or unreadable: {exc!r}") from exc
     try:
         summary = json.loads(summary_path.read_text())
@@ -478,9 +476,7 @@ _AUDITS = {
         ctx.records, ctx.halted, ctx.limit
     ),
     "blowup": lambda ctx: diag.blowup_audit(ctx.records, ctx.halted),
-    "lp-inequality": lambda ctx: diag.lp_inequality_audit(
-        ctx.records, ctx.grid.n / 2.0 + 0.1, ctx.grid.n
-    ),
+    "lp-inequality": lambda ctx: diag.lp_inequality_audit(ctx.records, ctx.grid.n),
 }
 
 

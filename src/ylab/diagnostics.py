@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backgrounds import BackgroundSpec, conformal_exponents
-from .errors import FitDomainError, ParameterError, SchemaError
-from .flow import TAU_PRIME, adm_mass, valid_time_horizon
+from .errors import FitDomainError, ParameterError
+from .flow import TAU_PRIME, adm_mass, default_p_list, valid_time_horizon
 from .grids import RadialField, RadialGrid, sphere_volume, weighted_sup_norm
 
 NONINCREASING = "nonincreasing"
@@ -86,11 +86,12 @@ def audit_monotone(values, direction: str, slack: float, quantity: str = "series
     """Count adjacent-pair violations beyond the slack.
 
     Returns the verdict details {quantity, direction, violations,
-    worst_violation, slack, pass}; pass means no violation.
+    worst_violation, slack, pass}; pass means no violation.  Fewer than 2
+    values cannot be judged: a fit-domain error.
     """
     y = np.asarray(values, dtype=np.float64)
     if y.size < 2:
-        raise ParameterError("monotonicity audit needs at least 2 points")
+        raise FitDomainError("monotonicity audit needs at least 2 points")
     if direction == NONINCREASING:
         exceed = np.diff(y) - slack
     elif direction == NONDECREASING:
@@ -111,10 +112,13 @@ def audit_monotone(values, direction: str, slack: float, quantity: str = "series
 _NO_LIMIT = "no scalar-flat limit (Y <= 0)"
 
 
-def _lp_audit(records, p: float) -> dict:
-    """int |R|^p dV nonincreasing up to 1e-8, past the first 5 of more than 7 records."""
+def _lp_audit(records, name: str, p: float) -> dict:
+    """The lp field name, int |R|^p dV, nonincreasing up to 1e-8 past the transient.
+
+    The transient is the first 5 records when there are more than 7.
+    """
     skip = 5 if len(records) > 7 else 0
-    series = [r.lp_R[p] for r in records[skip:]]
+    series = [getattr(r, name) for r in records[skip:]]
     return audit_monotone(series, NONINCREASING, 1e-8, quantity=f"lpR_p{p:g}")
 
 
@@ -135,13 +139,16 @@ def mass_drift_audit(records) -> Verdict:
 
 def lp_monotone_audit(records, n: int) -> Verdict:
     """int |R|^{n/2} dV is nonincreasing once the transient is skipped (_lp_audit)."""
-    audit = _lp_audit(records, n / 2.0)
+    _, half, _ = default_p_list(n)
+    audit = _lp_audit(records, "lp_half", half)
     return Verdict("lp-monotone", audit["pass"], audit)
 
 
 def lp_window_audit(records, n: int) -> Verdict:
     """As lp_monotone_audit at p = n/2 - 0.1 and p = n/2 + 0.1, both required."""
-    audits = {f"p={p:g}": _lp_audit(records, p) for p in (n / 2.0 - 0.1, n / 2.0 + 0.1)}
+    lo, _, hi = default_p_list(n)
+    audits = {f"p={lo:g}": _lp_audit(records, "lp_lo", lo),
+              f"p={hi:g}": _lp_audit(records, "lp_hi", hi)}
     return Verdict(
         "lp-monotone-window",
         all(audit["pass"] for audit in audits.values()),
@@ -239,7 +246,7 @@ def mass_drop_report(records, u_inf: RadialField | None, grid: RadialGrid) -> Ve
     horizon = valid_time_horizon(grid)
     records = [r for r in records if r.t <= horizon]
     if not records:
-        raise SchemaError("empty monitor series")
+        raise FitDomainError("no monitor record within the valid-time horizon")
     mass = np.array([r.mass for r in records], dtype=np.float64)
     l1 = np.array([r.l1_R for r in records], dtype=np.float64)
     m_inf = adm_mass(u_inf)
@@ -320,27 +327,21 @@ def flat_sobolev_constant(n: int) -> float:
     return a / (n * (n - 1.0) * vol_sn ** (2.0 / n))
 
 
-def lp_inequality_audit(records, p: float, n: int) -> Verdict:
-    """Conditional monotonicity of int |R|^p dV_t.
+def lp_inequality_audit(records, n: int) -> Verdict:
+    """Conditional monotonicity of int |R|^p dV_t at p = n/2 + 0.1 (the lp_hi field).
 
     Whenever |p - n/2| (int |R|^{n/2} dV)^{2/n} falls below the threshold
     C(n,p)/D, with C(n,p) = 4(n-1)(p-1)/p the gradient-absorption constant
     and D the flat Sobolev constant, the series must be locally
-    nonincreasing up to a slack of 1e-8.  At p = n/2 the condition is
-    unconditional.
+    nonincreasing up to a slack of 1e-8.
     """
-    if not records:
-        raise SchemaError("empty monitor series")
-    half_n = n / 2.0
+    _, half, p = default_p_list(n)
     D = flat_sobolev_constant(n)
     slack = 1e-8
-    try:
-        series = np.array([r.lp_R[p] for r in records], dtype=np.float64)
-        gate = np.array([r.lp_R[half_n] for r in records], dtype=np.float64)
-    except KeyError as exc:
-        raise SchemaError(f"monitor series lacks lpR_p{p:g} or lpR_p{half_n:g}") from exc
+    series = np.array([r.lp_hi for r in records], dtype=np.float64)
+    gate = np.array([r.lp_half for r in records], dtype=np.float64)
     threshold = 4.0 * (n - 1.0) * (p - 1.0) / p / D
-    condition = np.abs(p - half_n) * gate ** (2.0 / n) <= threshold
+    condition = np.abs(p - half) * gate ** (2.0 / n) <= threshold
     active = condition[:-1]
     increases = np.diff(series) - slack
     bad = active & (increases > 0.0)

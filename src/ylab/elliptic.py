@@ -21,7 +21,7 @@ from .errors import (
     PositivityError,
     SupportError,
 )
-from .grids import RadialField, sphere_volume
+from .grids import RadialField, integrate_dr, sphere_volume
 from .operators import (
     BoundaryLaplacian,
     boundary_laplacian,
@@ -182,11 +182,9 @@ def yamabe_quotient(v: RadialField, bg: BackgroundSpec) -> float:
     grad_term = float(np.sum(slope**2 * r_mid ** (n - 1) * dr)) * omega
 
     dens0 = omega * r ** (n - 1)
-    pot = bg.r0_profile.values * v.values**2 * dens0
-    pot_term = float(np.sum(0.5 * (pot[:-1] + pot[1:]) * dr))
-
+    pot_term = integrate_dr(bg.r0_profile.values * v.values**2 * dens0, grid)
     crit = np.abs(v.values) ** (2.0 * n / (n - 2.0)) * dens0
-    denom = float(np.sum(0.5 * (crit[:-1] + crit[1:]) * dr)) ** ((n - 2.0) / n)
+    denom = integrate_dr(crit, grid) ** ((n - 2.0) / n)
     return (a * grad_term + pot_term) / denom
 
 

@@ -3,7 +3,8 @@
 Exit-code mapping used by the CLI: ConfigError (MassUndefinedError
 included) and ParameterError -> 2, numerical failures
 (ConvergenceError, NonPositiveYamabeError, FlowSingularityError) -> 3,
-audit failures -> 4.
+audit failures -> 4.  Any other ylab error an audit raises (FitDomainError,
+say) is that audit's failing verdict, so it also ends in 4.
 """
 
 from __future__ import annotations
@@ -65,12 +66,9 @@ class MassUndefinedError(ConfigError):
 
 
 class FitDomainError(YlabError):
-    """Nonpositive values inside a log-log fit window."""
+    """The run data cannot support this audit (too few points, nonpositive fit values)."""
 
 
 class UndefinedFitError(YlabError):
     """A decay fit was requested on an identically vanishing tail."""
 
-
-class SchemaError(YlabError):
-    """A series or file is missing required columns."""

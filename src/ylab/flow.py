@@ -24,7 +24,7 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,6 +51,16 @@ from .elliptic import compute_R
 def default_p_list(n: int) -> tuple:
     """Monitored exponents: n/2 and the fixed eps = 0.1 window around it."""
     return (n / 2.0 - 0.1, n / 2.0, n / 2.0 + 0.1)
+
+
+# the MonitorRecord fields holding int |R|^p dV_t, in default_p_list order
+LP_FIELDS = ("lp_lo", "lp_half", "lp_hi")
+
+
+def monitor_columns(n: int) -> list:
+    """The monitor.csv header in dimension n: the MonitorRecord fields, lp fields as lpR_p<p>."""
+    lp_columns = {name: f"lpR_p{p:g}" for name, p in zip(LP_FIELDS, default_p_list(n))}
+    return [lp_columns.get(f.name, f.name) for f in fields(MonitorRecord)]
 
 
 # weight exponent tau' of the monitored sup max(r,1)^{tau'} |R|
@@ -118,10 +128,10 @@ class FlowState:
 class MonitorRecord:
     """One time slice of every audited quantity.
 
-    wsup_R is sup max(r,1)^{TAU_PRIME} |R|; lp_R maps p to the integral of
-    |R|^p against dV_t (the monotone quantities themselves, not their p-th
-    roots).  Extrema of R exclude the boundary-condition nodes
-    (grids.boundary_mask).
+    wsup_R is sup max(r,1)^{TAU_PRIME} |R|; the LP_FIELDS lp_lo, lp_half and
+    lp_hi are the integrals of |R|^p against dV_t at the p of default_p_list
+    (the monotone quantities themselves, not their p-th roots).  Extrema of
+    R exclude the boundary-condition nodes (grids.boundary_mask).
     """
 
     t: float
@@ -132,17 +142,13 @@ class MonitorRecord:
     min_u: float
     max_u: float
     wsup_R: float
-    lp_R: dict = field(default_factory=dict)
+    lp_lo: float
+    lp_half: float
+    lp_hi: float
 
     def __post_init__(self):
-        scalars = [getattr(self, name) for name in MONITOR_SCALARS]
-        scalars += list(self.lp_R.values())
-        if not all(math.isfinite(x) for x in scalars):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise ParameterError(f"monitor record at t={self.t} contains non-finite entries")
-
-
-# the scalar monitor columns in record order: every float field of MonitorRecord
-MONITOR_SCALARS = tuple(f.name for f in fields(MonitorRecord) if f.type == "float")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +230,6 @@ def _attempt_step(u_prev: np.ndarray, dt: float, bg: BackgroundSpec, cfg: FlowCo
     )
     if not converged and rn > ceiling:
         return None
-    if np.min(u_new) <= 0.0:
-        return None
     return u_new
 
 
@@ -277,7 +281,7 @@ def adm_mass(u: RadialField) -> float:
 def monitor(state: FlowState, bg: BackgroundSpec, lap: BoundaryLaplacian) -> MonitorRecord:
     """Evaluate every audited quantity at the current state, R with the run's operator lap.
 
-    This is the one evaluation of R along a run; l1_R and lp_R (p in
+    This is the one evaluation of R along a run; l1_R and the LP_FIELDS (p in
     default_p_list(n)) are integrate_dV and lp_integral of R against one
     shared volume density.
     """
@@ -296,7 +300,8 @@ def monitor(state: FlowState, bg: BackgroundSpec, lap: BoundaryLaplacian) -> Mon
         min_u=float(np.min(u.values)),
         max_u=float(np.max(u.values)),
         wsup_R=float(np.max(grid.w[interior] ** TAU_PRIME * np.abs(Ri))),
-        lp_R={p: integrate_dr(np.abs(R) ** p * dens, grid) for p in default_p_list(grid.n)},
+        **{name: integrate_dr(np.abs(R) ** p * dens, grid)
+           for name, p in zip(LP_FIELDS, default_p_list(grid.n))},
     )
 
 

@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    GridMismatchError,
-    ParameterError,
-    PositivityError,
-    SchemaError,
-)
+from .errors import ConfigError, GridMismatchError, ParameterError, PositivityError
 
 UNIFORM = "uniform"
 LOG_STRETCHED = "log-stretched"
@@ -283,49 +277,3 @@ def write_field_csv(f: RadialField, path, header: str = "r,value") -> None:
     pairs = np.column_stack([f.grid.nodes, f.values]).ravel().tolist()
     with open(path, "w") as fh:
         fh.write(f"{header}\n" + "%.17g,%.17g\n" * f.values.size % tuple(pairs))
-
-
-def bind_field(grid: RadialGrid, radii: np.ndarray, values: np.ndarray) -> RadialField:
-    if radii.shape != grid.nodes.shape or not np.allclose(radii, grid.nodes, rtol=0, atol=1e-15):
-        raise GridMismatchError("stored radii do not match the target grid")
-    return RadialField(grid, values)
-
-
-_SERIES_DTYPE = np.dtype("<f8")
-
-
-def write_field_series(fields, path) -> None:
-    """Serialize fields on one grid as a (K+1, M+1) little-endian float64 ``.npy``.
-
-    Row 0 holds the radii and row k the values of field k.  The header is
-    written once and each row's bytes follow it, so no stacked copy of the
-    series is ever held.
-    """
-    grid = fields[0].grid
-    shape = (len(fields) + 1, grid.nodes.size)
-    with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(
-            fh, {"descr": _SERIES_DTYPE.str, "fortran_order": False, "shape": shape}
-        )
-        fh.write(grid.nodes.astype(_SERIES_DTYPE, copy=False).tobytes())
-        for f in fields:
-            _require_same_grid(fields[0], f)
-            fh.write(f.values.astype(_SERIES_DTYPE, copy=False).tobytes())
-
-
-def read_field_series(path, grid: RadialGrid) -> list[RadialField]:
-    """Read a series written by write_field_series back as K fields on grid.
-
-    One ``np.load``; each field is a read-only view of its row, bound via
-    bind_field, so the radii row is checked against the grid.  A file whose
-    array is not a (K+1, M+1) little-endian float64 raises SchemaError;
-    numpy's own ValueError/EOFError/OSError pass through for unreadable files.
-    """
-    data = np.load(path)
-    if (data.dtype != _SERIES_DTYPE or data.ndim != 2 or data.shape[0] < 1
-            or data.shape[1] != grid.nodes.size):
-        raise SchemaError(
-            f"field series holds a {data.dtype} array of shape {data.shape};"
-            f" expected (K+1, {grid.nodes.size}) {_SERIES_DTYPE}"
-        )
-    return [bind_field(grid, data[0], row) for row in data[1:]]

@@ -1,9 +1,10 @@
 import ast
+import io
 import json
 import re
 import shutil
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from ylab.cli import (
     _FAMILIES,
     _SCHEMA,
     RunContext,
-    _monitor_columns,
     _run_audit,
     build_run,
     cmd_report,
@@ -33,8 +33,8 @@ from ylab.cli import (
     write_monitor_csv,
 )
 from ylab.errors import ConfigError
-from ylab.flow import FlowState, run_flow
-from ylab.grids import UNIFORM, RadialField, RadialGrid, read_field_series, write_field_series
+from ylab.flow import FlowState, MonitorRecord, monitor_columns, run_flow
+from ylab.grids import UNIFORM, RadialField, RadialGrid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -229,13 +229,31 @@ class TestMonitorCsv:
         path = tmp_path / "monitor.csv"
         write_monitor_csv(path, res.records, 3)
         header = path.read_text().splitlines()[1].split(",")
-        assert header == _monitor_columns(3)
+        assert header == monitor_columns(3)
         assert read_monitor_csv(path, 3) == res.records  # 17 digits round-trip floats
+
+    @pytest.mark.parametrize("n, lp_columns", [
+        (3, ["lpR_p1.4", "lpR_p1.5", "lpR_p1.6"]),
+        (4, ["lpR_p1.9", "lpR_p2", "lpR_p2.1"]),
+        (5, ["lpR_p2.4", "lpR_p2.5", "lpR_p2.6"]),
+    ])
+    def test_one_column_per_record_field(self, tmp_path, n, lp_columns):
+        names = [f.name for f in fields(MonitorRecord)]
+        record = MonitorRecord(*(float(k) for k in range(len(names))))
+        path = tmp_path / "monitor.csv"
+        write_monitor_csv(path, [record], n)
+        header, row = path.read_text().splitlines()[1:]
+        assert header.split(",") == monitor_columns(n) == [
+            "t", "sup_R", "min_R", "l1_R", "mass", "min_u", "max_u", "wsup_R", *lp_columns
+        ]
+        # the k-th column holds the k-th field
+        assert [float(x) for x in row.split(",")] == [getattr(record, name) for name in names]
+        assert read_monitor_csv(path, n) == [record]
 
     def test_formats_doc_pins_the_n3_header(self):
         doc = (ROOT / "docs" / "formats.md").read_text()
         block = doc.split("## Monitor series CSV")[1].split("```\n")[1].split("```")[0]
-        assert block == ",".join(_monitor_columns(3)) + "\n"
+        assert block == ",".join(monitor_columns(3)) + "\n"
 
 
 class TestSimulate:
@@ -356,16 +374,29 @@ def dense_run(tmp_path_factory):
     return root / "bump-test"
 
 
+@pytest.fixture(scope="module")
+def one_record_run(tmp_path_factory):
+    """A run whose dt collapses at its first step: it holds only the t = 0 record."""
+    root = tmp_path_factory.mktemp("one")
+    config = ("[run]\nid = one\n[grid]\nR_max = 64\nM = 512\n"
+              "[initial]\nfamily = gaussian_bump\neps = -0.999\n"
+              "[flow]\ndt0 = 0.1\nnewton_max = 8\nt_end = 10\n")
+    assert cmd_simulate(parse_config_text(config), root) == 3
+    return root / "one"
+
+
 def _shift_radius(path):
     data = np.load(path)
     data[0, 1] *= 1.0 + 1e-9
     np.save(path, data)
 
 
-def _negate_one_value(path):
-    data = np.load(path)
-    data[-1, 3] = -1.0
-    np.save(path, data)
+def _set_one_value(value):
+    def corrupt(path):
+        data = np.load(path)
+        data[-1, 3] = value
+        np.save(path, data)
+    return corrupt
 
 
 def _drop_last_time(path):
@@ -487,6 +518,16 @@ class TestReport:
         assert "8 points" in verdict["details"]["error"]
         assert "np.float64" not in verdict["details"]["error"]
 
+    @pytest.mark.parametrize("audit", ["lp-monotone", "lp-monotone-window", "min-r-monotone"])
+    def test_one_record_run_is_judged(self, one_record_run, tmp_path, audit):
+        assert len(read_monitor_csv(one_record_run / "monitor.csv", 3)) == 1
+        out = tmp_path / "rep.json"
+        rc = main(["report", str(one_record_run), "--audits", audit, "--out", str(out)])
+        assert rc == 4
+        (verdict,) = json.loads(out.read_text())["runs"][0]["audits"]
+        assert verdict["name"] == audit and verdict["pass"] is False
+        assert verdict["details"]["error"] == "monotonicity audit needs at least 2 points"
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -550,14 +591,15 @@ class TestReport:
             ("checkpoints.npy", lambda path: path.write_bytes(path.read_bytes()[:-40])),
             ("checkpoints.npy", lambda path: np.save(path, np.load(path)[:, :-1])),
             ("checkpoints.npy", _shift_radius),
-            ("checkpoints.npy", _negate_one_value),
+            ("checkpoints.npy", _set_one_value(-1.0)),
+            ("checkpoints.npy", _set_one_value(np.nan)),
             ("checkpoints.json", _drop_last_time),
             ("checkpoints.json", _set_last("t", "late")),
             ("checkpoints.json", _set_last("t", None)),
             ("checkpoints.json", _set_last("dt", "0.1")),
         ],
         ids=["missing-series", "truncated-series", "wrong-shape-series",
-             "radii-mismatch", "nonpositive-row", "short-time-column",
+             "radii-mismatch", "nonpositive-row", "nan-row", "short-time-column",
              "string-t", "null-t", "string-dt"],
     )
     def test_unreadable_checkpoint_series_is_config_error(
@@ -609,9 +651,9 @@ class TestReport:
         k = len(json.loads((rundir / "checkpoints.json").read_text())["t"])
         assert k == 20
         loads = []
-        load = cli.read_field_series
+        load = cli.read_checkpoints
         monkeypatch.setattr(
-            cli, "read_field_series", lambda path, grid: loads.append(path) or load(path, grid)
+            cli, "read_checkpoints", lambda path, grid: loads.append(path) or load(path, grid)
         )
         out = tmp_path / "rep.json"
         # spacetime-decay judges the monitor records; convergence loads the series once
@@ -720,8 +762,8 @@ def _checkpoint_series(draw):
 
 _EDGE_GRID = RadialGrid(3, np.arange(17) * 0.25, UNIFORM)
 _EDGE_FIELDS = [
-    RadialField(_EDGE_GRID, np.array([5e-324, -0.0, -1e300] + [1 / 3] * 14)),
-    RadialField(_EDGE_GRID, np.full(17, -2.2250738585072014e-308)),
+    RadialField(_EDGE_GRID, np.array([5e-324, 1.7976931348623157e308, 1e-310] + [1 / 3] * 14)),
+    RadialField(_EDGE_GRID, np.full(17, 2.2250738585072014e-308)),
 ]
 _EDGE_SERIES = [
     FlowState(-0.0, RadialField(_EDGE_GRID, np.array([5e-324, 1e300] + [1 / 3] * 15)), 5e-324, 0),
@@ -745,15 +787,26 @@ class TestCheckpointSeries:
         assert set(json.loads(path.with_suffix(".json").read_text())) == {"t", "dt", "step_index"}
 
     @settings(max_examples=100, deadline=None)
-    @given(fields=_field_series(_FINITE))
-    @example(fields=_EDGE_FIELDS)
-    def test_field_series_round_trip_is_bitwise(self, tmp_path_factory, fields):
-        # the series format itself carries any finite float64: signed zeros,
-        # negatives and subnormals
-        path = tmp_path_factory.mktemp("series") / "series.npy"
-        write_field_series(fields, path)
-        back = read_field_series(path, fields[0].grid)
-        assert [f.values.tobytes() for f in back] == [f.values.tobytes() for f in fields]
+    @given(snapshots=_field_series(_POSITIVE))
+    @example(snapshots=_EDGE_FIELDS)
+    def test_field_series_round_trip_is_bitwise(self, tmp_path_factory, snapshots):
+        # the series carries any positive finite float64, subnormals included
+        path = tmp_path_factory.mktemp("series") / "checkpoints.npy"
+        write_checkpoints(path, [FlowState(0.0, u, 1.0, k) for k, u in enumerate(snapshots)])
+        back = read_checkpoints(path, snapshots[0].grid)
+        assert [ck.u.values.tobytes() for ck in back] == [u.values.tobytes() for u in snapshots]
+
+    def test_npy_header_is_the_documented_one(self, tmp_path):
+        path = tmp_path / "checkpoints.npy"
+        write_checkpoints(path, _EDGE_SERIES)
+        with open(path, "rb") as fh:
+            assert np.lib.format.read_magic(fh) == (1, 0)
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        assert (dtype.str, fortran_order, shape) == ("<f8", False, (3, 17))
+        # the streamed rows are the radii, then each snapshot: np.save's bytes
+        stacked = io.BytesIO()
+        np.save(stacked, np.array([_EDGE_GRID.nodes, *(ck.u.values for ck in _EDGE_SERIES)]))
+        assert path.read_bytes() == stacked.getvalue()
 
 
 class TestReadmeCli:

@@ -19,15 +19,15 @@ from ylab.diagnostics import (
     mass_drop_report,
     spacetime_decay_audit,
 )
-from ylab.errors import FitDomainError, ParameterError, SchemaError
+from ylab.errors import FitDomainError, ParameterError
 from ylab.flow import FlowConfig, MonitorRecord, run_flow
 from ylab.grids import LOG_STRETCHED, RadialField, build_grid, constant_field
 
 
-def make_record(t, mass=0.0, l1=0.0, lp=None, wsup=0.0):
+def make_record(t, mass=0.0, l1=0.0, wsup=0.0, lp_half=0.0, lp_hi=0.0):
     return MonitorRecord(
         t=t, sup_R=0.0, min_R=0.0, l1_R=l1, mass=mass, min_u=1.0, max_u=1.0, wsup_R=wsup,
-        lp_R=lp or {},
+        lp_lo=0.0, lp_half=lp_half, lp_hi=lp_hi,
     )
 
 
@@ -81,6 +81,13 @@ class TestAuditMonotone:
     def test_slack_absorbs_noise(self):
         audit = audit_monotone([1.0, 1.0 + 1e-12], NONINCREASING, 1e-9)
         assert audit["violations"] == 0
+
+    def test_single_value_cannot_be_judged(self):
+        # a run data error (a failing verdict), not a bad argument (exit 2)
+        with pytest.raises(FitDomainError):
+            audit_monotone([1.0], NONINCREASING, 0.0)
+        with pytest.raises(ParameterError):
+            audit_monotone([1.0, 2.0], "sideways", 0.0)
 
     @given(
         values=st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=30),
@@ -188,7 +195,8 @@ class TestMassDrop:
         assert v.passed is False
 
     def test_schema_error(self):
-        with pytest.raises(SchemaError):
+        # no record within the valid-time horizon: the audit cannot be computed
+        with pytest.raises(FitDomainError):
             self.report([])
 
 
@@ -231,28 +239,25 @@ class TestSpacetimeDecay:
 
 
 class TestLpInequality:
-    def test_at_half_n_reduces_to_monotone(self):
-        records = [make_record(float(t), lp={1.5: 10.0 - t}) for t in range(10)]
-        v = lp_inequality_audit(records, p=1.5, n=3)
+    def test_open_gate_reduces_to_monotone(self):
+        # int |R|^{n/2} dV = 0 opens the gate on every pair
+        records = [make_record(float(t), lp_hi=10.0 - t) for t in range(10)]
+        v = lp_inequality_audit(records, n=3)
+        assert v.name == "lp-inequality(p=1.6)"
         assert v.passed
+        assert v.details["active_pairs"] == 9
 
     def test_constant_series_passes(self):
-        records = [make_record(float(t), lp={1.5: 4.0, 1.6: 4.0}) for t in range(10)]
-        v = lp_inequality_audit(records, p=1.6, n=3)
+        records = [make_record(float(t), lp_half=4.0, lp_hi=4.0) for t in range(10)]
+        v = lp_inequality_audit(records, n=3)
         assert v.passed
         assert not v.details["violations"]
 
     def test_gated_violation_detected(self):
-        lp = [{1.5: 1e-6, 1.6: 1.0}, {1.5: 1e-6, 1.6: 2.0}]
-        records = [make_record(float(i), lp=d) for i, d in enumerate(lp)]
-        v = lp_inequality_audit(records, p=1.6, n=3)
+        records = [make_record(float(i), lp_half=1e-6, lp_hi=hi) for i, hi in enumerate((1.0, 2.0))]
+        v = lp_inequality_audit(records, n=3)
         assert v.passed is False
         assert v.details["violations"]
-
-    def test_missing_column_schema_error(self):
-        records = [make_record(0.0, lp={2.0: 1.0}), make_record(1.0, lp={2.0: 1.0})]
-        with pytest.raises(SchemaError):
-            lp_inequality_audit(records, p=1.6, n=3)
 
 
 class TestAuditorPurity:

@@ -94,6 +94,25 @@ class TestDampedNewton:
             assert calls[i - 1][0] == "residual"
             assert calls[i][1] is calls[i - 1][1]
 
+    @pytest.mark.parametrize("floor", [0.0, 1e-3])
+    def test_iterates_stay_positive_when_the_full_step_crosses_zero(self, floor):
+        # f(v) = 1 - 1/v has its root at 1; from 3 and 4 the full Newton
+        # steps land at -3 and -8, so only a damped step may be taken
+        fn, points = counting(lambda v: 1.0 - 1.0 / v)
+
+        def jacobian_fn(v):
+            return np.zeros(v.size - 1), v**-2.0, np.zeros(v.size - 1)
+
+        u0 = np.array([3.0, 4.0])
+        assert np.all(u0 - (1.0 - 1.0 / u0) * u0**2 < 0.0)
+        u, rn, _, converged = damped_newton(
+            u0, fn, jacobian_fn, tol=1e-12, max_iter=25, floor=floor
+        )
+        assert all(np.min(v) > 0.0 for v in points)  # no residual at a nonpositive point
+        assert np.min(u) > 0.0
+        assert converged and rn <= 1e-12
+        assert u == pytest.approx([1.0, 1.0], abs=1e-12)
+
     @pytest.mark.parametrize("m", [1, 5])
     def test_singular_jacobian_stops_without_a_step(self, m):
         fn, points = counting(lambda v: v - 2.0)
