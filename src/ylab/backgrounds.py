@@ -11,7 +11,9 @@ pose.  Every other background prescribes R0 directly as a free coefficient
 of the PDE; this is loudly a model problem, used to reach the nonpositive
 Yamabe regime that rotationally symmetric conformally flat geometry cannot
 realize.  All PDE-level claims depend only on the pair (Laplacian, R0), and
-elliptic.compute_R is the one formula for the scalar curvature of a factor.
+elliptic.curvature is the one formula for the scalar curvature of a factor:
+compute_R and the flow's monitor both form R with it from
+elliptic.stencil_terms.
 
 The dimension is the grid's, and each initial-data family returns its
 positive factor u0 -> 1 as a RadialField.

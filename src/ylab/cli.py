@@ -386,6 +386,7 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
             "max_u_final": last.max_u,
             "steps": final.step_index,
             "valid_t_max": valid_time_horizon(grid),
+            **asdict(result.work),
         },
     )
     (rundir / "config.ini").write_text(serialize_manifest(manifest))

@@ -129,8 +129,18 @@ def fixed_point_audit(records, grid: RadialGrid) -> Verdict:
     return Verdict("fixed-point", worst <= bound, {"max_sup_R": worst, "bound": bound})
 
 
+def _require_pairs(records, audit: str) -> None:
+    """A claim about how a series changes needs a pair of records: a fit-domain error otherwise."""
+    if len(records) < 2:
+        raise FitDomainError(f"{audit} audit needs at least 2 records")
+
+
 def mass_drift_audit(records) -> Verdict:
-    """The mass is constant along the flow: max |m(t) - m(0)| <= 1e-2 max(|m(0)|, 1)."""
+    """The mass is constant along the flow: max |m(t) - m(0)| <= 1e-2 max(|m(0)|, 1).
+
+    Fewer than 2 records cannot be judged: a fit-domain error.
+    """
+    _require_pairs(records, "mass-drift")
     m0 = records[0].mass
     drift = max(abs(r.mass - m0) for r in records)
     bound = 1e-2 * max(abs(m0), 1.0)
@@ -333,8 +343,10 @@ def lp_inequality_audit(records, n: int) -> Verdict:
     Whenever |p - n/2| (int |R|^{n/2} dV)^{2/n} falls below the threshold
     C(n,p)/D, with C(n,p) = 4(n-1)(p-1)/p the gradient-absorption constant
     and D the flat Sobolev constant, the series must be locally
-    nonincreasing up to a slack of 1e-8.
+    nonincreasing up to a slack of 1e-8.  Fewer than 2 records cannot be
+    judged: a fit-domain error.
     """
+    _require_pairs(records, "lp-inequality")
     _, half, p = default_p_list(n)
     D = flat_sobolev_constant(n)
     slack = 1e-8

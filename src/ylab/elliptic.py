@@ -79,13 +79,29 @@ class YamabeSign:
     trial_params: tuple | None = None  # (center, width, cut) of a Gaussian trial
 
 
+def stencil_terms(
+    v: np.ndarray, lap: BoundaryLaplacian, R0: np.ndarray, a: float, N: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(g, w) = (R0 v - a(n) L v, v^{1-N}): one stencil apply and one power at v.
+
+    g is v^N R[v], so curvature(v, g, w) is R and w g the flow's speed R v;
+    compute_R and the flow's residual, Jacobian and monitor all read this pair.
+    """
+    return R0 * v - a * lap.apply(v), v ** (1.0 - N)
+
+
+def curvature(v: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """R = v^{-N} (-a(n) L v + R0 v) = (w / v) g, from the stencil_terms (g, w) at v."""
+    return (w / v) * g
+
+
 def compute_R(
     u: RadialField, bg: BackgroundSpec, lap: BoundaryLaplacian | None = None
 ) -> RadialField:
     """Scalar curvature of u^{4/(n-2)} g_bg: u^{-N} (-a(n) lap u + R0 u).
 
-    lap is the operator to apply: a flow passes the one it steps with, so
-    the flow's own identity holds at every node; without one, the zero-flux
+    lap is the operator to apply: with the one a flow steps with, the flow's
+    own identity holds at every node; without one, the zero-flux
     boundary_laplacian of u's grid is built.  The wall and R_max rows carry
     the boundary conditions; take extrema over the nodes grids.boundary_mask
     leaves out.
@@ -97,9 +113,8 @@ def compute_R(
     if lap is None:
         lap = boundary_laplacian(u.grid)
     a, N = conformal_exponents(u.grid.n)
-    R0 = bg.r0_profile.values
-    vals = u.values ** (-N) * (-a * lap.apply(u.values) + R0 * u.values)
-    return RadialField(u.grid, vals)
+    g, w = stencil_terms(u.values, lap, bg.r0_profile.values, a, N)
+    return RadialField(u.grid, curvature(u.values, g, w))
 
 
 def _effective_tolerance(curvature_scale: float, row_norm: float) -> float:

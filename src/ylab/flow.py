@@ -12,8 +12,11 @@ safety factor.
 
 A run builds its operator once: boundary_laplacian with the wall flux frozen
 from the initial data (operators.initial_inner_flux), so scalar-flat
-exteriors such as the Schwarzschild factor remain stationary.  step and
-monitor apply that operator.  Results are trustworthy for t below the
+exteriors such as the Schwarzschild factor remain stationary.  Each distinct
+array the run meets is evaluated on that operator once
+(elliptic.stencil_terms): Newton's residual and Jacobian share the
+evaluation, the accepted one starts the next step and feeds the monitor,
+which applies no stencil of its own.  Results are trustworthy for t below the
 horizon R_max^2 / (16(n-1)), which keeps the diffusive front away from the
 wall.
 
@@ -25,10 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .backgrounds import BackgroundSpec, conformal_exponents
+from .elliptic import curvature, stencil_terms
 from .errors import (
     ConfigError,
     FlowSingularityError,
@@ -37,15 +42,8 @@ from .errors import (
     ParameterError,
     PositivityError,
 )
-from .grids import (
-    RadialField,
-    RadialGrid,
-    boundary_mask,
-    integrate_dr,
-    volume_weight,
-)
+from .grids import RadialField, RadialGrid, boundary_mask, sphere_volume, trapezoid_weights
 from .operators import BoundaryLaplacian, boundary_laplacian, damped_newton, initial_inner_flux
-from .elliptic import compute_R
 
 
 def default_p_list(n: int) -> tuple:
@@ -151,6 +149,35 @@ class MonitorRecord:
             raise ParameterError(f"monitor record at t={self.t} contains non-finite entries")
 
 
+class Evaluation(NamedTuple):
+    """The pair elliptic.stencil_terms yields at the array v, kept with v.
+
+    g = R0 v - a(n) L v and w = v^{1-N}.  It belongs to that very array
+    object: a step's Newton residual and Jacobian, the next step's start and
+    the monitor read it instead of evaluating v again.
+    """
+
+    v: np.ndarray
+    g: np.ndarray
+    w: np.ndarray
+
+
+@dataclass
+class SolverWork:
+    """Work counters of one run; summary.json holds them under these names.
+
+    stencil_evaluations counts elliptic.stencil_terms calls, one per
+    distinct array evaluated.  halvings counts rejected attempts, each of
+    which halves dt.  unchanged_steps counts accepted steps whose factor
+    equals the previous one bit for bit.
+    """
+
+    newton_iterations: int = 0
+    stencil_evaluations: int = 0
+    halvings: int = 0
+    unchanged_steps: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class RunResult:
     """A run's series; however it ended, the last checkpoint is its final state.
@@ -162,12 +189,14 @@ class RunResult:
     checkpoints: list  # FlowState snapshots
     halted: bool
     halt_reason: str | None
+    work: SolverWork
 
 
 def step_tolerances(
-    newton_tol: float, dt: float, u: np.ndarray, a: float, c: float, N: float, row_norm: float
+    newton_tol: float, dt: float, u: np.ndarray, w: np.ndarray, a: float, c: float,
+    row_norm: float,
 ) -> tuple[float, float]:
-    """(target, ceiling) residual tolerances for one implicit step.
+    """(target, ceiling) residual tolerances for one implicit step from u, with w = u^{1-N}.
 
     The target is the per-unit-time residual newton_tol * dt.  The ceiling
     estimates the float round-off floor of the residual evaluation itself;
@@ -179,82 +208,114 @@ def step_tolerances(
     """
     eps = np.finfo(np.float64).eps
     umax = float(np.max(u))
-    amp = float(np.max(u ** (1.0 - N)))
+    amp = float(np.max(w))
     roundoff = 16.0 * eps * (umax + dt * c * amp * a * row_norm * umax)
     target = max(newton_tol * dt, 4.0 * eps * (1.0 + umax))
     return target, max(target, roundoff)
 
 
-def _implicit_residual(lap, R0, a, N, c, u_prev, dt):
-    """Residual and Jacobian of one backward-Euler step, sharing one evaluation.
+def _evaluate(v, lap, R0, a, N, work: SolverWork) -> Evaluation:
+    work.stencil_evaluations += 1
+    return Evaluation(v, *stencil_terms(v, lap, R0, a, N))
 
-    residual_fn(v) keeps v with its stencil term g = a L v - R0 v and its
-    power w = v^{1-N} until its next call; jacobian_fn builds the bands from
-    them, so it accepts only the array residual_fn saw last (the
-    damped_newton contract) and raises ValueError for any other.
+
+def _implicit_residual(lap, R0, a, N, c, prev: Evaluation, dt, work: SolverWork):
+    """Residual and Jacobian of one backward-Euler step from prev, sharing evaluations.
+
+    residual_fn(v) reads prev when v is prev's own array (damped_newton
+    starts there) and evaluates any other v; it keeps that evaluation until
+    its next call.  jacobian_fn builds the bands from it, so it accepts only
+    the array residual_fn saw last (the damped_newton contract) and raises
+    ValueError for any other.  The third function returns the kept
+    evaluation of the array damped_newton returns, which is always the last
+    one residual_fn or jacobian_fn saw.
     """
+    u_prev = prev.v
     diag_term = a * lap.diag - R0
-    kept = {}
+    kept = {"residual": None, "jacobian": None}
 
     def residual_fn(v):
-        kept.clear()
-        g = a * lap.apply(v) - R0 * v
-        w = v ** (1.0 - N)
-        kept.update(v=v, g=g, w=w)
-        return v - u_prev - dt * c * w * g
+        ev = prev if v is u_prev else _evaluate(v, lap, R0, a, N, work)
+        kept["residual"] = ev
+        return v - u_prev + dt * c * ev.w * ev.g
 
     def jacobian_fn(v):
-        if kept.get("v") is not v:
+        ev = kept["residual"]
+        if ev is None or ev.v is not v:
             raise ValueError("jacobian_fn called at an array other than the last residual's")
-        g, w = kept["g"], kept["w"]
-        jd = 1.0 - dt * c * ((1.0 - N) * v ** (-N) * g + w * diag_term)
+        kept["jacobian"] = ev
+        _, g, w = ev
+        jd = 1.0 - dt * c * ((N - 1.0) * v ** (-N) * g + w * diag_term)
         jl = -dt * c * w[1:] * a * lap.lower
         ju = -dt * c * w[:-1] * a * lap.upper
         return jl, jd, ju
 
-    return residual_fn, jacobian_fn
+    def evaluation_of(u):
+        for ev in kept.values():
+            if ev is not None and ev.v is u:
+                return ev
+        raise ValueError("no evaluation kept for this array")
+
+    return residual_fn, jacobian_fn, evaluation_of
 
 
-def _attempt_step(u_prev: np.ndarray, dt: float, bg: BackgroundSpec, cfg: FlowConfig, lap):
+def _attempt_step(
+    prev: Evaluation, dt: float, bg: BackgroundSpec, cfg: FlowConfig, lap, work: SolverWork
+) -> Evaluation | None:
+    """One backward-Euler attempt of size dt from prev: the accepted evaluation, or None."""
     n = bg.grid.n
     a, N = conformal_exponents(n)
     c = 0.25 * (n - 2.0)
     R0 = bg.r0_profile.values
-    residual_fn, jacobian_fn = _implicit_residual(lap, R0, a, N, c, u_prev, dt)
-    target, ceiling = step_tolerances(
-        cfg.newton_tol, dt, u_prev, a, c, N, lap.row_norm
+    residual_fn, jacobian_fn, evaluation_of = _implicit_residual(
+        lap, R0, a, N, c, prev, dt, work
     )
+    target, ceiling = step_tolerances(cfg.newton_tol, dt, prev.v, prev.w, a, c, lap.row_norm)
 
-    u_new, rn, _, converged = damped_newton(
-        u_prev, residual_fn, jacobian_fn, target, cfg.newton_max, floor=ceiling
+    u_new, rn, iterations, converged = damped_newton(
+        prev.v, residual_fn, jacobian_fn, target, cfg.newton_max, floor=ceiling
     )
+    work.newton_iterations += iterations
     if not converged and rn > ceiling:
         return None
-    return u_new
+    return evaluation_of(u_new)
 
 
 def step(
-    state: FlowState, bg: BackgroundSpec, cfg: FlowConfig, lap: BoundaryLaplacian
-) -> FlowState:
+    state: FlowState,
+    bg: BackgroundSpec,
+    cfg: FlowConfig,
+    lap: BoundaryLaplacian,
+    prev: Evaluation,
+    work: SolverWork,
+) -> tuple[FlowState, Evaluation]:
     """Advance one accepted step with the run's operator lap, halving dt on Newton failure.
+
+    prev is the evaluation at state's factor: a run passes the one its last
+    step accepted.  Every attempt starts from it, since (g, w) does not
+    depend on dt.  Returns the new state with the evaluation at its factor,
+    and adds the step's work to work.
 
     Raises FlowSingularityError after ten halvings: the discrete stand-in
     for the curvature blow-up alternative.
     """
     dt = state.dt
     for _ in range(11):
-        u_new = _attempt_step(state.u.values, dt, bg, cfg, lap)
-        if u_new is not None:
+        ev = _attempt_step(prev, dt, bg, cfg, lap, work)
+        if ev is not None:
+            work.unchanged_steps += int(np.array_equal(ev.v, prev.v))
             next_dt = dt * cfg.safety
             if cfg.dt_max is not None:
                 next_dt = min(next_dt, cfg.dt_max)
-            return FlowState(
+            new_state = FlowState(
                 t=state.t + dt,
-                u=RadialField(state.u.grid, u_new),
+                u=RadialField(state.u.grid, ev.v),
                 dt=next_dt,
                 step_index=state.step_index + 1,
             )
+            return new_state, ev
         dt *= 0.5
+        work.halvings += 1
     raise FlowSingularityError(f"step rejected after 10 halvings at t={state.t:.6g} (dt={dt:.3e})")
 
 
@@ -266,42 +327,84 @@ def far_field_window(grid: RadialGrid) -> np.ndarray:
     return window
 
 
+def _mass_fit(grid: RadialGrid) -> tuple[int, np.ndarray, float]:
+    """(first node, basis r^{-(n-2)} from it on, basis @ basis) of the far-field fit."""
+    start = int(np.argmax(far_field_window(grid)))
+    basis = grid.nodes[start:] ** (-(grid.n - 2.0))
+    return start, basis, float(basis @ basis)
+
+
+def _fitted_mass(u: np.ndarray, fit: tuple[int, np.ndarray, float]) -> float:
+    start, basis, norm = fit
+    return 2.0 * float(basis @ (u[start:] - 1.0) / norm)
+
+
 def adm_mass(u: RadialField) -> float:
     """ADM mass of the conformally flat factor: 2A with u ~ 1 + A r^{-(n-2)}.
 
     A comes from a linear least-squares fit over the far-field window.
     """
-    grid = u.grid
-    window = far_field_window(grid)
-    basis = grid.nodes[window] ** (-(grid.n - 2.0))
-    dev = u.values[window] - 1.0
-    return 2.0 * float(basis @ dev / (basis @ basis))
+    return _fitted_mass(u.values, _mass_fit(u.grid))
 
 
-def monitor(state: FlowState, bg: BackgroundSpec, lap: BoundaryLaplacian) -> MonitorRecord:
-    """Evaluate every audited quantity at the current state, R with the run's operator lap.
+@dataclass(frozen=True, eq=False)
+class MonitorWeights:
+    """The grid constants monitor reads, built once per run by of(grid).
 
-    This is the one evaluation of R along a run; l1_R and the LP_FIELDS (p in
-    default_p_list(n)) are integrate_dV and lp_integral of R against one
-    shared volume density.
+    dV holds omega r^{n-1} times the trapezoid weights, so dV @ (f u^{N+1})
+    is grids.integrate_dV(f, u) up to summation order.  interior leaves out
+    the grids.boundary_mask nodes, which are at most the first and the last;
+    tau_weight is max(r,1)^{TAU_PRIME} on it.  mass_fit is adm_mass's fit.
     """
-    u = state.u
-    grid = u.grid
-    R = compute_R(u, bg, lap).values
-    dens = volume_weight(grid, u)
-    interior = ~boundary_mask(grid)
-    Ri = R[interior]
+
+    interior: slice
+    tau_weight: np.ndarray
+    dV: np.ndarray
+    mass_fit: tuple
+    p_list: tuple
+
+    @classmethod
+    def of(cls, grid: RadialGrid) -> "MonitorWeights":
+        """MassUndefinedError when the mass fit window holds fewer than 8 nodes."""
+        interior = slice(int(boundary_mask(grid)[0]), grid.M)
+        n = grid.n
+        return cls(
+            interior=interior,
+            tau_weight=grid.w[interior] ** TAU_PRIME,
+            dV=sphere_volume(n) * grid.nodes ** (n - 1) * trapezoid_weights(grid),
+            mass_fit=_mass_fit(grid),
+            p_list=default_p_list(n),
+        )
+
+
+def monitor(state: FlowState, ev: Evaluation, weights: MonitorWeights) -> MonitorRecord:
+    """Every audited quantity at state, read off the evaluation ev of its factor.
+
+    R is elliptic.curvature of ev, on the operator the run steps with, and
+    the volume density u^{N+1} is u^2 / w, so a record applies no stencil and
+    builds no grid constant.  l1_R and the LP_FIELDS (p in default_p_list(n))
+    are dot products with weights.dV; the three |R|^p share one log.
+    """
+    u, g, w = ev
+    if u is not state.u.values:
+        raise ValueError("the evaluation is not of this state's factor")
+    R = curvature(u, g, w)
+    abs_R = np.abs(R)
+    with np.errstate(divide="ignore"):  # R = 0 (flat runs): log gives -inf, exp 0
+        log_abs_R = np.log(abs_R)
+    dV_t = weights.dV * (u * u / w)
+    interior = weights.interior
     return MonitorRecord(
         t=state.t,
-        sup_R=float(np.max(np.abs(Ri))),
-        min_R=float(np.min(Ri)),
-        l1_R=integrate_dr(R * dens, grid),
-        mass=adm_mass(u),
-        min_u=float(np.min(u.values)),
-        max_u=float(np.max(u.values)),
-        wsup_R=float(np.max(grid.w[interior] ** TAU_PRIME * np.abs(Ri))),
-        **{name: integrate_dr(np.abs(R) ** p * dens, grid)
-           for name, p in zip(LP_FIELDS, default_p_list(grid.n))},
+        sup_R=float(np.max(abs_R[interior])),
+        min_R=float(np.min(R[interior])),
+        l1_R=float(dV_t @ R),
+        mass=_fitted_mass(u, weights.mass_fit),
+        min_u=float(np.min(u)),
+        max_u=float(np.max(u)),
+        wsup_R=float(np.max(weights.tau_weight * abs_R[interior])),
+        **{name: float(dV_t @ np.exp(p * log_abs_R))
+           for name, p in zip(LP_FIELDS, weights.p_list)},
     )
 
 
@@ -315,8 +418,12 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
     if u0.grid != bg.grid:
         raise GridMismatchError("initial data and background live on different grids")
     lap = boundary_laplacian(bg.grid, initial_inner_flux(u0))
+    weights = MonitorWeights.of(bg.grid)
+    work = SolverWork()
     state = FlowState(t=0.0, u=u0, dt=cfg.dt0, step_index=0)
-    records = [monitor(state, bg, lap)]
+    a, N = conformal_exponents(bg.grid.n)
+    ev = _evaluate(u0.values, lap, bg.r0_profile.values, a, N, work)
+    records = [monitor(state, ev, weights)]
     checkpoints = [state]
     last_monitored = 0
     last_checkpointed = 0
@@ -330,14 +437,14 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
         if state.dt > remaining:
             state = replace(state, dt=remaining)
         try:
-            state = step(state, bg, cfg, lap)
+            state, ev = step(state, bg, cfg, lap, ev, work)
         except FlowSingularityError:
             halted = True
             halt_reason = "dt-collapse"
             break
         idx = state.step_index
         if idx % cfg.monitor_every == 0:
-            records.append(monitor(state, bg, lap))
+            records.append(monitor(state, ev, weights))
             last_monitored = idx
         if idx % cfg.checkpoint_every == 0:
             checkpoints.append(state)
@@ -348,7 +455,7 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
             break
 
     if state.step_index != last_monitored:
-        records.append(monitor(state, bg, lap))
+        records.append(monitor(state, ev, weights))
     if state.step_index != last_checkpointed:
         checkpoints.append(state)
-    return RunResult(records, checkpoints, halted, halt_reason)
+    return RunResult(records, checkpoints, halted, halt_reason, work)

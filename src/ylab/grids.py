@@ -214,39 +214,33 @@ def integrate_dr(y: np.ndarray, grid: RadialGrid) -> float:
     return float(np.sum(0.5 * (y[:-1] + y[1:]) * grid.dr))
 
 
-def volume_weight(grid: RadialGrid, u: RadialField) -> np.ndarray:
-    """Pointwise conformal volume density u^{2n/(n-2)} omega r^{n-1}."""
-    _require_positive(u)
-    n = grid.n
-    return u.values ** (2.0 * n / (n - 2.0)) * sphere_volume(n) * grid.nodes ** (n - 1)
+def trapezoid_weights(grid: RadialGrid) -> np.ndarray:
+    """Node weights of integrate_dr's rule: trapezoid_weights(grid) @ y is its integral of y.
 
-
-def _require_positive(u: RadialField) -> None:
-    if np.min(u.values) <= 0.0:
-        raise PositivityError("conformal factor must be positive everywhere")
+    The two agree up to summation order; a caller integrating many samples
+    on one grid builds the weights once and takes dot products.
+    """
+    half = 0.5 * grid.dr
+    weights = np.zeros(grid.nodes.shape)
+    weights[:-1] += half
+    weights[1:] += half
+    return weights
 
 
 def integrate_dV(f: RadialField, u: RadialField) -> float:
-    """Integral of f against the conformal volume u^{2n/(n-2)} dV_flat.
+    """Integral of f against the conformal volume u^{2n/(n-2)} omega r^{n-1} dr.
 
     Composite trapezoid on the (possibly nonuniform) grid; the unbounded
     manifold is truncated at R_max (see truncation_tail_bound for the
     discarded tail).
     """
     _require_same_grid(f, u)
-    return integrate_dr(f.values * volume_weight(f.grid, u), f.grid)
-
-
-def lp_integral(f: RadialField, p: float, u: RadialField) -> float:
-    """Integral of |f|^p against the conformal volume."""
-    if p < 1.0:
-        raise ParameterError(f"p must be >= 1, got {p}")
-    _require_same_grid(f, u)
-    return integrate_dr(np.abs(f.values) ** p * volume_weight(f.grid, u), f.grid)
-
-
-def lp_norm(f: RadialField, p: float, u: RadialField) -> float:
-    return lp_integral(f, p, u) ** (1.0 / p)
+    if np.min(u.values) <= 0.0:
+        raise PositivityError("conformal factor must be positive everywhere")
+    grid = f.grid
+    n = grid.n
+    density = u.values ** (2.0 * n / (n - 2.0)) * sphere_volume(n) * grid.nodes ** (n - 1)
+    return integrate_dr(f.values * density, grid)
 
 
 def weighted_sup_norm(f: RadialField, beta: float) -> float:

@@ -165,8 +165,11 @@ def damped_newton(
     residual_fn) stagnates after the first evaluated candidate that fails to
     reduce it, since halving the step cannot beat round-off; floor = 0
     always runs the full sweep.
+
+    u0 is not copied (nor modified): the first residual_fn call receives
+    u0 itself, and a solve that takes no step returns it.
     """
-    u = np.array(u0, dtype=np.float64)
+    u = np.asarray(u0, dtype=np.float64)
     res = residual_fn(u)
     rn = float(np.max(np.abs(res)))
     iterations = 0

@@ -35,6 +35,7 @@ from ylab.cli import (
 from ylab.errors import ConfigError
 from ylab.flow import FlowState, MonitorRecord, monitor_columns, run_flow
 from ylab.grids import UNIFORM, RadialField, RadialGrid
+from ylab.operators import BoundaryLaplacian
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -269,6 +270,34 @@ class TestSimulate:
         summary = json.loads((rundir / "summary.json").read_text())
         assert not summary["halted"]
         assert summary["final_t"] == pytest.approx(2.0)
+
+    def test_summary_counts_the_solver_work(self, tmp_path, monkeypatch):
+        calls = [0]
+        apply = BoundaryLaplacian.apply
+
+        def counted(self, u):
+            calls[0] += 1
+            return apply(self, u)
+
+        monkeypatch.setattr(BoundaryLaplacian, "apply", counted)
+        assert cmd_simulate(parse_config_text(BUMP_CONFIG), tmp_path) == 0
+        summary = json.loads((tmp_path / "bump-test" / "summary.json").read_text())
+        assert summary["stencil_evaluations"] == calls[0] > 0
+        assert summary["newton_iterations"] >= summary["steps"] > 0
+        assert summary["halvings"] == summary["unchanged_steps"] == 0
+        doc = (ROOT / "docs" / "formats.md").read_text()
+        example = doc.split("## Run summary")[1].split("```json\n")[1].split("```")[0]
+        assert set(json.loads(example)) == set(summary)
+
+    def test_flat_run_reports_no_halving(self, tmp_path):
+        config = BUMP_CONFIG.replace("family = gaussian_bump\neps = 0.1\nsigma = 1.0\n",
+                                     "family = flat\n")
+        assert cmd_simulate(parse_config_text(config), tmp_path) == 0
+        summary = json.loads((tmp_path / "bump-test" / "summary.json").read_text())
+        assert summary["halvings"] == 0
+        # u = 1 solves every step as it stands: each step leaves it unchanged
+        assert summary["unchanged_steps"] == summary["steps"] > 0
+        assert (summary["newton_iterations"], summary["stencil_evaluations"]) == (0, 1)
 
     def test_factor_snapshot_headers(self, tmp_path):
         cmd_simulate(parse_config_text(BUMP_CONFIG), tmp_path)
@@ -518,15 +547,23 @@ class TestReport:
         assert "8 points" in verdict["details"]["error"]
         assert "np.float64" not in verdict["details"]["error"]
 
-    @pytest.mark.parametrize("audit", ["lp-monotone", "lp-monotone-window", "min-r-monotone"])
-    def test_one_record_run_is_judged(self, one_record_run, tmp_path, audit):
+    @pytest.mark.parametrize(
+        "audit, error",
+        [(audit, "monotonicity audit needs at least 2 points")
+         for audit in ("lp-monotone", "lp-monotone-window", "min-r-monotone")]
+        + [(audit, f"{audit} audit needs at least 2 records")
+           for audit in ("lp-inequality", "mass-drift")],
+        ids=["lp-monotone", "lp-monotone-window", "min-r-monotone", "lp-inequality",
+             "mass-drift"],
+    )
+    def test_one_record_run_is_judged(self, one_record_run, tmp_path, audit, error):
         assert len(read_monitor_csv(one_record_run / "monitor.csv", 3)) == 1
         out = tmp_path / "rep.json"
         rc = main(["report", str(one_record_run), "--audits", audit, "--out", str(out)])
         assert rc == 4
         (verdict,) = json.loads(out.read_text())["runs"][0]["audits"]
         assert verdict["name"] == audit and verdict["pass"] is False
-        assert verdict["details"]["error"] == "monotonicity audit needs at least 2 points"
+        assert verdict["details"]["error"] == error
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -16,6 +16,7 @@ from ylab.diagnostics import (
     flat_sobolev_constant,
     lp_inequality_audit,
     mass_drop_coefficient,
+    mass_drift_audit,
     mass_drop_report,
     spacetime_decay_audit,
 )
@@ -258,6 +259,16 @@ class TestLpInequality:
         v = lp_inequality_audit(records, n=3)
         assert v.passed is False
         assert v.details["violations"]
+
+
+class TestPairAudits:
+    @pytest.mark.parametrize("audit", [lambda records: lp_inequality_audit(records, n=3),
+                                       mass_drift_audit], ids=["lp-inequality", "mass-drift"])
+    def test_one_record_cannot_be_judged(self, audit):
+        # a single record has no pair to compare: not a vacuous pass
+        with pytest.raises(FitDomainError, match="needs at least 2 records"):
+            audit([make_record(0.0, mass=1.0)])
+        assert audit([make_record(0.0, mass=1.0), make_record(1.0, mass=1.0)]).passed
 
 
 class TestAuditorPurity:

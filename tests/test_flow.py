@@ -5,18 +5,22 @@ import numpy as np
 import pytest
 
 from ylab.backgrounds import (
+    conformal_exponents,
     flat_data,
     gaussian_bump_data,
     make_flat_background,
     make_synthetic_background,
     schwarzschild_data,
 )
-from ylab.elliptic import compute_R
+from ylab.elliptic import compute_R, curvature, stencil_terms
 from ylab.errors import ConfigError, MassUndefinedError
 from ylab.flow import (
     LP_FIELDS,
+    Evaluation,
     FlowConfig,
     FlowState,
+    MonitorWeights,
+    SolverWork,
     _implicit_residual,
     adm_mass,
     default_p_list,
@@ -29,13 +33,26 @@ from ylab.flow import (
 from ylab.grids import (
     LOG_STRETCHED,
     RadialField,
+    boundary_mask,
     build_grid,
     constant_field,
     field_from_function,
     integrate_dV,
-    lp_integral,
+    sphere_volume,
+    trapezoid_weights,
 )
-from ylab.operators import boundary_laplacian, initial_inner_flux
+from ylab.operators import BoundaryLaplacian, boundary_laplacian, initial_inner_flux
+
+
+def _evaluated(u: np.ndarray, bg, lap) -> Evaluation:
+    """The flow's evaluation of the factor u on the operator lap."""
+    a, N = conformal_exponents(bg.grid.n)
+    return Evaluation(u, *stencil_terms(u, lap, bg.r0_profile.values, a, N))
+
+
+def _step(state, bg, cfg, lap):
+    """One step from state alone: its evaluation made here, its work discarded."""
+    return step(state, bg, cfg, lap, _evaluated(state.u.values, bg, lap), SolverWork())[0]
 
 
 def _flow_identity_gap(state, bg):
@@ -45,17 +62,16 @@ def _flow_identity_gap(state, bg):
     flux.  At convergence the Newton residual, at most the step's round-off
     ceiling, bounds the gap times dt.
     """
-    from ylab.backgrounds import conformal_exponents
-
     cfg = FlowConfig(dt0=state.dt)
     lap = boundary_laplacian(bg.grid, initial_inner_flux(state.u))
-    new = step(state, bg, cfg, lap)
+    new = _step(state, bg, cfg, lap)
     dt = new.t - state.t
     c = 0.25 * (bg.grid.n - 2)
     R = compute_R(new.u, bg, lap).values
     gap = np.abs((new.u.values - state.u.values) / dt + c * R * new.u.values)
     a, N = conformal_exponents(bg.grid.n)
-    _, ceiling = step_tolerances(cfg.newton_tol, dt, state.u.values, a, c, N, lap.row_norm)
+    u = state.u.values
+    _, ceiling = step_tolerances(cfg.newton_tol, dt, u, u ** (1.0 - N), a, c, lap.row_norm)
     return gap, ceiling / dt
 
 
@@ -102,20 +118,20 @@ class TestStep:
     def test_flat_is_exact_fixed_point(self, grid, flat):
         state = FlowState(t=0.0, u=constant_field(grid, 1.0), dt=0.5, step_index=0)
         for _ in range(5):
-            state = step(state, flat, FlowConfig(dt0=0.5), boundary_laplacian(grid))
+            state = _step(state, flat, FlowConfig(dt0=0.5), boundary_laplacian(grid))
         assert np.all(state.u.values == 1.0)
 
     def test_dt_grows_by_safety(self, grid, flat):
         cfg = FlowConfig(dt0=0.1, safety=1.5)
         state = FlowState(t=0.0, u=constant_field(grid, 1.0), dt=0.1, step_index=0)
-        out = step(state, flat, cfg, boundary_laplacian(grid))
+        out = _step(state, flat, cfg, boundary_laplacian(grid))
         assert out.dt == pytest.approx(0.15)
         assert out.step_index == 1
 
     def test_dt_capped_by_dt_max(self, grid, flat):
         cfg = FlowConfig(dt0=0.1, dt_max=0.12, safety=2.0)
         state = FlowState(t=0.0, u=constant_field(grid, 1.0), dt=0.1, step_index=0)
-        assert step(state, flat, cfg, boundary_laplacian(grid)).dt == pytest.approx(0.12)
+        assert _step(state, flat, cfg, boundary_laplacian(grid)).dt == pytest.approx(0.12)
 
     def test_discrete_flow_identity(self, grid, flat):
         u0 = gaussian_bump_data(grid, 0.2, 1.0)
@@ -171,14 +187,14 @@ def _well_state():
 
 class TestImplicitResidual:
     def test_bands_match_standalone_expressions_bitwise(self):
-        from ylab.backgrounds import conformal_exponents
-
         state, bg, lap = _well_state()
         a, N = conformal_exponents(3)
         c, dt, R0 = 0.25, 0.05, bg.r0_profile.values
         u_prev = state.u.values
         v = u_prev * (1.0 + 0.01 * np.sin(state.u.grid.nodes))
-        residual_fn, jacobian_fn = _implicit_residual(lap, R0, a, N, c, u_prev, dt)
+        residual_fn, jacobian_fn, _ = _implicit_residual(
+            lap, R0, a, N, c, _evaluated(u_prev, bg, lap), dt, SolverWork()
+        )
         res = residual_fn(v)
         bands = jacobian_fn(v)
         # the stand-alone residual and Jacobian expressions each evaluation repeats
@@ -196,13 +212,12 @@ class TestImplicitResidual:
         assert [b.tobytes() for b in bands] == [b.tobytes() for b in expected]
 
     def test_jacobian_refuses_another_array(self):
-        from ylab.backgrounds import conformal_exponents
-
         state, bg, lap = _well_state()
         a, N = conformal_exponents(3)
         u_prev = state.u.values
-        residual_fn, jacobian_fn = _implicit_residual(
-            lap, bg.r0_profile.values, a, N, 0.25, u_prev, 0.05
+        residual_fn, jacobian_fn, _ = _implicit_residual(
+            lap, bg.r0_profile.values, a, N, 0.25, _evaluated(u_prev, bg, lap), 0.05,
+            SolverWork(),
         )
         with pytest.raises(ValueError):
             jacobian_fn(u_prev)  # no residual evaluated yet
@@ -214,6 +229,33 @@ class TestImplicitResidual:
         with pytest.raises(ValueError):
             jacobian_fn(v)  # a residual evaluated before the last
         jacobian_fn(u_prev)
+
+    def test_start_reads_prev_and_both_kept_evaluations_are_returned(self):
+        state, bg, lap = _well_state()
+        a, N = conformal_exponents(3)
+        R0 = bg.r0_profile.values
+        u_prev = state.u.values
+        prev = _evaluated(u_prev, bg, lap)
+        work = SolverWork()
+        residual_fn, jacobian_fn, evaluation_of = _implicit_residual(
+            lap, R0, a, N, 0.25, prev, 0.05, work
+        )
+        residual_fn(u_prev)  # where damped_newton starts: no stencil applied
+        assert work.stencil_evaluations == 0
+        assert evaluation_of(u_prev) is prev
+        jacobian_fn(u_prev)
+        v = u_prev * 1.001
+        residual_fn(v)
+        assert work.stencil_evaluations == 1
+        # the Jacobian's array and the last residual's each keep theirs
+        assert evaluation_of(u_prev) is prev
+        ev = evaluation_of(v)
+        assert ev.v is v
+        assert [x.tobytes() for x in ev[1:]] == [
+            x.tobytes() for x in stencil_terms(v, lap, R0, a, N)
+        ]
+        with pytest.raises(ValueError):
+            evaluation_of(u_prev.copy())
 
 
 class TestHeatKernelOracle:
@@ -263,7 +305,8 @@ class TestAdmMass:
 class TestMonitor:
     def test_flat_record_trivial(self, grid, flat):
         state = FlowState(0.0, constant_field(grid, 1.0), 0.1, 0)
-        rec = monitor(state, flat, boundary_laplacian(grid))
+        ev = _evaluated(state.u.values, flat, boundary_laplacian(grid))
+        rec = monitor(state, ev, MonitorWeights.of(grid))
         assert rec.sup_R == 0.0
         assert rec.mass == 0.0
         assert rec.min_u == rec.max_u == 1.0
@@ -271,14 +314,101 @@ class TestMonitor:
         assert rec.wsup_R == 0.0
 
     def test_integrals_match_standalone_quadrature_bitwise(self):
+        # one dot product each: omega r^{n-1} times the trapezoid weights,
+        # times the volume density u^{N+1} = u^2 / w
         state, bg, lap = _well_state()
-        rec = monitor(state, bg, lap)
-        R = compute_R(state.u, bg, lap)
+        grid = state.u.grid
+        ev = _evaluated(state.u.values, bg, lap)
+        rec = monitor(state, ev, MonitorWeights.of(grid))
+        u, g, w = ev
+        R = curvature(u, g, w)
+        assert R.tobytes() == compute_R(state.u, bg, lap).values.tobytes()
+        dV_t = sphere_volume(3) * grid.nodes**2 * trapezoid_weights(grid) * (u * u / w)
         assert rec.l1_R != 0.0
-        assert rec.l1_R == integrate_dV(R, state.u)
+        assert rec.l1_R == float(dV_t @ R)
+        with np.errstate(divide="ignore"):
+            log_abs_R = np.log(np.abs(R))
         assert [getattr(rec, name) for name in LP_FIELDS] == [
-            lp_integral(R, p, state.u) for p in default_p_list(3)
+            float(dV_t @ np.exp(p * log_abs_R)) for p in default_p_list(3)
         ]
+
+    def test_evaluation_of_another_array_is_refused(self):
+        state, bg, lap = _well_state()
+        ev = _evaluated(state.u.values.copy(), bg, lap)
+        with pytest.raises(ValueError):
+            monitor(state, ev, MonitorWeights.of(state.u.grid))
+
+    @pytest.mark.parametrize("amplitude", [0.0, -50.0], ids=["bump", "synthetic-A-50"])
+    def test_records_match_the_curvature_map_and_trapezoid_sums(self, amplitude):
+        # every record against R, dV_t and the integrals evaluated as the
+        # curvature map and integrate_dV define them, written out here
+        g = build_grid(3, 0.0, 64.0, 512, LOG_STRETCHED)
+        if amplitude:
+            bg, u0 = make_synthetic_background(g, 1.0, amplitude, 2.0, 1.0), flat_data(g)
+        else:
+            bg, u0 = make_flat_background(g), gaussian_bump_data(g, 0.2, 1.0)
+        cfg = FlowConfig(dt0=1e-3, safety=1.5, t_end=2.0, monitor_every=1, checkpoint_every=1)
+        res = run_flow(bg, u0, cfg)
+        assert len(res.records) == len(res.checkpoints) > 10
+        a, N = conformal_exponents(3)
+        lap = boundary_laplacian(g, initial_inner_flux(u0))
+        R0 = bg.r0_profile.values
+        interior = ~boundary_mask(g)
+
+        def trapezoid(y):
+            return float(np.sum(0.5 * (y[:-1] + y[1:]) * g.dr))
+
+        for rec, (t, u) in zip(res.records, res.checkpoints):
+            u = u.values
+            R = u ** (-N) * (-a * lap.apply(u) + R0 * u)
+            dens = u ** (2.0 * 3 / (3 - 2.0)) * sphere_volume(3) * g.nodes**2
+            expected = {
+                "t": t,
+                "sup_R": float(np.max(np.abs(R[interior]))),
+                "min_R": float(np.min(R[interior])),
+                "mass": adm_mass(RadialField(g, u)),
+                "min_u": float(np.min(u)),
+                "max_u": float(np.max(u)),
+                "wsup_R": float(np.max(g.w[interior] ** 0.5 * np.abs(R[interior]))),
+                **{name: trapezoid(np.abs(R) ** p * dens)
+                   for name, p in zip(LP_FIELDS, default_p_list(3))},
+            }
+            for name, value in expected.items():
+                assert getattr(rec, name) == pytest.approx(value, rel=1e-13, abs=0.0), name
+            # the signed integral cancels: its error is set by the integral of |R|
+            assert abs(rec.l1_R - trapezoid(R * dens)) <= 1e-13 * trapezoid(np.abs(R) * dens)
+
+    def test_monitoring_applies_no_stencil(self, monkeypatch):
+        import ylab.flow as flow_module
+
+        calls = {"apply": 0, "in_monitor": 0}
+        apply = BoundaryLaplacian.apply
+
+        def counted_apply(self, u):
+            calls["apply"] += 1
+            return apply(self, u)
+
+        record = flow_module.monitor
+
+        def counted_monitor(*args):
+            before = calls["apply"]
+            out = record(*args)
+            calls["in_monitor"] += calls["apply"] - before
+            return out
+
+        monkeypatch.setattr(BoundaryLaplacian, "apply", counted_apply)
+        monkeypatch.setattr(flow_module, "monitor", counted_monitor)
+        g = build_grid(3, 0.0, 64.0, 512, LOG_STRETCHED)
+        counts = []
+        for every in (1, 1000):
+            calls["apply"] = 0
+            cfg = FlowConfig(dt0=1e-3, dt_max=0.25, t_end=5.0, monitor_every=every)
+            res = run_flow(make_flat_background(g), gaussian_bump_data(g, 0.2, 1.0), cfg)
+            assert len(res.records) == (res.checkpoints[-1].step_index + 1 if every == 1 else 2)
+            assert res.work.stencil_evaluations == calls["apply"]
+            counts.append(calls["apply"])
+        assert counts[0] == counts[1]
+        assert calls["in_monitor"] == 0
 
     def test_schema_stable_across_records(self, grid, flat):
         cfg = FlowConfig(dt0=0.05, t_end=0.5, monitor_every=2)
@@ -290,12 +420,29 @@ class TestMonitor:
 
 class TestRunFlow:
     def test_flat_series_identical(self, grid, flat):
+        # R = 0 on every record: its log is -inf, which warns nowhere
         cfg = FlowConfig(dt0=0.5, t_end=10.0, monitor_every=1)
         res = run_flow(flat, flat_data(grid), cfg)
         assert not res.halted
         for rec in res.records:
             assert rec.sup_R == 0.0
             assert rec.min_u == 1.0
+            assert (rec.l1_R, rec.lp_lo, rec.lp_half, rec.lp_hi) == (0.0, 0.0, 0.0, 0.0)
+        steps = res.checkpoints[-1].step_index
+        # every step accepts u_prev itself: no halving, no Newton iteration
+        assert res.work == SolverWork(
+            newton_iterations=0, stencil_evaluations=1, halvings=0, unchanged_steps=steps
+        )
+
+    def test_work_counters_of_a_bump_run(self):
+        g = build_grid(3, 0.0, 64.0, 512, LOG_STRETCHED)
+        cfg = FlowConfig(dt0=1e-3, dt_max=0.25, t_end=5.0)
+        res = run_flow(make_flat_background(g), gaussian_bump_data(g, 0.2, 1.0), cfg)
+        steps = res.checkpoints[-1].step_index
+        assert res.work.halvings == res.work.unchanged_steps == 0
+        assert res.work.newton_iterations >= steps
+        # one evaluation of u0, then one per accepted Newton iterate at least
+        assert res.work.stencil_evaluations >= 1 + res.work.newton_iterations
 
     def test_monitor_cadence(self, grid, flat):
         cfg = FlowConfig(dt0=0.1, dt_max=0.1, safety=1.0, t_end=1.0, monitor_every=2)
@@ -317,9 +464,22 @@ class TestRunFlow:
         diffs = np.diff(series)
         assert np.max(diffs) <= 1e-8
 
-    def test_intractable_data_halts_with_partial_series(self):
+    def test_intractable_data_halts_with_partial_series(self, monkeypatch):
         # a 1e-3 floor in the factor makes the implicit system hopelessly
         # stiff (u^{-N} ~ 1e15); the run must halt cleanly, keeping state
+        import ylab.flow as flow_module
+
+        residuals = [0]
+        damped_newton = flow_module.damped_newton
+
+        def counting(u0, residual_fn, *args, **kwargs):
+            def counted(v):
+                residuals[0] += 1
+                return residual_fn(v)
+
+            return damped_newton(u0, counted, *args, **kwargs)
+
+        monkeypatch.setattr(flow_module, "damped_newton", counting)
         g = build_grid(3, 0.0, 64.0, 512, LOG_STRETCHED)
         bg = make_flat_background(g)
         u0 = gaussian_bump_data(g, -0.999, 1.0)
@@ -329,6 +489,11 @@ class TestRunFlow:
         assert res.halt_reason == "dt-collapse"
         assert len(res.records) >= 1
         assert np.min(res.checkpoints[-1].u.values) > 0.0
+        # the first step is rejected at dt0 and after each of its 10 halvings
+        assert res.checkpoints[-1].step_index == 0
+        assert res.work.halvings == 11
+        # u0 is evaluated once: each of the 11 attempts starts from that evaluation
+        assert res.work.stencil_evaluations == 1 + residuals[0] - 11
 
     def test_uniform_u_bounds_on_flat_background(self):
         # discrete max principle: with R0 = 0 the factor's range cannot grow
@@ -395,7 +560,8 @@ class TestRunEnd:
         g = build_grid(3, 0.0, 64.0, 512, LOG_STRETCHED)
         bg = make_flat_background(g)
         u0 = gaussian_bump_data(g, eps, 1.0)
-        states = [FlowState(0.0, u0, cfg.dt0, 0)]  # the initial state, then each accepted step
+        # the initial state, then each accepted step, with its evaluation
+        states = [(FlowState(0.0, u0, cfg.dt0, 0), None)]
         accept = flow_module.step
 
         def recording(*args):
@@ -405,13 +571,14 @@ class TestRunEnd:
         monkeypatch.setattr(flow_module, "step", recording)
         res = run_flow(bg, u0, cfg)
         assert (res.halted, res.halt_reason) == (reason is not None, reason)
-        final = states[-1]
+        final, ev = states[-1]
         assert final.step_index == final_index
         last = res.checkpoints[-1]
         assert (last.t, last.step_index) == (final.t, final.step_index)
         assert last.u.values.tobytes() == final.u.values.tobytes()
-        lap = boundary_laplacian(g, initial_inner_flux(u0))
-        assert res.records[-1] == monitor(final, bg, lap)
+        if ev is None:
+            ev = _evaluated(u0.values, bg, boundary_laplacian(g, initial_inner_flux(u0)))
+        assert res.records[-1] == monitor(final, ev, MonitorWeights.of(g))
         if ending == "t_end-off-cadence":
             assert final.t == pytest.approx(cfg.t_end, rel=1e-12)
 

@@ -17,8 +17,9 @@ from ylab.grids import (
     constant_field,
     field_from_function,
     integrate_dV,
-    lp_norm,
+    integrate_dr,
     sphere_volume,
+    trapezoid_weights,
     weighted_sup_norm,
     write_field_csv,
 )
@@ -116,7 +117,10 @@ class TestLaplacian:
         a, N = conformal_exponents(3)
         for flux in (0.0, -0.3):
             lap = boundary_laplacian(g, flux).apply(u.values)
-            expected = u.values ** (-N) * (-a * lap + bg.r0_profile.values * u.values)
+            # u^{-N} (-a lap u + R0 u), with u^{-N} formed as u^{1-N} / u
+            expected = (u.values ** (1.0 - N) / u.values) * (
+                bg.r0_profile.values * u.values - a * lap
+            )
             assert np.array_equal(compute_R(u, bg, boundary_laplacian(g, flux)).values, expected)
 
     @pytest.mark.parametrize("policy", [UNIFORM, LOG_STRETCHED])
@@ -169,6 +173,13 @@ class TestIntegration:
         with pytest.raises(PositivityError):
             integrate_dV(constant_field(g, 1.0), u)
 
+    @pytest.mark.parametrize("policy", [UNIFORM, LOG_STRETCHED])
+    def test_trapezoid_weights_are_the_same_rule(self, policy):
+        g = build_grid(3, 0.0, 100.0, 256, policy)
+        y = np.exp(-g.nodes) * (1.0 + np.sin(g.nodes))
+        assert trapezoid_weights(g) @ y == pytest.approx(integrate_dr(y, g), rel=1e-14, abs=0.0)
+        assert trapezoid_weights(g).sum() == pytest.approx(100.0, rel=1e-14)
+
     def test_quadrature_second_order(self):
         # stretched grid: local trapezoid errors do not telescope, so the
         # generic O(h^2) signature is visible
@@ -179,44 +190,6 @@ class TestIntegration:
             f = field_from_function(g, lambda r: np.exp(-(r**2)))
             errs.append(abs(integrate_dV(f, constant_field(g, 1.0)) - exact))
         assert 3.6 <= errs[0] / errs[1] <= 4.4
-
-
-class TestLpNorm:
-    def test_zero_field(self):
-        g = build_grid(3, 0.0, 10.0, 64, UNIFORM)
-        assert lp_norm(constant_field(g, 0.0), 2.0, constant_field(g, 1.0)) == 0.0
-
-    def test_closed_form_three_halves(self):
-        g = build_grid(3, 0.0, 2000.0, 4096, LOG_STRETCHED)
-        f = field_from_function(g, lambda r: (1.0 + r**2) ** -2)
-        val = lp_norm(f, 1.5, constant_field(g, 1.0))
-        assert val == pytest.approx((math.pi**2 / 4.0) ** (2.0 / 3.0), rel=1e-3)
-
-    def test_p_below_one_rejected(self):
-        g = build_grid(3, 0.0, 10.0, 64, UNIFORM)
-        with pytest.raises(ParameterError):
-            lp_norm(constant_field(g, 1.0), 0.5, constant_field(g, 1.0))
-
-    def test_homogeneity_minus_two_exact(self):
-        g = build_grid(3, 0.0, 10.0, 64, UNIFORM)
-        u = constant_field(g, 1.0)
-        f = field_from_function(g, lambda r: np.exp(-(r**2)) * (1.0 + r))
-        assert lp_norm(f.with_values(-2.0 * f.values), 1.5, u) == pytest.approx(
-            2.0 * lp_norm(f, 1.5, u), rel=1e-14
-        )
-
-    @given(
-        c=st.floats(-100.0, 100.0).filter(lambda c: abs(c) > 1e-6),
-        p=st.floats(1.0, 4.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_homogeneity(self, c, p):
-        g = build_grid(3, 0.0, 10.0, 64, UNIFORM)
-        u = constant_field(g, 1.0)
-        f = field_from_function(g, lambda r: np.exp(-(r**2)) * (1.0 + r))
-        base = lp_norm(f, p, u)
-        scaled = lp_norm(f.with_values(c * f.values), p, u)
-        assert scaled == pytest.approx(abs(c) * base, rel=1e-14, abs=1e-300)
 
 
 class TestWeightedSup:
