@@ -55,7 +55,7 @@ class NonPositiveYamabeError(YlabError):
 
 
 class FlowSingularityError(YlabError):
-    """The time stepper could not continue: ten halvings of dt all failed."""
+    """The time stepper could not continue: a step failed at its dt and ten halvings of it."""
 
 
 class MassUndefinedError(ConfigError):

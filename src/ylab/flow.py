@@ -10,6 +10,20 @@ prohibitive on stretched grids).  Failed Newton solves halve dt, up to ten
 times, before the run is declared singular; successful steps grow dt by a
 safety factor.
 
+Newton stops at each row's own round-off level (the componentwise backward
+error of Oettli and Prager).  A step from u, with w = u^{1-N}, solves the
+residual F(v) = v - u + dt c w(v) g(v), where c = (n-2)/4 and
+g = R0 v - a(n) L v, row-scaled by
+
+    s = eps (2 u + dt c w T),   T = |R0| u + a (|L| u + |b|),
+
+the rounding of the difference plus that of the terms g sums; T does not
+depend on dt, so a step computes it once for all its halvings.  The target
+is |F_i| <= ROUNDOFF_TARGET s_i at every node, or |F_i| <= newton_tol dt
+s_i / max s where that is looser.  A solve that stalls with every |F_i| <=
+4 ROUNDOFF_TARGET s_i is accepted after one failed full step
+(SolverWork.stalled_solves counts it); above that the attempt fails.
+
 A run builds its operator once: boundary_laplacian with the wall flux frozen
 from the initial data (operators.initial_inner_flux), so scalar-flat
 exteriors such as the Schwarzschild factor remain stationary.  Each distinct
@@ -167,15 +181,17 @@ class SolverWork:
     """Work counters of one run; summary.json holds them under these names.
 
     stencil_evaluations counts elliptic.stencil_terms calls, one per
-    distinct array evaluated.  halvings counts rejected attempts, each of
-    which halves dt.  unchanged_steps counts accepted steps whose factor
-    equals the previous one bit for bit.
+    distinct array evaluated.  halvings counts rejected attempts.
+    unchanged_steps counts accepted steps whose factor equals the previous
+    one bit for bit.  stalled_solves counts accepted solves that ended at
+    the stall ceiling rather than at the target.
     """
 
     newton_iterations: int = 0
     stencil_evaluations: int = 0
     halvings: int = 0
     unchanged_steps: int = 0
+    stalled_solves: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,26 +208,12 @@ class RunResult:
     work: SolverWork
 
 
-def step_tolerances(
-    newton_tol: float, dt: float, u: np.ndarray, w: np.ndarray, a: float, c: float,
-    row_norm: float,
-) -> tuple[float, float]:
-    """(target, ceiling) residual tolerances for one implicit step from u, with w = u^{1-N}.
+# Newton's target on the row-scaled step residual |F_i| / s_i; a solve that
+# stalls at or below 4 * ROUNDOFF_TARGET is accepted
+ROUNDOFF_TARGET = 4.0
 
-    The target is the per-unit-time residual newton_tol * dt.  The ceiling
-    estimates the float round-off floor of the residual evaluation itself;
-    a step whose Newton iteration stagnates at or below the ceiling is
-    accepted, since no better residual is representable.  The ceiling is
-    also damped_newton's floor: once the residual is at or below it, one
-    candidate that fails to reduce it ends the solve instead of a full
-    backtracking sweep.  It is never the Newton target.
-    """
-    eps = np.finfo(np.float64).eps
-    umax = float(np.max(u))
-    amp = float(np.max(w))
-    roundoff = 16.0 * eps * (umax + dt * c * amp * a * row_norm * umax)
-    target = max(newton_tol * dt, 4.0 * eps * (1.0 + umax))
-    return target, max(target, roundoff)
+# attempts per step: dt0, then ten halvings
+_MAX_ATTEMPTS = 11
 
 
 def _evaluate(v, lap, R0, a, N, work: SolverWork) -> Evaluation:
@@ -219,13 +221,15 @@ def _evaluate(v, lap, R0, a, N, work: SolverWork) -> Evaluation:
     return Evaluation(v, *stencil_terms(v, lap, R0, a, N))
 
 
-def _implicit_residual(lap, R0, a, N, c, prev: Evaluation, dt, work: SolverWork):
+def _implicit_residual(lap, R0, a, N, c, prev: Evaluation, dt, s, work: SolverWork):
     """Residual and Jacobian of one backward-Euler step from prev, sharing evaluations.
 
-    residual_fn(v) reads prev when v is prev's own array (damped_newton
-    starts there) and evaluates any other v; it keeps that evaluation until
-    its next call.  jacobian_fn builds the bands from it, so it accepts only
-    the array residual_fn saw last (the damped_newton contract) and raises
+    Both are divided row by row by s, the step's round-off level, which
+    leaves the Newton step unchanged in exact arithmetic.  residual_fn(v)
+    reads prev when v is prev's own array (damped_newton starts there) and
+    evaluates any other v; it keeps that evaluation until its next call.
+    jacobian_fn builds the bands from it, so it accepts only the array
+    residual_fn saw last (the damped_newton contract) and raises
     ValueError for any other.  The third function returns the kept
     evaluation of the array damped_newton returns, which is always the last
     one residual_fn or jacobian_fn saw.
@@ -237,7 +241,7 @@ def _implicit_residual(lap, R0, a, N, c, prev: Evaluation, dt, work: SolverWork)
     def residual_fn(v):
         ev = prev if v is u_prev else _evaluate(v, lap, R0, a, N, work)
         kept["residual"] = ev
-        return v - u_prev + dt * c * ev.w * ev.g
+        return (v - u_prev + dt * c * ev.w * ev.g) / s
 
     def jacobian_fn(v):
         ev = kept["residual"]
@@ -245,9 +249,9 @@ def _implicit_residual(lap, R0, a, N, c, prev: Evaluation, dt, work: SolverWork)
             raise ValueError("jacobian_fn called at an array other than the last residual's")
         kept["jacobian"] = ev
         _, g, w = ev
-        jd = 1.0 - dt * c * ((N - 1.0) * v ** (-N) * g + w * diag_term)
-        jl = -dt * c * w[1:] * a * lap.lower
-        ju = -dt * c * w[:-1] * a * lap.upper
+        jd = (1.0 - dt * c * ((N - 1.0) * (w / v) * g + w * diag_term)) / s
+        jl = -dt * c * w[1:] * a * lap.lower / s[1:]
+        ju = -dt * c * w[:-1] * a * lap.upper / s[:-1]
         return jl, jd, ju
 
     def evaluation_of(u):
@@ -259,25 +263,39 @@ def _implicit_residual(lap, R0, a, N, c, prev: Evaluation, dt, work: SolverWork)
     return residual_fn, jacobian_fn, evaluation_of
 
 
+def _row_terms(u: np.ndarray, lap: BoundaryLaplacian, R0: np.ndarray, a: float) -> np.ndarray:
+    """T = |R0| u + a (|L| u + |b|): per row, the magnitude of the terms g sums at u."""
+    return np.abs(R0) * u + a * (lap.abs_apply(u) + np.abs(lap.affine))
+
+
 def _attempt_step(
-    prev: Evaluation, dt: float, bg: BackgroundSpec, cfg: FlowConfig, lap, work: SolverWork
+    prev: Evaluation, T: np.ndarray, dt: float, bg: BackgroundSpec, cfg: FlowConfig, lap,
+    work: SolverWork,
 ) -> Evaluation | None:
-    """One backward-Euler attempt of size dt from prev: the accepted evaluation, or None."""
+    """One backward-Euler attempt of size dt from prev: the accepted evaluation, or None.
+
+    T is _row_terms at prev's factor.  Newton runs on the residual scaled by
+    s = eps (2 u + dt c w T) toward ROUNDOFF_TARGET, or newton_tol dt / max s
+    where that is larger, and accepts a stall at or below 4 ROUNDOFF_TARGET.
+    """
     n = bg.grid.n
     a, N = conformal_exponents(n)
     c = 0.25 * (n - 2.0)
-    R0 = bg.r0_profile.values
+    s = np.finfo(np.float64).eps * (2.0 * prev.v + dt * c * prev.w * T)
     residual_fn, jacobian_fn, evaluation_of = _implicit_residual(
-        lap, R0, a, N, c, prev, dt, work
+        lap, bg.r0_profile.values, a, N, c, prev, dt, s, work
     )
-    target, ceiling = step_tolerances(cfg.newton_tol, dt, prev.v, prev.w, a, c, lap.row_norm)
+    target = max(ROUNDOFF_TARGET, cfg.newton_tol * dt / float(np.max(s)))
+    ceiling = 4.0 * ROUNDOFF_TARGET
 
     u_new, rn, iterations, converged = damped_newton(
         prev.v, residual_fn, jacobian_fn, target, cfg.newton_max, floor=ceiling
     )
     work.newton_iterations += iterations
-    if not converged and rn > ceiling:
-        return None
+    if not converged:
+        if rn > ceiling:
+            return None
+        work.stalled_solves += 1
     return evaluation_of(u_new)
 
 
@@ -292,16 +310,17 @@ def step(
     """Advance one accepted step with the run's operator lap, halving dt on Newton failure.
 
     prev is the evaluation at state's factor: a run passes the one its last
-    step accepted.  Every attempt starts from it, since (g, w) does not
-    depend on dt.  Returns the new state with the evaluation at its factor,
-    and adds the step's work to work.
+    step accepted.  Every attempt starts from it, since (g, w) and the row
+    terms T do not depend on dt.  Returns the new state with the evaluation
+    at its factor, and adds the step's work to work.
 
-    Raises FlowSingularityError after ten halvings: the discrete stand-in
-    for the curvature blow-up alternative.
+    Raises FlowSingularityError when dt and its ten halvings all fail: the
+    discrete stand-in for the curvature blow-up alternative.
     """
-    dt = state.dt
-    for _ in range(11):
-        ev = _attempt_step(prev, dt, bg, cfg, lap, work)
+    T = _row_terms(prev.v, lap, bg.r0_profile.values, conformal_exponents(bg.grid.n)[0])
+    for halvings in range(_MAX_ATTEMPTS):
+        dt = state.dt * 0.5**halvings
+        ev = _attempt_step(prev, T, dt, bg, cfg, lap, work)
         if ev is not None:
             work.unchanged_steps += int(np.array_equal(ev.v, prev.v))
             next_dt = dt * cfg.safety
@@ -314,9 +333,11 @@ def step(
                 step_index=state.step_index + 1,
             )
             return new_state, ev
-        dt *= 0.5
         work.halvings += 1
-    raise FlowSingularityError(f"step rejected after 10 halvings at t={state.t:.6g} (dt={dt:.3e})")
+    raise FlowSingularityError(
+        f"step rejected in all {_MAX_ATTEMPTS} attempts at t={state.t:.6g}"
+        f" (smallest dt tried {dt:.3e})"
+    )
 
 
 def far_field_window(grid: RadialGrid) -> np.ndarray:

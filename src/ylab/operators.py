@@ -60,12 +60,16 @@ class BoundaryLaplacian:
         out += self.affine
         return out
 
+    def abs_apply(self, u: np.ndarray) -> np.ndarray:
+        """|L| u for u >= 0: per row, the sum of the magnitudes of the stencil terms."""
+        out = np.abs(self.diag) * u
+        out[:-1] += np.abs(self.upper) * u[1:]
+        out[1:] += np.abs(self.lower) * u[:-1]
+        return out
+
     @cached_property
     def row_norm(self) -> float:
-        s = np.abs(self.diag).copy()
-        s[:-1] += np.abs(self.upper)
-        s[1:] += np.abs(self.lower)
-        return float(np.max(s))
+        return float(np.max(self.abs_apply(np.ones_like(self.diag))))
 
 
 def _wall_flux_weight(grid: RadialGrid) -> float:

@@ -708,7 +708,7 @@ class TestReport:
         convergence, spacetime = verdicts
         assert convergence["pass"] is True and spacetime["pass"] is True
         assert convergence["details"]["fit"]["exponent"] == pytest.approx(-1.43554174696, rel=1e-9)
-        assert spacetime["details"]["C_star"] == pytest.approx(0.0577852583448, rel=1e-9)
+        assert spacetime["details"]["C_star"] == pytest.approx(0.0577852582129, rel=1e-9)
 
     def test_series_verdicts_equal_in_memory_checkpoints(self, dense_run, tmp_path):
         # every audit judges the run directory as it judges the run_flow result in memory

@@ -156,3 +156,12 @@ class TestBoundaryLaplacian:
         with pytest.raises(ValueError, match="read-only"):
             getattr(lap, band)[0] = 1e6
         assert lap.row_norm == norm
+
+    def test_abs_apply_is_the_dense_magnitude_sum(self):
+        grid = build_grid(3, 0.5, 64.0, 64, LOG_STRETCHED)
+        lap = boundary_laplacian(grid, 0.25)
+        dense = np.diag(lap.diag) + np.diag(lap.lower, -1) + np.diag(lap.upper, 1)
+        u = 1.0 + np.sin(grid.nodes) ** 2
+        assert np.allclose(lap.abs_apply(u), np.abs(dense) @ u, rtol=1e-14, atol=0.0)
+        assert np.all(lap.abs_apply(u) + np.abs(lap.affine) >= np.abs(lap.apply(u)))
+        assert lap.row_norm == pytest.approx(np.max(np.abs(dense).sum(axis=1)), rel=1e-15)
