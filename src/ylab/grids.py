@@ -28,6 +28,7 @@ LOG_STRETCHED = "log-stretched"
 _POLICIES = (UNIFORM, LOG_STRETCHED)
 
 _MIN_INTERVALS = 16
+_CSV_BLOCK_ROWS = 4096  # rows formatted per write by write_field_csv
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -265,9 +266,13 @@ def truncation_tail_bound(C: float, decay_order: float, grid: RadialGrid) -> flo
 def write_field_csv(f: RadialField, path, header: str = "r,value") -> None:
     """Serialize to CSV (17 significant digits); factor snapshots use ``r,u``.
 
-    One ``%`` format over the interleaved (r, value) pairs builds the whole
-    text: the header line, then one ``%.17g,%.17g`` row per node.
+    The header line, then one ``%.17g,%.17g`` row per node.  Rows are built
+    _CSV_BLOCK_ROWS at a time, each block by one ``%`` format over its
+    interleaved (r, value) pairs, so the text held in memory stays bounded.
     """
-    pairs = np.column_stack([f.grid.nodes, f.values]).ravel().tolist()
+    pairs = np.column_stack([f.grid.nodes, f.values])
     with open(path, "w") as fh:
-        fh.write(f"{header}\n" + "%.17g,%.17g\n" * f.values.size % tuple(pairs))
+        fh.write(f"{header}\n")
+        for start in range(0, len(pairs), _CSV_BLOCK_ROWS):
+            block = pairs[start:start + _CSV_BLOCK_ROWS]
+            fh.write("%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))

@@ -15,22 +15,59 @@ tridiagonal by eliminating a mirrored ghost node at each end:
 The resulting operator is affine, u -> L u + b, with b carrying the flux
 and Robin constants; at zero flux every row maps a constant to exactly 0.
 Linear systems are solved by LAPACK's tridiagonal LU with partial
-pivoting (gtsv).
+pivoting (dgtsv).  dgtsv comes from scipy's compiled LAPACK module,
+scipy.linalg._flapack, loaded on its own: for this one routine the
+scipy.linalg package import would more than double the start-up time of
+every ylab command and add about 24 MiB to it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import ConvergenceError
 from .grids import RadialField, RadialGrid, _readonly
 
 _MAX_BACKTRACKS = 40  # step halvings per Newton iteration before it stagnates
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK module, without running the scipy or scipy.linalg package import.
+
+    find_spec of the top-level package only locates it.  The module is
+    registered under its real name, so a later ``import scipy.linalg`` reuses
+    it, and an earlier one is reused here.  Raises ImportError, naming where
+    it looked, when scipy or the compiled module is missing.
+    """
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError(f"{_FLAPACK} not found: no scipy package on sys.path {sys.path}")
+    dirs = [Path(d) / "linalg" for d in spec.submodule_search_locations]
+    for path in (d / f"_flapack{suffix}" for d in dirs
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, str(path))
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader))
+            sys.modules[_FLAPACK] = module
+            loader.exec_module(module)
+            return module
+    raise ImportError(f"{_FLAPACK} not found: no _flapack extension in"
+                      f" {', '.join(map(str, dirs))}")
+
+
+dgtsv = _load_flapack().dgtsv
 
 
 @dataclass(frozen=True, eq=False)

@@ -420,6 +420,12 @@ def _shift_radius(path):
     np.save(path, data)
 
 
+def _nudge_radius(path):
+    data = np.load(path)
+    data[0, 1] = np.nextafter(data[0, 1], np.inf)
+    np.save(path, data)
+
+
 def _set_one_value(value):
     def corrupt(path):
         data = np.load(path)
@@ -628,6 +634,7 @@ class TestReport:
             ("checkpoints.npy", lambda path: path.write_bytes(path.read_bytes()[:-40])),
             ("checkpoints.npy", lambda path: np.save(path, np.load(path)[:, :-1])),
             ("checkpoints.npy", _shift_radius),
+            ("checkpoints.npy", _nudge_radius),
             ("checkpoints.npy", _set_one_value(-1.0)),
             ("checkpoints.npy", _set_one_value(np.nan)),
             ("checkpoints.json", _drop_last_time),
@@ -636,8 +643,8 @@ class TestReport:
             ("checkpoints.json", _set_last("dt", "0.1")),
         ],
         ids=["missing-series", "truncated-series", "wrong-shape-series",
-             "radii-mismatch", "nonpositive-row", "nan-row", "short-time-column",
-             "string-t", "null-t", "string-dt"],
+             "radii-mismatch", "radius-one-ulp-off", "nonpositive-row", "nan-row",
+             "short-time-column", "string-t", "null-t", "string-dt"],
     )
     def test_unreadable_checkpoint_series_is_config_error(
         self, bump_run, tmp_path, capsys, name, corrupt, audits

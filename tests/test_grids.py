@@ -9,6 +9,7 @@ from ylab.backgrounds import conformal_exponents, make_flat_background
 from ylab.elliptic import compute_R
 from ylab.errors import ConfigError, GridMismatchError, ParameterError, PositivityError
 from ylab.grids import (
+    _CSV_BLOCK_ROWS,
     LOG_STRETCHED,
     UNIFORM,
     RadialField,
@@ -252,6 +253,13 @@ _GOLDEN_ROWS = (
 )
 
 
+# two full writer blocks and one partial block of rows
+_LONG_FIELD = field_from_function(
+    build_grid(3, 0.0, 50.0, 2 * _CSV_BLOCK_ROWS + 2, LOG_STRETCHED),
+    lambda r: np.sin(r) / (1.0 + r**3),
+)
+
+
 class TestFieldCsv:
     def test_round_trip(self, tmp_path):
         g = build_grid(3, 0.0, 50.0, 64, LOG_STRETCHED)
@@ -277,6 +285,7 @@ class TestFieldCsv:
     @settings(max_examples=200, deadline=None)
     @given(f=_fields_on_arbitrary_radii(), header=st.sampled_from(["r,value", "r,u"]))
     @example(f=_GOLDEN_FIELD, header="r,u")
+    @example(f=_LONG_FIELD, header="r,value")
     def test_matches_per_row_text_and_reads_back_bitwise(self, tmp_path_factory, f, header):
         path = tmp_path_factory.mktemp("csv") / "field.csv"
         write_field_csv(f, path, header=header)

@@ -1,8 +1,20 @@
+import importlib.machinery
+import importlib.util
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ylab import operators
 from ylab.grids import LOG_STRETCHED, build_grid
 from ylab.operators import _MAX_BACKTRACKS, boundary_laplacian, damped_newton, solve_tridiagonal
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 LEVEL = 1e-10  # round-off floor of the synthetic residual
 
@@ -146,6 +158,85 @@ class TestSolveTridiagonal:
         with pytest.raises(np.linalg.LinAlgError):
             # zero diagonal, unit off-diagonals: singular for odd m even with pivoting
             solve_tridiagonal(np.ones(m - 1), np.zeros(m), np.ones(m - 1), np.ones(m))
+
+
+TINY_CONFIG = """
+[run]
+id = tiny
+
+[grid]
+n = 3
+R_max = 64
+M = 256
+
+[initial]
+family = gaussian_bump
+eps = 0.1
+sigma = 1.0
+
+[flow]
+dt0 = 0.01
+dt_max = 0.2
+t_end = 2.0
+checkpoint_every = 1
+"""
+
+# simulate, a report that solves for the scalar-flat limit, and a sign
+# certificate: every command that reaches solve_tridiagonal
+CLI_SCRIPT = """
+import json, sys
+from pathlib import Path
+from ylab.cli import main
+out = Path(sys.argv[1])
+(out / "tiny.ini").write_text(sys.argv[2])
+codes = [
+    main(["simulate", "--config", str(out / "tiny.ini"), "--out", str(out)]),
+    main(["report", str(out / "tiny"), "--audits", "convergence", "--out", str(out / "r.json")]),
+    main(["yamabe-sign", "--background", "flat3", "--config", str(out / "tiny.ini"),
+          "--out", str(out)]),
+]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if "scipy" in m)}))
+"""
+
+
+def fresh_python(*args):
+    """Run python -c args in a new interpreter that imports ylab from this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestLapackLoader:
+    def test_cli_commands_run_without_the_scipy_linalg_package(self, tmp_path):
+        result = fresh_python(CLI_SCRIPT, str(tmp_path), TINY_CONFIG)
+        assert result["codes"] == [0, 0, 0]
+        assert result["scipy"] == ["scipy.linalg._flapack"]
+
+    @pytest.mark.parametrize(
+        "imports",
+        ["import ylab.operators, scipy.linalg.lapack", "import scipy.linalg.lapack, ylab.operators"],
+        ids=["ylab-first", "scipy-first"],
+    )
+    def test_dgtsv_is_scipy_linalg_lapack_dgtsv(self, imports):
+        script = (f"{imports}; import json, sys; print(json.dumps("
+                  "sys.modules['ylab.operators'].dgtsv is sys.modules['scipy.linalg.lapack'].dgtsv))")
+        assert fresh_python(script) is True
+
+    def test_missing_scipy_is_import_error(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, operators._FLAPACK)
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="no scipy package on sys.path"):
+            operators._load_flapack()
+
+    def test_missing_flapack_is_import_error_naming_the_directory(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, operators._FLAPACK)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+            operators._load_flapack()
 
 
 class TestBoundaryLaplacian:
