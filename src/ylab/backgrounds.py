@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, UndefinedFitError
-from .grids import RadialField, RadialGrid, constant_field
+from .errors import ConfigError, FitDomainError, ParameterError
+from .grids import RadialField, RadialGrid, constant_field, integrate_dV
 
 
 def conformal_exponents(n: int) -> tuple[float, float]:
@@ -188,10 +188,7 @@ def bump_source(grid: RadialGrid, total: float, radius: float) -> RadialField:
     inside = r < radius
     s = r[inside]
     shape[inside] = np.exp(-(s**2) / (radius**2 - s**2))
-    raw = RadialField(grid, shape)
-    from .grids import integrate_dV  # local import keeps module load light
-
-    mass = integrate_dV(raw, constant_field(grid, 1.0))
+    mass = integrate_dV(RadialField(grid, shape), constant_field(grid, 1.0))
     if mass <= 0.0:
         raise ParameterError("source bump has no mass on this grid")
     return RadialField(grid, shape * (total / mass))
@@ -209,7 +206,7 @@ def decay_order_estimate(f: RadialField) -> float:
     radii = g.nodes[tail]
     nz = vals > 0.0
     if np.count_nonzero(nz) < 4:
-        raise UndefinedFitError("tail is (numerically) zero; decay order undefined")
+        raise FitDomainError("tail is (numerically) zero; decay order undefined")
     slope = np.polyfit(np.log(radii[nz]), np.log(vals[nz]), 1)[0]
     return float(-slope)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backgrounds import BackgroundSpec, conformal_exponents
-from .errors import FitDomainError, ParameterError
+from .errors import FitDomainError, GridMismatchError, ParameterError
 from .flow import TAU_PRIME, adm_mass, default_p_list, valid_time_horizon
 from .grids import RadialField, RadialGrid, sphere_volume, weighted_sup_norm
 
@@ -210,7 +210,7 @@ def convergence_to_limit(
     norms = []
     for t, u in checkpoints:
         if u.grid != u_inf.grid:
-            raise ParameterError("trajectory snapshot grid differs from the limit's")
+            raise GridMismatchError("trajectory snapshot grid differs from the limit's")
         times.append(float(t))
         norms.append(weighted_sup_norm(u - u_inf, -tau_prime))
     times_a = np.asarray(times)

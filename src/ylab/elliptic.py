@@ -15,6 +15,7 @@ import numpy as np
 
 from .backgrounds import BackgroundSpec, conformal_exponents
 from .errors import (
+    GridMismatchError,
     HypothesisViolationError,
     NonPositiveYamabeError,
     ParameterError,
@@ -109,7 +110,7 @@ def compute_R(
     if np.min(u.values) <= 0.0:
         raise PositivityError("conformal factor must be positive")
     if u.grid != bg.grid:
-        raise ParameterError("field and background live on different grids")
+        raise GridMismatchError("field and background live on different grids")
     if lap is None:
         lap = boundary_laplacian(u.grid)
     a, N = conformal_exponents(u.grid.n)
@@ -184,7 +185,7 @@ def yamabe_quotient(v: RadialField, bg: BackgroundSpec) -> float:
     if v.values[-1] != 0.0:
         raise SupportError("trial support touches the truncation radius")
     if v.grid != bg.grid:
-        raise ParameterError("trial and background live on different grids")
+        raise GridMismatchError("trial and background live on different grids")
     grid = v.grid
     n = grid.n
     a, _ = conformal_exponents(n)
@@ -284,7 +285,7 @@ def prescribe_scalar_curvature(
     backtracking that preserves positivity.
     """
     if r_target.grid != bg.grid:
-        raise ParameterError("target and background live on different grids")
+        raise GridMismatchError("target and background live on different grids")
     grid = bg.grid
     a, N = conformal_exponents(grid.n)
     R0 = bg.r0_profile.values
@@ -301,7 +302,7 @@ def prescribe_scalar_curvature(
     lap = boundary_laplacian(grid)
 
     def residual_fn(phi):
-        return -a * lap.apply(phi) + R0 * phi - Rt * phi**N
+        return -a * lap.apply(phi) + R0 * phi - Rt * phi**N, phi
 
     def jacobian_fn(phi):
         dd = -a * lap.diag + R0 - N * Rt * phi ** (N - 1.0)

@@ -1,10 +1,10 @@
 """Exception taxonomy shared by all ylab modules.
 
 Exit-code mapping used by the CLI: ConfigError (MassUndefinedError
-included) and ParameterError -> 2, numerical failures
-(ConvergenceError, NonPositiveYamabeError, FlowSingularityError) -> 3,
-audit failures -> 4.  Any other ylab error an audit raises (FitDomainError,
-say) is that audit's failing verdict, so it also ends in 4.
+included) and ParameterError (GridMismatchError included) -> 2, numerical
+failures (ConvergenceError, NonPositiveYamabeError, FlowSingularityError)
+-> 3, audit failures -> 4.  Any other ylab error an audit raises
+(FitDomainError, say) is that audit's failing verdict, so it also ends in 4.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class ParameterError(YlabError, ValueError):
     """An operation received an argument outside its contract."""
 
 
-class GridMismatchError(YlabError):
+class GridMismatchError(ParameterError):
     """Fields that must share a grid do not."""
 
 
@@ -66,9 +66,4 @@ class MassUndefinedError(ConfigError):
 
 
 class FitDomainError(YlabError):
-    """The run data cannot support this audit (too few points, nonpositive fit values)."""
-
-
-class UndefinedFitError(YlabError):
-    """A decay fit was requested on an identically vanishing tail."""
-
+    """The data cannot support this audit or fit (too few points, nonpositive or zero values)."""

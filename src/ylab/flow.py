@@ -26,13 +26,12 @@ s_i / max s where that is looser.  A solve that stalls with every |F_i| <=
 
 A run builds its operator once: boundary_laplacian with the wall flux frozen
 from the initial data (operators.initial_inner_flux), so scalar-flat
-exteriors such as the Schwarzschild factor remain stationary.  Each distinct
-array the run meets is evaluated on that operator once
-(elliptic.stencil_terms): Newton's residual and Jacobian share the
-evaluation, the accepted one starts the next step and feeds the monitor,
-which applies no stencil of its own.  Results are trustworthy for t below the
-horizon R_max^2 / (16(n-1)), which keeps the diffusive front away from the
-wall.
+exteriors such as the Schwarzschild factor remain stationary.  Each Newton
+candidate is evaluated on that operator once (elliptic.stencil_terms), and
+damped_newton returns the Evaluation of the iterate it accepts: it starts
+the next step and feeds the monitor, which applies no stencil of its own.
+Results are trustworthy for t below the horizon R_max^2 / (16(n-1)), which
+keeps the diffusive front away from the wall.
 
 Uniqueness of the continuum flow is an open matter; nothing here depends on
 it.
@@ -166,9 +165,8 @@ class MonitorRecord:
 class Evaluation(NamedTuple):
     """The pair elliptic.stencil_terms yields at the array v, kept with v.
 
-    g = R0 v - a(n) L v and w = v^{1-N}.  It belongs to that very array
-    object: a step's Newton residual and Jacobian, the next step's start and
-    the monitor read it instead of evaluating v again.
+    g = R0 v - a(n) L v and w = v^{1-N}.  The Newton residual returns it; the
+    Jacobian, the next step and the monitor read it instead of evaluating v.
     """
 
     v: np.ndarray
@@ -226,41 +224,24 @@ def _implicit_residual(lap, R0, a, N, c, prev: Evaluation, dt, s, work: SolverWo
 
     Both are divided row by row by s, the step's round-off level, which
     leaves the Newton step unchanged in exact arithmetic.  residual_fn(v)
-    reads prev when v is prev's own array (damped_newton starts there) and
-    evaluates any other v; it keeps that evaluation until its next call.
-    jacobian_fn builds the bands from it, so it accepts only the array
-    residual_fn saw last (the damped_newton contract) and raises
-    ValueError for any other.  The third function returns the kept
-    evaluation of the array damped_newton returns, which is always the last
-    one residual_fn or jacobian_fn saw.
+    also returns the Evaluation at v that jacobian_fn reads: prev itself
+    when v is prev's own array (damped_newton starts there), else a new one.
     """
     u_prev = prev.v
     diag_term = a * lap.diag - R0
-    kept = {"residual": None, "jacobian": None}
 
     def residual_fn(v):
         ev = prev if v is u_prev else _evaluate(v, lap, R0, a, N, work)
-        kept["residual"] = ev
-        return (v - u_prev + dt * c * ev.w * ev.g) / s
+        return (v - u_prev + dt * c * ev.w * ev.g) / s, ev
 
-    def jacobian_fn(v):
-        ev = kept["residual"]
-        if ev is None or ev.v is not v:
-            raise ValueError("jacobian_fn called at an array other than the last residual's")
-        kept["jacobian"] = ev
-        _, g, w = ev
+    def jacobian_fn(ev):
+        v, g, w = ev
         jd = (1.0 - dt * c * ((N - 1.0) * (w / v) * g + w * diag_term)) / s
         jl = -dt * c * w[1:] * a * lap.lower / s[1:]
         ju = -dt * c * w[:-1] * a * lap.upper / s[:-1]
         return jl, jd, ju
 
-    def evaluation_of(u):
-        for ev in kept.values():
-            if ev is not None and ev.v is u:
-                return ev
-        raise ValueError("no evaluation kept for this array")
-
-    return residual_fn, jacobian_fn, evaluation_of
+    return residual_fn, jacobian_fn
 
 
 def _row_terms(u: np.ndarray, lap: BoundaryLaplacian, R0: np.ndarray, a: float) -> np.ndarray:
@@ -282,13 +263,13 @@ def _attempt_step(
     a, N = conformal_exponents(n)
     c = 0.25 * (n - 2.0)
     s = np.finfo(np.float64).eps * (2.0 * prev.v + dt * c * prev.w * T)
-    residual_fn, jacobian_fn, evaluation_of = _implicit_residual(
+    residual_fn, jacobian_fn = _implicit_residual(
         lap, bg.r0_profile.values, a, N, c, prev, dt, s, work
     )
     target = max(ROUNDOFF_TARGET, cfg.newton_tol * dt / float(np.max(s)))
     ceiling = 4.0 * ROUNDOFF_TARGET
 
-    u_new, rn, iterations, converged = damped_newton(
+    ev, rn, iterations, converged = damped_newton(
         prev.v, residual_fn, jacobian_fn, target, cfg.newton_max, floor=ceiling
     )
     work.newton_iterations += iterations
@@ -296,7 +277,7 @@ def _attempt_step(
         if rn > ceiling:
             return None
         work.stalled_solves += 1
-    return evaluation_of(u_new)
+    return ev
 
 
 def step(
@@ -398,8 +379,8 @@ class MonitorWeights:
         )
 
 
-def monitor(state: FlowState, ev: Evaluation, weights: MonitorWeights) -> MonitorRecord:
-    """Every audited quantity at state, read off the evaluation ev of its factor.
+def monitor(t: float, ev: Evaluation, weights: MonitorWeights) -> MonitorRecord:
+    """Every audited quantity at time t, read off the evaluation ev of the factor.
 
     R is elliptic.curvature of ev, on the operator the run steps with, and
     the volume density u^{N+1} is u^2 / w, so a record applies no stencil and
@@ -407,8 +388,6 @@ def monitor(state: FlowState, ev: Evaluation, weights: MonitorWeights) -> Monito
     are dot products with weights.dV; the three |R|^p share one log.
     """
     u, g, w = ev
-    if u is not state.u.values:
-        raise ValueError("the evaluation is not of this state's factor")
     R = curvature(u, g, w)
     abs_R = np.abs(R)
     with np.errstate(divide="ignore"):  # R = 0 (flat runs): log gives -inf, exp 0
@@ -416,7 +395,7 @@ def monitor(state: FlowState, ev: Evaluation, weights: MonitorWeights) -> Monito
     dV_t = weights.dV * (u * u / w)
     interior = weights.interior
     return MonitorRecord(
-        t=state.t,
+        t=t,
         sup_R=float(np.max(abs_R[interior])),
         min_R=float(np.min(R[interior])),
         l1_R=float(dV_t @ R),
@@ -444,7 +423,7 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
     state = FlowState(t=0.0, u=u0, dt=cfg.dt0, step_index=0)
     a, N = conformal_exponents(bg.grid.n)
     ev = _evaluate(u0.values, lap, bg.r0_profile.values, a, N, work)
-    records = [monitor(state, ev, weights)]
+    records = [monitor(state.t, ev, weights)]
     checkpoints = [state]
     last_monitored = 0
     last_checkpointed = 0
@@ -465,7 +444,7 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
             break
         idx = state.step_index
         if idx % cfg.monitor_every == 0:
-            records.append(monitor(state, ev, weights))
+            records.append(monitor(state.t, ev, weights))
             last_monitored = idx
         if idx % cfg.checkpoint_every == 0:
             checkpoints.append(state)
@@ -476,7 +455,7 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
             break
 
     if state.step_index != last_monitored:
-        records.append(monitor(state, ev, weights))
+        records.append(monitor(state.t, ev, weights))
     if state.step_index != last_checkpointed:
         checkpoints.append(state)
     return RunResult(records, checkpoints, halted, halt_reason, work)

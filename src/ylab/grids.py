@@ -255,9 +255,12 @@ def weighted_sup_norm(f: RadialField, beta: float) -> float:
 def truncation_tail_bound(C: float, decay_order: float, grid: RadialGrid) -> float:
     """Bound on the discarded tail of an integrand with |g| <= C r^{-decay_order}.
 
-    Returns inf when the tail is not integrable against r^{n-1} dr.
+    Returns 0.0 when C = 0 (no tail), else inf when the tail is not
+    integrable against r^{n-1} dr.
     """
     n = grid.n
+    if C == 0.0:
+        return 0.0
     if decay_order <= n:
         return math.inf
     return C * sphere_volume(n) * grid.R_max ** (n - decay_order) / (decay_order - n)

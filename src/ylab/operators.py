@@ -15,8 +15,10 @@ tridiagonal by eliminating a mirrored ghost node at each end:
 The resulting operator is affine, u -> L u + b, with b carrying the flux
 and Robin constants; at zero flux every row maps a constant to exactly 0.
 Linear systems are solved by LAPACK's tridiagonal LU with partial
-pivoting (dgtsv).  dgtsv comes from scipy's compiled LAPACK module,
-scipy.linalg._flapack, loaded on its own: for this one routine the
+pivoting (dgtsv), nonlinear ones by damped_newton, which returns what its
+residual evaluated at the final iterate so that the caller need not
+evaluate the solution again.  dgtsv comes from scipy's compiled LAPACK
+module, scipy.linalg._flapack, loaded on its own: for this one routine the
 scipy.linalg package import would more than double the start-up time of
 every ylab command and add about 24 MiB to it.
 """
@@ -196,41 +198,39 @@ def damped_newton(
 ):
     """Newton iteration with residual backtracking and a positivity guard.
 
-    jacobian_fn returns tridiagonal bands (lower, diag, upper).  It is only
-    ever called at the iterate whose residual was evaluated last, and with
-    that very array object, so it may reuse what residual_fn computed.  Returns
-    (u, residual_norm, iterations, converged); stagnation reports
-    converged = False.  Candidates must stay positive.  A residual above
-    floor stagnates after a full sweep of _MAX_BACKTRACKS halvings without
-    reduction.  A residual at or below floor (the round-off level of
-    residual_fn) stagnates after the first evaluated candidate that fails to
-    reduce it, since halving the step cannot beat round-off; floor = 0
-    always runs the full sweep.
+    residual_fn(u) returns (F, e): the residual at u and the evaluation e it
+    made there; jacobian_fn(e) builds the tridiagonal bands (lower, diag,
+    upper) from it.  Returns (e, residual_norm, iterations, converged) of the
+    final iterate; stagnation reports converged = False.  Candidates must
+    stay positive.  A residual above floor stagnates after a full sweep of
+    _MAX_BACKTRACKS halvings without reduction.  A residual at or below
+    floor (the round-off level of residual_fn) stagnates after the first
+    evaluated candidate that fails to reduce it, since halving the step
+    cannot beat round-off; floor = 0 always runs the full sweep.
 
-    u0 is not copied (nor modified): the first residual_fn call receives
-    u0 itself, and a solve that takes no step returns it.
+    The first residual_fn call receives u0 itself, not a copy.
     """
     u = np.asarray(u0, dtype=np.float64)
-    res = residual_fn(u)
+    res, e = residual_fn(u)
     rn = float(np.max(np.abs(res)))
     iterations = 0
     while rn > tol and iterations < max_iter:
-        lower, diag, upper = jacobian_fn(u)
+        lower, diag, upper = jacobian_fn(e)
         try:
             delta = solve_tridiagonal(lower, diag, upper, -res)
         except np.linalg.LinAlgError:
-            return u, rn, iterations, False
+            return e, rn, iterations, False
         if not np.all(np.isfinite(delta)):
-            return u, rn, iterations, False
+            return e, rn, iterations, False
         lam = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = u + lam * delta
             if np.min(cand) > 0.0:
-                cres = residual_fn(cand)
+                cres, ce = residual_fn(cand)
                 crn = float(np.max(np.abs(cres)))
                 if np.isfinite(crn) and (crn < rn or crn <= tol):
-                    u, res, rn = cand, cres, crn
+                    u, res, e, rn = cand, cres, ce, crn
                     accepted = True
                     break
                 if rn <= floor:
@@ -238,8 +238,8 @@ def damped_newton(
             lam *= 0.5
         iterations += 1
         if not accepted:
-            return u, rn, iterations, False
-    return u, rn, iterations, rn <= tol
+            return e, rn, iterations, False
+    return e, rn, iterations, rn <= tol
 
 
 def require_converged(converged: bool, what: str, residual: float, iterations: int) -> None:

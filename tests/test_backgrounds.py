@@ -18,7 +18,7 @@ from ylab.backgrounds import (
     newtonian_data,
     schwarzschild_data,
 )
-from ylab.errors import ConfigError, ParameterError, UndefinedFitError
+from ylab.errors import ConfigError, FitDomainError, ParameterError
 from ylab.grids import (
     LOG_STRETCHED,
     RadialField,
@@ -165,7 +165,7 @@ class TestDecayOrderEstimate:
 
     def test_zero_tail_rejected(self, grid):
         vals = np.where(grid.nodes < 5.0, 1.0, 0.0)
-        with pytest.raises(UndefinedFitError):
+        with pytest.raises(FitDomainError, match="decay order undefined"):
             decay_order_estimate(RadialField(grid, vals))
 
 

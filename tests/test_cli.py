@@ -880,6 +880,18 @@ class TestMainExitCodes:
             "--out", str(tmp_path / "o"),
         ]) == 3
 
+    @pytest.mark.parametrize("background, tail", [
+        ("synthetic:A=-10,rc=2,sigma=1,tau=2", 0.4908738521234052),  # 10 * 4 pi / 256
+        ("flat3", 0.0),  # R0 = 0: no tail to bound
+    ])
+    def test_scalar_flat_reports_the_r0_tail_bound(self, tmp_path, background, tail):
+        # |R0| <= |A| r^{-(2+tau)} past R_max = 256 (the default grid):
+        # C omega R_max^{n-q} / (q-n) with q = 4 and omega = 4 pi
+        assert main(["scalar-flat", "--background", background,
+                     "--out", str(tmp_path / "o")]) == 0
+        (report,) = (tmp_path / "o").glob("*/solve_report.json")
+        assert json.loads(report.read_text())["r0_truncation_tail_bound"] == tail
+
     def test_yamabe_sign_writes_certificate(self, tmp_path):
         rc = main([
             "yamabe-sign",

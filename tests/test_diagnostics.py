@@ -20,7 +20,7 @@ from ylab.diagnostics import (
     mass_drop_report,
     spacetime_decay_audit,
 )
-from ylab.errors import FitDomainError, ParameterError
+from ylab.errors import FitDomainError, GridMismatchError, ParameterError
 from ylab.flow import FlowConfig, MonitorRecord, run_flow
 from ylab.grids import LOG_STRETCHED, RadialField, build_grid, constant_field
 
@@ -146,6 +146,13 @@ class TestConvergenceToLimit:
         bg = make_flat_background(g, tau=1.0)
         with pytest.raises(ParameterError):
             convergence_to_limit([(0.0, u_inf)], u_inf, bg, tau_prime=1.0)
+
+    def test_snapshot_on_another_grid_rejected(self):
+        g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
+        other = build_grid(3, 0.0, 100.0, 256, LOG_STRETCHED)
+        with pytest.raises(GridMismatchError):
+            convergence_to_limit([(0.0, constant_field(other, 1.0))], constant_field(g, 1.0),
+                                 make_flat_background(g))
 
     def test_no_limit_skips(self):
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)

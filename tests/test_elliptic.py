@@ -21,6 +21,7 @@ from ylab.elliptic import (
     yamabe_sign,
 )
 from ylab.errors import (
+    GridMismatchError,
     HypothesisViolationError,
     NonPositiveYamabeError,
     ParameterError,
@@ -100,6 +101,11 @@ class TestComputeR:
         u = field_from_function(grid, lambda r: 1.0 - 2.0 * np.exp(-(r**2)))
         with pytest.raises(PositivityError):
             compute_R(u, flat)
+
+    def test_field_on_another_grid_rejected(self, flat):
+        other = build_grid(3, 0.0, 500.0, 1024, LOG_STRETCHED)
+        with pytest.raises(GridMismatchError):
+            compute_R(constant_field(other, 1.0), flat)
 
 
 class TestScalarFlat:
@@ -198,6 +204,12 @@ class TestYamabeQuotient:
         with pytest.raises(SupportError):
             yamabe_quotient(constant_field(grid, 1.0), flat)
 
+    def test_trial_on_another_grid_rejected(self, flat):
+        other = build_grid(3, 0.0, 500.0, 1024, LOG_STRETCHED)
+        trial = RadialField(other, np.maximum(1.0 - other.nodes / 10.0, 0.0))
+        with pytest.raises(GridMismatchError):
+            yamabe_quotient(trial, flat)
+
 
 class TestYamabeSign:
     def test_flat_positive(self, flat):
@@ -257,6 +269,11 @@ class TestPrescribe:
         R = compute_R(phi, bg)
         assert np.max(np.abs(R.values[interior] - target.values[interior])) <= 10.0 * g.h**2
         assert np.max(phi.values) <= 1.0 + 1e-12  # discrete maximum principle
+
+    def test_target_on_another_grid_rejected(self, flat):
+        other = build_grid(3, 0.0, 500.0, 1024, LOG_STRETCHED)
+        with pytest.raises(GridMismatchError):
+            prescribe_scalar_curvature(flat, constant_field(other, 0.0))
 
     def test_hypothesis_violation(self, flat):
         g = flat.grid

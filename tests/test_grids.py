@@ -21,6 +21,7 @@ from ylab.grids import (
     integrate_dr,
     sphere_volume,
     trapezoid_weights,
+    truncation_tail_bound,
     weighted_sup_norm,
     write_field_csv,
 )
@@ -218,6 +219,27 @@ class TestWeightedSup:
         assert weighted_sup_norm(f, hi) <= weighted_sup_norm(f, lo) * (1.0 + 1e-12)
 
 
+class TestTruncationTailBound:
+    @pytest.mark.parametrize("n, C, q, R_max, closed_form", [
+        (3, 2.0, 5.0, 100.0, 4.0 * math.pi / 1e4),   # 2 * 4 pi * 100^-2 / 2
+        (4, 1.0, 6.0, 10.0, math.pi**2 / 100.0),     # 2 pi^2 * 10^-2 / 2
+    ])
+    def test_integrable_tail_closed_form(self, n, C, q, R_max, closed_form):
+        # C omega R_max^{n-q} / (q-n): the integral of C r^{-q} omega r^{n-1} past R_max
+        g = build_grid(n, 0.0, R_max, 64, UNIFORM)
+        assert truncation_tail_bound(C, q, g) == pytest.approx(closed_form, rel=1e-14)
+
+    @pytest.mark.parametrize("q", [2.5, 3.0])
+    def test_non_integrable_tail_is_inf(self, q):
+        g = build_grid(3, 0.0, 100.0, 64, UNIFORM)
+        assert truncation_tail_bound(1e-3, q, g) == math.inf
+
+    @pytest.mark.parametrize("q", [2.5, 3.0, 5.0])
+    def test_zero_constant_has_no_tail(self, q):
+        g = build_grid(3, 0.0, 100.0, 64, UNIFORM)
+        assert truncation_tail_bound(0.0, q, g) == 0.0
+
+
 class TestSphereVolume:
     def test_omega_two_is_4pi(self):
         assert sphere_volume(3) == pytest.approx(4.0 * math.pi, rel=1e-15)
@@ -302,6 +324,12 @@ class TestFieldInvariants:
         bad[3] = np.nan
         with pytest.raises(ParameterError):
             RadialField(g, bad)
+
+    def test_grid_mismatch_is_a_parameter_error(self):
+        # the CLI maps ParameterError to exit code 2
+        g = build_grid(3, 0.0, 10.0, 64, UNIFORM)
+        with pytest.raises(ParameterError):
+            RadialField(g, np.ones(g.nodes.size + 1))
 
     def test_length_mismatch_rejected(self):
         g = build_grid(3, 0.0, 10.0, 64, UNIFORM)

@@ -20,12 +20,12 @@ LEVEL = 1e-10  # round-off floor of the synthetic residual
 
 
 def counting(residual_fn):
-    """Wrap residual_fn; the returned list records every point it is evaluated at."""
+    """residual_fn as damped_newton calls it, returning (F, v); the list records each point."""
     points = []
 
     def wrapped(v):
         points.append(np.array(v))
-        return residual_fn(v)
+        return residual_fn(v), v
 
     return wrapped, points
 
@@ -46,10 +46,11 @@ class TestDampedNewton:
         u, rn, iterations, converged = damped_newton(
             np.full(4, 3.0), fn, identity_jacobian, tol=1e-14, max_iter=25, floor=floor
         )
-        # initial residual, the accepted full step onto the floor, one failed candidate
+        # initial residual, the accepted full step onto the floor, one failed
+        # candidate; the evaluation returned is the accepted iterate's
         assert len(points) == 3
         assert (rn, iterations, converged) == (LEVEL, 2, False)
-        assert np.all(u == 2.0)
+        assert np.all(u == 2.0) and not np.any(points[-1] == 2.0)
 
     @pytest.mark.parametrize("max_backtracks", [_MAX_BACKTRACKS])
     def test_zero_floor_runs_full_sweep(self, max_backtracks):
@@ -83,28 +84,42 @@ class TestDampedNewton:
     @pytest.mark.parametrize("floor", [0.0, 1e-3])
     def test_jacobian_sees_the_last_residual_array(self, floor):
         # arctan steps overshoot from 12, so candidates are rejected before a
-        # half step is accepted; every Jacobian call must receive the very
-        # array object the residual saw last
+        # half step is accepted; every Jacobian call must receive the
+        # evaluation returned with the current iterate, which is also the
+        # last one the residual returned
+        tol = 1e-12
         calls = []
 
         def residual_fn(v):
-            calls.append(("residual", v))
-            return np.arctan(v - 10.0)
+            e = (v.copy(),)  # a new evaluation object per call
+            calls.append(("residual", e))
+            return np.arctan(v - 10.0), e
 
-        def jacobian_fn(v):
-            calls.append(("jacobian", v))
+        def jacobian_fn(e):
+            calls.append(("jacobian", e))
+            (v,) = e
             return np.zeros(0), 1.0 / (1.0 + (v - 10.0) ** 2), np.zeros(0)
 
-        _, _, iterations, converged = damped_newton(
-            np.array([12.0]), residual_fn, jacobian_fn, tol=1e-12, max_iter=25, floor=floor
+        e, _, iterations, converged = damped_newton(
+            np.array([12.0]), residual_fn, jacobian_fn, tol=tol, max_iter=25, floor=floor
         )
         assert converged
-        jacobians = [i for i, (kind, _) in enumerate(calls) if kind == "jacobian"]
-        assert len(jacobians) == iterations
-        assert len(calls) - len(jacobians) > iterations + 1  # some candidate was rejected
-        for i in jacobians:
-            assert calls[i - 1][0] == "residual"
-            assert calls[i][1] is calls[i - 1][1]
+        # the current iterate, replayed: a candidate replaces it when it
+        # reduces the residual or meets tol
+        current, rn, rejected = None, np.inf, 0
+        for i, (kind, ev) in enumerate(calls):
+            if kind == "residual":
+                crn = abs(float(np.arctan(ev[0][0] - 10.0)))
+                if crn < rn or crn <= tol:
+                    current, rn = ev, crn
+                else:
+                    rejected += 1
+            else:
+                assert ev is current
+                assert ev is calls[i - 1][1]
+        assert e is current
+        assert sum(kind == "jacobian" for kind, _ in calls) == iterations
+        assert rejected > 0
 
     @pytest.mark.parametrize("floor", [0.0, 1e-3])
     def test_iterates_stay_positive_when_the_full_step_crosses_zero(self, floor):

@@ -6,6 +6,7 @@ around a tiny simulate plus report.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -87,6 +88,18 @@ def test_tracer_spans_one_operator_per_run_and_uninstalls(tracing, tmp_path):
 
     builds = [s for s in spans if s.name == "operators.boundary_laplacian" and under_run_flow(s)]
     assert len(builds) == 1
+    # the benchmark's Newton counts agree with the run's own work counters:
+    # one Jacobian per iteration, and one residual per stencil evaluation
+    # (the initial data's aside) plus one per solve, whose start reuses the
+    # evaluation the previous step accepted
+    calls = {name: sum(s.name == name and under_run_flow(s) for s in spans)
+             for name in ("operators.newton.jacobian", "operators.newton.residual",
+                          "operators.damped_newton")}
+    work = json.loads((out / "traced" / "summary.json").read_text())
+    assert calls["operators.newton.jacobian"] == work["newton_iterations"] > 0
+    assert calls["operators.newton.residual"] == (
+        work["stencil_evaluations"] - 1 + calls["operators.damped_newton"]
+    )
     after = _bindings(tracing)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
