@@ -8,7 +8,8 @@ one binary checkpoint series with its JSON time columns, the final state,
 and a summary; `report` checks a run's files once when it loads them and
 hands its monitor series and checkpoints to the audits of `diagnostics`.
 A sweep is a loop of `simulate --config` and one `report` over its run
-directories.
+directories.  The elliptic commands write their fields in the checkpoint
+series' binary layout (write_field_npy).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure or halt,
 4 audit failure.
@@ -287,6 +288,28 @@ def _outdir(out_root, name) -> Path:
     return outdir
 
 
+def _write_npy_rows(path, rows) -> None:
+    """Write equal-length rows as one C-order ``<f8`` ``.npy`` array, one row each.
+
+    The header is written once and each row's bytes follow it, so no
+    stacked copy of the rows is held.
+    """
+    header = {"descr": "<f8", "fortran_order": False, "shape": (len(rows), rows[0].size)}
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for row in rows:
+            fh.write(row.astype("<f8", copy=False).tobytes())
+
+
+def write_field_npy(f: RadialField, path) -> None:
+    """Persist a field as a (2, M+1) ``<f8`` ``.npy`` array: the radii row, then the values.
+
+    The elliptic commands' fields use it; ``phi.csv`` and ``final_state.csv``
+    stay CSV (``grids.write_field_csv``) while the benchmark reads them.
+    """
+    _write_npy_rows(path, [f.grid.nodes, f.values])
+
+
 # checkpoint time column -> the JSON numbers it holds
 _CHECKPOINT_COLUMNS = {"t": (int, float), "dt": (int, float), "step_index": int}
 
@@ -295,17 +318,11 @@ def write_checkpoints(path, checkpoints) -> None:
     """Persist checkpoints as one ``.npy`` series plus its time columns.
 
     ``path`` holds a (K+1, M+1) little-endian float64 array: the radii row,
-    then one row per snapshot.  The header is written once and each row's
-    bytes follow it, so no stacked copy of the series is held.  The
+    then one row per snapshot (a field file is the K = 1 case).  The
     ``.json`` beside it holds the t, dt and step_index columns.
     """
     path = Path(path)
-    nodes = checkpoints[0].u.grid.nodes
-    header = {"descr": "<f8", "fortran_order": False, "shape": (len(checkpoints) + 1, nodes.size)}
-    with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        for row in [nodes, *(ck.u.values for ck in checkpoints)]:
-            fh.write(row.astype("<f8", copy=False).tobytes())
+    _write_npy_rows(path, [checkpoints[0].u.grid.nodes, *(ck.u.values for ck in checkpoints)])
     columns = {key: [getattr(ck, key) for ck in checkpoints] for key in _CHECKPOINT_COLUMNS}
     _write_json(path.with_suffix(".json"), columns)
 
@@ -575,11 +592,11 @@ def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
     except NonPositiveYamabeError as exc:
         payload = {"converged": False, "error": str(exc)}
         if exc.solution is not None:
-            write_field_csv(exc.solution, outdir / "u_inf.csv")
+            write_field_npy(exc.solution, outdir / "u_inf.npy")
         _write_json(outdir / "solve_report.json", payload)
         print(f"scalar-flat: no positive solution ({exc})")
         return 3
-    write_field_csv(u_inf, outdir / "u_inf.csv")
+    write_field_npy(u_inf, outdir / "u_inf.npy")
     tail = truncation_tail_bound(bg.decay_constant, 2.0 + bg.tau, grid)
     _write_json(
         outdir / "solve_report.json",
@@ -598,7 +615,7 @@ def cmd_yamabe_sign(manifest: RunManifest, out_root) -> int:
     grid, bg = build_background(manifest)
     outdir = _outdir(out_root, f"yamabe-sign-{_slug(bg.name)}")
     result = yamabe_sign(bg)
-    write_field_csv(result.certificate, outdir / "certificate.csv")
+    write_field_npy(result.certificate, outdir / "certificate.npy")
     payload = {
         "sign": result.sign,
         "low_confidence": result.low_confidence,
@@ -627,7 +644,7 @@ def cmd_prescribe(manifest: RunManifest, out_root) -> int:
         print(f"prescribe: failed ({exc})")
         return 3
     write_field_csv(phi, outdir / "phi.csv")
-    write_field_csv(target, outdir / "target.csv")
+    write_field_npy(target, outdir / "target.npy")
     _write_json(outdir / "solve_report.json", asdict(report))
     print(f"prescribe: converged in {report.iterations} Newton steps")
     return 0

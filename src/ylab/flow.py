@@ -321,6 +321,15 @@ def step(
     )
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b, by numpy's own loop on one thread.
+
+    BLAS ddot (``a @ b``) threads at the flow's grid sizes, and OpenBLAS's
+    idle worker then spins on a second core between calls.
+    """
+    return float(np.einsum("i,i", a, b))
+
+
 def far_field_window(grid: RadialGrid) -> np.ndarray:
     """Mask of the mass fit window [R_max/4, R_max]; MassUndefinedError below 8 nodes."""
     window = grid.nodes >= grid.R_max / 4.0
@@ -330,15 +339,15 @@ def far_field_window(grid: RadialGrid) -> np.ndarray:
 
 
 def _mass_fit(grid: RadialGrid) -> tuple[int, np.ndarray, float]:
-    """(first node, basis r^{-(n-2)} from it on, basis @ basis) of the far-field fit."""
+    """(first node, basis r^{-(n-2)} from it on, its squared norm) of the far-field fit."""
     start = int(np.argmax(far_field_window(grid)))
     basis = grid.nodes[start:] ** (-(grid.n - 2.0))
-    return start, basis, float(basis @ basis)
+    return start, basis, _dot(basis, basis)
 
 
 def _fitted_mass(u: np.ndarray, fit: tuple[int, np.ndarray, float]) -> float:
     start, basis, norm = fit
-    return 2.0 * float(basis @ (u[start:] - 1.0) / norm)
+    return 2.0 * (_dot(basis, u[start:] - 1.0) / norm)
 
 
 def adm_mass(u: RadialField) -> float:
@@ -353,7 +362,7 @@ def adm_mass(u: RadialField) -> float:
 class MonitorWeights:
     """The grid constants monitor reads, built once per run by of(grid).
 
-    dV holds omega r^{n-1} times the trapezoid weights, so dV @ (f u^{N+1})
+    dV holds omega r^{n-1} times the trapezoid weights, so the sum of dV f u^{N+1}
     is grids.integrate_dV(f, u) up to summation order.  interior leaves out
     the grids.boundary_mask nodes, which are at most the first and the last;
     tau_weight is max(r,1)^{TAU_PRIME} on it.  mass_fit is adm_mass's fit.
@@ -398,12 +407,12 @@ def monitor(t: float, ev: Evaluation, weights: MonitorWeights) -> MonitorRecord:
         t=t,
         sup_R=float(np.max(abs_R[interior])),
         min_R=float(np.min(R[interior])),
-        l1_R=float(dV_t @ R),
+        l1_R=_dot(dV_t, R),
         mass=_fitted_mass(u, weights.mass_fit),
         min_u=float(np.min(u)),
         max_u=float(np.max(u)),
         wsup_R=float(np.max(weights.tau_weight * abs_R[interior])),
-        **{name: float(dV_t @ np.exp(p * log_abs_R))
+        **{name: _dot(dV_t, np.exp(p * log_abs_R))
            for name, p in zip(LP_FIELDS, weights.p_list)},
     )
 

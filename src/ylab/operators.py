@@ -206,7 +206,10 @@ def damped_newton(
     _MAX_BACKTRACKS halvings without reduction.  A residual at or below
     floor (the round-off level of residual_fn) stagnates after the first
     evaluated candidate that fails to reduce it, since halving the step
-    cannot beat round-off; floor = 0 always runs the full sweep.
+    cannot beat round-off; floor = 0 runs the full sweep.  Either sweep
+    ends at the first candidate equal to the iterate bit for bit: rounding
+    is monotone, so every shorter step gives that copy again, and its
+    residual is the one already rejected.
 
     The first residual_fn call receives u0 itself, not a copy.
     """
@@ -226,6 +229,8 @@ def damped_newton(
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
             cand = u + lam * delta
+            if np.array_equal(cand, u):  # so is every shorter step: its residual is rn
+                break
             if np.min(cand) > 0.0:
                 cres, ce = residual_fn(cand)
                 crn = float(np.max(np.abs(cres)))

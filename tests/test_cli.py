@@ -30,9 +30,11 @@ from ylab.cli import (
     read_monitor_csv,
     serialize_manifest,
     write_checkpoints,
+    write_field_npy,
     write_monitor_csv,
 )
-from ylab.errors import ConfigError
+from ylab.elliptic import prescribe_scalar_curvature, solve_scalar_flat, yamabe_sign
+from ylab.errors import ConfigError, NonPositiveYamabeError
 from ylab.flow import FlowState, MonitorRecord, monitor_columns, run_flow
 from ylab.grids import UNIFORM, RadialField, RadialGrid
 from ylab.operators import BoundaryLaplacian
@@ -853,6 +855,78 @@ class TestCheckpointSeries:
         assert path.read_bytes() == stacked.getvalue()
 
 
+_WELL = "synthetic:A={A},rc=2,sigma=1,tau=1"  # the default grid's wells of either sign
+
+
+class TestFieldFiles:
+    @pytest.mark.parametrize("index", range(len(_EDGE_FIELDS)))
+    def test_field_file_is_a_one_snapshot_series(self, tmp_path, index):
+        # np.save's bytes of the (2, M+1) stack, and the checkpoint series'
+        # bytes for K = 1
+        f = _EDGE_FIELDS[index]
+        write_field_npy(f, tmp_path / "field.npy")
+        write_checkpoints(tmp_path / "series.npy", [FlowState(0.0, f, 1.0, 0)])
+        stacked = io.BytesIO()
+        np.save(stacked, np.array([f.grid.nodes, f.values]))
+        assert (tmp_path / "field.npy").read_bytes() == stacked.getvalue()
+        assert (tmp_path / "field.npy").read_bytes() == (tmp_path / "series.npy").read_bytes()
+
+    def test_scalar_flat_writes_its_limit(self, tmp_path):
+        rc, outdir, bg = _elliptic_command(tmp_path, "scalar-flat", _WELL.format(A=-10))
+        assert rc == 0
+        assert _files(outdir) == {"u_inf.npy", "solve_report.json"}
+        u_inf, _ = solve_scalar_flat(bg)
+        assert _field_values(outdir / "u_inf.npy", bg.grid).tobytes() == u_inf.values.tobytes()
+
+    def test_nonpositive_scalar_flat_writes_the_offending_solution(self, tmp_path):
+        rc, outdir, bg = _elliptic_command(tmp_path, "scalar-flat", _WELL.format(A=-50))
+        assert rc == 3
+        assert _files(outdir) == {"u_inf.npy", "solve_report.json"}
+        with pytest.raises(NonPositiveYamabeError) as exc:
+            solve_scalar_flat(bg)
+        values = _field_values(outdir / "u_inf.npy", bg.grid)
+        assert values.tobytes() == exc.value.solution.values.tobytes()
+        assert np.min(values) < 0.0
+
+    def test_prescribe_writes_its_target_and_phi(self, tmp_path):
+        rc, outdir, bg = _elliptic_command(tmp_path, "prescribe", "flat3")
+        assert rc == 0
+        assert _files(outdir) == {"phi.csv", "target.npy", "solve_report.json"}
+        r = bg.grid.nodes
+        target = RadialField(
+            bg.grid, -cli.PRESCRIBE_AMPLITUDE * (1.0 + r**2) ** (-(2.0 + bg.tau) / 2.0)
+        )
+        assert _field_values(outdir / "target.npy", bg.grid).tobytes() == target.values.tobytes()
+        phi, _ = prescribe_scalar_curvature(bg, target)
+        lines = (outdir / "phi.csv").read_text().splitlines()
+        assert lines[0] == "r,value"
+        data = np.loadtxt(lines[1:], delimiter=",")
+        assert data[:, 0].tobytes() == r.tobytes()
+        assert data[:, 1].tobytes() == phi.values.tobytes()
+
+
+def _elliptic_command(tmp_path, command, background):
+    """(exit code, output directory, background) of one elliptic command on the default grid."""
+    out = tmp_path / "o"
+    rc = main([command, "--background", background, "--out", str(out)])
+    (outdir,) = out.iterdir()
+    _, bg = cli.build_background(replace(parse_config_text(""), background=background))
+    return rc, outdir, bg
+
+
+def _files(outdir) -> set:
+    return {path.name for path in outdir.iterdir()}
+
+
+def _field_values(path, grid) -> np.ndarray:
+    """The values row of a field file, once its layout and radii row are checked."""
+    data = np.load(path)
+    assert data.dtype.str == "<f8"
+    assert data.shape == (2, grid.M + 1)
+    assert data[0].tobytes() == grid.nodes.tobytes()
+    return data[1]
+
+
 class TestReadmeCli:
     def test_readme_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit):
@@ -893,17 +967,18 @@ class TestMainExitCodes:
         assert json.loads(report.read_text())["r0_truncation_tail_bound"] == tail
 
     def test_yamabe_sign_writes_certificate(self, tmp_path):
-        rc = main([
-            "yamabe-sign",
-            "--background", "synthetic:A=-50,rc=2,sigma=1,tau=1",
-            "--out", str(tmp_path / "o"),
-        ])
-        assert rc == 0
-        sign_files = list((tmp_path / "o").glob("*/sign.json"))
-        assert len(sign_files) == 1
-        payload = json.loads(sign_files[0].read_text())
-        assert payload["sign"] == "NonPositive"
-        assert payload["quotient"] < 0.0
+        # the certificate is the in-process one: the trial field of the
+        # negative quotient, or the positive scalar-flat solution
+        for A, sign in ((-50, "NonPositive"), (-10, "Positive")):
+            rc, outdir, bg = _elliptic_command(tmp_path / sign, "yamabe-sign", _WELL.format(A=A))
+            assert rc == 0
+            assert _files(outdir) == {"certificate.npy", "sign.json"}
+            payload = json.loads((outdir / "sign.json").read_text())
+            assert payload["sign"] == sign
+            if sign == "NonPositive":
+                assert payload["quotient"] < 0.0
+            certificate = _field_values(outdir / "certificate.npy", bg.grid)
+            assert certificate.tobytes() == yamabe_sign(bg).certificate.values.tobytes()
 
     def test_yamabe_sign_prints_low_confidence(self, tmp_path, capsys):
         rc = main([

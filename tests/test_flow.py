@@ -370,8 +370,9 @@ class TestMonitor:
         assert rec.wsup_R == 0.0
 
     def test_integrals_match_standalone_quadrature_bitwise(self):
-        # one dot product each: omega r^{n-1} times the trapezoid weights,
-        # times the volume density u^{N+1} = u^2 / w
+        # one dot product each, summed by numpy's einsum loop (not BLAS):
+        # omega r^{n-1} times the trapezoid weights, times the volume
+        # density u^{N+1} = u^2 / w
         state, bg, lap = _well_state()
         grid = state.u.grid
         ev = _evaluated(state.u.values, bg, lap)
@@ -381,11 +382,11 @@ class TestMonitor:
         assert R.tobytes() == compute_R(state.u, bg, lap).values.tobytes()
         dV_t = sphere_volume(3) * grid.nodes**2 * trapezoid_weights(grid) * (u * u / w)
         assert rec.l1_R != 0.0
-        assert rec.l1_R == float(dV_t @ R)
+        assert rec.l1_R == float(np.einsum("i,i", dV_t, R))
         with np.errstate(divide="ignore"):
             log_abs_R = np.log(np.abs(R))
         assert [getattr(rec, name) for name in LP_FIELDS] == [
-            float(dV_t @ np.exp(p * log_abs_R)) for p in default_p_list(3)
+            float(np.einsum("i,i", dV_t, np.exp(p * log_abs_R))) for p in default_p_list(3)
         ]
 
     @pytest.mark.parametrize("amplitude", [0.0, -50.0], ids=["bump", "synthetic-A-50"])

@@ -54,11 +54,18 @@ class TestDampedNewton:
 
     @pytest.mark.parametrize("max_backtracks", [_MAX_BACKTRACKS])
     def test_zero_floor_runs_full_sweep(self, max_backtracks):
+        # floor = 0 halves on past failed candidates until the step rounds
+        # away: 2 - lam * LEVEL equals 2.0 from lam = 2^-20 on, so the sweep
+        # evaluates the initial point, the accepted step onto the floor and
+        # 20 candidates, none of them equal to the iterate
         fn, points = counting(floored_residual)
         u, rn, iterations, converged = damped_newton(
             np.full(4, 3.0), fn, identity_jacobian, tol=1e-14, max_iter=25
         )
-        assert len(points) == 2 + max_backtracks
+        distinct = [k for k in range(max_backtracks) if 2.0 - 0.5**k * LEVEL != 2.0]
+        assert distinct == list(range(20))
+        assert len(points) == 2 + len(distinct) == 22
+        assert not any(np.any(point == 2.0) for point in points[2:])
         assert (rn, iterations, converged) == (LEVEL, 2, False)
         assert np.all(u == 2.0)
 
