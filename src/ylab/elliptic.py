@@ -22,7 +22,7 @@ from .errors import (
     PositivityError,
     SupportError,
 )
-from .grids import RadialField, integrate_dr, sphere_volume
+from .grids import RadialField, _dot
 from .operators import (
     BoundaryLaplacian,
     boundary_laplacian,
@@ -178,9 +178,16 @@ def yamabe_quotient(v: RadialField, bg: BackgroundSpec) -> float:
     """Conformal Einstein-Hilbert quotient of a compactly supported trial.
 
     [a(n) int |v'|^2 dV0 + int R0 v^2 dV0] / (int |v|^{2n/(n-2)} dV0)^{(n-2)/n}
-    with the flat volume dV0 = omega r^{n-1} dr.
+    with the flat volume dV0 = omega r^{n-1} dr.  The sums run over the
+    trial's support only, the nodes up to the one after its last nonzero
+    value.  The volume integrals are dot products with grid.dV, the
+    trapezoid weights the flow's monitor uses; the gradient term is the
+    dot product of the squared node differences with grid.face_weights.
+    Both weight arrays are built once per grid.
     """
-    if np.all(v.values == 0.0):
+    nonzero = v.values != 0.0
+    last = nonzero.size - 1 - int(np.argmax(nonzero[::-1]))  # the last nonzero node, if any
+    if not nonzero[last]:
         raise ParameterError("trial function must not vanish identically")
     if v.values[-1] != 0.0:
         raise SupportError("trial support touches the truncation radius")
@@ -189,18 +196,12 @@ def yamabe_quotient(v: RadialField, bg: BackgroundSpec) -> float:
     grid = v.grid
     n = grid.n
     a, _ = conformal_exponents(n)
-    omega = sphere_volume(n)
-    r = grid.nodes
-    dr = grid.dr
-
-    slope = np.diff(v.values) / dr
-    r_mid = 0.5 * (r[:-1] + r[1:])
-    grad_term = float(np.sum(slope**2 * r_mid ** (n - 1) * dr)) * omega
-
-    dens0 = omega * r ** (n - 1)
-    pot_term = integrate_dr(bg.r0_profile.values * v.values**2 * dens0, grid)
-    crit = np.abs(v.values) ** (2.0 * n / (n - 2.0)) * dens0
-    denom = integrate_dr(crit, grid) ** ((n - 2.0) / n)
+    end = last + 2  # the zero node closing the support is the last one summed
+    vals = v.values[:end]
+    dV = grid.dV[:end]
+    grad_term = _dot(grid.face_weights[:end - 1], np.diff(vals) ** 2)
+    pot_term = _dot(dV, bg.r0_profile.values[:end] * vals**2)
+    denom = _dot(dV, np.abs(vals) ** (2.0 * n / (n - 2.0))) ** ((n - 2.0) / n)
     return (a * grad_term + pot_term) / denom
 
 
@@ -208,11 +209,13 @@ def _truncated_gaussian(grid, center: float, width: float):
     cut = min(center + 8.0 * width, 0.5 * grid.R_max)
     if cut <= center + 2.0 * width:
         return None, None
-    r = grid.nodes
-    v = np.exp(-(((r - center) / width) ** 2)) - np.exp(-(((cut - center) / width) ** 2))
-    v[r >= cut] = 0.0
-    v = np.maximum(v, 0.0)
-    if not np.any(v > 0.0):
+    k = int(np.searchsorted(grid.nodes, cut))  # nodes[:k] are the nodes r < cut
+    r = grid.nodes[:k]
+    v = np.zeros(grid.nodes.shape)
+    v[:k] = np.maximum(
+        np.exp(-(((r - center) / width) ** 2)) - np.exp(-(((cut - center) / width) ** 2)), 0.0
+    )
+    if not np.any(v[:k] > 0.0):
         return None, None
     return v, (center, width, cut)
 
@@ -221,7 +224,9 @@ def yamabe_sign(bg: BackgroundSpec) -> YamabeSign:
     """Dichotomy: positive iff a positive scalar-flat factor exists.
 
     Tries the scalar-flat solve first; on failure scans the truncated-Gaussian
-    trials for a certificate with quotient <= 0.
+    trials for a certificate with quotient <= 0.  Each trial is evaluated on
+    its nodes r < cut <= R_max/2 only, and yamabe_quotient sums it over its
+    support with the grid's dV and face_weights, built once for the scan.
     """
     try:
         u_inf, report = solve_scalar_flat(bg)

@@ -55,7 +55,7 @@ from .errors import (
     ParameterError,
     PositivityError,
 )
-from .grids import RadialField, RadialGrid, boundary_mask, sphere_volume, trapezoid_weights
+from .grids import RadialField, RadialGrid, _dot, boundary_mask
 from .operators import BoundaryLaplacian, boundary_laplacian, damped_newton, initial_inner_flux
 
 
@@ -321,15 +321,6 @@ def step(
     )
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of a * b, by numpy's own loop on one thread.
-
-    BLAS ddot (``a @ b``) threads at the flow's grid sizes, and OpenBLAS's
-    idle worker then spins on a second core between calls.
-    """
-    return float(np.einsum("i,i", a, b))
-
-
 def far_field_window(grid: RadialGrid) -> np.ndarray:
     """Mask of the mass fit window [R_max/4, R_max]; MassUndefinedError below 8 nodes."""
     window = grid.nodes >= grid.R_max / 4.0
@@ -362,7 +353,8 @@ def adm_mass(u: RadialField) -> float:
 class MonitorWeights:
     """The grid constants monitor reads, built once per run by of(grid).
 
-    dV holds omega r^{n-1} times the trapezoid weights, so the sum of dV f u^{N+1}
+    dV is the grid's volume weights grid.dV (omega r^{n-1} times the
+    trapezoid weights, shared with elliptic.yamabe_quotient), so the sum of dV f u^{N+1}
     is grids.integrate_dV(f, u) up to summation order.  interior leaves out
     the grids.boundary_mask nodes, which are at most the first and the last;
     tau_weight is max(r,1)^{TAU_PRIME} on it.  mass_fit is adm_mass's fit.
@@ -378,13 +370,12 @@ class MonitorWeights:
     def of(cls, grid: RadialGrid) -> "MonitorWeights":
         """MassUndefinedError when the mass fit window holds fewer than 8 nodes."""
         interior = slice(int(boundary_mask(grid)[0]), grid.M)
-        n = grid.n
         return cls(
             interior=interior,
             tau_weight=grid.w[interior] ** TAU_PRIME,
-            dV=sphere_volume(n) * grid.nodes ** (n - 1) * trapezoid_weights(grid),
+            dV=grid.dV,
             mass_fit=_mass_fit(grid),
-            p_list=default_p_list(n),
+            p_list=default_p_list(grid.n),
         )
 
 

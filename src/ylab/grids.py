@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,26 @@ class RadialGrid:
     def w(self) -> np.ndarray:
         """Radial weight max(r, 1)."""
         return self._w
+
+    @cached_property
+    def dV(self) -> np.ndarray:
+        """Flat volume weights omega r^{n-1} times trapezoid_weights, built once per grid.
+
+        The dot product of dV with nodal samples f is integrate_dr's integral
+        of f against dV0 = omega r^{n-1} dr, up to summation order.
+        """
+        omega = sphere_volume(self.n)
+        return _readonly(omega * self.nodes ** (self.n - 1) * trapezoid_weights(self))
+
+    @cached_property
+    def face_weights(self) -> np.ndarray:
+        """omega r_mid^{n-1} / h_i per interval, built once per grid.
+
+        With r_mid the interval midpoints and h_i = dr, the dot product with
+        diff(v)**2 is the midpoint rule of the energy integral of |v'|^2 dV0.
+        """
+        r_mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
+        return _readonly(sphere_volume(self.n) * r_mid ** (self.n - 1) / self._dr)
 
     @property
     def h(self) -> float:
@@ -208,6 +229,15 @@ def boundary_mask(grid: RadialGrid) -> np.ndarray:
         mask[0] = True
     mask[-1] = True
     return mask
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b, by numpy's own loop on one thread.
+
+    BLAS ddot (``a @ b``) threads at the flow's grid sizes, and OpenBLAS's
+    idle worker then spins on a second core between calls.
+    """
+    return float(np.einsum("i,i", a, b))
 
 
 def integrate_dr(y: np.ndarray, grid: RadialGrid) -> float:

@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ylab.backgrounds import (
+    conformal_exponents,
     make_flat_background,
     make_profile_background,
     make_synthetic_background,
 )
 from ylab.elliptic import (
+    _TRIAL_CENTERS,
+    _TRIAL_WIDTHS,
     NON_POSITIVE,
     POSITIVE,
+    _truncated_gaussian,
     compute_R,
     prescribe_scalar_curvature,
     solve_scalar_flat,
@@ -36,6 +40,8 @@ from ylab.grids import (
     build_grid,
     constant_field,
     field_from_function,
+    integrate_dr,
+    sphere_volume,
 )
 
 
@@ -66,6 +72,35 @@ def _lifted_pair(g, amplitude, width):
     lift = np.where(ok, r_flat / np.where(ok, denom, 1.0), 0.0)
     bg = make_profile_background(RadialField(g, lift + 1e-8), 0.9, "lifted")
     return bg, phi_star
+
+
+def full_grid_quotient(vals, bg):
+    """The Yamabe quotient by integrate_dr over every node of the grid.
+
+    Midpoint slopes for the gradient term, trapezoid integrals of the
+    densities for the other two: the same rule as yamabe_quotient, summed
+    without regard to the trial's support.
+    """
+    g = bg.grid
+    n = g.n
+    a, _ = conformal_exponents(n)
+    omega = sphere_volume(n)
+    r = g.nodes
+    slope = np.diff(vals) / g.dr
+    r_mid = 0.5 * (r[:-1] + r[1:])
+    grad = float(np.sum(slope**2 * r_mid ** (n - 1) * g.dr)) * omega
+    dens0 = omega * r ** (n - 1)
+    pot = integrate_dr(bg.r0_profile.values * vals**2 * dens0, g)
+    denom = integrate_dr(np.abs(vals) ** (2.0 * n / (n - 2.0)) * dens0, g) ** ((n - 2.0) / n)
+    return (a * grad + pot) / denom
+
+
+def full_grid_gaussian(g, center, width, cut):
+    """A catalog trial evaluated on every node, then truncated at cut."""
+    r = g.nodes
+    v = np.exp(-(((r - center) / width) ** 2)) - np.exp(-(((cut - center) / width) ** 2))
+    v[r >= cut] = 0.0
+    return np.maximum(v, 0.0)
 
 
 def manufactured_background(M):
@@ -196,6 +231,25 @@ class TestYamabeQuotient:
         vals[r >= cut] = 0.0
         assert yamabe_quotient(RadialField(g, vals), bg) > 0.0
 
+    def test_support_ends_at_the_last_nonzero_node(self, grid):
+        # positive up to r = 4 and negative on (4, 8): the negative tail is
+        # part of the support, so the quotient is the full-grid one
+        bg = make_synthetic_background(grid, 1.0, -50.0, 2.0, 1.0)
+        r = grid.nodes
+        vals = np.where(r < 8.0, 1.0 - r / 4.0, 0.0)
+        assert np.any(vals < 0.0)
+        positive_part = np.where(r < 4.0, vals, 0.0)
+        q = yamabe_quotient(RadialField(grid, vals), bg)
+        assert q == pytest.approx(full_grid_quotient(vals, bg), rel=1e-12)
+        assert q != pytest.approx(full_grid_quotient(positive_part, bg), rel=1e-3)
+
+    def test_support_up_to_the_last_interior_node(self, grid):
+        bg = make_synthetic_background(grid, 1.0, -50.0, 2.0, 1.0)
+        vals = grid.R_max - grid.nodes  # nonzero at every node but the last
+        assert np.all(vals[:-1] != 0.0)
+        q = yamabe_quotient(RadialField(grid, vals), bg)
+        assert q == pytest.approx(full_grid_quotient(vals, bg), rel=1e-12)
+
     def test_zero_trial_rejected(self, grid, flat):
         with pytest.raises(ParameterError):
             yamabe_quotient(constant_field(grid, 0.0), flat)
@@ -250,6 +304,54 @@ class TestYamabeSign:
         assert s.sign == NON_POSITIVE
         assert s.low_confidence
         assert s.quotient is None or s.quotient > 0.0
+        assert verify_certificate(s, bg)
+
+
+    @pytest.mark.parametrize("A", [-50.0, -35.0])
+    def test_catalog_matches_the_full_grid_scan(self, grid, A):
+        # each trial is built on its nodes r < cut and summed over its
+        # support; both agree with the same work done on every node
+        bg = make_synthetic_background(grid, 1.0, A, 2.0, 1.0)
+        accepted = 0
+        for center in _TRIAL_CENTERS:
+            for width in _TRIAL_WIDTHS:
+                vals, params = _truncated_gaussian(grid, center, width)
+                cut = min(center + 8.0 * width, 0.5 * grid.R_max)
+                if cut <= center + 2.0 * width:
+                    assert vals is None
+                    continue
+                full = full_grid_gaussian(grid, center, width, cut)
+                if not np.any(full > 0.0):
+                    assert vals is None
+                    continue
+                accepted += 1
+                assert params == (center, width, cut)
+                assert np.array_equal(vals, full)
+                q = yamabe_quotient(RadialField(grid, vals), bg)
+                assert q == pytest.approx(full_grid_quotient(full, bg), rel=1e-12)
+        assert accepted > 0
+        assert yamabe_sign(bg).trial_params == (0.0, 4.0, 32.0)
+
+    def test_certificate_check_repeats_the_scan_quadrature(self, grid):
+        bg = make_synthetic_background(grid, 1.0, -50.0, 2.0, 1.0)
+        s = yamabe_sign(bg)
+        assert s.sign == NON_POSITIVE and not s.low_confidence
+        assert yamabe_quotient(s.certificate, bg) == s.quotient
+        assert verify_certificate(s, bg)
+
+    def test_grid_too_small_for_any_trial_falls_back_to_a_tent(self):
+        # at R_max = 2 every catalog cut min(c + 8w, 1) is <= c + 2w
+        g = build_grid(3, 0.0, 2.0, 64, LOG_STRETCHED)
+        bg = make_synthetic_background(g, 1.0, -50.0, 0.0, 1.0)
+        assert all(_truncated_gaussian(g, c, w)[0] is None
+                   for c in _TRIAL_CENTERS for w in _TRIAL_WIDTHS)
+        s = yamabe_sign(bg)
+        assert s.sign == NON_POSITIVE
+        assert s.low_confidence
+        assert s.quotient is None
+        assert s.trial_params is None
+        tent = np.maximum(1.0 - g.nodes / (0.4 * g.R_max), 0.0)
+        assert np.array_equal(s.certificate.values, tent)
         assert verify_certificate(s, bg)
 
 

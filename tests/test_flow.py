@@ -376,7 +376,9 @@ class TestMonitor:
         state, bg, lap = _well_state()
         grid = state.u.grid
         ev = _evaluated(state.u.values, bg, lap)
-        rec = monitor(state.t, ev, MonitorWeights.of(grid))
+        weights = MonitorWeights.of(grid)
+        assert weights.dV is grid.dV  # the volume weights yamabe_quotient sums with
+        rec = monitor(state.t, ev, weights)
         u, g, w = ev
         R = curvature(u, g, w)
         assert R.tobytes() == compute_R(state.u, bg, lap).values.tobytes()

@@ -182,6 +182,24 @@ class TestIntegration:
         assert trapezoid_weights(g) @ y == pytest.approx(integrate_dr(y, g), rel=1e-14, abs=0.0)
         assert trapezoid_weights(g).sum() == pytest.approx(100.0, rel=1e-14)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_volume_and_face_weights_are_built_once(self, n):
+        g = build_grid(n, 0.0, 100.0, 256, LOG_STRETCHED)
+        r = g.nodes
+        omega = sphere_volume(n)
+        assert np.array_equal(g.dV, omega * r ** (n - 1) * trapezoid_weights(g))
+        r_mid = 0.5 * (r[:-1] + r[1:])
+        assert np.array_equal(g.face_weights, omega * r_mid ** (n - 1) / g.dr)
+        for weights in (g.dV, g.face_weights):
+            assert not weights.flags.writeable
+        assert g.dV is g.dV and g.face_weights is g.face_weights
+        # the energy of v as face_weights times squared differences is the
+        # midpoint rule of int |v'|^2 dV0 with slopes diff(v) / dr
+        v = np.exp(-(r**2))
+        slope = np.diff(v) / g.dr
+        assert g.face_weights @ np.diff(v) ** 2 == pytest.approx(
+            omega * np.sum(slope**2 * r_mid ** (n - 1) * g.dr), rel=1e-13)
+
     def test_quadrature_second_order(self):
         # stretched grid: local trapezoid errors do not telescope, so the
         # generic O(h^2) signature is visible

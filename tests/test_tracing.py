@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import ylab.cli as cli
+import ylab.elliptic as elliptic
+from ylab.grids import build_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -103,3 +105,38 @@ def test_tracer_spans_one_operator_per_run_and_uninstalls(tracing, tmp_path):
     after = _bindings(tracing)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+SIGN_CONFIG = """
+[run]
+id = traced-sign
+
+[grid]
+n = 3
+R_max = 64
+M = 256
+"""
+
+
+def test_tracer_spans_each_trial_quotient_of_the_sign_scan(tracing, tmp_path):
+    # the scan's per-layer metric counts calls of the public yamabe_quotient,
+    # one per catalog trial the grid accepts, inside the yamabe_sign span
+    config = tmp_path / "sign.ini"
+    config.write_text(SIGN_CONFIG)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["yamabe-sign", "--config", str(config), "--background",
+                       "synthetic:A=-50,rc=2,sigma=1,tau=1", "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    (sign_dir,) = (tmp_path / "out").iterdir()
+    assert json.loads((sign_dir / "sign.json").read_text())["sign"] == elliptic.NON_POSITIVE
+    spans = tracer.take()
+    quotients = [s for s in spans if s.name == "elliptic.yamabe_quotient"]
+    assert all(spans[s.parent].name == "elliptic.yamabe_sign" for s in quotients)
+    grid = build_grid(3, 0.0, 64.0, 256)
+    accepted = sum(elliptic._truncated_gaussian(grid, center, width)[0] is not None
+                   for center in elliptic._TRIAL_CENTERS for width in elliptic._TRIAL_WIDTHS)
+    assert len(quotients) == accepted > 0
