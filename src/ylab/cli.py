@@ -590,10 +590,10 @@ def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
     try:
         u_inf, report = solve_scalar_flat(bg)
     except NonPositiveYamabeError as exc:
-        payload = {"converged": False, "error": str(exc)}
+        report = asdict(exc.report) if exc.report is not None else {"converged": False}
         if exc.solution is not None:
             write_field_npy(exc.solution, outdir / "u_inf.npy")
-        _write_json(outdir / "solve_report.json", payload)
+        _write_json(outdir / "solve_report.json", {**report, "error": str(exc)})
         print(f"scalar-flat: no positive solution ({exc})")
         return 3
     write_field_npy(u_inf, outdir / "u_inf.npy")

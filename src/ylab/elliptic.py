@@ -5,6 +5,8 @@ Yamabe quotient/sign dichotomy, and prescribed scalar curvature via damped
 Newton.  The curvature map and all solves share the one boundary-folded
 Laplacian of module operators: zero-flux inner wall (or origin
 regularity) and an outer Robin condition matching the r^{-(n-2)} fall-off.
+Both solves pass the flow's row-wise round-off test of module operators,
+so yamabe_sign and the limit of a run share one scalar-flat verdict.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from .backgrounds import BackgroundSpec, conformal_exponents
 from .errors import (
+    ConvergenceError,
     GridMismatchError,
     HypothesisViolationError,
     NonPositiveYamabeError,
@@ -24,18 +27,19 @@ from .errors import (
 )
 from .grids import RadialField, _dot
 from .operators import (
+    ROUNDOFF_TARGET,
+    STALL_FACTOR,
     BoundaryLaplacian,
     boundary_laplacian,
     damped_newton,
-    require_converged,
+    row_terms,
     solve_tridiagonal,
 )
 
 POSITIVE = "Positive"
 NON_POSITIVE = "NonPositive"
 
-_EPS_FLOOR = 100.0 * np.finfo(np.float64).eps
-_TOL = 1e-10  # solve tolerance, relative to 1 + the curvature scale
+_EPS = np.finfo(np.float64).eps
 _PRESCRIBE_MAX_ITER = 40
 
 # truncated-Gaussian trial functions for the quotient scan
@@ -47,29 +51,28 @@ _TRIAL_WIDTHS = (0.5, 1.0, 2.0, 4.0, 8.0)
 class SolveReport:
     """Outcome of an elliptic solve.
 
-    final_residual is the raw max-norm residual of the discrete equation;
-    tolerance is the effective threshold it was compared against (1e-10
-    times 1 + a curvature scale, floored at the round-off level of the
-    stencil rows).  converged implies final_residual <= tolerance and
-    positivity > 0.
+    final_residual is the raw max-norm residual F of the discrete equation;
+    scaled_residual is max_i |F_i| / s_i over the rows' round-off levels s
+    (operators.ROUNDOFF_TARGET).  A returned report has converged = True.
     """
 
     converged: bool
     iterations: int
     final_residual: float
     positivity: float
-    tolerance: float
+    scaled_residual: float
 
 
 @dataclass(frozen=True, eq=False)
 class YamabeSign:
     """Sign of the Yamabe constant with a checkable certificate.
 
-    Positive carries the scalar-flat factor (min > 0, small residual);
-    NonPositive carries a compactly supported trial with quotient <= 0.
-    When the scalar-flat solve fails but no nonpositive trial was found the
-    sign is reported NonPositive with low_confidence set, because absence of
-    a converged positive solution is numerical evidence, not a proof.
+    Positive carries the scalar-flat factor (min > 0, each row's residual
+    at round-off); NonPositive carries a compactly supported trial with
+    quotient <= 0.  When the scalar-flat solve fails but no nonpositive
+    trial was found the sign is reported NonPositive with low_confidence
+    set, because absence of a positive solution is numerical evidence, not
+    a proof.
     """
 
     sign: str
@@ -118,24 +121,23 @@ def compute_R(
     return RadialField(u.grid, curvature(u.values, g, w))
 
 
-def _effective_tolerance(curvature_scale: float, row_norm: float) -> float:
-    return max(_TOL * (1.0 + curvature_scale), _EPS_FLOOR * row_norm)
-
-
-def _scalar_flat_residual(u: np.ndarray, bg: BackgroundSpec, lap):
-    """(max|a(n) L u - R0 u|, effective tolerance) of u on the boundary-folded rows lap."""
+def _scalar_flat_residual(u: np.ndarray, bg: BackgroundSpec, lap) -> tuple[float, float]:
+    """(max|F|, max|F_i| / (eps T_i)) of F = a(n) L u - R0 u on lap, T = row_terms(|u|)."""
     a, _ = conformal_exponents(bg.grid.n)
     R0 = bg.r0_profile.values
-    residual = float(np.max(np.abs(a * lap.apply(u) - R0 * u)))
-    return residual, _effective_tolerance(float(np.max(np.abs(R0))), a * lap.row_norm)
+    F = np.abs(a * lap.apply(u) - R0 * u)
+    scaled = float(np.max(F / (_EPS * row_terms(np.abs(u), lap, R0, a))))
+    return float(np.max(F)), scaled
 
 
 def solve_scalar_flat(bg: BackgroundSpec) -> tuple[RadialField, SolveReport]:
     """Solve a(n) lap u = R0 u with u -> 1: the scalar-flat member of the class.
 
-    Linear tridiagonal solve for v = u - 1 (zero-flux inner / Robin outer).
-    Raises NonPositiveYamabeError carrying the offending solution when the
-    solve is singular or the solution fails positivity.
+    Linear tridiagonal solve for v = u - 1 (zero-flux inner / Robin outer),
+    accepted when u > 0 and every row's residual is within ROUNDOFF_TARGET
+    of its round-off level.  Raises NonPositiveYamabeError when the system
+    is singular, and otherwise carrying the solution and its report when
+    the solution fails positivity or the round-off test.
     """
     grid = bg.grid
     a, _ = conformal_exponents(grid.n)
@@ -143,31 +145,24 @@ def solve_scalar_flat(bg: BackgroundSpec) -> tuple[RadialField, SolveReport]:
     lap = boundary_laplacian(grid)
 
     # a (L(1+v) + b) - R0 (1+v) = 0 with L(1)+b = 0  =>  (aL - R0) v = R0
-    lower = a * lap.lower
-    diag = a * lap.diag - R0
-    upper = a * lap.upper
     try:
-        v = solve_tridiagonal(lower, diag, upper, R0)
+        v = solve_tridiagonal(a * lap.lower, a * lap.diag - R0, a * lap.upper, R0)
     except np.linalg.LinAlgError as exc:
         raise NonPositiveYamabeError(f"scalar-flat system is singular: {exc}") from exc
     if not np.all(np.isfinite(v)):
         raise NonPositiveYamabeError("scalar-flat solve produced non-finite values")
 
     u = 1.0 + v
-    residual, tolerance = _scalar_flat_residual(u, bg, lap)
+    residual, scaled = _scalar_flat_residual(u, bg, lap)
     positivity = float(np.min(u))
-    converged = residual <= tolerance and positivity > 0.0
-    report = SolveReport(
-        converged=converged,
-        iterations=1,
-        final_residual=residual,
-        positivity=positivity,
-        tolerance=tolerance,
-    )
+    converged = scaled <= ROUNDOFF_TARGET and positivity > 0.0
+    report = SolveReport(converged=converged, iterations=1, final_residual=residual,
+                         positivity=positivity, scaled_residual=scaled)
     u_field = RadialField(grid, u)
-    if positivity <= 0.0:
+    if not converged:
         raise NonPositiveYamabeError(
-            f"scalar-flat factor is nonpositive (min {positivity:.3e})",
+            f"scalar-flat factor is nonpositive (min {positivity:.3e})" if positivity <= 0.0
+            else f"scalar-flat residual is {scaled:.3g} times its row-wise round-off level",
             solution=u_field,
             report=report,
         )
@@ -223,17 +218,17 @@ def _truncated_gaussian(grid, center: float, width: float):
 def yamabe_sign(bg: BackgroundSpec) -> YamabeSign:
     """Dichotomy: positive iff a positive scalar-flat factor exists.
 
-    Tries the scalar-flat solve first; on failure scans the truncated-Gaussian
-    trials for a certificate with quotient <= 0.  Each trial is evaluated on
-    its nodes r < cut <= R_max/2 only, and yamabe_quotient sums it over its
-    support with the grid's dV and face_weights, built once for the scan.
+    Positive when solve_scalar_flat returns; when it raises, scans the
+    truncated-Gaussian trials for a certificate with quotient <= 0.  Each
+    trial is evaluated on its nodes r < cut <= R_max/2 only, and
+    yamabe_quotient sums it over its support with the grid's dV and
+    face_weights, built once for the scan.
     """
     try:
         u_inf, report = solve_scalar_flat(bg)
-    except NonPositiveYamabeError:
-        u_inf, report = None, None
-    if u_inf is not None and report.converged:
         return YamabeSign(sign=POSITIVE, certificate=u_inf, report=report)
+    except NonPositiveYamabeError:
+        pass
 
     best_q = np.inf
     best_v = None
@@ -273,8 +268,8 @@ def verify_certificate(result: YamabeSign, bg: BackgroundSpec) -> bool:
         u = result.certificate.values
         if float(np.min(u)) <= 0.0:
             return False
-        residual, tolerance = _scalar_flat_residual(u, bg, boundary_laplacian(bg.grid))
-        return residual <= tolerance
+        _, scaled = _scalar_flat_residual(u, bg, boundary_laplacian(bg.grid))
+        return scaled <= ROUNDOFF_TARGET
     if result.low_confidence:
         return True  # nothing claimed beyond "no positive solution found"
     return yamabe_quotient(result.certificate, bg) <= 0.0
@@ -287,7 +282,9 @@ def prescribe_scalar_curvature(
 
     Requires r_target <= R0 pointwise.  Damped Newton on
     F(phi) = -a lap phi + R0 phi - r_target phi^N from phi = 1, with
-    backtracking that preserves positivity.
+    backtracking that preserves positivity.  Like the flow's, its residual
+    is row-scaled, by s = eps (row_terms(1) + |r_target|), the round-off
+    level at phi = 1, with the flow's target and stall rule.
     """
     if r_target.grid != bg.grid:
         raise GridMismatchError("target and background live on different grids")
@@ -305,25 +302,26 @@ def prescribe_scalar_curvature(
             f"by {worst:.3e}; the deformation requires r_target <= R0"
         )
     lap = boundary_laplacian(grid)
+    phi0 = np.ones(grid.nodes.shape)
+    s = _EPS * (row_terms(phi0, lap, R0, a) + np.abs(Rt))
+
+    def F(phi):
+        return -a * lap.apply(phi) + R0 * phi - Rt * phi**N
 
     def residual_fn(phi):
-        return -a * lap.apply(phi) + R0 * phi - Rt * phi**N, phi
+        return F(phi) / s, phi
 
     def jacobian_fn(phi):
-        dd = -a * lap.diag + R0 - N * Rt * phi ** (N - 1.0)
-        return -a * lap.lower, dd, -a * lap.upper
+        dd = (-a * lap.diag + R0 - N * Rt * phi ** (N - 1.0)) / s
+        return -a * lap.lower / s[1:], dd, -a * lap.upper / s[:-1]
 
-    tolerance = _effective_tolerance(curvature_scale, a * lap.row_norm)
-    phi0 = np.ones(grid.nodes.shape)
+    ceiling = STALL_FACTOR * ROUNDOFF_TARGET
     phi, rn, iters, converged = damped_newton(
-        phi0, residual_fn, jacobian_fn, tolerance, _PRESCRIBE_MAX_ITER
+        phi0, residual_fn, jacobian_fn, ROUNDOFF_TARGET, _PRESCRIBE_MAX_ITER, floor=ceiling
     )
-    require_converged(converged, "prescribed-curvature Newton", rn, iters)
-    report = SolveReport(
-        converged=True,
-        iterations=iters,
-        final_residual=rn,
-        positivity=float(np.min(phi)),
-        tolerance=tolerance,
-    )
+    if not (converged or rn <= ceiling):
+        raise ConvergenceError(f"prescribed-curvature Newton stagnated after {iters}"
+                               f" iterations (scaled residual {rn:.3e})")
+    report = SolveReport(converged=True, iterations=iters, positivity=float(np.min(phi)),
+                         final_residual=float(np.max(np.abs(F(phi)))), scaled_residual=rn)
     return RadialField(grid, phi), report

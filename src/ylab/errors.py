@@ -43,9 +43,9 @@ class ConvergenceError(YlabError):
 
 
 class NonPositiveYamabeError(YlabError):
-    """The scalar-flat solve produced no positive solution.
+    """The scalar-flat solve found no positive factor that passes the round-off test.
 
-    Carries the offending solution so callers can inspect or certify it.
+    Unless the system was singular, carries the solution and its SolveReport.
     """
 
     def __init__(self, message: str, solution=None, report=None):

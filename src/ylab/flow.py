@@ -10,18 +10,18 @@ prohibitive on stretched grids).  Failed Newton solves halve dt, up to ten
 times, before the run is declared singular; successful steps grow dt by a
 safety factor.
 
-Newton stops at each row's own round-off level (the componentwise backward
-error of Oettli and Prager).  A step from u, with w = u^{1-N}, solves the
-residual F(v) = v - u + dt c w(v) g(v), where c = (n-2)/4 and
+Newton stops at each row's own round-off level, the test of module
+operators that every solve shares.  A step from u, with w = u^{1-N},
+solves the residual F(v) = v - u + dt c w(v) g(v), where c = (n-2)/4 and
 g = R0 v - a(n) L v, row-scaled by
 
-    s = eps (2 u + dt c w T),   T = |R0| u + a (|L| u + |b|),
+    s = eps (2 u + dt c w T),   T = |R0| u + a (|L| u + |b|) = row_terms(u),
 
 the rounding of the difference plus that of the terms g sums; T does not
 depend on dt, so a step computes it once for all its halvings.  The target
 is |F_i| <= ROUNDOFF_TARGET s_i at every node, or |F_i| <= newton_tol dt
 s_i / max s where that is looser.  A solve that stalls with every |F_i| <=
-4 ROUNDOFF_TARGET s_i is accepted after one failed full step
+STALL_FACTOR ROUNDOFF_TARGET s_i is accepted after one failed full step
 (SolverWork.stalled_solves counts it); above that the attempt fails.
 
 A run builds its operator once: boundary_laplacian with the wall flux frozen
@@ -56,7 +56,8 @@ from .errors import (
     PositivityError,
 )
 from .grids import RadialField, RadialGrid, _dot, boundary_mask
-from .operators import BoundaryLaplacian, boundary_laplacian, damped_newton, initial_inner_flux
+from .operators import (ROUNDOFF_TARGET, STALL_FACTOR, BoundaryLaplacian, boundary_laplacian,
+                        damped_newton, initial_inner_flux, row_terms)
 
 
 def default_p_list(n: int) -> tuple:
@@ -206,10 +207,6 @@ class RunResult:
     work: SolverWork
 
 
-# Newton's target on the row-scaled step residual |F_i| / s_i; a solve that
-# stalls at or below 4 * ROUNDOFF_TARGET is accepted
-ROUNDOFF_TARGET = 4.0
-
 # attempts per step: dt0, then ten halvings
 _MAX_ATTEMPTS = 11
 
@@ -244,20 +241,16 @@ def _implicit_residual(lap, R0, a, N, c, prev: Evaluation, dt, s, work: SolverWo
     return residual_fn, jacobian_fn
 
 
-def _row_terms(u: np.ndarray, lap: BoundaryLaplacian, R0: np.ndarray, a: float) -> np.ndarray:
-    """T = |R0| u + a (|L| u + |b|): per row, the magnitude of the terms g sums at u."""
-    return np.abs(R0) * u + a * (lap.abs_apply(u) + np.abs(lap.affine))
-
-
 def _attempt_step(
     prev: Evaluation, T: np.ndarray, dt: float, bg: BackgroundSpec, cfg: FlowConfig, lap,
     work: SolverWork,
 ) -> Evaluation | None:
     """One backward-Euler attempt of size dt from prev: the accepted evaluation, or None.
 
-    T is _row_terms at prev's factor.  Newton runs on the residual scaled by
-    s = eps (2 u + dt c w T) toward ROUNDOFF_TARGET, or newton_tol dt / max s
-    where that is larger, and accepts a stall at or below 4 ROUNDOFF_TARGET.
+    T is operators.row_terms at prev's factor.  Newton runs on the residual
+    scaled by s = eps (2 u + dt c w T) toward ROUNDOFF_TARGET, or newton_tol
+    dt / max s where that is larger, and accepts a stall at or below
+    STALL_FACTOR ROUNDOFF_TARGET.
     """
     n = bg.grid.n
     a, N = conformal_exponents(n)
@@ -267,7 +260,7 @@ def _attempt_step(
         lap, bg.r0_profile.values, a, N, c, prev, dt, s, work
     )
     target = max(ROUNDOFF_TARGET, cfg.newton_tol * dt / float(np.max(s)))
-    ceiling = 4.0 * ROUNDOFF_TARGET
+    ceiling = STALL_FACTOR * ROUNDOFF_TARGET
 
     ev, rn, iterations, converged = damped_newton(
         prev.v, residual_fn, jacobian_fn, target, cfg.newton_max, floor=ceiling
@@ -298,7 +291,7 @@ def step(
     Raises FlowSingularityError when dt and its ten halvings all fail: the
     discrete stand-in for the curvature blow-up alternative.
     """
-    T = _row_terms(prev.v, lap, bg.r0_profile.values, conformal_exponents(bg.grid.n)[0])
+    T = row_terms(prev.v, lap, bg.r0_profile.values, conformal_exponents(bg.grid.n)[0])
     for halvings in range(_MAX_ATTEMPTS):
         dt = state.dt * 0.5**halvings
         ev = _attempt_step(prev, T, dt, bg, cfg, lap, work)

@@ -4,7 +4,7 @@ import json
 import re
 import shutil
 import xml.etree.ElementTree as ET
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,13 @@ from ylab.cli import (
     write_field_npy,
     write_monitor_csv,
 )
-from ylab.elliptic import prescribe_scalar_curvature, solve_scalar_flat, yamabe_sign
+from ylab.elliptic import (
+    NON_POSITIVE,
+    POSITIVE,
+    prescribe_scalar_curvature,
+    solve_scalar_flat,
+    yamabe_sign,
+)
 from ylab.errors import ConfigError, NonPositiveYamabeError
 from ylab.flow import FlowState, MonitorRecord, monitor_columns, run_flow
 from ylab.grids import UNIFORM, RadialField, RadialGrid
@@ -888,6 +894,16 @@ class TestFieldFiles:
         assert values.tobytes() == exc.value.solution.values.tobytes()
         assert np.min(values) < 0.0
 
+    def test_nonpositive_scalar_flat_reports_the_failed_solve(self, tmp_path):
+        rc, outdir, bg = _elliptic_command(tmp_path, "scalar-flat", _WELL.format(A=-50))
+        assert rc == 3
+        with pytest.raises(NonPositiveYamabeError) as exc:
+            solve_scalar_flat(bg)
+        payload = json.loads((outdir / "solve_report.json").read_text())
+        assert payload == {**asdict(exc.value.report), "error": str(exc.value)}
+        assert payload["converged"] is False
+        assert payload["positivity"] < 0.0 and payload["scaled_residual"] > 0.0
+
     def test_prescribe_writes_its_target_and_phi(self, tmp_path):
         rc, outdir, bg = _elliptic_command(tmp_path, "prescribe", "flat3")
         assert rc == 0
@@ -903,6 +919,32 @@ class TestFieldFiles:
         data = np.loadtxt(lines[1:], delimiter=",")
         assert data[:, 0].tobytes() == r.tobytes()
         assert data[:, 1].tobytes() == phi.values.tobytes()
+
+
+class TestSignAcrossTheThreshold:
+    """Wells either side of the threshold A* in (-28.73, -28.72) at n = 3, R_max = 512.
+
+    The Positive wells' scalar-flat factors reach max u of 300 to 1.5e4.
+    Yamabe sign, the limit of a run and the exit code of scalar-flat all
+    read the one solve, so they agree on every well.
+    """
+
+    @pytest.mark.parametrize("M", [2048, 16384])
+    def test_one_answer_per_well(self, tmp_path, M):
+        config = tmp_path / "grid.ini"
+        config.write_text(f"[grid]\nn = 3\nR_max = 512\nM = {M}\n")
+        for A, positive in ((-28.6, True), (-28.7, True), (-28.72, True), (-28.73, False)):
+            background = _WELL.format(A=A)
+            manifest = replace(parse_config(config), background=background)
+            grid, bg = cli.build_background(manifest)
+            sign = yamabe_sign(bg)
+            assert sign.sign == (POSITIVE if positive else NON_POSITIVE), A
+            assert not (positive and sign.low_confidence), A
+            run = RunContext(None, manifest, grid, bg, [], False)
+            assert (run.limit is not None) == positive, A
+            rc = main(["scalar-flat", "--config", str(config), "--background", background,
+                       "--out", str(tmp_path / "o")])
+            assert rc == (0 if positive else 3), A
 
 
 def _elliptic_command(tmp_path, command, background):

@@ -41,7 +41,7 @@ from ylab.grids import (
     sphere_volume,
     trapezoid_weights,
 )
-from ylab.operators import BoundaryLaplacian, boundary_laplacian, initial_inner_flux
+from ylab.operators import BoundaryLaplacian, boundary_laplacian, initial_inner_flux, row_terms
 
 
 def _evaluated(u: np.ndarray, bg, lap) -> Evaluation:
@@ -297,7 +297,7 @@ class TestImplicitResidual:
 
         monkeypatch.setattr(flow_module, "damped_newton", recording)
         work = SolverWork()
-        T = flow_module._row_terms(prev.v, lap, R0, a)
+        T = row_terms(prev.v, lap, R0, a)
         ev = flow_module._attempt_step(prev, T, 1e-3, bg, FlowConfig(dt0=1e-3), lap, work)
         assert work.stalled_solves == 1
         # the step starts from prev itself and applies no stencil there

@@ -140,3 +140,33 @@ def test_tracer_spans_each_trial_quotient_of_the_sign_scan(tracing, tmp_path):
     accepted = sum(elliptic._truncated_gaussian(grid, center, width)[0] is not None
                    for center in elliptic._TRIAL_CENTERS for width in elliptic._TRIAL_WIDTHS)
     assert len(quotients) == accepted > 0
+
+
+def test_tracer_spans_the_prescribe_newton(tracing, tmp_path):
+    # the per-layer Newton metrics of the elliptic workload come from
+    # prescribe's damped_newton call: its residual and Jacobian spans nest
+    # under the solve, one Jacobian per reported iteration
+    config = tmp_path / "grid.ini"
+    config.write_text(SIGN_CONFIG)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["prescribe", "--config", str(config), "--background", "flat3",
+                       "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    (outdir,) = (tmp_path / "out").iterdir()
+    iterations = json.loads((outdir / "solve_report.json").read_text())["iterations"]
+    spans = tracer.take()
+
+    def ancestors(span):
+        while span.parent >= 0:
+            span = spans[span.parent]
+            yield span.name
+
+    newton = [s for s in spans if s.name.startswith("operators.newton.")]
+    assert newton
+    assert all("elliptic.prescribe_scalar_curvature" in ancestors(s) for s in newton)
+    jacobians = sum(s.name == "operators.newton.jacobian" for s in spans)
+    assert jacobians == iterations > 0
