@@ -12,8 +12,8 @@ of the PDE; this is loudly a model problem, used to reach the nonpositive
 Yamabe regime that rotationally symmetric conformally flat geometry cannot
 realize.  All PDE-level claims depend only on the pair (Laplacian, R0), and
 elliptic.curvature is the one formula for the scalar curvature of a factor:
-compute_R and the flow's monitor both form R with it from
-elliptic.stencil_terms.
+compute_R and the flow's monitor both form R with it from P u, P the
+conformal Laplacian of module operators.
 
 The dimension is the grid's, and each initial-data family returns its
 positive factor u0 -> 1 as a RadialField.
@@ -53,6 +53,14 @@ class BackgroundSpec:
         return self.r0_profile.grid
 
 
+def _square(value: float, key: str) -> float:
+    """value**2 of a length; ParameterError naming its key where that overflows."""
+    try:
+        return value**2
+    except OverflowError as exc:
+        raise ParameterError(f"{key} = {value:g} is too large: its square overflows") from exc
+
+
 def check_decay(profile: RadialField, order: float, C: float) -> None:
     bound = C * profile.grid.w ** (-order)
     excess = np.abs(profile.values) - bound
@@ -89,9 +97,8 @@ def make_synthetic_background(
     if width <= 0.0:
         raise ParameterError(f"width must be positive, got {width}")
     r = grid.nodes
-    values = amplitude * np.exp(-((r - center) ** 2) / width**2) * (1.0 + r**2) ** (
-        -(2.0 + tau) / 2.0
-    )
+    bump = np.exp(-((r - center) ** 2) / _square(width, "sigma"))
+    values = amplitude * bump * (1.0 + r**2) ** (-(2.0 + tau) / 2.0)
     if name is None:
         name = f"synthetic:A={amplitude:g},rc={center:g},sigma={width:g},tau={tau:g}"
     return BackgroundSpec(
@@ -135,7 +142,7 @@ def gaussian_bump_data(grid: RadialGrid, eps: float, sigma: float) -> RadialFiel
         raise ParameterError(f"sigma must be positive, got {sigma}")
     if eps <= -1.0:
         raise ParameterError(f"eps must be > -1 for a positive factor, got {eps}")
-    u0 = 1.0 + eps * np.exp(-(grid.nodes**2) / sigma**2)
+    u0 = 1.0 + eps * np.exp(-(grid.nodes**2) / _square(sigma, "sigma"))
     return RadialField(grid, u0)
 
 
@@ -187,7 +194,7 @@ def bump_source(grid: RadialGrid, total: float, radius: float) -> RadialField:
     shape = np.zeros_like(r)
     inside = r < radius
     s = r[inside]
-    shape[inside] = np.exp(-(s**2) / (radius**2 - s**2))
+    shape[inside] = np.exp(-(s**2) / (_square(radius, "radius") - s**2))
     mass = integrate_dV(RadialField(grid, shape), constant_field(grid, 1.0))
     if mass <= 0.0:
         raise ParameterError("source bump has no mass on this grid")

@@ -2,9 +2,10 @@
 
 Provides the pointwise conformal curvature map, the scalar-flat solve, the
 Yamabe quotient/sign dichotomy, and prescribed scalar curvature via damped
-Newton.  The curvature map and all solves share the one boundary-folded
-Laplacian of module operators: zero-flux inner wall (or origin
-regularity) and an outer Robin condition matching the r^{-(n-2)} fall-off.
+Newton.  The curvature map and all solves share the one conformal Laplacian
+P = -a(n) L + R0 of module operators, on the boundary-folded L: zero-flux
+inner wall (or origin regularity) and an outer Robin condition matching
+the r^{-(n-2)} fall-off.
 Both solves pass the flow's row-wise round-off test of module operators,
 so yamabe_sign and the limit of a run share one scalar-flat verdict.
 """
@@ -29,10 +30,9 @@ from .grids import RadialField, _dot
 from .operators import (
     ROUNDOFF_TARGET,
     STALL_FACTOR,
-    BoundaryLaplacian,
-    boundary_laplacian,
+    ConformalLaplacian,
+    conformal_laplacian,
     damped_newton,
-    row_terms,
     solve_tridiagonal,
 )
 
@@ -83,90 +83,80 @@ class YamabeSign:
     trial_params: tuple | None = None  # (center, width, cut) of a Gaussian trial
 
 
-def stencil_terms(
-    v: np.ndarray, lap: BoundaryLaplacian, R0: np.ndarray, a: float, N: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(g, w) = (R0 v - a(n) L v, v^{1-N}): one stencil apply and one power at v.
-
-    g is v^N R[v], so curvature(v, g, w) is R and w g the flow's speed R v;
-    compute_R and the flow's residual, Jacobian and monitor all read this pair.
-    """
-    return R0 * v - a * lap.apply(v), v ** (1.0 - N)
-
-
 def curvature(v: np.ndarray, g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """R = v^{-N} (-a(n) L v + R0 v) = (w / v) g, from the stencil_terms (g, w) at v."""
+    """R = v^{-N} P v = (w / v) g, from g = P v and w = v^{1-N}."""
     return (w / v) * g
 
 
 def compute_R(
-    u: RadialField, bg: BackgroundSpec, lap: BoundaryLaplacian | None = None
+    u: RadialField, bg: BackgroundSpec, P: ConformalLaplacian | None = None
 ) -> RadialField:
-    """Scalar curvature of u^{4/(n-2)} g_bg: u^{-N} (-a(n) lap u + R0 u).
+    """Scalar curvature of u^{4/(n-2)} g_bg: u^{-N} P u.
 
-    lap is the operator to apply: with the one a flow steps with, the flow's
-    own identity holds at every node; without one, the zero-flux
-    boundary_laplacian of u's grid is built.  The wall and R_max rows carry
-    the boundary conditions; take extrema over the nodes grids.boundary_mask
+    P is the conformal Laplacian to apply: with the one a flow steps with,
+    the flow's own identity holds at every node; without one, the zero-flux
+    conformal_laplacian of bg is built.  The wall and R_max rows carry the
+    boundary conditions; take extrema over the nodes grids.boundary_mask
     leaves out.
     """
     if np.min(u.values) <= 0.0:
         raise PositivityError("conformal factor must be positive")
     if u.grid != bg.grid:
         raise GridMismatchError("field and background live on different grids")
-    if lap is None:
-        lap = boundary_laplacian(u.grid)
-    a, N = conformal_exponents(u.grid.n)
-    g, w = stencil_terms(u.values, lap, bg.r0_profile.values, a, N)
-    return RadialField(u.grid, curvature(u.values, g, w))
+    if P is None:
+        P = conformal_laplacian(bg)
+    v = u.values
+    return RadialField(u.grid, curvature(v, P.apply(v), v ** (1.0 - P.N)))
 
 
-def _scalar_flat_residual(u: np.ndarray, bg: BackgroundSpec, lap) -> tuple[float, float]:
-    """(max|F|, max|F_i| / (eps T_i)) of F = a(n) L u - R0 u on lap, T = row_terms(|u|)."""
-    a, _ = conformal_exponents(bg.grid.n)
-    R0 = bg.r0_profile.values
-    F = np.abs(a * lap.apply(u) - R0 * u)
-    scaled = float(np.max(F / (_EPS * row_terms(np.abs(u), lap, R0, a))))
+def _scalar_flat_residual(u: np.ndarray, P: ConformalLaplacian) -> tuple[float, float]:
+    """(max|F|, max|F_i| / (eps T_i)) of F = P u, T = P.row_terms(|u|)."""
+    F = np.abs(P.apply(u))
+    # T_i underflows to 0 only with u_i: the NaN of 0/0 then fails the test
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = float(np.max(F / (_EPS * P.row_terms(np.abs(u)))))
     return float(np.max(F)), scaled
 
 
 def solve_scalar_flat(bg: BackgroundSpec) -> tuple[RadialField, SolveReport]:
-    """Solve a(n) lap u = R0 u with u -> 1: the scalar-flat member of the class.
+    """Solve P u = 0 with u -> 1: the scalar-flat member of the class.
 
     Linear tridiagonal solve for v = u - 1 (zero-flux inner / Robin outer),
     accepted when u > 0 and every row's residual is within ROUNDOFF_TARGET
-    of its round-off level.  Raises NonPositiveYamabeError when the system
-    is singular, and otherwise carrying the solution and its report when
-    the solution fails positivity or the round-off test.
+    of its round-off level.  Where u << 1 the sum 1 + v cancels, so a
+    factor that fails is solved again for u itself, and that one is judged
+    (report.iterations = 2).  Raises NonPositiveYamabeError when the system
+    is singular, and otherwise carrying the last solution and its report
+    when it fails positivity or the round-off test.
     """
-    grid = bg.grid
-    a, _ = conformal_exponents(grid.n)
-    R0 = bg.r0_profile.values
-    lap = boundary_laplacian(grid)
-
-    # a (L(1+v) + b) - R0 (1+v) = 0 with L(1)+b = 0  =>  (aL - R0) v = R0
-    try:
-        v = solve_tridiagonal(a * lap.lower, a * lap.diag - R0, a * lap.upper, R0)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveYamabeError(f"scalar-flat system is singular: {exc}") from exc
-    if not np.all(np.isfinite(v)):
-        raise NonPositiveYamabeError("scalar-flat solve produced non-finite values")
-
-    u = 1.0 + v
-    residual, scaled = _scalar_flat_residual(u, bg, lap)
-    positivity = float(np.min(u))
-    converged = scaled <= ROUNDOFF_TARGET and positivity > 0.0
-    report = SolveReport(converged=converged, iterations=1, final_residual=residual,
-                         positivity=positivity, scaled_residual=scaled)
-    u_field = RadialField(grid, u)
-    if not converged:
-        raise NonPositiveYamabeError(
-            f"scalar-flat factor is nonpositive (min {positivity:.3e})" if positivity <= 0.0
-            else f"scalar-flat residual is {scaled:.3g} times its row-wise round-off level",
-            solution=u_field,
-            report=report,
-        )
-    return u_field, report
+    P = conformal_laplacian(bg)
+    # L 1 + b = 0, so P u = 0 reads P_lin u = a b, and P_lin (-v) = R0
+    for iterations in (1, 2):
+        try:
+            if iterations == 1:
+                u = 1.0 - solve_tridiagonal(P.lower, P.diag, P.upper, P.R0)
+            else:
+                # P_lin (u / a) = b, without holding the rejected factor through the solve
+                del u
+                u = P.a * solve_tridiagonal(P.lower, P.diag, P.upper, P.lap.affine)
+        except np.linalg.LinAlgError as exc:
+            raise NonPositiveYamabeError(f"scalar-flat system is singular: {exc}") from exc
+        if not np.all(np.isfinite(u)):
+            raise NonPositiveYamabeError("scalar-flat solve produced non-finite values")
+        residual, scaled = _scalar_flat_residual(u, P)
+        positivity = float(np.min(u))
+        converged = scaled <= ROUNDOFF_TARGET and positivity > 0.0
+        report = SolveReport(converged=converged, iterations=iterations,
+                             final_residual=residual, positivity=positivity,
+                             scaled_residual=scaled)
+        if converged:
+            return RadialField(bg.grid, u), report
+    raise NonPositiveYamabeError(
+        f"scalar-flat factor is nonpositive (min {positivity:.3e})" if positivity <= 0.0
+        else f"scalar-flat residual is {scaled:.3g} times its row-wise round-off level",
+        solution=RadialField(bg.grid, u),
+        report=report,
+    )
 
 
 def yamabe_quotient(v: RadialField, bg: BackgroundSpec) -> float:
@@ -268,7 +258,7 @@ def verify_certificate(result: YamabeSign, bg: BackgroundSpec) -> bool:
         u = result.certificate.values
         if float(np.min(u)) <= 0.0:
             return False
-        _, scaled = _scalar_flat_residual(u, bg, boundary_laplacian(bg.grid))
+        _, scaled = _scalar_flat_residual(u, conformal_laplacian(bg))
         return scaled <= ROUNDOFF_TARGET
     if result.low_confidence:
         return True  # nothing claimed beyond "no positive solution found"
@@ -281,15 +271,14 @@ def prescribe_scalar_curvature(
     """Find phi > 0 with phi -> 1 whose conformal metric has curvature r_target.
 
     Requires r_target <= R0 pointwise.  Damped Newton on
-    F(phi) = -a lap phi + R0 phi - r_target phi^N from phi = 1, with
-    backtracking that preserves positivity.  Like the flow's, its residual
-    is row-scaled, by s = eps (row_terms(1) + |r_target|), the round-off
-    level at phi = 1, with the flow's target and stall rule.
+    F(phi) = P phi - r_target phi^N from phi = 1, with backtracking that
+    preserves positivity.  Like the flow's, its residual is row-scaled, by
+    s = eps (P.row_terms(1) + |r_target|), the round-off level at phi = 1,
+    with the flow's target and stall rule.
     """
     if r_target.grid != bg.grid:
         raise GridMismatchError("target and background live on different grids")
     grid = bg.grid
-    a, N = conformal_exponents(grid.n)
     R0 = bg.r0_profile.values
     Rt = r_target.values
     curvature_scale = float(np.max(np.abs(R0)) + np.max(np.abs(Rt)))
@@ -301,19 +290,19 @@ def prescribe_scalar_curvature(
             f"target curvature exceeds background at r={grid.nodes[i]:.3g} "
             f"by {worst:.3e}; the deformation requires r_target <= R0"
         )
-    lap = boundary_laplacian(grid)
+    P = conformal_laplacian(bg)
     phi0 = np.ones(grid.nodes.shape)
-    s = _EPS * (row_terms(phi0, lap, R0, a) + np.abs(Rt))
+    s = _EPS * (P.row_terms(phi0) + np.abs(Rt))
 
     def F(phi):
-        return -a * lap.apply(phi) + R0 * phi - Rt * phi**N
+        return P.apply(phi) - Rt * phi**P.N
 
     def residual_fn(phi):
         return F(phi) / s, phi
 
     def jacobian_fn(phi):
-        dd = (-a * lap.diag + R0 - N * Rt * phi ** (N - 1.0)) / s
-        return -a * lap.lower / s[1:], dd, -a * lap.upper / s[:-1]
+        dd = (P.diag - P.N * Rt * phi ** (P.N - 1.0)) / s
+        return P.lower / s[1:], dd, P.upper / s[:-1]
 
     ceiling = STALL_FACTOR * ROUNDOFF_TARGET
     phi, rn, iters, converged = damped_newton(

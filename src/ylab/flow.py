@@ -2,8 +2,9 @@
 
 The state is a single positive radial factor u(t) evolving by
 
-    du/dt = ((n-2)/4) u^{1-N} (a(n) lap u - R0 u)  =  -((n-2)/4) R[u] u,
+    du/dt = -((n-2)/4) u^{1-N} P u  =  -((n-2)/4) R[u] u,
 
+with P = -a(n) L + R0 the conformal Laplacian of module operators,
 stepped by backward Euler with a damped Newton solve of the tridiagonal
 implicit system (diffusivity (n-1) u^{1-N} makes explicit stepping
 prohibitive on stretched grids).  Failed Newton solves halve dt, up to ten
@@ -13,9 +14,9 @@ safety factor.
 Newton stops at each row's own round-off level, the test of module
 operators that every solve shares.  A step from u, with w = u^{1-N},
 solves the residual F(v) = v - u + dt c w(v) g(v), where c = (n-2)/4 and
-g = R0 v - a(n) L v, row-scaled by
+g = P v, row-scaled by
 
-    s = eps (2 u + dt c w T),   T = |R0| u + a (|L| u + |b|) = row_terms(u),
+    s = eps (2 u + dt c w T),   T = |R0| u + a (|L| u + |b|) = P.row_terms(u),
 
 the rounding of the difference plus that of the terms g sums; T does not
 depend on dt, so a step computes it once for all its halvings.  The target
@@ -24,10 +25,10 @@ s_i / max s where that is looser.  A solve that stalls with every |F_i| <=
 STALL_FACTOR ROUNDOFF_TARGET s_i is accepted after one failed full step
 (SolverWork.stalled_solves counts it); above that the attempt fails.
 
-A run builds its operator once: boundary_laplacian with the wall flux frozen
-from the initial data (operators.initial_inner_flux), so scalar-flat
+A run builds its operator once: conformal_laplacian with the wall flux
+frozen from the initial data (operators.initial_inner_flux), so scalar-flat
 exteriors such as the Schwarzschild factor remain stationary.  Each Newton
-candidate is evaluated on that operator once (elliptic.stencil_terms), and
+candidate is evaluated on that operator once (P.apply), and
 damped_newton returns the Evaluation of the iterate it accepts: it starts
 the next step and feeds the monitor, which applies no stencil of its own.
 Results are trustworthy for t below the horizon R_max^2 / (16(n-1)), which
@@ -45,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backgrounds import BackgroundSpec, conformal_exponents
-from .elliptic import curvature, stencil_terms
+from .backgrounds import BackgroundSpec
+from .elliptic import curvature
 from .errors import (
     ConfigError,
     FlowSingularityError,
@@ -56,8 +57,8 @@ from .errors import (
     PositivityError,
 )
 from .grids import RadialField, RadialGrid, _dot, boundary_mask
-from .operators import (ROUNDOFF_TARGET, STALL_FACTOR, BoundaryLaplacian, boundary_laplacian,
-                        damped_newton, initial_inner_flux, row_terms)
+from .operators import (ROUNDOFF_TARGET, STALL_FACTOR, ConformalLaplacian, conformal_laplacian,
+                        damped_newton, initial_inner_flux)
 
 
 def default_p_list(n: int) -> tuple:
@@ -164,10 +165,10 @@ class MonitorRecord:
 
 
 class Evaluation(NamedTuple):
-    """The pair elliptic.stencil_terms yields at the array v, kept with v.
+    """The array v with g = P v = R0 v - a(n) L v and w = v^{1-N}.
 
-    g = R0 v - a(n) L v and w = v^{1-N}.  The Newton residual returns it; the
-    Jacobian, the next step and the monitor read it instead of evaluating v.
+    The Newton residual returns it; the Jacobian, the next step and the
+    monitor read it instead of evaluating v.
     """
 
     v: np.ndarray
@@ -179,8 +180,8 @@ class Evaluation(NamedTuple):
 class SolverWork:
     """Work counters of one run; summary.json holds them under these names.
 
-    stencil_evaluations counts elliptic.stencil_terms calls, one per
-    distinct array evaluated.  halvings counts rejected attempts.
+    stencil_evaluations counts applications of the run's conformal Laplacian
+    P, one per distinct array evaluated.  halvings counts rejected attempts.
     unchanged_steps counts accepted steps whose factor equals the previous
     one bit for bit.  stalled_solves counts accepted solves that ended at
     the stall ceiling rather than at the target.
@@ -211,12 +212,12 @@ class RunResult:
 _MAX_ATTEMPTS = 11
 
 
-def _evaluate(v, lap, R0, a, N, work: SolverWork) -> Evaluation:
+def _evaluate(v, P: ConformalLaplacian, work: SolverWork) -> Evaluation:
     work.stencil_evaluations += 1
-    return Evaluation(v, *stencil_terms(v, lap, R0, a, N))
+    return Evaluation(v, P.apply(v), v ** (1.0 - P.N))
 
 
-def _implicit_residual(lap, R0, a, N, c, prev: Evaluation, dt, s, work: SolverWork):
+def _implicit_residual(P: ConformalLaplacian, c, prev: Evaluation, dt, s, work: SolverWork):
     """Residual and Jacobian of one backward-Euler step from prev, sharing evaluations.
 
     Both are divided row by row by s, the step's round-off level, which
@@ -225,40 +226,36 @@ def _implicit_residual(lap, R0, a, N, c, prev: Evaluation, dt, s, work: SolverWo
     when v is prev's own array (damped_newton starts there), else a new one.
     """
     u_prev = prev.v
-    diag_term = a * lap.diag - R0
+    diag = P.diag  # P builds its bands on each read: once per attempt
 
     def residual_fn(v):
-        ev = prev if v is u_prev else _evaluate(v, lap, R0, a, N, work)
+        ev = prev if v is u_prev else _evaluate(v, P, work)
         return (v - u_prev + dt * c * ev.w * ev.g) / s, ev
 
     def jacobian_fn(ev):
         v, g, w = ev
-        jd = (1.0 - dt * c * ((N - 1.0) * (w / v) * g + w * diag_term)) / s
-        jl = -dt * c * w[1:] * a * lap.lower / s[1:]
-        ju = -dt * c * w[:-1] * a * lap.upper / s[:-1]
+        jd = (1.0 - dt * c * ((P.N - 1.0) * (w / v) * g - w * diag)) / s
+        jl = -dt * c * w[1:] * P.a * P.lap.lower / s[1:]
+        ju = -dt * c * w[:-1] * P.a * P.lap.upper / s[:-1]
         return jl, jd, ju
 
     return residual_fn, jacobian_fn
 
 
 def _attempt_step(
-    prev: Evaluation, T: np.ndarray, dt: float, bg: BackgroundSpec, cfg: FlowConfig, lap,
+    prev: Evaluation, T: np.ndarray, dt: float, cfg: FlowConfig, P: ConformalLaplacian,
     work: SolverWork,
 ) -> Evaluation | None:
     """One backward-Euler attempt of size dt from prev: the accepted evaluation, or None.
 
-    T is operators.row_terms at prev's factor.  Newton runs on the residual
-    scaled by s = eps (2 u + dt c w T) toward ROUNDOFF_TARGET, or newton_tol
+    T is P.row_terms at prev's factor.  Newton runs on the residual scaled
+    by s = eps (2 u + dt c w T) toward ROUNDOFF_TARGET, or newton_tol
     dt / max s where that is larger, and accepts a stall at or below
     STALL_FACTOR ROUNDOFF_TARGET.
     """
-    n = bg.grid.n
-    a, N = conformal_exponents(n)
-    c = 0.25 * (n - 2.0)
+    c = 0.25 * (P.lap.grid.n - 2.0)
     s = np.finfo(np.float64).eps * (2.0 * prev.v + dt * c * prev.w * T)
-    residual_fn, jacobian_fn = _implicit_residual(
-        lap, bg.r0_profile.values, a, N, c, prev, dt, s, work
-    )
+    residual_fn, jacobian_fn = _implicit_residual(P, c, prev, dt, s, work)
     target = max(ROUNDOFF_TARGET, cfg.newton_tol * dt / float(np.max(s)))
     ceiling = STALL_FACTOR * ROUNDOFF_TARGET
 
@@ -275,13 +272,12 @@ def _attempt_step(
 
 def step(
     state: FlowState,
-    bg: BackgroundSpec,
     cfg: FlowConfig,
-    lap: BoundaryLaplacian,
+    P: ConformalLaplacian,
     prev: Evaluation,
     work: SolverWork,
 ) -> tuple[FlowState, Evaluation]:
-    """Advance one accepted step with the run's operator lap, halving dt on Newton failure.
+    """Advance one accepted step with the run's operator P, halving dt on Newton failure.
 
     prev is the evaluation at state's factor: a run passes the one its last
     step accepted.  Every attempt starts from it, since (g, w) and the row
@@ -291,10 +287,10 @@ def step(
     Raises FlowSingularityError when dt and its ten halvings all fail: the
     discrete stand-in for the curvature blow-up alternative.
     """
-    T = row_terms(prev.v, lap, bg.r0_profile.values, conformal_exponents(bg.grid.n)[0])
+    T = P.row_terms(prev.v)
     for halvings in range(_MAX_ATTEMPTS):
         dt = state.dt * 0.5**halvings
-        ev = _attempt_step(prev, T, dt, bg, cfg, lap, work)
+        ev = _attempt_step(prev, T, dt, cfg, P, work)
         if ev is not None:
             work.unchanged_steps += int(np.array_equal(ev.v, prev.v))
             next_dt = dt * cfg.safety
@@ -410,12 +406,11 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
     """
     if u0.grid != bg.grid:
         raise GridMismatchError("initial data and background live on different grids")
-    lap = boundary_laplacian(bg.grid, initial_inner_flux(u0))
+    P = conformal_laplacian(bg, initial_inner_flux(u0))
     weights = MonitorWeights.of(bg.grid)
     work = SolverWork()
     state = FlowState(t=0.0, u=u0, dt=cfg.dt0, step_index=0)
-    a, N = conformal_exponents(bg.grid.n)
-    ev = _evaluate(u0.values, lap, bg.r0_profile.values, a, N, work)
+    ev = _evaluate(u0.values, P, work)
     records = [monitor(state.t, ev, weights)]
     checkpoints = [state]
     last_monitored = 0
@@ -430,7 +425,7 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
         if state.dt > remaining:
             state = replace(state, dt=remaining)
         try:
-            state, ev = step(state, bg, cfg, lap, ev, work)
+            state, ev = step(state, cfg, P, ev, work)
         except FlowSingularityError:
             halted = True
             halt_reason = "dt-collapse"

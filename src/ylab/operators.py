@@ -1,9 +1,10 @@
 """The radial Laplacian, with folded boundary conditions, and its solvers.
 
-boundary_laplacian is the one discrete Laplacian: the curvature map, the
-flow and every elliptic solve apply it.  Interior rows are the three-point
-stencil of f'' + (n-1)/r f', exact for quadratics.  Every row stays
-tridiagonal by eliminating a mirrored ghost node at each end:
+boundary_laplacian is the one discrete Laplacian L, and conformal_laplacian
+the one conformal Laplacian P = -a(n) L + R0 built on it: the curvature
+map, the flow and every elliptic solve apply P.  Interior rows of L are the
+three-point stencil of f'' + (n-1)/r f', exact for quadratics.  Every row
+stays tridiagonal by eliminating a mirrored ghost node at each end:
 
 * r_0 = 0: even-extension regularity row, lap u(0) = 2n (u_1 - u_0)/h^2;
 * r_0 > 0: Neumann wall with a prescribed flux u'(r_0): zero for elliptic
@@ -23,8 +24,8 @@ scipy.linalg package import would more than double the start-up time of
 every ylab command and add about 24 MiB to it.
 
 Every solve, the flow's and the elliptic ones, passes when |F_i| <=
-ROUNDOFF_TARGET s_i at every row, s_i = eps row_terms(u)_i plus any other
-terms F sums: the componentwise backward error of Oettli and Prager.
+ROUNDOFF_TARGET s_i at every row, s_i = eps P.row_terms(u)_i plus any
+other terms F sums: the componentwise backward error of Oettli and Prager.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .backgrounds import BackgroundSpec, conformal_exponents
 from .grids import RadialField, RadialGrid, _readonly
 
 _MAX_BACKTRACKS = 40  # step halvings per Newton iteration before it stagnates
@@ -105,21 +107,6 @@ class BoundaryLaplacian:
         out += self.affine
         return out
 
-    def abs_apply(self, u: np.ndarray) -> np.ndarray:
-        """|L| u for u >= 0: per row, the sum of the magnitudes of the stencil terms."""
-        out = np.abs(self.diag) * u
-        out[:-1] += np.abs(self.upper) * u[1:]
-        out[1:] += np.abs(self.lower) * u[:-1]
-        return out
-
-
-def row_terms(u: np.ndarray, lap: BoundaryLaplacian, R0: np.ndarray, a: float) -> np.ndarray:
-    """T = |R0| u + a (|L| u + |b|) for u >= 0.
-
-    Per row, the magnitude of the terms that R0 u - a (L u + b) sums.
-    """
-    return np.abs(R0) * u + a * (lap.abs_apply(u) + np.abs(lap.affine))
-
 
 def _wall_flux_weight(grid: RadialGrid) -> float:
     """kappa = (n-1)/r_0 - 2/h_0: the wall row's coefficient of the prescribed flux."""
@@ -159,6 +146,40 @@ def boundary_laplacian(grid: RadialGrid, inner_flux: float = 0.0) -> BoundaryLap
     diag[-1] = -2.0 / hM**2 - kappa
     affine[-1] = -(lower[-1] + diag[-1])  # kappa, rounded so constants cancel
     return BoundaryLaplacian(grid=grid, lower=lower, diag=diag, upper=upper, affine=affine)
+
+
+class ConformalLaplacian:
+    """P = -a(n) L + R0 of one grid, background and wall flux: u -> R0 u - a (L u + b).
+
+    lap is the BoundaryLaplacian L + b, and (a, N) = conformal_exponents(n).
+    """
+
+    def __init__(self, lap: BoundaryLaplacian, R0: np.ndarray):
+        self.lap = lap
+        self.R0 = R0
+        self.a, self.N = conformal_exponents(lap.grid.n)
+
+    # the bands of the linear part, built on each read: a solve holds them
+    # no longer than it needs them
+    lower = property(lambda self: -self.a * self.lap.lower)
+    diag = property(lambda self: self.R0 - self.a * self.lap.diag)
+    upper = property(lambda self: -self.a * self.lap.upper)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return self.R0 * u - self.a * self.lap.apply(u)
+
+    def row_terms(self, u: np.ndarray) -> np.ndarray:
+        """T = |R0| u + a (|L| u + |b|) for u >= 0: per row, the magnitude of the terms apply sums."""
+        lap = self.lap
+        abs_Lu = np.abs(lap.diag) * u
+        abs_Lu[:-1] += np.abs(lap.upper) * u[1:]
+        abs_Lu[1:] += np.abs(lap.lower) * u[:-1]
+        return np.abs(self.R0) * u + self.a * (abs_Lu + np.abs(lap.affine))
+
+
+def conformal_laplacian(bg: BackgroundSpec, inner_flux: float = 0.0) -> ConformalLaplacian:
+    """P on bg's grid and R0, with the wall (r_in > 0) flux u'(r_0) = inner_flux."""
+    return ConformalLaplacian(boundary_laplacian(bg.grid, inner_flux), bg.r0_profile.values)
 
 
 def initial_inner_flux(u0: RadialField) -> float:

@@ -38,6 +38,7 @@ from ylab.elliptic import (
     POSITIVE,
     prescribe_scalar_curvature,
     solve_scalar_flat,
+    verify_certificate,
     yamabe_sign,
 )
 from ylab.errors import ConfigError, NonPositiveYamabeError
@@ -947,6 +948,32 @@ class TestSignAcrossTheThreshold:
             assert rc == (0 if positive else 3), A
 
 
+class TestStronglyPositiveWells:
+    """Wells with R0 >= 0 at n = 3, R_max = 512: -a L + R0 is positive definite, so Y > 0.
+
+    From A = 100 on, min u falls to 0.10 and below (1.9e-42 at A = 1e5), the
+    sum 1 + v of the first solve cancels, and scalar-flat solves for u itself.
+    """
+
+    @pytest.mark.parametrize("M", [2048, 16384])
+    def test_one_positive_answer_per_well(self, tmp_path, M):
+        config = tmp_path / "grid.ini"
+        config.write_text(f"[grid]\nn = 3\nR_max = 512\nM = {M}\n")
+        for A in (1, 100, 1e3, 1e4, 1e5):
+            background = _WELL.format(A=A)
+            manifest = replace(parse_config(config), background=background)
+            grid, bg = cli.build_background(manifest)
+            sign = yamabe_sign(bg)
+            assert sign.sign == POSITIVE and not sign.low_confidence, A
+            assert verify_certificate(sign, bg), A
+            assert RunContext(None, manifest, grid, bg, [], False).limit is not None, A
+            out = tmp_path / f"o{A}"
+            assert main(["scalar-flat", "--config", str(config), "--background", background,
+                         "--out", str(out)]) == 0, A
+            (report,) = out.glob("*/solve_report.json")
+            assert json.loads(report.read_text())["iterations"] == (2 if A >= 100 else 1), A
+
+
 def _elliptic_command(tmp_path, command, background):
     """(exit code, output directory, background) of one elliptic command on the default grid."""
     out = tmp_path / "o"
@@ -1055,6 +1082,19 @@ class TestMainExitCodes:
         assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == code
         if code == 2:
             assert "singular node" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("simulate", "[initial]\nfamily = gaussian_bump\nsigma = 1e155", "sigma"),
+        ("simulate", "[initial]\nfamily = newtonian\nradius = 1e155", "radius"),
+        ("simulate", "[background]\nname = synthetic:A=-1,rc=2,sigma=1e155,tau=1", "sigma"),
+        ("yamabe-sign", "[background]\nname = synthetic:A=-1,rc=2,sigma=1e155,tau=1", "sigma"),
+    ])
+    def test_length_whose_square_overflows_is_config_error(self, tmp_path, capsys, command,
+                                                            section, key):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[grid]\nM = 64\nR_max = 64\n[flow]\nt_end = 0.01\n{section}\n")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert f"{key} = 1e+155 is too large" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "scalar-flat", "yamabe-sign", "prescribe"])
     def test_uncreatable_out_is_config_error(self, tmp_path, capsys, command):

@@ -12,7 +12,7 @@ from ylab.backgrounds import (
     make_synthetic_background,
     schwarzschild_data,
 )
-from ylab.elliptic import compute_R, curvature, stencil_terms
+from ylab.elliptic import compute_R, curvature
 from ylab.errors import ConfigError, FlowSingularityError, MassUndefinedError
 from ylab.flow import (
     LP_FIELDS,
@@ -41,18 +41,18 @@ from ylab.grids import (
     sphere_volume,
     trapezoid_weights,
 )
-from ylab.operators import BoundaryLaplacian, boundary_laplacian, initial_inner_flux, row_terms
+from ylab.operators import (BoundaryLaplacian, boundary_laplacian, conformal_laplacian,
+                            initial_inner_flux)
 
 
-def _evaluated(u: np.ndarray, bg, lap) -> Evaluation:
-    """The flow's evaluation of the factor u on the operator lap."""
-    a, N = conformal_exponents(bg.grid.n)
-    return Evaluation(u, *stencil_terms(u, lap, bg.r0_profile.values, a, N))
+def _evaluated(u: np.ndarray, P) -> Evaluation:
+    """The flow's evaluation of the factor u on P: R0 u - a L u and u^{1-N}, written out here."""
+    return Evaluation(u, P.R0 * u - P.a * P.lap.apply(u), u ** (1.0 - P.N))
 
 
-def _step(state, bg, cfg, lap):
+def _step(state, cfg, P):
     """One step from state alone: its evaluation made here, its work discarded."""
-    return step(state, bg, cfg, lap, _evaluated(state.u.values, bg, lap), SolverWork())[0]
+    return step(state, cfg, P, _evaluated(state.u.values, P), SolverWork())[0]
 
 
 def _roundoff_scale(u, bg, lap, dt):
@@ -77,14 +77,14 @@ def _flow_identity_gap(state, bg):
     flux.  An accepted step's residual is at most 4 ROUNDOFF_TARGET times
     the step's round-off level s at every node, which bounds the gap times dt.
     """
-    lap = boundary_laplacian(bg.grid, initial_inner_flux(state.u))
-    new = _step(state, bg, FlowConfig(dt0=state.dt), lap)
+    P = conformal_laplacian(bg, initial_inner_flux(state.u))
+    new = _step(state, FlowConfig(dt0=state.dt), P)
     assert new.t == state.t + state.dt  # no halving: the step's dt is state.dt
     dt = state.dt
     c = 0.25 * (bg.grid.n - 2)
-    R = compute_R(new.u, bg, lap).values
+    R = compute_R(new.u, bg, P).values
     gap = np.abs((new.u.values - state.u.values) / dt + c * R * new.u.values)
-    return gap, 4.0 * ROUNDOFF_TARGET * _roundoff_scale(state.u.values, bg, lap, dt) / dt
+    return gap, 4.0 * ROUNDOFF_TARGET * _roundoff_scale(state.u.values, bg, P.lap, dt) / dt
 
 
 def heat_kernel(r, s):
@@ -130,20 +130,20 @@ class TestStep:
     def test_flat_is_exact_fixed_point(self, grid, flat):
         state = FlowState(t=0.0, u=constant_field(grid, 1.0), dt=0.5, step_index=0)
         for _ in range(5):
-            state = _step(state, flat, FlowConfig(dt0=0.5), boundary_laplacian(grid))
+            state = _step(state, FlowConfig(dt0=0.5), conformal_laplacian(flat))
         assert np.all(state.u.values == 1.0)
 
     def test_dt_grows_by_safety(self, grid, flat):
         cfg = FlowConfig(dt0=0.1, safety=1.5)
         state = FlowState(t=0.0, u=constant_field(grid, 1.0), dt=0.1, step_index=0)
-        out = _step(state, flat, cfg, boundary_laplacian(grid))
+        out = _step(state, cfg, conformal_laplacian(flat))
         assert out.dt == pytest.approx(0.15)
         assert out.step_index == 1
 
     def test_dt_capped_by_dt_max(self, grid, flat):
         cfg = FlowConfig(dt0=0.1, dt_max=0.12, safety=2.0)
         state = FlowState(t=0.0, u=constant_field(grid, 1.0), dt=0.1, step_index=0)
-        assert _step(state, flat, cfg, boundary_laplacian(grid)).dt == pytest.approx(0.12)
+        assert _step(state, cfg, conformal_laplacian(flat)).dt == pytest.approx(0.12)
 
     def test_discrete_flow_identity(self, grid, flat):
         u0 = gaussian_bump_data(grid, 0.2, 1.0)
@@ -233,23 +233,24 @@ class TestStep:
 
 
 def _well_state():
-    """A nontrivial state on a walled grid, its synthetic background and run operator."""
+    """A nontrivial state on a walled grid, its synthetic background and run operator P."""
     g = build_grid(3, 0.5, 64.0, 512, LOG_STRETCHED)
     bg = make_synthetic_background(g, 1.0, -10.0, 2.0, 1.0)
     u0 = field_from_function(g, lambda r: 1.0 + 0.5 / r + 0.2 * np.exp(-((r - 1.0) ** 2)))
-    return FlowState(0.0, u0, 0.05, 0), bg, boundary_laplacian(g, initial_inner_flux(u0))
+    return FlowState(0.0, u0, 0.05, 0), bg, conformal_laplacian(bg, initial_inner_flux(u0))
 
 
 class TestImplicitResidual:
     def test_bands_match_standalone_expressions_bitwise(self):
-        state, bg, lap = _well_state()
+        state, bg, P = _well_state()
+        lap = P.lap
         a, N = conformal_exponents(3)
         c, dt, R0 = 0.25, 0.05, bg.r0_profile.values
         u_prev = state.u.values
         v = u_prev * (1.0 + 0.01 * np.sin(state.u.grid.nodes))
         s = _roundoff_scale(u_prev, bg, lap, dt)
         residual_fn, jacobian_fn = _implicit_residual(
-            lap, R0, a, N, c, _evaluated(u_prev, bg, lap), dt, s, SolverWork()
+            P, c, _evaluated(u_prev, P), dt, s, SolverWork()
         )
         res, ev = residual_fn(v)
         assert ev.v is v
@@ -280,10 +281,8 @@ class TestImplicitResidual:
         monkeypatch.setattr(flow_module, "ROUNDOFF_TARGET", 0.5)
         g = build_grid(3, 0.0, 512.0, 1024, LOG_STRETCHED)
         bg, u0 = make_flat_background(g), gaussian_bump_data(g, 0.2, 1.0)
-        lap = boundary_laplacian(g, initial_inner_flux(u0))
-        a, N = conformal_exponents(3)
-        R0 = bg.r0_profile.values
-        prev = _evaluated(u0.values, bg, lap)
+        P = conformal_laplacian(bg, initial_inner_flux(u0))
+        prev = _evaluated(u0.values, P)
         evaluated = []  # (array, residual norm) of every residual call
         damped_newton = flow_module.damped_newton
 
@@ -297,8 +296,8 @@ class TestImplicitResidual:
 
         monkeypatch.setattr(flow_module, "damped_newton", recording)
         work = SolverWork()
-        T = row_terms(prev.v, lap, R0, a)
-        ev = flow_module._attempt_step(prev, T, 1e-3, bg, FlowConfig(dt0=1e-3), lap, work)
+        T = P.row_terms(prev.v)
+        ev = flow_module._attempt_step(prev, T, 1e-3, FlowConfig(dt0=1e-3), P, work)
         assert work.stalled_solves == 1
         # the step starts from prev itself and applies no stencil there
         assert evaluated[0][0] is prev.v
@@ -310,7 +309,7 @@ class TestImplicitResidual:
         assert evaluated[-1][0] is not accepted
         assert ev.v is accepted
         assert [x.tobytes() for x in ev[1:]] == [
-            x.tobytes() for x in stencil_terms(accepted, lap, R0, a, N)
+            x.tobytes() for x in _evaluated(accepted, P)[1:]
         ]
 
 
@@ -361,7 +360,7 @@ class TestAdmMass:
 class TestMonitor:
     def test_flat_record_trivial(self, grid, flat):
         state = FlowState(0.0, constant_field(grid, 1.0), 0.1, 0)
-        ev = _evaluated(state.u.values, flat, boundary_laplacian(grid))
+        ev = _evaluated(state.u.values, conformal_laplacian(flat))
         rec = monitor(state.t, ev, MonitorWeights.of(grid))
         assert rec.sup_R == 0.0
         assert rec.mass == 0.0
@@ -373,15 +372,15 @@ class TestMonitor:
         # one dot product each, summed by numpy's einsum loop (not BLAS):
         # omega r^{n-1} times the trapezoid weights, times the volume
         # density u^{N+1} = u^2 / w
-        state, bg, lap = _well_state()
+        state, bg, P = _well_state()
         grid = state.u.grid
-        ev = _evaluated(state.u.values, bg, lap)
+        ev = _evaluated(state.u.values, P)
         weights = MonitorWeights.of(grid)
         assert weights.dV is grid.dV  # the volume weights yamabe_quotient sums with
         rec = monitor(state.t, ev, weights)
         u, g, w = ev
         R = curvature(u, g, w)
-        assert R.tobytes() == compute_R(state.u, bg, lap).values.tobytes()
+        assert R.tobytes() == compute_R(state.u, bg, P).values.tobytes()
         dV_t = sphere_volume(3) * grid.nodes**2 * trapezoid_weights(grid) * (u * u / w)
         assert rec.l1_R != 0.0
         assert rec.l1_R == float(np.einsum("i,i", dV_t, R))
@@ -548,11 +547,10 @@ class TestRunFlow:
         # u0 is evaluated once: each of the 11 attempts starts from that evaluation
         assert res.work.stencil_evaluations == 1 + residuals[0] - 11
         # the error names the attempts and the smallest dt tried, dt0 / 2^10
-        lap = boundary_laplacian(g)
+        P = conformal_laplacian(bg)
         with pytest.raises(FlowSingularityError,
                            match=r"all 11 attempts at t=0 \(smallest dt tried 9\.766e-05\)$"):
-            step(FlowState(0.0, u0, cfg.dt0, 0), bg, cfg, lap, _evaluated(u0.values, bg, lap),
-                 SolverWork())
+            step(FlowState(0.0, u0, cfg.dt0, 0), cfg, P, _evaluated(u0.values, P), SolverWork())
 
     def test_n5_bump_never_freezes(self):
         # each row is held to its own round-off level: the small far-field
@@ -659,7 +657,7 @@ class TestRunEnd:
         assert (last.t, last.step_index) == (final.t, final.step_index)
         assert last.u.values.tobytes() == final.u.values.tobytes()
         if ev is None:
-            ev = _evaluated(u0.values, bg, boundary_laplacian(g, initial_inner_flux(u0)))
+            ev = _evaluated(u0.values, conformal_laplacian(bg, initial_inner_flux(u0)))
         assert res.records[-1] == monitor(final.t, ev, MonitorWeights.of(g))
         if ending == "t_end-off-cadence":
             assert final.t == pytest.approx(cfg.t_end, rel=1e-12)

@@ -25,7 +25,7 @@ from ylab.grids import (
     weighted_sup_norm,
     write_field_csv,
 )
-from ylab.operators import boundary_laplacian
+from ylab.operators import boundary_laplacian, conformal_laplacian
 
 
 def geom_grid(n=3, r0=1.0, r1=100.0, M=64):
@@ -123,7 +123,7 @@ class TestLaplacian:
             expected = (u.values ** (1.0 - N) / u.values) * (
                 bg.r0_profile.values * u.values - a * lap
             )
-            assert np.array_equal(compute_R(u, bg, boundary_laplacian(g, flux)).values, expected)
+            assert np.array_equal(compute_R(u, bg, conformal_laplacian(bg, flux)).values, expected)
 
     @pytest.mark.parametrize("policy", [UNIFORM, LOG_STRETCHED])
     @pytest.mark.parametrize("r_in", [0.0, 0.5])

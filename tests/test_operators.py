@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 from ylab import operators
-from ylab.grids import LOG_STRETCHED, build_grid
-from ylab.operators import _MAX_BACKTRACKS, boundary_laplacian, damped_newton, solve_tridiagonal
+from ylab.backgrounds import (make_flat_background, make_profile_background,
+                              make_synthetic_background)
+from ylab.grids import LOG_STRETCHED, RadialField, build_grid
+from ylab.operators import (_MAX_BACKTRACKS, boundary_laplacian, conformal_laplacian, damped_newton,
+                            solve_tridiagonal)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -270,17 +273,48 @@ class TestBoundaryLaplacian:
             getattr(lap, band)[0] = 1e6
         assert np.array_equal(getattr(lap, band), values)
 
-    def test_abs_apply_is_the_dense_magnitude_sum(self):
-        # on a wall grid and on an origin grid
-        for r_in, flux in ((0.5, 0.25), (0.0, 0.0)):
-            grid = build_grid(3, r_in, 64.0, 64, LOG_STRETCHED)
-            lap = boundary_laplacian(grid, flux)
-            dense = np.diag(lap.diag) + np.diag(lap.lower, -1) + np.diag(lap.upper, 1)
-            u = 1.0 + np.sin(grid.nodes) ** 2
-            assert np.allclose(lap.abs_apply(u), np.abs(dense) @ u, rtol=1e-14, atol=0.0)
-            assert np.all(lap.abs_apply(u) + np.abs(lap.affine) >= np.abs(lap.apply(u)))
-            # the round-off scale every solve shares: |R0| u + a (|A| u + |b|)
-            R0, a = -3.0 * np.cos(grid.nodes), 8.0
-            expected = np.abs(R0) * u + a * (np.abs(dense) @ u + np.abs(lap.affine))
-            assert np.allclose(operators.row_terms(u, lap, R0, a), expected,
-                               rtol=1e-14, atol=0.0)
+
+def _conformal_on(r_in: float, flux: float):
+    """(P, dense matrix of its L, a positive test factor) on a sign-changing R0 profile."""
+    grid = build_grid(3, r_in, 64.0, 64, LOG_STRETCHED)
+    bg = make_profile_background(RadialField(grid, -3.0 * np.cos(grid.nodes)), 1.0)
+    P = conformal_laplacian(bg, flux)
+    lap = P.lap
+    dense = np.diag(lap.diag) + np.diag(lap.lower, -1) + np.diag(lap.upper, 1)
+    return P, dense, 1.0 + np.sin(grid.nodes) ** 2
+
+
+# a wall grid with a wall flux, and an origin grid
+_GRIDS = ((0.5, 0.25), (0.0, 0.0))
+
+
+class TestConformalLaplacian:
+    def test_row_terms_are_the_dense_magnitude_sum(self):
+        # the round-off scale every solve shares: |R0| u + a (|A| u + |b|),
+        # at least the magnitude of the row sum P u
+        for r_in, flux in _GRIDS:
+            P, dense, u = _conformal_on(r_in, flux)
+            expected = np.abs(P.R0) * u + P.a * (np.abs(dense) @ u + np.abs(P.lap.affine))
+            assert np.allclose(P.row_terms(u), expected, rtol=1e-14, atol=0.0)
+            assert np.all(P.row_terms(u) >= np.abs(P.apply(u)))
+
+    def test_apply_and_bands_are_the_dense_operator(self):
+        eps = np.finfo(np.float64).eps
+        for r_in, flux in _GRIDS:
+            P, dense, u = _conformal_on(r_in, flux)
+            assert (P.a, P.N) == (8.0, 5.0)
+            # R0 u - a (A u + b), to the round-off of the terms it sums
+            expected = P.R0 * u - P.a * (dense @ u + P.lap.affine)
+            assert np.all(np.abs(P.apply(u) - expected) <= 4.0 * eps * P.row_terms(u))
+            # the bands are those of R0 - a A, bit for bit
+            bands = np.diag(P.diag) + np.diag(P.lower, -1) + np.diag(P.upper, 1)
+            assert np.array_equal(bands, np.diag(P.R0) - P.a * dense)
+
+    @pytest.mark.parametrize("r_in", [0.0, 0.5])
+    def test_constants_map_to_R0_bit_for_bit(self, r_in):
+        # at zero wall flux every row of L + b maps 1 to exactly 0
+        grid = build_grid(3, r_in, 512.0, 2048, LOG_STRETCHED)
+        for bg in (make_flat_background(grid),
+                   make_synthetic_background(grid, 1.0, -50.0, 2.0, 1.0)):
+            P = conformal_laplacian(bg)
+            assert P.apply(np.ones(grid.M + 1)).tobytes() == bg.r0_profile.values.tobytes()

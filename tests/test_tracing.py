@@ -88,8 +88,8 @@ def test_tracer_spans_one_operator_per_run_and_uninstalls(tracing, tmp_path):
                 return True
         return False
 
-    builds = [s for s in spans if s.name == "operators.boundary_laplacian" and under_run_flow(s)]
-    assert len(builds) == 1
+    for name in ("operators.conformal_laplacian", "operators.boundary_laplacian"):
+        assert sum(s.name == name and under_run_flow(s) for s in spans) == 1, name
     # the benchmark's Newton counts agree with the run's own work counters:
     # one Jacobian per iteration, and one residual per stencil evaluation
     # (the initial data's aside) plus one per solve, whose start reuses the
@@ -170,3 +170,28 @@ def test_tracer_spans_the_prescribe_newton(tracing, tmp_path):
     assert all("elliptic.prescribe_scalar_curvature" in ancestors(s) for s in newton)
     jacobians = sum(s.name == "operators.newton.jacobian" for s in spans)
     assert jacobians == iterations > 0
+
+
+@pytest.mark.parametrize("background, solves", [
+    ("synthetic:A=1000,rc=2,sigma=1,tau=1", 2),  # min u 1.6e-4: 1 + v cancels
+    ("flat3", 1),
+])
+def test_tracer_spans_each_scalar_flat_solve(tracing, tmp_path, background, solves):
+    # the per-layer tridiagonal count of scalar-flat is one solve, or two
+    # when the factor is solved again for u; solve_report.json counts them
+    config = tmp_path / "grid.ini"
+    config.write_text("[grid]\nn = 3\nR_max = 512\nM = 2048\n")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["scalar-flat", "--config", str(config), "--background", background,
+                       "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    (outdir,) = (tmp_path / "out").iterdir()
+    iterations = json.loads((outdir / "solve_report.json").read_text())["iterations"]
+    spans = tracer.take()
+    tridiagonal = [s for s in spans if s.name == "operators.solve_tridiagonal"]
+    assert all(spans[s.parent].name == "elliptic.solve_scalar_flat" for s in tridiagonal)
+    assert len(tridiagonal) == iterations == solves
