@@ -418,7 +418,7 @@ class RunContext:
     """One run as the audits read it.
 
     load_run reads a run directory, whose checkpoint series checkpoints()
-    loads on its first call; from_result holds a run_flow result in memory.
+    loads on its first call.
     """
 
     rundir: Path | None
@@ -429,13 +429,6 @@ class RunContext:
     halted: bool
 
     _checkpoints: list | None = field(default=None, init=False, repr=False, compare=False)
-
-    @classmethod
-    def from_result(cls, manifest: RunManifest, bg, result) -> "RunContext":
-        """The run_flow result of manifest on background bg, with no run directory."""
-        run = cls(None, manifest, bg.grid, bg, result.records, result.halted)
-        run._checkpoints = result.checkpoints
-        return run
 
     def checkpoints(self):
         """Checkpoints in step order (each unpacks as (t, u)), read on the first call only."""
@@ -589,7 +582,7 @@ def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
     outdir = _outdir(out_root, f"scalar-flat-{_slug(bg.name)}")
     try:
         u_inf, report = solve_scalar_flat(bg)
-    except NonPositiveYamabeError as exc:
+    except (NonPositiveYamabeError, ConvergenceError) as exc:
         report = asdict(exc.report) if exc.report is not None else {"converged": False}
         if exc.solution is not None:
             write_field_npy(exc.solution, outdir / "u_inf.npy")

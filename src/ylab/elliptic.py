@@ -7,7 +7,8 @@ P = -a(n) L + R0 of module operators, on the boundary-folded L: zero-flux
 inner wall (or origin regularity) and an outer Robin condition matching
 the r^{-(n-2)} fall-off.
 Both solves pass the flow's row-wise round-off test of module operators,
-so yamabe_sign and the limit of a run share one scalar-flat verdict.
+prescribe by damped_newton's one stopping rule, so yamabe_sign and the
+limit of a run share one scalar-flat verdict.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
 from .grids import RadialField, _dot
 from .operators import (
     ROUNDOFF_TARGET,
-    STALL_FACTOR,
+    STALL_CEILING,
     ConformalLaplacian,
     conformal_laplacian,
     damped_newton,
@@ -40,6 +41,7 @@ POSITIVE = "Positive"
 NON_POSITIVE = "NonPositive"
 
 _EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 _PRESCRIBE_MAX_ITER = 40
 
 # truncated-Gaussian trial functions for the quotient scan
@@ -127,7 +129,9 @@ def solve_scalar_flat(bg: BackgroundSpec) -> tuple[RadialField, SolveReport]:
     factor that fails is solved again for u itself, and that one is judged
     (report.iterations = 2).  Raises NonPositiveYamabeError when the system
     is singular, and otherwise carrying the last solution and its report
-    when it fails positivity or the round-off test.
+    when it has a negative node or fails the round-off test.  A failed
+    factor with no negative node but nodes that underflowed to 0 or a
+    subnormal says nothing of the sign: ConvergenceError, carrying the same.
     """
     P = conformal_laplacian(bg)
     # L 1 + b = 0, so P u = 0 reads P_lin u = a b, and P_lin (-v) = R0
@@ -151,10 +155,17 @@ def solve_scalar_flat(bg: BackgroundSpec) -> tuple[RadialField, SolveReport]:
                              scaled_residual=scaled)
         if converged:
             return RadialField(bg.grid, u), report
+    solution = RadialField(bg.grid, u)
+    if 0.0 <= positivity < _TINY:
+        raise ConvergenceError(
+            f"scalar-flat factor underflows: {np.count_nonzero(u < _TINY)} nodes are 0 or"
+            f" subnormal (min {positivity:.3e}) and none is negative",
+            solution=solution, report=report,
+        )
     raise NonPositiveYamabeError(
-        f"scalar-flat factor is nonpositive (min {positivity:.3e})" if positivity <= 0.0
+        f"scalar-flat factor is nonpositive (min {positivity:.3e})" if positivity < 0.0
         else f"scalar-flat residual is {scaled:.3g} times its row-wise round-off level",
-        solution=RadialField(bg.grid, u),
+        solution=solution,
         report=report,
     )
 
@@ -274,7 +285,8 @@ def prescribe_scalar_curvature(
     F(phi) = P phi - r_target phi^N from phi = 1, with backtracking that
     preserves positivity.  Like the flow's, its residual is row-scaled, by
     s = eps (P.row_terms(1) + |r_target|), the round-off level at phi = 1,
-    with the flow's target and stall rule.
+    and damped_newton's stopping rule, accepting a stall at or below
+    STALL_CEILING as the flow does.
     """
     if r_target.grid != bg.grid:
         raise GridMismatchError("target and background live on different grids")
@@ -304,11 +316,8 @@ def prescribe_scalar_curvature(
         dd = (P.diag - P.N * Rt * phi ** (P.N - 1.0)) / s
         return P.lower / s[1:], dd, P.upper / s[:-1]
 
-    ceiling = STALL_FACTOR * ROUNDOFF_TARGET
-    phi, rn, iters, converged = damped_newton(
-        phi0, residual_fn, jacobian_fn, ROUNDOFF_TARGET, _PRESCRIBE_MAX_ITER, floor=ceiling
-    )
-    if not (converged or rn <= ceiling):
+    phi, rn, iters, _ = damped_newton(phi0, residual_fn, jacobian_fn, _PRESCRIBE_MAX_ITER)
+    if not rn <= STALL_CEILING:
         raise ConvergenceError(f"prescribed-curvature Newton stagnated after {iters}"
                                f" iterations (scaled residual {rn:.3e})")
     report = SolveReport(converged=True, iterations=iters, positivity=float(np.min(phi)),

@@ -39,7 +39,15 @@ class HypothesisViolationError(YlabError):
 
 
 class ConvergenceError(YlabError):
-    """Newton iteration stagnated or exceeded its iteration budget."""
+    """Newton stagnated or ran out of iterations, or a scalar-flat factor underflowed.
+
+    The scalar-flat one carries the solution and its SolveReport.
+    """
+
+    def __init__(self, message: str, solution=None, report=None):
+        super().__init__(message)
+        self.solution = solution
+        self.report = report
 
 
 class NonPositiveYamabeError(YlabError):

@@ -23,9 +23,10 @@ module, scipy.linalg._flapack, loaded on its own: for this one routine the
 scipy.linalg package import would more than double the start-up time of
 every ylab command and add about 24 MiB to it.
 
-Every solve, the flow's and the elliptic ones, passes when |F_i| <=
-ROUNDOFF_TARGET s_i at every row, s_i = eps P.row_terms(u)_i plus any
-other terms F sums: the componentwise backward error of Oettli and Prager.
+Every solve passes when |F_i| <= ROUNDOFF_TARGET s_i at every row, s_i =
+eps P.row_terms(u)_i plus any other terms F sums: the componentwise
+backward error of Oettli and Prager.  damped_newton owns that stopping rule
+for every Newton solve, the flow's and prescribe's.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from .backgrounds import BackgroundSpec, conformal_exponents
 from .grids import RadialField, RadialGrid, _readonly
 
 _MAX_BACKTRACKS = 40  # step halvings per Newton iteration before it stagnates
-# Newton's target on a row-scaled residual |F_i| / s_i; a solve that stalls
-# at or below STALL_FACTOR * ROUNDOFF_TARGET is accepted
+# Newton's target on a row-scaled residual |F_i| / s_i, and the level at or
+# below which a solve that stalls is accepted
 ROUNDOFF_TARGET = 4.0
-STALL_FACTOR = 4.0
+STALL_CEILING = 16.0
 _FLAPACK = "scipy.linalg._flapack"
 
 
@@ -219,25 +220,19 @@ def solve_tridiagonal(
     return x
 
 
-def damped_newton(
-    u0: np.ndarray,
-    residual_fn,
-    jacobian_fn,
-    tol: float,
-    max_iter: int,
-    floor: float = 0.0,
-):
+def damped_newton(u0: np.ndarray, residual_fn, jacobian_fn, max_iter: int):
     """Newton iteration with residual backtracking and a positivity guard.
 
-    residual_fn(u) returns (F, e): the residual at u and the evaluation e it
-    made there; jacobian_fn(e) builds the tridiagonal bands (lower, diag,
-    upper) from it.  Returns (e, residual_norm, iterations, converged) of the
-    final iterate; stagnation reports converged = False.  Candidates must
-    stay positive.  A residual above floor stagnates after a full sweep of
-    _MAX_BACKTRACKS halvings without reduction.  A residual at or below
-    floor (the round-off level of residual_fn) stagnates after the first
-    evaluated candidate that fails to reduce it, since halving the step
-    cannot beat round-off; floor = 0 runs the full sweep.  Either sweep
+    residual_fn(u) returns (F, e): the residual at u, divided row by row by
+    the rows' round-off levels, and the evaluation e it made there;
+    jacobian_fn(e) builds the tridiagonal bands (lower, diag, upper) of that
+    scaled residual from it.  Returns (e, residual_norm, iterations,
+    converged) of the final iterate: converged when the max-norm is at most
+    ROUNDOFF_TARGET.  Stagnation reports converged = False.  Candidates must
+    stay positive.  A residual above STALL_CEILING stagnates after a full
+    sweep of _MAX_BACKTRACKS halvings without reduction.  A residual at or
+    below it stagnates after the first evaluated candidate that fails to
+    reduce it, since halving the step cannot beat round-off.  Either sweep
     ends at the first candidate equal to the iterate bit for bit: rounding
     is monotone, so every shorter step gives that copy again, and its
     residual is the one already rejected.
@@ -248,7 +243,7 @@ def damped_newton(
     res, e = residual_fn(u)
     rn = float(np.max(np.abs(res)))
     iterations = 0
-    while rn > tol and iterations < max_iter:
+    while rn > ROUNDOFF_TARGET and iterations < max_iter:
         try:
             delta = solve_tridiagonal(*jacobian_fn(e), -res)
         except np.linalg.LinAlgError:
@@ -264,14 +259,14 @@ def damped_newton(
             if np.min(cand) > 0.0:
                 cres, ce = residual_fn(cand)
                 crn = float(np.max(np.abs(cres)))
-                if np.isfinite(crn) and (crn < rn or crn <= tol):
+                if np.isfinite(crn) and (crn < rn or crn <= ROUNDOFF_TARGET):
                     u, res, e, rn = cand, cres, ce, crn
                     accepted = True
                     break
-                if rn <= floor:
+                if rn <= STALL_CEILING:
                     break
             lam *= 0.5
         iterations += 1
         if not accepted:
             return e, rn, iterations, False
-    return e, rn, iterations, rn <= tol
+    return e, rn, iterations, rn <= ROUNDOFF_TARGET

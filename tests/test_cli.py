@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ylab.cli as cli
@@ -18,7 +18,6 @@ from ylab.cli import (
     _FAMILIES,
     _SCHEMA,
     RunContext,
-    _run_audit,
     build_run,
     cmd_report,
     cmd_simulate,
@@ -41,7 +40,7 @@ from ylab.elliptic import (
     verify_certificate,
     yamabe_sign,
 )
-from ylab.errors import ConfigError, NonPositiveYamabeError
+from ylab.errors import ConfigError, ConvergenceError, NonPositiveYamabeError
 from ylab.flow import FlowState, MonitorRecord, monitor_columns, run_flow
 from ylab.grids import UNIFORM, RadialField, RadialGrid
 from ylab.operators import BoundaryLaplacian
@@ -114,7 +113,6 @@ sigma = 1
 [flow]
 dt0 = 0.001
 dt_max = 0.25
-newton_tol = 9.9999999999999998e-13
 newton_max = 25
 t_end = 50
 monitor_every = 2
@@ -340,12 +338,14 @@ class TestSimulate:
             ("[flow]\nt_end = inf\n", "[flow]\nt_end = 0.01\n", "[flow] t_end"),
             ("[flow]\nt_end = nan\n", "[flow]\nt_end = 0.01\n", "[flow] t_end"),
             ("[flow]\nt_end = 0.01\ndt0 = nan\n", "[flow]\nt_end = 0.01\n", "[flow] dt0"),
-            ("[flow]\nt_end = 0.01\nnewton_tol = nan\n", "[flow]\nt_end = 0.01\n",
-             "[flow] newton_tol"),
+            ("[flow]\nt_end = 0.01\nsafety = nan\n", "[flow]\nt_end = 0.01\n",
+             "[flow] safety"),
+            ("[flow]\nt_end = 0.01\nnewton_tol = 1e-12\n", "[flow]\nt_end = 0.01\n",
+             "unknown key 'newton_tol' in section [flow]"),
             ("[grid]\nM = 64\nR_max = inf\n", "[grid]\nM = 64\nR_max = 64\n", "[grid] R_max"),
         ],
         ids=["unknown-background", "too-deep-bump", "coarse-grid", "infinite-t_end",
-             "nan-t_end", "nan-dt0", "nan-newton_tol", "infinite-R_max"],
+             "nan-t_end", "nan-dt0", "nan-safety", "retired-newton_tol", "infinite-R_max"],
     )
     def test_config_error_leaves_no_run_directory(self, tmp_path, capsys, bad, good, message):
         config = tmp_path / "run.ini"
@@ -587,8 +587,11 @@ class TestReport:
             lambda text: text.replace("[flow]\n", ""),
             lambda text: text.replace("[run]\n", "[run]\ncolour = blue\n"),
             lambda text: text.replace("[flow]\n", "[flow]\ntimestep = 0.1\n"),
+            # every run directory written while the Newton target was a knob
+            lambda text: text.replace("newton_max",
+                                      "newton_tol = 9.9999999999999998e-13\nnewton_max"),
         ],
-        ids=["missing-flow", "unknown-key", "unknown-flow-key"],
+        ids=["missing-flow", "unknown-key", "unknown-flow-key", "retired-newton_tol"],
     )
     def test_malformed_manifest_is_config_error(self, bump_run, tmp_path, capsys, corrupt):
         broken = tmp_path / "broken"
@@ -726,21 +729,6 @@ class TestReport:
         assert convergence["details"]["fit"]["exponent"] == pytest.approx(-1.43554174696, rel=1e-9)
         assert spacetime["details"]["C_star"] == pytest.approx(0.0577852582129, rel=1e-9)
 
-    def test_series_verdicts_equal_in_memory_checkpoints(self, dense_run, tmp_path):
-        # every audit judges the run directory as it judges the run_flow result in memory
-        manifest = parse_config_text(DENSE_CONFIG)
-        _, bg, u0, cfg = build_run(manifest)
-        in_memory = RunContext.from_result(manifest, bg, run_flow(bg, u0, cfg))
-        stored = load_run(dense_run).checkpoints()
-        assert [(c.t, c.dt, c.step_index, c.u.values.tobytes()) for c in stored] == [
-            (c.t, c.dt, c.step_index, c.u.values.tobytes()) for c in in_memory.checkpoints()
-        ]
-        out = tmp_path / "rep.json"
-        main(["report", str(dense_run), "--audits", ",".join(_AUDITS), "--out", str(out)])
-        assert json.loads(out.read_text())["runs"][0]["audits"] == [
-            json.loads(json.dumps(_run_audit(name, in_memory).to_json())) for name in _AUDITS
-        ]
-
     def test_scalar_flat_limit_solved_once_per_run(self, dense_run, tmp_path, monkeypatch):
         solves = []
         solve = cli.solve_scalar_flat
@@ -828,6 +816,7 @@ class TestCheckpointSeries:
     @settings(max_examples=100, deadline=None)
     @given(checkpoints=_checkpoint_series())
     @example(checkpoints=_EDGE_SERIES)
+    @example(checkpoints=[FlowState(0.0, u, 1.0, k) for k, u in enumerate(_EDGE_FIELDS)])
     def test_round_trip_is_bitwise(self, tmp_path_factory, checkpoints):
         path = tmp_path_factory.mktemp("series") / "checkpoints.npy"
         write_checkpoints(path, checkpoints)
@@ -838,16 +827,6 @@ class TestCheckpointSeries:
             for key in ("t", "dt", "step_index"):
                 assert np.array(getattr(got, key)).tobytes() == np.array(getattr(want, key)).tobytes()
         assert set(json.loads(path.with_suffix(".json").read_text())) == {"t", "dt", "step_index"}
-
-    @settings(max_examples=100, deadline=None)
-    @given(snapshots=_field_series(_POSITIVE))
-    @example(snapshots=_EDGE_FIELDS)
-    def test_field_series_round_trip_is_bitwise(self, tmp_path_factory, snapshots):
-        # the series carries any positive finite float64, subnormals included
-        path = tmp_path_factory.mktemp("series") / "checkpoints.npy"
-        write_checkpoints(path, [FlowState(0.0, u, 1.0, k) for k, u in enumerate(snapshots)])
-        back = read_checkpoints(path, snapshots[0].grid)
-        assert [ck.u.values.tobytes() for ck in back] == [u.values.tobytes() for u in snapshots]
 
     def test_npy_header_is_the_documented_one(self, tmp_path):
         path = tmp_path / "checkpoints.npy"
@@ -972,6 +951,66 @@ class TestStronglyPositiveWells:
                          "--out", str(out)]) == 0, A
             (report,) = out.glob("*/solve_report.json")
             assert json.loads(report.read_text())["iterations"] == (2 if A >= 100 else 1), A
+
+
+class TestUnderflowingFactors:
+    """Wells with R0 >= 0 so deep that the scalar-flat factor underflows.
+
+    Y > 0 still, but the u-solve's factor has nodes at 0 or a subnormal and
+    none below 0; it fails the row-wise test, and its sign cannot be read
+    off it.  yamabe-sign, scalar-flat and a report that needs the limit all
+    exit 3: a numerical failure, never a NonPositive sign.
+    """
+
+    # the last well's factor has one subnormal node and no zero
+    @pytest.mark.parametrize("M, R_max, A",
+                             [(2048, 512, 1e8), (256, 64, 1e8), (64, 64, 1e15), (16, 8, 1e24)])
+    def test_numerical_failure_not_a_sign(self, tmp_path, capsys, M, R_max, A):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nid = well\n[grid]\nn = 3\nR_max = {R_max}\nM = {M}\n"
+                          f"[background]\nname = {_WELL.format(A=A)}\n[flow]\nt_end = 1e-13\n")
+        out = tmp_path / "o"
+        args = ["--config", str(config), "--out", str(out)]
+        assert main(["yamabe-sign", *args]) == 3
+        assert "underflows" in capsys.readouterr().err
+        assert not list(out.glob("*/sign.json"))
+        assert main(["scalar-flat", *args]) == 3
+        (outdir,) = out.glob("scalar-flat-*")
+        payload = json.loads((outdir / "solve_report.json").read_text())
+        assert payload["converged"] is False and "underflows" in payload["error"]
+        values = _field_values(outdir / "u_inf.npy", cli.build_background(parse_config(config))[0])
+        assert 0.0 <= payload["positivity"] == np.min(values) < np.finfo(np.float64).tiny
+        # a run directory on the well (t_end too short for a step): the
+        # report's limit fails the same way
+        assert main(["simulate", *args]) == 0
+        assert main(["report", str(out / "well"), "--audits", "mass-drop",
+                     "--out", str(tmp_path / "rep.json")]) == 3
+        assert "underflows" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.integers(min_value=16, max_value=256),
+           R_max=st.floats(min_value=8.0, max_value=64.0),
+           log_A=st.one_of(st.none(), st.floats(min_value=-2.0, max_value=300.0)))
+    def test_nonnegative_wells_are_positive_or_fail(self, tmp_path_factory, M, R_max, log_A):
+        # R0 >= 0 makes Y > 0: Positive with a certificate, or exit 3
+        A = 0.0 if log_A is None else 10.0**log_A
+        config = tmp_path_factory.mktemp("well") / "grid.ini"
+        config.write_text(f"[grid]\nn = 3\nR_max = {R_max!r}\nM = {M}\n"
+                          f"[background]\nname = {_WELL.format(A=A)}\n")
+        manifest = parse_config(config)
+        grid, bg = cli.build_background(manifest)
+        assume(np.count_nonzero(grid.nodes >= R_max / 4.0) >= 8)  # scalar-flat reads a mass
+        args = ["--config", str(config), "--out", str(config.parent / "o")]
+        rc_sign, rc_flat = main(["yamabe-sign", *args]), main(["scalar-flat", *args])
+        run = RunContext(None, manifest, grid, bg, [], False)
+        if rc_sign == 0:
+            sign = yamabe_sign(bg)
+            assert sign.sign == POSITIVE and verify_certificate(sign, bg)
+            assert rc_flat == 0 and run.limit is not None
+        else:
+            assert (rc_sign, rc_flat) == (3, 3)
+            with pytest.raises(ConvergenceError):
+                run.limit
 
 
 def _elliptic_command(tmp_path, command, background):

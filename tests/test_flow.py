@@ -16,7 +16,6 @@ from ylab.elliptic import compute_R, curvature
 from ylab.errors import ConfigError, FlowSingularityError, MassUndefinedError
 from ylab.flow import (
     LP_FIELDS,
-    ROUNDOFF_TARGET,
     Evaluation,
     FlowConfig,
     FlowState,
@@ -41,8 +40,8 @@ from ylab.grids import (
     sphere_volume,
     trapezoid_weights,
 )
-from ylab.operators import (BoundaryLaplacian, boundary_laplacian, conformal_laplacian,
-                            initial_inner_flux)
+from ylab.operators import (STALL_CEILING, BoundaryLaplacian, boundary_laplacian,
+                            conformal_laplacian, initial_inner_flux)
 
 
 def _evaluated(u: np.ndarray, P) -> Evaluation:
@@ -71,11 +70,11 @@ def _roundoff_scale(u, bg, lap, dt):
 
 
 def _flow_identity_gap(state, bg):
-    """(|(u+ - u)/dt + ((n-2)/4) R[u+] u+|, 4 ROUNDOFF_TARGET s/dt) per node after one step.
+    """(|(u+ - u)/dt + ((n-2)/4) R[u+] u+|, STALL_CEILING s/dt) per node after one step.
 
     The step and R share the operator a run builds from the state's wall
-    flux.  An accepted step's residual is at most 4 ROUNDOFF_TARGET times
-    the step's round-off level s at every node, which bounds the gap times dt.
+    flux.  An accepted step's residual is at most STALL_CEILING times the
+    step's round-off level s at every node, which bounds the gap times dt.
     """
     P = conformal_laplacian(bg, initial_inner_flux(state.u))
     new = _step(state, FlowConfig(dt0=state.dt), P)
@@ -84,7 +83,7 @@ def _flow_identity_gap(state, bg):
     c = 0.25 * (bg.grid.n - 2)
     R = compute_R(new.u, bg, P).values
     gap = np.abs((new.u.values - state.u.values) / dt + c * R * new.u.values)
-    return gap, 4.0 * ROUNDOFF_TARGET * _roundoff_scale(state.u.values, bg, P.lap, dt) / dt
+    return gap, STALL_CEILING * _roundoff_scale(state.u.values, bg, P.lap, dt) / dt
 
 
 def heat_kernel(r, s):
@@ -162,7 +161,7 @@ class TestStep:
     @pytest.mark.parametrize("n, amplitude", [(5, 0.0), (3, -50.0)],
                              ids=["n5-bump", "synthetic-A-50"])
     def test_every_accepted_step_is_at_its_rowwise_roundoff(self, monkeypatch, n, amplitude):
-        # |F_i| <= 4 ROUNDOFF_TARGET s_i at every node of every accepted step,
+        # |F_i| <= STALL_CEILING s_i at every node of every accepted step,
         # F the backward-Euler residual written out here; the late steps of
         # the n = 5 bump carry far-field change close to round-off
         import ylab.flow as flow_module
@@ -196,40 +195,41 @@ class TestStep:
             dt = before.dt * 0.5**k
             u, v = before.u.values, after.u.values
             F = v - u + dt * c * v ** (1.0 - N) * (R0 * v - a * lap.apply(v))
-            assert np.all(np.abs(F) <= 4.0 * ROUNDOFF_TARGET * _roundoff_scale(u, bg, lap, dt))
+            assert np.all(np.abs(F) <= STALL_CEILING * _roundoff_scale(u, bg, lap, dt))
 
     def test_roundoff_stall_skips_backtracking_sweep(self, monkeypatch):
         # with the target below the level Newton reaches (about one round-off
         # unit on this bump), every solve stalls between the target and
-        # 4 ROUNDOFF_TARGET, which damped_newton receives as its floor: it is
-        # accepted after one failed candidate, without a backtracking sweep
+        # STALL_CEILING: it is accepted after one failed candidate, without a
+        # backtracking sweep
         import ylab.flow as flow_module
+        import ylab.operators as operators
 
         solves = []
         damped_newton = flow_module.damped_newton
 
-        def recording(u0, residual_fn, jacobian_fn, tol, *args, **kwargs):
+        def recording(u0, residual_fn, *args):
             evals = [0]
 
             def counted(v):
                 evals[0] += 1
                 return residual_fn(v)
 
-            out = damped_newton(u0, counted, jacobian_fn, tol, *args, **kwargs)
-            solves.append((evals[0], out[1], tol, kwargs["floor"]))
+            out = damped_newton(u0, counted, *args)
+            solves.append((evals[0], out[1]))
             return out
 
         monkeypatch.setattr(flow_module, "damped_newton", recording)
-        monkeypatch.setattr(flow_module, "ROUNDOFF_TARGET", 0.5)
+        monkeypatch.setattr(operators, "ROUNDOFF_TARGET", 0.5)
         g = build_grid(3, 0.0, 512.0, 1024, LOG_STRETCHED)
         cfg = FlowConfig(dt0=1e-3, dt_max=0.25, t_end=10.0, monitor_every=2)
         res = run_flow(make_flat_background(g), gaussian_bump_data(g, 0.2, 1.0), cfg)
         # one solve per step: no attempt was rejected
         assert len(solves) == res.checkpoints[-1].step_index > 0
         assert res.work.halvings == 0
-        assert all(floor == 2.0 and tol < rn <= floor for _, rn, tol, floor in solves)
+        assert all(0.5 < rn <= STALL_CEILING for _, rn in solves)
         assert res.work.stalled_solves == len(solves)
-        assert sum(evals for evals, _, _, _ in solves) / len(solves) <= 8.0
+        assert sum(evals for evals, _ in solves) / len(solves) <= 8.0
 
 
 def _well_state():
@@ -277,8 +277,9 @@ class TestImplicitResidual:
         # step of the bump stalls: the last candidate evaluated is rejected,
         # and the Evaluation returned must still be the accepted factor's
         import ylab.flow as flow_module
+        import ylab.operators as operators
 
-        monkeypatch.setattr(flow_module, "ROUNDOFF_TARGET", 0.5)
+        monkeypatch.setattr(operators, "ROUNDOFF_TARGET", 0.5)
         g = build_grid(3, 0.0, 512.0, 1024, LOG_STRETCHED)
         bg, u0 = make_flat_background(g), gaussian_bump_data(g, 0.2, 1.0)
         P = conformal_laplacian(bg, initial_inner_flux(u0))
@@ -323,7 +324,7 @@ class TestHeatKernelOracle:
         for dt in (0.02, 0.01, 0.0025):
             cfg = FlowConfig(
                 dt0=dt, dt_max=dt, safety=1.0, t_end=1.0,
-                monitor_every=10**9, checkpoint_every=10**9, newton_tol=1e-13,
+                monitor_every=10**9, checkpoint_every=10**9,
             )
             final = run_flow(bg, u0, cfg).checkpoints[-1]
             exact = 1.0 + eps * heat_kernel(g.nodes, 1.0 + 2.0 * final.t)

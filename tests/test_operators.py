@@ -14,12 +14,13 @@ from ylab import operators
 from ylab.backgrounds import (make_flat_background, make_profile_background,
                               make_synthetic_background)
 from ylab.grids import LOG_STRETCHED, RadialField, build_grid
-from ylab.operators import (_MAX_BACKTRACKS, boundary_laplacian, conformal_laplacian, damped_newton,
-                            solve_tridiagonal)
+from ylab.operators import (_MAX_BACKTRACKS, ROUNDOFF_TARGET, STALL_CEILING, boundary_laplacian,
+                            conformal_laplacian, damped_newton, solve_tridiagonal)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-LEVEL = 1e-10  # round-off floor of the synthetic residual
+ROOT = 2.0**40  # root of the floored residual; below it float64 is spaced 2^-13 apart
+SCALE = 4e12  # arctan residuals times SCALE meet ROUNDOFF_TARGET where |arctan| <= 1e-12
 
 
 def counting(residual_fn):
@@ -33,62 +34,79 @@ def counting(residual_fn):
     return wrapped, points
 
 
-def floored_residual(v):
-    # root at v = 2, but no residual below LEVEL is representable
-    return np.maximum(np.abs(v - 2.0), LEVEL)
+def floored_residual(level):
+    # root at v = ROOT, but no residual below level is representable
+    return lambda v: np.maximum(np.abs(v - ROOT), level)
 
 
 def identity_jacobian(v):
     return np.zeros(v.size - 1), np.ones(v.size), np.zeros(v.size - 1)
 
 
+def rescaled_floor(s, level):
+    """A residual with root 2 and raw floor s * level, divided by the row level s."""
+    def jacobian(v):
+        return tuple(band / s for band in identity_jacobian(v))
+
+    return (lambda v: np.maximum(np.abs(v - 2.0) / s, level)), jacobian
+
+
+def scaled_arctan(v):
+    return SCALE * np.arctan(v - 10.0)
+
+
+def scaled_arctan_jacobian(v):
+    return np.zeros(0), SCALE / (1.0 + (v - 10.0) ** 2), np.zeros(0)
+
+
 class TestDampedNewton:
-    @pytest.mark.parametrize("floor", [LEVEL, 10.0 * LEVEL])
+    @pytest.mark.parametrize("floor", [1e-10, 1e-9])
     def test_floor_ends_stall_after_one_failed_candidate(self, floor):
-        fn, points = counting(floored_residual)
-        u, rn, iterations, converged = damped_newton(
-            np.full(4, 3.0), fn, identity_jacobian, tol=1e-14, max_iter=25, floor=floor
-        )
-        # initial residual, the accepted full step onto the floor, one failed
-        # candidate; the evaluation returned is the accepted iterate's
-        assert len(points) == 3
-        assert (rn, iterations, converged) == (LEVEL, 2, False)
-        assert np.all(u == 2.0) and not np.any(points[-1] == 2.0)
+        # a residual whose raw values cannot fall below floor, divided by a
+        # row round-off level that puts the floor at level: above
+        # ROUNDOFF_TARGET and at most STALL_CEILING, at any raw scale
+        for level in (10.0, STALL_CEILING):
+            residual_fn, jacobian_fn = rescaled_floor(floor / level, level)
+            fn, points = counting(residual_fn)
+            u, rn, iterations, converged = damped_newton(
+                np.full(4, 3.0), fn, jacobian_fn, max_iter=25
+            )
+            # initial residual, the accepted full step onto the floor, one
+            # failed candidate; the evaluation returned is the accepted iterate's
+            assert ROUNDOFF_TARGET < level <= STALL_CEILING
+            assert len(points) == 3
+            assert (rn, iterations, converged) == (level, 2, False)
+            assert np.all(u == 2.0) and not np.any(points[-1] == 2.0)
 
     @pytest.mark.parametrize("max_backtracks", [_MAX_BACKTRACKS])
-    def test_zero_floor_runs_full_sweep(self, max_backtracks):
-        # floor = 0 halves on past failed candidates until the step rounds
-        # away: 2 - lam * LEVEL equals 2.0 from lam = 2^-20 on, so the sweep
-        # evaluates the initial point, the accepted step onto the floor and
-        # 20 candidates, none of them equal to the iterate
-        fn, points = counting(floored_residual)
+    def test_stall_above_the_ceiling_runs_full_sweep(self, max_backtracks):
+        # a floor above STALL_CEILING halves on past failed candidates until
+        # the step rounds away: ROOT - lam * 20 equals ROOT from lam = 2^-19
+        # on, so the sweep evaluates the initial point, the accepted step
+        # onto the floor and 19 candidates, none of them equal to the iterate
+        level = 20.0
+        fn, points = counting(floored_residual(level))
         u, rn, iterations, converged = damped_newton(
-            np.full(4, 3.0), fn, identity_jacobian, tol=1e-14, max_iter=25
+            np.full(4, ROOT + 1000.0), fn, identity_jacobian, max_iter=25
         )
-        distinct = [k for k in range(max_backtracks) if 2.0 - 0.5**k * LEVEL != 2.0]
-        assert distinct == list(range(20))
-        assert len(points) == 2 + len(distinct) == 22
-        assert not any(np.any(point == 2.0) for point in points[2:])
-        assert (rn, iterations, converged) == (LEVEL, 2, False)
-        assert np.all(u == 2.0)
+        distinct = [k for k in range(max_backtracks) if ROOT - 0.5**k * level != ROOT]
+        assert level > STALL_CEILING and distinct == list(range(19))
+        assert len(points) == 2 + len(distinct) == 21
+        assert not any(np.any(point == ROOT) for point in points[2:])
+        assert (rn, iterations, converged) == (level, 2, False)
+        assert np.all(u == ROOT)
 
     def test_residual_above_floor_still_backtracks(self):
         # full Newton steps overshoot arctan's root at 10; from 12 the full
         # step is rejected and the half step accepted
-        fn, points = counting(lambda v: np.arctan(v - 10.0))
-
-        def jacobian_fn(v):
-            return np.zeros(0), 1.0 / (1.0 + (v - 10.0) ** 2), np.zeros(0)
-
+        fn, points = counting(scaled_arctan)
         u0 = np.array([12.0])
         delta = -np.arctan(2.0) * 5.0
-        u, rn, _, converged = damped_newton(
-            u0, fn, jacobian_fn, tol=1e-12, max_iter=25, floor=1e-3
-        )
+        u, rn, _, converged = damped_newton(u0, fn, scaled_arctan_jacobian, max_iter=25)
         assert points[1][0] == pytest.approx(u0[0] + delta, rel=1e-15)
         assert points[2][0] == pytest.approx(u0[0] + 0.5 * delta, rel=1e-15)
         assert converged
-        assert rn <= 1e-12
+        assert rn <= ROUNDOFF_TARGET
         assert u[0] == pytest.approx(10.0, abs=1e-12)
 
     @pytest.mark.parametrize("floor", [0.0, 1e-3])
@@ -96,31 +114,36 @@ class TestDampedNewton:
         # arctan steps overshoot from 12, so candidates are rejected before a
         # half step is accepted; every Jacobian call must receive the
         # evaluation returned with the current iterate, which is also the
-        # last one the residual returned
-        tol = 1e-12
+        # last one the residual returned.  floor is an error the residual
+        # carries besides its round-off 1 / SCALE: it raises the row's level,
+        # so a coarser iterate converges and the stall rule sets in sooner
+        scale = 1.0 / (1.0 / SCALE + floor)
         calls = []
+
+        def rescaled_arctan(v):
+            return scale * np.arctan(v - 10.0)
 
         def residual_fn(v):
             e = (v.copy(),)  # a new evaluation object per call
             calls.append(("residual", e))
-            return np.arctan(v - 10.0), e
+            return rescaled_arctan(v), e
 
         def jacobian_fn(e):
             calls.append(("jacobian", e))
             (v,) = e
-            return np.zeros(0), 1.0 / (1.0 + (v - 10.0) ** 2), np.zeros(0)
+            return np.zeros(0), scale / (1.0 + (v - 10.0) ** 2), np.zeros(0)
 
         e, _, iterations, converged = damped_newton(
-            np.array([12.0]), residual_fn, jacobian_fn, tol=tol, max_iter=25, floor=floor
+            np.array([12.0]), residual_fn, jacobian_fn, max_iter=25
         )
         assert converged
         # the current iterate, replayed: a candidate replaces it when it
-        # reduces the residual or meets tol
+        # reduces the residual or meets ROUNDOFF_TARGET
         current, rn, rejected = None, np.inf, 0
         for i, (kind, ev) in enumerate(calls):
             if kind == "residual":
-                crn = abs(float(np.arctan(ev[0][0] - 10.0)))
-                if crn < rn or crn <= tol:
+                crn = abs(float(rescaled_arctan(ev[0])[0]))
+                if crn < rn or crn <= ROUNDOFF_TARGET:
                     current, rn = ev, crn
                 else:
                     rejected += 1
@@ -131,37 +154,32 @@ class TestDampedNewton:
         assert sum(kind == "jacobian" for kind, _ in calls) == iterations
         assert rejected > 0
 
-    @pytest.mark.parametrize("floor", [0.0, 1e-3])
-    def test_iterates_stay_positive_when_the_full_step_crosses_zero(self, floor):
+    def test_iterates_stay_positive_when_the_full_step_crosses_zero(self):
         # f(v) = 1 - 1/v has its root at 1; from 3 and 4 the full Newton
         # steps land at -3 and -8, so only a damped step may be taken
-        fn, points = counting(lambda v: 1.0 - 1.0 / v)
+        fn, points = counting(lambda v: SCALE * (1.0 - 1.0 / v))
 
         def jacobian_fn(v):
-            return np.zeros(v.size - 1), v**-2.0, np.zeros(v.size - 1)
+            return np.zeros(v.size - 1), SCALE * v**-2.0, np.zeros(v.size - 1)
 
         u0 = np.array([3.0, 4.0])
         assert np.all(u0 - (1.0 - 1.0 / u0) * u0**2 < 0.0)
-        u, rn, _, converged = damped_newton(
-            u0, fn, jacobian_fn, tol=1e-12, max_iter=25, floor=floor
-        )
+        u, rn, _, converged = damped_newton(u0, fn, jacobian_fn, max_iter=25)
         assert all(np.min(v) > 0.0 for v in points)  # no residual at a nonpositive point
         assert np.min(u) > 0.0
-        assert converged and rn <= 1e-12
+        assert converged and rn <= ROUNDOFF_TARGET
         assert u == pytest.approx([1.0, 1.0], abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 5])
     def test_singular_jacobian_stops_without_a_step(self, m):
-        fn, points = counting(lambda v: v - 2.0)
+        fn, points = counting(lambda v: 10.0 * (v - 2.0))  # above ROUNDOFF_TARGET at 3
 
         def singular_jacobian(v):
             return np.zeros(v.size - 1), np.zeros(v.size), np.zeros(v.size - 1)
 
         u0 = np.full(m, 3.0)
-        u, rn, iterations, converged = damped_newton(
-            u0, fn, singular_jacobian, tol=1e-12, max_iter=25
-        )
-        assert (rn, iterations, converged) == (1.0, 0, False)
+        u, rn, iterations, converged = damped_newton(u0, fn, singular_jacobian, max_iter=25)
+        assert (rn, iterations, converged) == (10.0, 0, False)
         assert np.array_equal(u, u0)
         assert len(points) == 1
 
