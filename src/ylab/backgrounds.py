@@ -21,8 +21,6 @@ positive factor u0 -> 1 as a RadialField.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, FitDomainError, ParameterError
@@ -34,19 +32,17 @@ def conformal_exponents(n: int) -> tuple[float, float]:
     return 4.0 * (n - 1.0) / (n - 2.0), (n + 2.0) / (n - 2.0)
 
 
-@dataclass(frozen=True, eq=False)
 class BackgroundSpec:
     """An AF background on the grid of its profile R0(r), with decay order tau."""
 
-    tau: float
-    r0_profile: RadialField
-    name: str
-    decay_constant: float
-
-    def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ConfigError(f"decay order tau must be positive, got {self.tau}")
-        check_decay(self.r0_profile, 2.0 + self.tau, self.decay_constant)
+    def __init__(self, tau: float, r0_profile: RadialField, name: str, decay_constant: float):
+        if tau <= 0.0:
+            raise ConfigError(f"decay order tau must be positive, got {tau}")
+        check_decay(r0_profile, 2.0 + tau, decay_constant)
+        self.tau = tau
+        self.r0_profile = r0_profile
+        self.name = name
+        self.decay_constant = decay_constant
 
     @property
     def grid(self) -> RadialGrid:

@@ -11,6 +11,12 @@ A sweep is a loop of `simulate --config` and one `report` over its run
 directories.  The elliptic commands write their fields in the checkpoint
 series' binary layout (write_field_npy).
 
+Each command is a fresh process, so importing this module loads only what
+every command runs: `report` alone imports `diagnostics`, `report --plots`
+alone `svgplot`, and scipy's LAPACK module loads at the first tridiagonal
+solve (module operators).  The run and solve records are NamedTuples or
+plain classes, which cost a fraction of a dataclass to build at import.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure or halt,
 4 audit failure.
 """
@@ -24,13 +30,11 @@ import math
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics as diag
 from .backgrounds import (
     background_from_name,
     bump_source,
@@ -66,7 +70,6 @@ from .flow import (
     valid_time_horizon,
 )
 from .grids import RadialField, build_grid, truncation_tail_bound, write_field_csv
-from .svgplot import svg_line_chart
 
 _GRID_DEFAULTS = {"n": 3, "r_in": 0.0, "R_max": 256.0, "M": 1024, "policy": "log-stretched"}
 
@@ -86,17 +89,14 @@ _SCHEMA = {
     "grid": {key.lower() for key in _GRID_DEFAULTS},
     "background": {"name"},
     "initial": {"family"}.union(*(defaults for defaults, _ in _FAMILIES.values())),
-    "flow": {f.name for f in fields(FlowConfig)},
+    "flow": set(FlowConfig._fields),
 }
 
 # `prescribe` targets -PRESCRIBE_AMPLITUDE (1 + r^2)^(-(2+tau)/2)
 PRESCRIBE_AMPLITUDE = 0.1
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one run."""
-
+class _ManifestFields(typing.NamedTuple):
     run_id: str
     background: str
     initial_data: dict
@@ -104,10 +104,22 @@ class RunManifest:
     flow: FlowConfig
     seed: int | None = None
 
-    def __post_init__(self):
+
+class RunManifest(_ManifestFields):
+    """Everything needed to reproduce one run; its run_id is checked when built (also by _replace)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # the id names the run directory, which must stay inside the output root
         if self.run_id in ("", ".", "..") or any(sep in self.run_id for sep in "/\\"):
             raise ConfigError(f"[run] id {self.run_id!r} is not a plain directory name")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _slug(text: str) -> str:
@@ -166,8 +178,8 @@ def parse_config_text(text: str, source: str = "<config>") -> RunManifest:
 
     hints = typing.get_type_hints(FlowConfig)
     flow = FlowConfig(**{
-        f.name: _get(cp, "flow", f.name, _flow_cast(hints[f.name]), f.default)
-        for f in fields(FlowConfig)
+        name: _get(cp, "flow", name, _flow_cast(hints[name]), default)
+        for name, default in FlowConfig._field_defaults.items()
     })
     run_id = _get(cp, "run", "id", str, None) or _slug(f"{background}-{family}")
     seed = _get(cp, "run", "seed", int, None)
@@ -208,7 +220,7 @@ def serialize_manifest(manifest: RunManifest) -> str:
             "family": family,
             **{key: manifest.initial_data[key] for key in _FAMILIES[family][0]},
         },
-        "flow": asdict(manifest.flow),
+        "flow": manifest.flow._asdict(),
     }
     if manifest.seed is not None:
         sections["run"]["seed"] = manifest.seed
@@ -238,14 +250,13 @@ def build_run(manifest: RunManifest):
 
 def write_monitor_csv(path, records, n: int) -> None:
     """One row per record: its fields in order, under the header monitor_columns(n)."""
-    names = [f.name for f in fields(MonitorRecord)]
     lines = [
         f"# one row per monitor record; wsup_R = sup max(r,1)^{TAU_PRIME:g} |R|"
         " (boundary stencil nodes excluded), lpR_p<x> = integral of |R|^p dV_t",
         ",".join(monitor_columns(n)),
     ]
     for rec in records:
-        lines.append(",".join(f"{getattr(rec, name):.17g}" for name in names))
+        lines.append(",".join(f"{value:.17g}" for value in rec))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -403,7 +414,7 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
             "max_u_final": last.max_u,
             "steps": final.step_index,
             "valid_t_max": valid_time_horizon(grid),
-            **asdict(result.work),
+            **vars(result.work),
         },
     )
     (rundir / "config.ini").write_text(serialize_manifest(manifest))
@@ -413,7 +424,6 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
 # ---------------------------------------------------------------------------
 # report
 
-@dataclass
 class RunContext:
     """One run as the audits read it.
 
@@ -421,14 +431,15 @@ class RunContext:
     loads on its first call.
     """
 
-    rundir: Path | None
-    manifest: RunManifest
-    grid: object
-    bg: object
-    records: list
-    halted: bool
-
-    _checkpoints: list | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, rundir: Path | None, manifest: RunManifest, grid, bg, records: list,
+                 halted: bool):
+        self.rundir = rundir
+        self.manifest = manifest
+        self.grid = grid
+        self.bg = bg
+        self.records = records
+        self.halted = halted
+        self._checkpoints = None
 
     def checkpoints(self):
         """Checkpoints in step order (each unpacks as (t, u)), read on the first call only."""
@@ -471,23 +482,32 @@ def load_run(rundir) -> RunContext:
     return RunContext(rundir, manifest, grid, bg, records, halted)
 
 
+def _diag():
+    """Module diagnostics, which only report imports: the other commands never load it."""
+    from . import diagnostics
+
+    return diagnostics
+
+
 # audit name -> its verdict on a run, from the diagnostics gate of that claim
 # (convergence, the one reader of the checkpoints, reads them first: an
 # unreadable series is a ConfigError even when Y <= 0)
 _AUDITS = {
-    "fixed-point": lambda ctx: diag.fixed_point_audit(ctx.records, ctx.grid),
-    "mass-drift": lambda ctx: diag.mass_drift_audit(ctx.records),
-    "lp-monotone": lambda ctx: diag.lp_monotone_audit(ctx.records, ctx.grid.n),
-    "lp-monotone-window": lambda ctx: diag.lp_window_audit(ctx.records, ctx.grid.n),
-    "min-r-monotone": lambda ctx: diag.min_r_audit(ctx.records, ctx.grid),
-    "sup-r-decay": lambda ctx: diag.sup_r_decay_audit(ctx.records, ctx.grid),
-    "convergence": lambda ctx: diag.convergence_to_limit(ctx.checkpoints(), ctx.limit, ctx.bg),
-    "mass-drop": lambda ctx: diag.mass_drop_report(ctx.records, ctx.limit, ctx.grid),
-    "spacetime-decay": lambda ctx: diag.spacetime_decay_audit(
+    "fixed-point": lambda ctx: _diag().fixed_point_audit(ctx.records, ctx.grid),
+    "mass-drift": lambda ctx: _diag().mass_drift_audit(ctx.records),
+    "lp-monotone": lambda ctx: _diag().lp_monotone_audit(ctx.records, ctx.grid.n),
+    "lp-monotone-window": lambda ctx: _diag().lp_window_audit(ctx.records, ctx.grid.n),
+    "min-r-monotone": lambda ctx: _diag().min_r_audit(ctx.records, ctx.grid),
+    "sup-r-decay": lambda ctx: _diag().sup_r_decay_audit(ctx.records, ctx.grid),
+    "convergence": lambda ctx: _diag().convergence_to_limit(
+        ctx.checkpoints(), ctx.limit, ctx.bg
+    ),
+    "mass-drop": lambda ctx: _diag().mass_drop_report(ctx.records, ctx.limit, ctx.grid),
+    "spacetime-decay": lambda ctx: _diag().spacetime_decay_audit(
         ctx.records, ctx.halted, ctx.limit
     ),
-    "blowup": lambda ctx: diag.blowup_audit(ctx.records, ctx.halted),
-    "lp-inequality": lambda ctx: diag.lp_inequality_audit(ctx.records, ctx.grid.n),
+    "blowup": lambda ctx: _diag().blowup_audit(ctx.records, ctx.halted),
+    "lp-inequality": lambda ctx: _diag().lp_inequality_audit(ctx.records, ctx.grid.n),
 }
 
 
@@ -496,8 +516,8 @@ _CONFIG_ERRORS = (ConfigError, ParameterError)
 _NUMERICAL_ERRORS = (ConvergenceError, NonPositiveYamabeError, FlowSingularityError)
 
 
-def _run_audit(name: str, ctx: RunContext) -> diag.Verdict:
-    """One audit's verdict; an audit that cannot be computed from the run fails it.
+def _run_audit(name: str, ctx: RunContext):
+    """One audit's diagnostics.Verdict; an audit that cannot be computed from the run fails it.
 
     Such an audit (say, a decay fit with too few points in its window)
     reports the reason in details.error.  Errors with an exit code of their
@@ -508,7 +528,7 @@ def _run_audit(name: str, ctx: RunContext) -> diag.Verdict:
     except _CONFIG_ERRORS + _NUMERICAL_ERRORS:
         raise
     except YlabError as exc:
-        return diag.Verdict(name, False, {"error": str(exc)})
+        return _diag().Verdict(name, False, {"error": str(exc)})
 
 
 def cmd_report(run_dirs, audits, out=None, plots=False) -> int:
@@ -535,15 +555,18 @@ def cmd_report(run_dirs, audits, out=None, plots=False) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot write the report to {out_path}: {exc}") from exc
     # charts only after the report, so a report that cannot be written leaves none
-    for run_id, rundir, ts, ys in charts:
-        try:
-            svg_line_chart(
-                rundir / "sup_R.svg", ts, ys,
-                title=f"{run_id}: sup |R|",
-                xlabel="t", ylabel="sup |R|",
-            )
-        except ValueError as exc:
-            print(f"{run_id}: no sup_R.svg chart: {exc}")
+    if charts:
+        from .svgplot import svg_line_chart  # only --plots loads the chart writer
+
+        for run_id, rundir, ts, ys in charts:
+            try:
+                svg_line_chart(
+                    rundir / "sup_R.svg", ts, ys,
+                    title=f"{run_id}: sup |R|",
+                    xlabel="t", ylabel="sup |R|",
+                )
+            except ValueError as exc:
+                print(f"{run_id}: no sup_R.svg chart: {exc}")
 
     width = max([len("audit")] + [len(v["name"]) for run in runs for v in run["audits"]])
     print(f"{'run':<32} {'audit':<{width}} {'result':<8} detail")
@@ -576,6 +599,12 @@ def _short_detail(details: dict) -> str:
 # ---------------------------------------------------------------------------
 # elliptic subcommands
 
+def _write_failed_solve(outdir, exc) -> None:
+    """solve_report.json of a failed solve: its SolveReport, if it carries one, and the error."""
+    report = exc.report._asdict() if exc.report is not None else {"converged": False}
+    _write_json(outdir / "solve_report.json", {**report, "error": str(exc)})
+
+
 def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
     grid, bg = build_background(manifest)
     far_field_window(grid)  # before any output: the report holds the limit's mass
@@ -583,10 +612,9 @@ def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
     try:
         u_inf, report = solve_scalar_flat(bg)
     except (NonPositiveYamabeError, ConvergenceError) as exc:
-        report = asdict(exc.report) if exc.report is not None else {"converged": False}
         if exc.solution is not None:
             write_field_npy(exc.solution, outdir / "u_inf.npy")
-        _write_json(outdir / "solve_report.json", {**report, "error": str(exc)})
+        _write_failed_solve(outdir, exc)
         print(f"scalar-flat: no positive solution ({exc})")
         return 3
     write_field_npy(u_inf, outdir / "u_inf.npy")
@@ -594,7 +622,7 @@ def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
     _write_json(
         outdir / "solve_report.json",
         {
-            **asdict(report),
+            **report._asdict(),
             "mass_of_limit": adm_mass(u_inf),
             # None when the R0 tail is not integrable against r^{n-1} dr
             "r0_truncation_tail_bound": tail if math.isfinite(tail) else None,
@@ -605,9 +633,14 @@ def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
 
 
 def cmd_yamabe_sign(manifest: RunManifest, out_root) -> int:
+    """Write sign.json and the certificate, or on a numerical failure (exit 3) solve_report.json."""
     grid, bg = build_background(manifest)
     outdir = _outdir(out_root, f"yamabe-sign-{_slug(bg.name)}")
-    result = yamabe_sign(bg)
+    try:
+        result = yamabe_sign(bg)
+    except ConvergenceError as exc:
+        _write_failed_solve(outdir, exc)
+        raise
     write_field_npy(result.certificate, outdir / "certificate.npy")
     payload = {
         "sign": result.sign,
@@ -616,7 +649,7 @@ def cmd_yamabe_sign(manifest: RunManifest, out_root) -> int:
         "trial_params": list(result.trial_params) if result.trial_params else None,
     }
     if result.report is not None:
-        payload["solve_report"] = asdict(result.report)
+        payload["solve_report"] = result.report._asdict()
     _write_json(outdir / "sign.json", payload)
     print(f"yamabe-sign: {result.sign}"
           + (" (low confidence)" if result.low_confidence else "")
@@ -638,7 +671,7 @@ def cmd_prescribe(manifest: RunManifest, out_root) -> int:
         return 3
     write_field_csv(phi, outdir / "phi.csv")
     write_field_npy(target, outdir / "target.npy")
-    _write_json(outdir / "solve_report.json", asdict(report))
+    _write_json(outdir / "solve_report.json", report._asdict())
     print(f"prescribe: converged in {report.iterations} Newton steps")
     return 0
 
@@ -656,8 +689,7 @@ def _manifest_from_args(args) -> RunManifest:
     else:
         manifest = parse_config_text("")
     if getattr(args, "background", None):
-        manifest = replace(
-            manifest,
+        manifest = manifest._replace(
             background=args.background,
             run_id=_slug(f"{args.background}-{manifest.initial_data['family']}"),
         )

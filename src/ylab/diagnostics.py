@@ -16,7 +16,6 @@ through them.  The audits that need the scalar-flat limit take it as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,14 +31,15 @@ NONDECREASING = "nondecreasing"
 DELTA0 = 0.1
 
 
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of one audit: pass/fail, or skipped with a reason."""
 
-    name: str
-    passed: bool | None
-    details: dict = field(default_factory=dict)
-    skipped_reason: str | None = None
+    def __init__(self, name: str, passed: bool | None, details: dict | None = None,
+                 skipped_reason: str | None = None):
+        self.name = name
+        self.passed = passed
+        self.details = {} if details is None else details
+        self.skipped_reason = skipped_reason
 
     def to_json(self) -> dict:
         return {

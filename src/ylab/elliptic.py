@@ -13,7 +13,8 @@ limit of a run share one scalar-flat verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +50,7 @@ _TRIAL_CENTERS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
 _TRIAL_WIDTHS = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     """Outcome of an elliptic solve.
 
     final_residual is the raw max-norm residual F of the discrete equation;
@@ -65,8 +65,7 @@ class SolveReport:
     scaled_residual: float
 
 
-@dataclass(frozen=True, eq=False)
-class YamabeSign:
+class YamabeSign(NamedTuple):
     """Sign of the Yamabe constant with a checkable certificate.
 
     Positive carries the scalar-flat factor (min > 0, each row's residual
@@ -223,7 +222,10 @@ def yamabe_sign(bg: BackgroundSpec) -> YamabeSign:
     truncated-Gaussian trials for a certificate with quotient <= 0.  Each
     trial is evaluated on its nodes r < cut <= R_max/2 only, and
     yamabe_quotient sums it over its support with the grid's dV and
-    face_weights, built once for the scan.
+    face_weights, built once for the scan.  Raises ConvergenceError when
+    the scalar-flat factor underflows (solve_scalar_flat) or when the best
+    trial's quotient is not a finite float64, say -inf where the sum of
+    R0 v^2 overflows: neither certifies a sign.
     """
     try:
         u_inf, report = solve_scalar_flat(bg)
@@ -243,6 +245,9 @@ def yamabe_sign(bg: BackgroundSpec) -> YamabeSign:
             q = yamabe_quotient(v, bg)
             if q < best_q:
                 best_q, best_v, best_params = q, v, params
+    if best_v is not None and not math.isfinite(best_q):
+        raise ConvergenceError(f"the best trial's Yamabe quotient is {best_q}, not a finite"
+                               " float64: it certifies no sign")
     if best_v is not None and best_q <= 0.0:
         return YamabeSign(
             sign=NON_POSITIVE, certificate=best_v, quotient=best_q, trial_params=best_params

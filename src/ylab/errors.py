@@ -39,7 +39,8 @@ class HypothesisViolationError(YlabError):
 
 
 class ConvergenceError(YlabError):
-    """Newton stagnated or ran out of iterations, or a scalar-flat factor underflowed.
+    """Newton stagnated or ran out of iterations, a scalar-flat factor underflowed,
+    or the best Yamabe trial quotient is not a finite float64.
 
     The scalar-flat one carries the solution and its SolveReport.
     """

@@ -41,7 +41,6 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -73,7 +72,7 @@ LP_FIELDS = ("lp_lo", "lp_half", "lp_hi")
 def monitor_columns(n: int) -> list:
     """The monitor.csv header in dimension n: the MonitorRecord fields, lp fields as lpR_p<p>."""
     lp_columns = {name: f"lpR_p{p:g}" for name, p in zip(LP_FIELDS, default_p_list(n))}
-    return [lp_columns.get(f.name, f.name) for f in fields(MonitorRecord)]
+    return [lp_columns.get(name, name) for name in MonitorRecord._fields]
 
 
 # weight exponent tau' of the monitored sup max(r,1)^{tau'} |R|
@@ -85,8 +84,7 @@ def valid_time_horizon(grid: RadialGrid) -> float:
     return grid.R_max**2 / (16.0 * (grid.n - 1.0))
 
 
-@dataclass(frozen=True)
-class FlowConfig:
+class _FlowFields(NamedTuple):
     dt0: float = 1e-3
     dt_max: float | None = None
     newton_max: int = 25
@@ -96,7 +94,14 @@ class FlowConfig:
     safety: float = 1.3
     stop_max_u: float | None = None
 
-    def __post_init__(self):
+
+class FlowConfig(_FlowFields):
+    """The [flow] settings of a run, checked when built (also by _replace)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.dt0 <= 0.0:
             raise ConfigError(f"dt0 must be positive, got {self.dt0}")
         if self.dt_max is not None and self.dt_max < self.dt0:
@@ -111,9 +116,13 @@ class FlowConfig:
             raise ConfigError("safety factor must be >= 1")
         if self.stop_max_u is not None and self.stop_max_u <= 0.0:
             raise ConfigError(f"stop_max_u must be positive, got {self.stop_max_u}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
 class FlowState:
     """The positive factor at one step, with the dt its next step tries.
 
@@ -121,29 +130,19 @@ class FlowState:
     the diagnostics.
     """
 
-    t: float
-    u: RadialField
-    dt: float
-    step_index: int
-
-    def __post_init__(self):
-        if np.min(self.u.values) <= 0.0:
-            raise PositivityError(f"conformal factor lost positivity at t={self.t}")
+    def __init__(self, t: float, u: RadialField, dt: float, step_index: int):
+        if np.min(u.values) <= 0.0:
+            raise PositivityError(f"conformal factor lost positivity at t={t}")
+        self.t = t
+        self.u = u
+        self.dt = dt
+        self.step_index = step_index
 
     def __iter__(self):
         return iter((self.t, self.u))
 
 
-@dataclass(frozen=True)
-class MonitorRecord:
-    """One time slice of every audited quantity.
-
-    wsup_R is sup max(r,1)^{TAU_PRIME} |R|; the LP_FIELDS lp_lo, lp_half and
-    lp_hi are the integrals of |R|^p against dV_t at the p of default_p_list
-    (the monotone quantities themselves, not their p-th roots).  Extrema of
-    R exclude the boundary-condition nodes (grids.boundary_mask).
-    """
-
+class _MonitorFields(NamedTuple):
     t: float
     sup_R: float
     min_R: float
@@ -156,9 +155,27 @@ class MonitorRecord:
     lp_half: float
     lp_hi: float
 
-    def __post_init__(self):
-        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+
+class MonitorRecord(_MonitorFields):
+    """One time slice of every audited quantity, all finite (checked when built).
+
+    wsup_R is sup max(r,1)^{TAU_PRIME} |R|; the LP_FIELDS lp_lo, lp_half and
+    lp_hi are the integrals of |R|^p against dV_t at the p of default_p_list
+    (the monotone quantities themselves, not their p-th roots).  Extrema of
+    R exclude the boundary-condition nodes (grids.boundary_mask).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not all(map(math.isfinite, self)):
             raise ParameterError(f"monitor record at t={self.t} contains non-finite entries")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class Evaluation(NamedTuple):
@@ -173,9 +190,8 @@ class Evaluation(NamedTuple):
     w: np.ndarray
 
 
-@dataclass
 class SolverWork:
-    """Work counters of one run; summary.json holds them under these names.
+    """Work counters of one run; summary.json holds vars(work), under these names.
 
     stencil_evaluations counts applications of the run's conformal Laplacian
     P, one per distinct array evaluated.  halvings counts rejected attempts.
@@ -184,15 +200,21 @@ class SolverWork:
     the stall ceiling rather than at the target.
     """
 
-    newton_iterations: int = 0
-    stencil_evaluations: int = 0
-    halvings: int = 0
-    unchanged_steps: int = 0
-    stalled_solves: int = 0
+    def __init__(self, newton_iterations: int = 0, stencil_evaluations: int = 0,
+                 halvings: int = 0, unchanged_steps: int = 0, stalled_solves: int = 0):
+        self.newton_iterations = newton_iterations
+        self.stencil_evaluations = stencil_evaluations
+        self.halvings = halvings
+        self.unchanged_steps = unchanged_steps
+        self.stalled_solves = stalled_solves
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SolverWork):
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass(frozen=True, eq=False)
-class RunResult:
+class RunResult(NamedTuple):
     """A run's series; however it ended, the last checkpoint is its final state.
 
     The last monitor record is that state's record.
@@ -328,8 +350,7 @@ def adm_mass(u: RadialField) -> float:
     return _fitted_mass(u.values, _mass_fit(u.grid))
 
 
-@dataclass(frozen=True, eq=False)
-class MonitorWeights:
+class MonitorWeights(NamedTuple):
     """The grid constants monitor reads, built once per run by of(grid).
 
     dV is the grid's volume weights grid.dV (omega r^{n-1} times the
@@ -413,7 +434,7 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
         if remaining <= 1e-12 * max(cfg.t_end, 1.0):
             break
         if state.dt > remaining:
-            state = replace(state, dt=remaining)
+            state = FlowState(state.t, state.u, remaining, state.step_index)
         try:
             state, ev = step(state, cfg, P, ev, work)
         except FlowSingularityError:

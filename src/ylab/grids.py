@@ -17,7 +17,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,20 +37,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Strictly increasing radii r_0 < ... < r_M with an n-dimensional volume rule."""
 
-    n: int
-    nodes: np.ndarray
-    policy: str
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ParameterError(f"dimension n must be >= 3, got {self.n}")
-        if self.policy not in _POLICIES:
-            raise ConfigError(f"unknown grid policy {self.policy!r}")
-        nodes = np.asarray(self.nodes, dtype=np.float64)
+    def __init__(self, n: int, nodes: np.ndarray, policy: str):
+        if n < 3:
+            raise ParameterError(f"dimension n must be >= 3, got {n}")
+        if policy not in _POLICIES:
+            raise ConfigError(f"unknown grid policy {policy!r}")
+        nodes = np.asarray(nodes, dtype=np.float64)
         if nodes.ndim != 1 or nodes.size < _MIN_INTERVALS + 1:
             raise ConfigError(
                 f"grid needs at least {_MIN_INTERVALS} intervals, got {nodes.size - 1}"
@@ -60,15 +54,17 @@ class RadialGrid:
             raise ConfigError("innermost radius must be nonnegative")
         if not np.all(np.diff(nodes) > 0.0):
             raise ConfigError("grid nodes must be strictly increasing")
-        if self.policy == LOG_STRETCHED:
+        if policy == LOG_STRETCHED:
             outer = nodes[nodes >= 1.0]
             if outer.size >= 3:
                 ratios = outer[1:] / outer[:-1]
                 if np.max(np.abs(ratios / ratios[0] - 1.0)) > 1e-12:
                     raise ConfigError("log-stretched grid has non-constant ratio past r=1")
-        object.__setattr__(self, "nodes", _readonly(nodes))
-        object.__setattr__(self, "_dr", _readonly(np.diff(nodes)))
-        object.__setattr__(self, "_w", _readonly(np.maximum(nodes, 1.0)))
+        self.n = n
+        self.nodes = _readonly(nodes)
+        self.policy = policy
+        self._dr = _readonly(np.diff(nodes))
+        self._w = _readonly(np.maximum(nodes, 1.0))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -131,22 +127,19 @@ class RadialGrid:
         return float(np.max(self._dr / np.maximum(self.nodes[1:], 1.0)))
 
 
-@dataclass(frozen=True, eq=False)
 class RadialField:
     """Samples of a radial function on a fixed grid."""
 
-    grid: RadialGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != self.grid.nodes.shape:
+    def __init__(self, grid: RadialGrid, values: np.ndarray):
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != grid.nodes.shape:
             raise GridMismatchError(
-                f"field has {values.size} samples for a grid of {self.grid.nodes.size} nodes"
+                f"field has {values.size} samples for a grid of {grid.nodes.size} nodes"
             )
         if not np.all(np.isfinite(values)):
             raise ParameterError("field contains non-finite samples")
-        object.__setattr__(self, "values", _readonly(values))
+        self.grid = grid
+        self.values = _readonly(values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RadialField):

@@ -21,7 +21,9 @@ residual evaluated at the final iterate so that the caller need not
 evaluate the solution again.  dgtsv comes from scipy's compiled LAPACK
 module, scipy.linalg._flapack, loaded on its own: for this one routine the
 scipy.linalg package import would more than double the start-up time of
-every ylab command and add about 24 MiB to it.
+every ylab command and add about 24 MiB to it.  The module is loaded by the
+first solve_tridiagonal, not at import, so a command that solves nothing
+(a report whose audits need no scalar-flat limit) never loads it.
 
 Every solve passes when |F_i| <= ROUNDOFF_TARGET s_i at every row, s_i =
 eps P.row_terms(u)_i plus any other terms F sums: the componentwise
@@ -31,11 +33,11 @@ for every Newton solve, the flow's and prescribe's.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,25 +80,25 @@ def _load_flapack():
                       f" {', '.join(map(str, dirs))}")
 
 
-dgtsv = _load_flapack().dgtsv
+@functools.cache
+def _dgtsv():
+    """LAPACK's dgtsv from _load_flapack, loaded on the first call only."""
+    return _load_flapack().dgtsv
 
 
-@dataclass(frozen=True, eq=False)
 class BoundaryLaplacian:
     """Affine discrete radial Laplacian u -> L u + b with boundary rows folded in.
 
     The bands are read-only.
     """
 
-    grid: RadialGrid
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    affine: np.ndarray
-
-    def __post_init__(self):
-        for name in ("lower", "diag", "upper", "affine"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+    def __init__(self, grid: RadialGrid, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                 affine: np.ndarray):
+        self.grid = grid
+        self.lower = _readonly(lower)
+        self.diag = _readonly(diag)
+        self.upper = _readonly(upper)
+        self.affine = _readonly(affine)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         # off-diagonals first: constants then cancel bit-exactly against the
@@ -214,7 +216,7 @@ def solve_tridiagonal(
     """
     if diag.size == 1:  # the wrapper rejects the empty bands of a 1x1 system
         lower = upper = np.zeros(1)
-    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    *_, x, info = _dgtsv()(lower, diag, upper, rhs)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular tridiagonal matrix (zero pivot {info})")
     return x

@@ -12,7 +12,6 @@ its own on that verdict's details.
 
 import math
 import shutil
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -358,8 +357,8 @@ checkpoint_every = 20
 
     def test_bit_identical_runs(self, tmp_path):
         m = parse_config_text(self.CONFIG)
-        cmd_simulate(replace(m, run_id="det-a"), tmp_path)
-        cmd_simulate(replace(m, run_id="det-b"), tmp_path)
+        cmd_simulate(m._replace(run_id="det-a"), tmp_path)
+        cmd_simulate(m._replace(run_id="det-b"), tmp_path)
         a = (tmp_path / "det-a" / "monitor.csv").read_bytes()
         b = (tmp_path / "det-b" / "monitor.csv").read_bytes()
         same_final = (
@@ -374,7 +373,7 @@ checkpoint_every = 20
 
     def test_report_exit_four_on_corruption(self, tmp_path):
         m = parse_config_text(self.CONFIG)
-        cmd_simulate(replace(m, run_id="det-c"), tmp_path)
+        cmd_simulate(m._replace(run_id="det-c"), tmp_path)
         rundir = tmp_path / "det-c"
         broken = tmp_path / "det-broken"
         shutil.copytree(rundir, broken)

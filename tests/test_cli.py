@@ -4,7 +4,6 @@ import json
 import re
 import shutil
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -179,7 +178,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("run_id", ["", ".", "..", "../escaped", "a/b", "a\\b", "/abs"])
     def test_run_id_must_be_a_plain_name(self, run_id):
         with pytest.raises(ConfigError, match="plain directory name"):
-            replace(parse_config_text(""), run_id=run_id)
+            parse_config_text("")._replace(run_id=run_id)
         if run_id:  # an empty value in the INI means unset, so the default id
             with pytest.raises(ConfigError, match="plain directory name"):
                 parse_config_text(f"[run]\nid = {run_id}\n")
@@ -246,7 +245,7 @@ class TestMonitorCsv:
         (5, ["lpR_p2.4", "lpR_p2.5", "lpR_p2.6"]),
     ])
     def test_one_column_per_record_field(self, tmp_path, n, lp_columns):
-        names = [f.name for f in fields(MonitorRecord)]
+        names = MonitorRecord._fields
         record = MonitorRecord(*(float(k) for k in range(len(names))))
         path = tmp_path / "monitor.csv"
         write_monitor_csv(path, [record], n)
@@ -375,8 +374,8 @@ class TestSimulate:
 
     def test_determinism_bit_identical(self, tmp_path):
         m = parse_config_text(BUMP_CONFIG)
-        cmd_simulate(replace(m, run_id="a"), tmp_path)
-        cmd_simulate(replace(m, run_id="b"), tmp_path)
+        cmd_simulate(m._replace(run_id="a"), tmp_path)
+        cmd_simulate(m._replace(run_id="b"), tmp_path)
         a = (tmp_path / "a" / "monitor.csv").read_bytes()
         b = (tmp_path / "b" / "monitor.csv").read_bytes()
         assert a == b
@@ -880,7 +879,7 @@ class TestFieldFiles:
         with pytest.raises(NonPositiveYamabeError) as exc:
             solve_scalar_flat(bg)
         payload = json.loads((outdir / "solve_report.json").read_text())
-        assert payload == {**asdict(exc.value.report), "error": str(exc.value)}
+        assert payload == {**exc.value.report._asdict(), "error": str(exc.value)}
         assert payload["converged"] is False
         assert payload["positivity"] < 0.0 and payload["scaled_residual"] > 0.0
 
@@ -915,7 +914,7 @@ class TestSignAcrossTheThreshold:
         config.write_text(f"[grid]\nn = 3\nR_max = 512\nM = {M}\n")
         for A, positive in ((-28.6, True), (-28.7, True), (-28.72, True), (-28.73, False)):
             background = _WELL.format(A=A)
-            manifest = replace(parse_config(config), background=background)
+            manifest = parse_config(config)._replace(background=background)
             grid, bg = cli.build_background(manifest)
             sign = yamabe_sign(bg)
             assert sign.sign == (POSITIVE if positive else NON_POSITIVE), A
@@ -940,7 +939,7 @@ class TestStronglyPositiveWells:
         config.write_text(f"[grid]\nn = 3\nR_max = 512\nM = {M}\n")
         for A in (1, 100, 1e3, 1e4, 1e5):
             background = _WELL.format(A=A)
-            manifest = replace(parse_config(config), background=background)
+            manifest = parse_config(config)._replace(background=background)
             grid, bg = cli.build_background(manifest)
             sign = yamabe_sign(bg)
             assert sign.sign == POSITIVE and not sign.low_confidence, A
@@ -973,7 +972,16 @@ class TestUnderflowingFactors:
         args = ["--config", str(config), "--out", str(out)]
         assert main(["yamabe-sign", *args]) == 3
         assert "underflows" in capsys.readouterr().err
-        assert not list(out.glob("*/sign.json"))
+        # the sign directory says why, as scalar-flat's does, and holds no sign
+        (sign_dir,) = out.glob("yamabe-sign-*")
+        assert _files(sign_dir) == {"solve_report.json"}
+        with pytest.raises(ConvergenceError) as exc:
+            yamabe_sign(cli.build_background(parse_config(config))[1])
+        payload = json.loads((sign_dir / "solve_report.json").read_text())
+        # as text: an underflowed factor's scaled residual is NaN (0/0)
+        assert json.dumps(payload, sort_keys=True) == json.dumps(
+            {**exc.value.report._asdict(), "error": str(exc.value)}, sort_keys=True)
+        assert payload["converged"] is False and "underflows" in payload["error"]
         assert main(["scalar-flat", *args]) == 3
         (outdir,) = out.glob("scalar-flat-*")
         payload = json.loads((outdir / "solve_report.json").read_text())
@@ -1013,12 +1021,32 @@ class TestUnderflowingFactors:
                 run.limit
 
 
+class TestOverflowingQuotient:
+    # R0 = -1e308 on a well: the sum of R0 v^2 of every trial overflows, so
+    # the best quotient is -inf, which neither certifies a sign nor is JSON
+    def test_non_finite_quotient_is_a_numerical_failure(self, tmp_path, capsys):
+        config = tmp_path / "grid.ini"
+        config.write_text("[grid]\nn = 3\nR_max = 64\nM = 64\n")
+        background = _WELL.format(A=-1e308)
+        out = tmp_path / "o"
+        assert main(["yamabe-sign", "--config", str(config), "--background", background,
+                     "--out", str(out)]) == 3
+        assert "quotient is -inf, not a finite float64" in capsys.readouterr().err
+        (sign_dir,) = out.iterdir()
+        assert _files(sign_dir) == {"solve_report.json"}
+        payload = json.loads((sign_dir / "solve_report.json").read_text())
+        assert payload["converged"] is False and "-inf" in payload["error"]
+        bg = cli.build_background(parse_config(config)._replace(background=background))[1]
+        with pytest.raises(ConvergenceError, match="not a finite float64"):
+            yamabe_sign(bg)
+
+
 def _elliptic_command(tmp_path, command, background):
     """(exit code, output directory, background) of one elliptic command on the default grid."""
     out = tmp_path / "o"
     rc = main([command, "--background", background, "--out", str(out)])
     (outdir,) = out.iterdir()
-    _, bg = cli.build_background(replace(parse_config_text(""), background=background))
+    _, bg = cli.build_background(parse_config_text("")._replace(background=background))
     return rc, outdir, bg
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,12 +12,13 @@ from ylab.backgrounds import (
     schwarzschild_data,
 )
 from ylab.elliptic import compute_R, curvature
-from ylab.errors import ConfigError, FlowSingularityError, MassUndefinedError
+from ylab.errors import ConfigError, FlowSingularityError, MassUndefinedError, ParameterError
 from ylab.flow import (
     LP_FIELDS,
     Evaluation,
     FlowConfig,
     FlowState,
+    MonitorRecord,
     MonitorWeights,
     SolverWork,
     _implicit_residual,
@@ -104,6 +104,16 @@ class TestConfig:
     def test_negative_dt_rejected(self):
         with pytest.raises(ConfigError):
             FlowConfig(dt0=-1.0)
+        with pytest.raises(ConfigError):  # _replace builds through the same check
+            FlowConfig()._replace(dt0=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_monitor_record_rejected(self, bad):
+        values = [0.0] * len(MonitorRecord._fields)
+        with pytest.raises(ParameterError, match="non-finite"):
+            MonitorRecord(*values[:-1], bad)
+        with pytest.raises(ParameterError, match="non-finite"):
+            MonitorRecord(*values)._replace(lp_hi=bad)
 
     @pytest.mark.parametrize("newton_max", [0, -1])
     def test_newton_max_below_one_rejected(self, newton_max):
@@ -468,7 +478,7 @@ class TestMonitor:
         res = run_flow(flat, gaussian_bump_data(grid, 0.1, 1.0), cfg)
         # every column a Python float, as the monitor CSV writes it
         for rec in res.records:
-            assert all(type(getattr(rec, f.name)) is float for f in fields(rec))
+            assert all(type(getattr(rec, name)) is float for name in rec._fields)
 
 
 class TestRunFlow:
@@ -637,7 +647,7 @@ class TestRunEnd:
         import ylab.flow as flow_module
 
         eps, cfg, reason, final_index = _RUN_ENDS[ending]
-        cfg = replace(cfg, monitor_every=2, checkpoint_every=3)
+        cfg = cfg._replace(monitor_every=2, checkpoint_every=3)
         g = build_grid(3, 0.0, 64.0, 512, LOG_STRETCHED)
         bg = make_flat_background(g)
         u0 = gaussian_bump_data(g, eps, 1.0)

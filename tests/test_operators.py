@@ -257,29 +257,68 @@ class TestLapackLoader:
         assert result["codes"] == [0, 0, 0]
         assert result["scipy"] == ["scipy.linalg._flapack"]
 
+    # ylab-first: the first solve loads _flapack, and scipy.linalg then reuses it
     @pytest.mark.parametrize(
         "imports",
-        ["import ylab.operators, scipy.linalg.lapack", "import scipy.linalg.lapack, ylab.operators"],
+        ["import ylab.operators as o; x = o.solve_tridiagonal(*system); import scipy.linalg.lapack",
+         "import scipy.linalg.lapack, ylab.operators as o; x = o.solve_tridiagonal(*system)"],
         ids=["ylab-first", "scipy-first"],
     )
     def test_dgtsv_is_scipy_linalg_lapack_dgtsv(self, imports):
-        script = (f"{imports}; import json, sys; print(json.dumps("
-                  "sys.modules['ylab.operators'].dgtsv is sys.modules['scipy.linalg.lapack'].dgtsv))")
-        assert fresh_python(script) is True
+        # the dgtsv that solve_tridiagonal calls, loaded once, by the solve
+        script = ("import json, sys, numpy as np; "
+                  "system = (np.ones(2), np.full(3, 4.0), np.ones(2), np.array([5.0, 6.0, 5.0])); "
+                  f"{imports}; print(json.dumps([x.tolist(), o._dgtsv.cache_info().misses, "
+                  "o._dgtsv() is sys.modules['scipy.linalg.lapack'].dgtsv]))")
+        assert fresh_python(script) == [[1.0, 1.0, 1.0], 1, True]
 
     def test_missing_scipy_is_import_error(self, monkeypatch):
-        monkeypatch.delitem(sys.modules, operators._FLAPACK)
+        monkeypatch.delitem(sys.modules, operators._FLAPACK, raising=False)
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
         with pytest.raises(ImportError, match="no scipy package on sys.path"):
             operators._load_flapack()
 
     def test_missing_flapack_is_import_error_naming_the_directory(self, monkeypatch, tmp_path):
-        monkeypatch.delitem(sys.modules, operators._FLAPACK)
+        monkeypatch.delitem(sys.modules, operators._FLAPACK, raising=False)
         spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
         spec.submodule_search_locations = [str(tmp_path)]
         monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
         with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
             operators._load_flapack()
+
+
+# runs the ylab commands given as a JSON list of argv lists in one process;
+# prints which of the modules that not every command needs were loaded by
+# import ylab.cli, and after each command its exit code and the same list
+IMPORT_SCRIPT = """
+import json, sys
+import ylab.cli
+optional = ("ylab.diagnostics", "ylab.svgplot", "scipy.linalg._flapack")
+steps = [[name for name in optional if name in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    code = ylab.cli.main(argv)
+    steps.append([code, [name for name in optional if name in sys.modules]])
+print(json.dumps(steps))
+"""
+
+
+class TestImportContract:
+    def test_each_command_loads_only_what_it_runs(self, tmp_path):
+        diagnostics, svgplot, flapack = "ylab.diagnostics", "ylab.svgplot", "scipy.linalg._flapack"
+        config = tmp_path / "tiny.ini"
+        config.write_text(TINY_CONFIG)
+        common = ["--config", str(config), "--out", str(tmp_path)]
+        # the flow and the elliptic commands solve, and never load the report's modules
+        commands = [[command, *common]
+                    for command in ("simulate", "yamabe-sign", "scalar-flat", "prescribe")]
+        assert fresh_python(IMPORT_SCRIPT, json.dumps(commands)) == [[], *[[0, [flapack]]] * 4]
+        # a report whose audits need no scalar-flat limit solves nothing
+        report = ["report", str(tmp_path / "tiny"), "--out", str(tmp_path / "r.json")]
+        reports = [[*report, "--audits", "lp-monotone"],
+                   [*report, "--audits", "convergence", "--plots"]]
+        assert fresh_python(IMPORT_SCRIPT, json.dumps(reports)) == [
+            [], [0, [diagnostics]], [0, [diagnostics, svgplot, flapack]]
+        ]
 
 
 class TestBoundaryLaplacian:
