@@ -7,7 +7,7 @@ Modules:
 * operators    -- the boundary-folded radial Laplacian, tridiagonal and Newton solves
 * backgrounds  -- catalog of asymptotically flat backgrounds and initial data
 * elliptic     -- scalar-flat solve, Yamabe sign/quotient, prescribed curvature
-* flow         -- implicit time integration with per-step monitoring
+* flow         -- linearly implicit (ROS2) time integration with per-step monitoring
 * diagnostics  -- post-hoc auditors: monotonicity, decay fits, mass drop
 * cli          -- config parsing, simulate/report and the elliptic commands
 """

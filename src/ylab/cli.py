@@ -59,6 +59,7 @@ from .errors import (
     YlabError,
 )
 from .flow import (
+    HALT_REASONS,
     TAU_PRIME,
     FlowConfig,
     FlowState,
@@ -285,8 +286,21 @@ def read_monitor_csv(path, n: int) -> list:
 # ---------------------------------------------------------------------------
 # simulate
 
+def _finite_or_null(value):
+    """value with every non-finite float, at any depth of dicts and lists, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """payload as JSON, a non-finite float written as null (JSON has no NaN or Infinity)."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _outdir(out_root, name) -> Path:
@@ -432,14 +446,18 @@ class RunContext:
     """
 
     def __init__(self, rundir: Path | None, manifest: RunManifest, grid, bg, records: list,
-                 halted: bool):
+                 halt_reason: str | None):
         self.rundir = rundir
         self.manifest = manifest
         self.grid = grid
         self.bg = bg
         self.records = records
-        self.halted = halted
+        self.halt_reason = halt_reason
         self._checkpoints = None
+
+    @property
+    def halted(self) -> bool:
+        return self.halt_reason is not None
 
     def checkpoints(self):
         """Checkpoints in step order (each unpacks as (t, u)), read on the first call only."""
@@ -476,10 +494,13 @@ def load_run(rundir) -> RunContext:
         summary = json.loads(summary_path.read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{summary_path} is missing or unreadable: {exc!r}") from exc
-    halted = summary.get("halted") if isinstance(summary, dict) else None
-    if not isinstance(halted, bool):
+    if not isinstance(summary, dict) or not isinstance(summary.get("halted"), bool):
         raise ConfigError(f"{summary_path} has no boolean 'halted' entry")
-    return RunContext(rundir, manifest, grid, bg, records, halted)
+    halt_reason = summary.get("halt_reason")
+    if summary["halted"] != (halt_reason is not None) or halt_reason not in HALT_REASONS + (None,):
+        raise ConfigError(f"{summary_path} has halted = {summary['halted']} with halt_reason"
+                          f" {halt_reason!r}; a halted run has one of {list(HALT_REASONS)}")
+    return RunContext(rundir, manifest, grid, bg, records, halt_reason)
 
 
 def _diag():
@@ -503,10 +524,11 @@ _AUDITS = {
         ctx.checkpoints(), ctx.limit, ctx.bg
     ),
     "mass-drop": lambda ctx: _diag().mass_drop_report(ctx.records, ctx.limit, ctx.grid),
+    # a halted run is skipped before its limit is solved for
     "spacetime-decay": lambda ctx: _diag().spacetime_decay_audit(
-        ctx.records, ctx.halted, ctx.limit
+        ctx.records, ctx.halt_reason, None if ctx.halted else ctx.limit
     ),
-    "blowup": lambda ctx: _diag().blowup_audit(ctx.records, ctx.halted),
+    "blowup": lambda ctx: _diag().blowup_audit(ctx.records, ctx.halt_reason),
     "lp-inequality": lambda ctx: _diag().lp_inequality_audit(ctx.records, ctx.grid.n),
 }
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .backgrounds import BackgroundSpec, conformal_exponents
 from .errors import FitDomainError, GridMismatchError, ParameterError
-from .flow import TAU_PRIME, adm_mass, default_p_list, valid_time_horizon
+from .flow import NUMERICAL_HALTS, TAU_PRIME, adm_mass, default_p_list, valid_time_horizon
 from .grids import RadialField, RadialGrid, sphere_volume, weighted_sup_norm
 
 NONINCREASING = "nonincreasing"
@@ -286,17 +286,22 @@ def mass_drop_report(records, u_inf: RadialField | None, grid: RadialGrid) -> Ve
     })
 
 
-def spacetime_decay_audit(records, halted: bool, u_inf: RadialField | None) -> Verdict:
+def spacetime_decay_audit(records, halt_reason: str | None, u_inf: RadialField | None) -> Verdict:
     """Check |R| <= C / (r^{tau'} (1+t)^{1+delta0}) is not degrading in time.
 
     C(t) = wsup_R (1+t)^{1+delta0} on each monitor record with t >= 1, where
     wsup_R is the monitored sup max(r,1)^{tau'} |R| (tau' = flow.TAU_PRIME);
     the verdict passes when the earliest such record attains C* = max C(t).
-    A halted run, or one with no scalar-flat limit u_inf (Y <= 0), is outside
-    the positive-Yamabe regime and is skipped with a reason.
+    A run that halted (halt_reason not None), or one with no scalar-flat
+    limit u_inf (Y <= 0), is skipped with a reason: a blow-up halt is outside
+    the positive-Yamabe regime, and a numerical failure (flow.NUMERICAL_HALTS)
+    shows nothing.
     """
     name = f"spacetime-decay(tau'={TAU_PRIME:g},delta0={DELTA0:g})"
-    if halted:
+    if halt_reason in NUMERICAL_HALTS:
+        return Verdict(name, None, skipped_reason=(
+            f"the run halted on a numerical failure ({halt_reason}), evidence of no claim"))
+    if halt_reason is not None:
         return Verdict(name, None, skipped_reason="hypothesis Y > 0 fails for this run")
     if u_inf is None:
         return Verdict(name, None, skipped_reason=_NO_LIMIT)
@@ -320,10 +325,16 @@ def spacetime_decay_audit(records, halted: bool, u_inf: RadialField | None) -> V
     )
 
 
-def blowup_audit(records, halted: bool) -> Verdict:
-    """No convergence when Y <= 0: the run halted or max u reached 1e3."""
+def blowup_audit(records, halt_reason: str | None) -> Verdict:
+    """No convergence when Y <= 0: the run halted as 'blowup' or max u reached 1e3.
+
+    A run that halted on a numerical failure (flow.NUMERICAL_HALTS) fails:
+    its halt is no evidence of blow-up.
+    """
     max_u = max(r.max_u for r in records)
-    return Verdict("blowup", halted or max_u >= 1e3, {"halted": halted, "max_u": max_u})
+    passed = halt_reason not in NUMERICAL_HALTS and (halt_reason == "blowup" or max_u >= 1e3)
+    return Verdict("blowup", passed,
+                   {"halted": halt_reason is not None, "halt_reason": halt_reason, "max_u": max_u})
 
 
 def flat_sobolev_constant(n: int) -> float:

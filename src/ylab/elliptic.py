@@ -6,9 +6,9 @@ Newton.  The curvature map and all solves share the one conformal Laplacian
 P = -a(n) L + R0 of module operators, on the boundary-folded L: zero-flux
 inner wall (or origin regularity) and an outer Robin condition matching
 the r^{-(n-2)} fall-off.
-Both solves pass the flow's row-wise round-off test of module operators,
-prescribe by damped_newton's one stopping rule, so yamabe_sign and the
-limit of a run share one scalar-flat verdict.
+Both solves pass the row-wise round-off test of module operators,
+prescribe by damped_newton's stopping rule, so yamabe_sign and the limit
+of a run share one scalar-flat verdict.
 """
 
 from __future__ import annotations
@@ -288,10 +288,10 @@ def prescribe_scalar_curvature(
 
     Requires r_target <= R0 pointwise.  Damped Newton on
     F(phi) = P phi - r_target phi^N from phi = 1, with backtracking that
-    preserves positivity.  Like the flow's, its residual is row-scaled, by
+    preserves positivity.  Its residual is row-scaled, by
     s = eps (P.row_terms(1) + |r_target|), the round-off level at phi = 1,
     and damped_newton's stopping rule, accepting a stall at or below
-    STALL_CEILING as the flow does.
+    STALL_CEILING.
     """
     if r_target.grid != bg.grid:
         raise GridMismatchError("target and background live on different grids")

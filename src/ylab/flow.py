@@ -1,38 +1,37 @@
-"""Implicit time integration of the conformal-factor Yamabe flow.
+"""Linearly implicit time integration of the conformal-factor Yamabe flow.
 
 The state is a single positive radial factor u(t) evolving by
 
-    du/dt = -((n-2)/4) u^{1-N} P u  =  -((n-2)/4) R[u] u,
+    du/dt = f(u) = -((n-2)/4) u^{1-N} P u  =  -((n-2)/4) R[u] u,
 
-with P = -a(n) L + R0 the conformal Laplacian of module operators,
-stepped by backward Euler with a damped Newton solve of the tridiagonal
-implicit system (diffusivity (n-1) u^{1-N} makes explicit stepping
-prohibitive on stretched grids).  Failed Newton solves halve dt, up to ten
-times, before the run is declared singular; successful steps grow dt by a
-safety factor.
+with P = -a(n) L + R0 the conformal Laplacian of module operators.  The
+diffusivity (n-1) u^{1-N} makes explicit stepping prohibitive on stretched
+grids, so each step is the two-stage Rosenbrock method ROS2 (Verwer, Spee,
+Blom and Hundsdorfer, SIAM J. Sci. Comput. 20, 1999), L-stable and second
+order.  With J the Jacobian of f at u_n and gamma = 1 + 1/sqrt(2):
 
-Newton stops at each row's own round-off level, by the rule of
-operators.damped_newton that every solve shares.  A step from u, with
-w = u^{1-N}, solves the residual F(v) = v - u + dt c w(v) g(v), where
-c = (n-2)/4 and g = P v, row-scaled by
+    (I - gamma dt J) k1 = f(u_n),
+    (I - gamma dt J) k2 = f(u_n + dt k1) - 2 k1,
+    u_{n+1} = u_n + (3/2) dt k1 + (1/2) dt k2:
 
-    s = eps (2 u + dt c w T),   T = |R0| u + a (|L| u + |b|) = P.row_terms(u),
-
-the rounding of the difference plus that of the terms g sums; T does not
-depend on dt, so a step computes it once for all its halvings.  Newton's
-target is |F_i| <= ROUNDOFF_TARGET s_i at every node.  A solve that stalls
-with every |F_i| <= STALL_CEILING s_i is accepted after one failed
-candidate (SolverWork.stalled_solves counts it); above that the attempt
-fails.
+two tridiagonal solves with one matrix, and no iteration.  u_n + dt k1 is
+the linearly implicit Euler result, and max_i |u_{n+1} - (u_n + dt k1)|_i /
+u_{n+1,i} the step's embedded error estimate.  An attempt is rejected, and
+dt halved up to ten times before the run halts, when a stage or the result
+is not positive and finite, the stage matrix is singular, or the estimate
+exceeds STEP_TOL; an accepted step sets the next dt from its estimate.
+A run whose error control keeps cutting its steps while t fails to double
+halts too (STALL_LIMIT): strongly positive wells drive u toward limits far
+below round-off (min u_inf is 6e-41 at A = 1e5 on the n = 3, R_max = 64
+well), where the estimate admits only steps of dt/t ~ 1e-6 and less.
 
 A run builds its operator once: conformal_laplacian with the wall flux
 frozen from the initial data (operators.initial_inner_flux), so scalar-flat
-exteriors such as the Schwarzschild factor remain stationary.  Each Newton
-candidate is evaluated on that operator once (P.apply), and
-damped_newton returns the Evaluation of the iterate it accepts: it starts
-the next step and feeds the monitor, which applies no stencil of its own.
-Results are trustworthy for t below the horizon R_max^2 / (16(n-1)), which
-keeps the diffusive front away from the wall.
+exteriors such as the Schwarzschild factor remain stationary.  Each step
+evaluates P twice, at its Euler stage and at its result; the evaluation of
+the result starts the next step and feeds the monitor, which applies no
+stencil of its own.  Results are trustworthy for t below the horizon
+R_max^2 / (16(n-1)), which keeps the diffusive front away from the wall.
 
 Uniqueness of the continuum flow is an open matter; nothing here depends on
 it.
@@ -56,8 +55,8 @@ from .errors import (
     PositivityError,
 )
 from .grids import RadialField, RadialGrid, _dot, boundary_mask
-from .operators import (STALL_CEILING, ConformalLaplacian, conformal_laplacian, damped_newton,
-                        initial_inner_flux)
+from .operators import (ConformalLaplacian, conformal_laplacian, initial_inner_flux,
+                        solve_tridiagonal)
 
 
 def default_p_list(n: int) -> tuple:
@@ -96,7 +95,11 @@ class _FlowFields(NamedTuple):
 
 
 class FlowConfig(_FlowFields):
-    """The [flow] settings of a run, checked when built (also by _replace)."""
+    """The [flow] settings of a run, checked when built (also by _replace).
+
+    newton_max is accepted and checked but steers nothing: the flow's step
+    runs no Newton iteration.
+    """
 
     __slots__ = ()
 
@@ -181,8 +184,8 @@ class MonitorRecord(_MonitorFields):
 class Evaluation(NamedTuple):
     """The array v with g = P v = R0 v - a(n) L v and w = v^{1-N}.
 
-    The Newton residual returns it; the Jacobian, the next step and the
-    monitor read it instead of evaluating v.
+    A step's Jacobian and first stage, and the monitor, read it instead of
+    evaluating v again.
     """
 
     v: np.ndarray
@@ -194,19 +197,22 @@ class SolverWork:
     """Work counters of one run; summary.json holds vars(work), under these names.
 
     stencil_evaluations counts applications of the run's conformal Laplacian
-    P, one per distinct array evaluated.  halvings counts rejected attempts.
-    unchanged_steps counts accepted steps whose factor equals the previous
-    one bit for bit.  stalled_solves counts accepted solves that ended at
-    the stall ceiling rather than at the target.
+    P, one per distinct array evaluated.  halvings counts rejected attempts,
+    and rejected_estimate, rejected_nonpositive and rejected_singular split
+    them by cause: an embedded estimate above STEP_TOL, a stage or result
+    that is not positive and finite, a singular stage matrix.
+    max_step_estimate is the largest estimate of an accepted step.
     """
 
-    def __init__(self, newton_iterations: int = 0, stencil_evaluations: int = 0,
-                 halvings: int = 0, unchanged_steps: int = 0, stalled_solves: int = 0):
-        self.newton_iterations = newton_iterations
+    def __init__(self, stencil_evaluations: int = 0, halvings: int = 0,
+                 rejected_estimate: int = 0, rejected_nonpositive: int = 0,
+                 rejected_singular: int = 0, max_step_estimate: float = 0.0):
         self.stencil_evaluations = stencil_evaluations
         self.halvings = halvings
-        self.unchanged_steps = unchanged_steps
-        self.stalled_solves = stalled_solves
+        self.rejected_estimate = rejected_estimate
+        self.rejected_nonpositive = rejected_nonpositive
+        self.rejected_singular = rejected_singular
+        self.max_step_estimate = max_step_estimate
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SolverWork):
@@ -229,6 +235,10 @@ class RunResult(NamedTuple):
 
 # attempts per step: dt0, then ten halvings
 _MAX_ATTEMPTS = 11
+# the largest embedded estimate max_i |u+ - u_E|_i / u+_i an accepted step may carry
+STEP_TOL = 0.05
+# ROS2's one stage coefficient, which makes it L-stable
+_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 
 
 def _evaluate(v, P: ConformalLaplacian, work: SolverWork) -> Evaluation:
@@ -236,50 +246,51 @@ def _evaluate(v, P: ConformalLaplacian, work: SolverWork) -> Evaluation:
     return Evaluation(v, P.apply(v), v ** (1.0 - P.N))
 
 
-def _implicit_residual(P: ConformalLaplacian, c, prev: Evaluation, dt, s, work: SolverWork):
-    """Residual and Jacobian of one backward-Euler step from prev, sharing evaluations.
+def _positive(v: np.ndarray) -> bool:
+    """Every entry finite and positive (a NaN fails both comparisons)."""
+    return bool(v.min() > 0.0 and v.max() < math.inf)
 
-    Both are divided row by row by s, the step's round-off level, which
-    leaves the Newton step unchanged in exact arithmetic.  residual_fn(v)
-    also returns the Evaluation at v that jacobian_fn reads: prev itself
-    when v is prev's own array (damped_newton starts there), else a new one.
+
+def _attempt_step(prev: Evaluation, dt: float, P: ConformalLaplacian, work: SolverWork):
+    """One ROS2 attempt of size dt from prev: (evaluation of the result, estimate), or None.
+
+    With f(u) = -c w(u) P u and J its Jacobian at prev, both stages solve
+    with the one matrix I - gamma dt J.  None, counted in work by cause,
+    when a stage or the result is not positive and finite (the result's
+    w = v^{1-N} included), the matrix is singular or the estimate exceeds
+    STEP_TOL.
     """
-    u_prev = prev.v
-    diag = P.diag  # P builds its bands on each read: once per attempt
-
-    def residual_fn(v):
-        ev = prev if v is u_prev else _evaluate(v, P, work)
-        return (v - u_prev + dt * c * ev.w * ev.g) / s, ev
-
-    def jacobian_fn(ev):
-        v, g, w = ev
-        jd = (1.0 - dt * c * ((P.N - 1.0) * (w / v) * g - w * diag)) / s
-        jl = -dt * c * w[1:] * P.a * P.lap.lower / s[1:]
-        ju = -dt * c * w[:-1] * P.a * P.lap.upper / s[:-1]
-        return jl, jd, ju
-
-    return residual_fn, jacobian_fn
-
-
-def _attempt_step(
-    prev: Evaluation, T: np.ndarray, dt: float, cfg: FlowConfig, P: ConformalLaplacian,
-    work: SolverWork,
-) -> Evaluation | None:
-    """One backward-Euler attempt of size dt from prev: the accepted evaluation, or None.
-
-    T is P.row_terms at prev's factor.  Newton runs on the residual scaled
-    by s = eps (2 u + dt c w T); a solve that stalls at or below
-    STALL_CEILING is accepted.
-    """
+    u, g, w = prev
     c = 0.25 * (P.lap.grid.n - 2.0)
-    s = np.finfo(np.float64).eps * (2.0 * prev.v + dt * c * prev.w * T)
-    residual_fn, jacobian_fn = _implicit_residual(P, c, prev, dt, s, work)
-    ev, rn, iterations, converged = damped_newton(prev.v, residual_fn, jacobian_fn, cfg.newton_max)
-    work.newton_iterations += iterations
-    if not rn <= STALL_CEILING:  # a NaN norm fails too
-        return None
-    work.stalled_solves += int(not converged)
-    return ev
+    gw = (_GAMMA * dt * c) * w
+    lower = gw[1:] * P.lower
+    diag = 1.0 + ((1.0 - P.N) * (gw / u) * g + gw * P.diag)
+    upper = gw[:-1] * P.upper
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            k1 = solve_tridiagonal(lower, diag, upper, -c * w * g)
+            euler = u + dt * k1  # the linearly implicit Euler result
+            if not _positive(euler):
+                work.rejected_nonpositive += 1
+                return None
+            stage = _evaluate(euler, P, work)
+            k2 = solve_tridiagonal(lower, diag, upper, -c * stage.w * stage.g - 2.0 * k1)
+        except np.linalg.LinAlgError:
+            work.rejected_singular += 1
+            return None
+        v = u + 1.5 * dt * k1 + 0.5 * dt * k2
+        if not _positive(v):
+            work.rejected_nonpositive += 1
+            return None
+        estimate = float(np.max(np.abs(v - euler) / v))
+        if not estimate <= STEP_TOL:
+            work.rejected_estimate += 1
+            return None
+        result = _evaluate(v, P, work)
+        if not _positive(result.w):  # v so small that v^{1-N} overflows
+            work.rejected_nonpositive += 1
+            return None
+    return result, estimate
 
 
 def step(
@@ -289,23 +300,27 @@ def step(
     prev: Evaluation,
     work: SolverWork,
 ) -> tuple[FlowState, Evaluation]:
-    """Advance one accepted step with the run's operator P, halving dt on Newton failure.
+    """Advance one accepted step with the run's operator P, halving dt on each rejection.
 
     prev is the evaluation at state's factor: a run passes the one its last
-    step accepted.  Every attempt starts from it, since (g, w) and the row
-    terms T do not depend on dt.  Returns the new state with the evaluation
-    at its factor, and adds the step's work to work.
+    step accepted, and every attempt starts from it.  An accepted step of
+    size dt with estimate e sets the next dt to dt min(safety, max(1/5,
+    0.9 sqrt(STEP_TOL / e))), at most dt_max.  Returns the new state with
+    the evaluation at its factor, and adds the step's work to work.
 
     Raises FlowSingularityError when dt and its ten halvings all fail: the
     discrete stand-in for the curvature blow-up alternative.
     """
-    T = P.row_terms(prev.v)
     for halvings in range(_MAX_ATTEMPTS):
         dt = state.dt * 0.5**halvings
-        ev = _attempt_step(prev, T, dt, cfg, P, work)
-        if ev is not None:
-            work.unchanged_steps += int(np.array_equal(ev.v, prev.v))
-            next_dt = dt * cfg.safety
+        accepted = _attempt_step(prev, dt, P, work)
+        if accepted is not None:
+            ev, estimate = accepted
+            work.max_step_estimate = max(work.max_step_estimate, estimate)
+            growth = cfg.safety
+            if estimate > 0.0:
+                growth = min(growth, max(0.2, 0.9 * math.sqrt(STEP_TOL / estimate)))
+            next_dt = dt * growth
             if cfg.dt_max is not None:
                 next_dt = min(next_dt, cfg.dt_max)
             new_state = FlowState(
@@ -408,12 +423,25 @@ def monitor(t: float, ev: Evaluation, weights: MonitorWeights) -> MonitorRecord:
     )
 
 
+# halt reasons that report a numerical failure, not the flow's behaviour, and
+# every halt reason
+NUMERICAL_HALTS = ("dt-collapse", "stalled")
+HALT_REASONS = ("blowup",) + NUMERICAL_HALTS
+# steps cut short by the error control that a run may take while t doubles once
+STALL_LIMIT = 1000
+
+
 def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
     """March from t = 0 to t_end, emitting monitor records and checkpoints.
 
-    On a flow singularity the partial series is returned tagged halted; a
-    configured stop_max_u threshold halts with reason 'blowup' once the
-    factor exceeds it (the non-convergence alternative of the dichotomy).
+    A run halts, returning its partial series tagged with the reason, when a
+    step fails at its dt and all ten halvings ("dt-collapse"), or when
+    STALL_LIMIT steps since t last doubled were cut short ("stalled"): a
+    step is cut short when it rejected an attempt, ended with a shorter dt
+    than it began with, or left t where it was.  Both are numerical
+    failures (NUMERICAL_HALTS).  A configured stop_max_u threshold halts with
+    reason 'blowup' once the factor exceeds it (the non-convergence
+    alternative of the dichotomy).
     """
     if u0.grid != bg.grid:
         raise GridMismatchError("initial data and background live on different grids")
@@ -426,19 +454,20 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
     checkpoints = [state]
     last_monitored = 0
     last_checkpointed = 0
-    halted = False
     halt_reason = None
+    doubling_from = 0.0  # t when the current count of cut steps began
+    cut_steps = 0
 
     while True:
         remaining = cfg.t_end - state.t
-        if remaining <= 1e-12 * max(cfg.t_end, 1.0):
+        if remaining <= 1e-12 * cfg.t_end:
             break
         if state.dt > remaining:
             state = FlowState(state.t, state.u, remaining, state.step_index)
+        before, halvings = state, work.halvings
         try:
             state, ev = step(state, cfg, P, ev, work)
         except FlowSingularityError:
-            halted = True
             halt_reason = "dt-collapse"
             break
         idx = state.step_index
@@ -449,12 +478,18 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
             checkpoints.append(state)
             last_checkpointed = idx
         if cfg.stop_max_u is not None and float(np.max(state.u.values)) >= cfg.stop_max_u:
-            halted = True
             halt_reason = "blowup"
             break
+        if state.t >= 2.0 * doubling_from:
+            doubling_from, cut_steps = state.t, 0
+        elif work.halvings > halvings or state.dt < before.dt or state.t == before.t:
+            cut_steps += 1
+            if cut_steps >= STALL_LIMIT:
+                halt_reason = "stalled"
+                break
 
     if state.step_index != last_monitored:
         records.append(monitor(state.t, ev, weights))
     if state.step_index != last_checkpointed:
         checkpoints.append(state)
-    return RunResult(records, checkpoints, halted, halt_reason, work)
+    return RunResult(records, checkpoints, halt_reason is not None, halt_reason, work)

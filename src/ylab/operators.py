@@ -16,19 +16,20 @@ stays tridiagonal by eliminating a mirrored ghost node at each end:
 The resulting operator is affine, u -> L u + b, with b carrying the flux
 and Robin constants; at zero flux every row maps a constant to exactly 0.
 Linear systems are solved by LAPACK's tridiagonal LU with partial
-pivoting (dgtsv), nonlinear ones by damped_newton, which returns what its
-residual evaluated at the final iterate so that the caller need not
-evaluate the solution again.  dgtsv comes from scipy's compiled LAPACK
+pivoting (dgtsv): the flow's two Rosenbrock stages per step and the
+scalar-flat solve call it directly.  The one nonlinear solve, prescribe's,
+runs damped_newton, which returns what its residual evaluated at the final
+iterate so that the caller need not evaluate the solution again.  dgtsv comes from scipy's compiled LAPACK
 module, scipy.linalg._flapack, loaded on its own: for this one routine the
 scipy.linalg package import would more than double the start-up time of
 every ylab command and add about 24 MiB to it.  The module is loaded by the
 first solve_tridiagonal, not at import, so a command that solves nothing
 (a report whose audits need no scalar-flat limit) never loads it.
 
-Every solve passes when |F_i| <= ROUNDOFF_TARGET s_i at every row, s_i =
-eps P.row_terms(u)_i plus any other terms F sums: the componentwise
+An elliptic solve passes when |F_i| <= ROUNDOFF_TARGET s_i at every row,
+s_i = eps P.row_terms(u)_i plus any other terms F sums: the componentwise
 backward error of Oettli and Prager.  damped_newton owns that stopping rule
-for every Newton solve, the flow's and prescribe's.
+for prescribe's Newton solve.
 """
 
 from __future__ import annotations
@@ -239,7 +240,8 @@ def damped_newton(u0: np.ndarray, residual_fn, jacobian_fn, max_iter: int):
     is monotone, so every shorter step gives that copy again, and its
     residual is the one already rejected.
 
-    The first residual_fn call receives u0 itself, not a copy.
+    The first residual_fn call receives u0 itself, not a copy.  Its one
+    caller is elliptic.prescribe_scalar_curvature.
     """
     u = np.asarray(u0, dtype=np.float64)
     res, e = residual_fn(u)

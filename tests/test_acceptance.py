@@ -151,7 +151,7 @@ class TestCriterion2Linearization:
         ratio = (errs[0.02] - floor) / (errs[0.01] - floor)
         _criterion(
             "2 heat-kernel linearization",
-            errs[0.01] <= bound and ratio >= 1.8,
+            errs[0.01] <= bound and ratio >= 3.0,  # second order in time
             f"err(dt=0.01)={errs[0.01]:.3e} (bound {bound:.3e}) dt-part ratio={ratio:.2f}",
         )
 

@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import math
 import re
 import shutil
 import xml.etree.ElementTree as ET
@@ -40,7 +41,8 @@ from ylab.elliptic import (
     yamabe_sign,
 )
 from ylab.errors import ConfigError, ConvergenceError, NonPositiveYamabeError
-from ylab.flow import FlowState, MonitorRecord, monitor_columns, run_flow
+from ylab.flow import (NUMERICAL_HALTS, STEP_TOL, FlowState, MonitorRecord, monitor_columns,
+                       run_flow)
 from ylab.grids import UNIFORM, RadialField, RadialGrid
 from ylab.operators import BoundaryLaplacian
 
@@ -288,9 +290,12 @@ class TestSimulate:
         monkeypatch.setattr(BoundaryLaplacian, "apply", counted)
         assert cmd_simulate(parse_config_text(BUMP_CONFIG), tmp_path) == 0
         summary = json.loads((tmp_path / "bump-test" / "summary.json").read_text())
-        assert summary["stencil_evaluations"] == calls[0] > 0
-        assert summary["newton_iterations"] >= summary["steps"] > 0
-        assert summary["halvings"] == summary["unchanged_steps"] == 0
+        # u0, then each step's Euler stage and result; no attempt rejected
+        assert summary["stencil_evaluations"] == calls[0] == 1 + 2 * summary["steps"] > 1
+        assert summary["halvings"] == 0
+        assert (summary["rejected_estimate"], summary["rejected_nonpositive"],
+                summary["rejected_singular"]) == (0, 0, 0)
+        assert 0.0 < summary["max_step_estimate"] <= STEP_TOL
         doc = (ROOT / "docs" / "formats.md").read_text()
         example = doc.split("## Run summary")[1].split("```json\n")[1].split("```")[0]
         assert set(json.loads(example)) == set(summary)
@@ -301,9 +306,10 @@ class TestSimulate:
         assert cmd_simulate(parse_config_text(config), tmp_path) == 0
         summary = json.loads((tmp_path / "bump-test" / "summary.json").read_text())
         assert summary["halvings"] == 0
-        # u = 1 solves every step as it stands: each step leaves it unchanged
-        assert summary["unchanged_steps"] == summary["steps"] > 0
-        assert (summary["newton_iterations"], summary["stencil_evaluations"]) == (0, 1)
+        # f(1) = 0: every step returns u = 1 with a zero estimate, evaluating
+        # its Euler stage and its result
+        assert summary["max_step_estimate"] == 0.0
+        assert summary["stencil_evaluations"] == 1 + 2 * summary["steps"] > 1
 
     def test_factor_snapshot_headers(self, tmp_path):
         cmd_simulate(parse_config_text(BUMP_CONFIG), tmp_path)
@@ -611,13 +617,19 @@ class TestReport:
             ("summary.json", lambda path: path.write_text("{not json")),
             ("summary.json", lambda path: path.write_text("{}")),
             ("summary.json", lambda path: path.write_text('{"halted": 0}')),
+            ("summary.json", lambda path: path.write_text(
+                '{"halted": false, "halt_reason": "blowup"}')),
+            ("summary.json", lambda path: path.write_text('{"halted": true, "halt_reason": null}')),
+            ("summary.json", lambda path: path.write_text(
+                '{"halted": true, "halt_reason": "tired"}')),
             ("monitor.csv", _drop_monitor_column("lpR_p1.5")),
             ("monitor.csv", lambda path: path.write_text(
                 "\n".join(path.read_text().splitlines()[:2]) + "\n")),
         ],
         ids=["missing-monitor", "missing-summary", "monitor-without-columns",
              "truncated-monitor", "unreadable-summary", "summary-without-halted",
-             "non-boolean-halted", "missing-lp-column", "header-only-monitor"],
+             "non-boolean-halted", "reason-without-halt", "halt-without-reason",
+             "unknown-halt-reason", "missing-lp-column", "header-only-monitor"],
     )
     def test_incomplete_run_directory_is_config_error(
         self, bump_run, tmp_path, capsys, name, corrupt
@@ -725,8 +737,8 @@ class TestReport:
         ]
         convergence, spacetime = verdicts
         assert convergence["pass"] is True and spacetime["pass"] is True
-        assert convergence["details"]["fit"]["exponent"] == pytest.approx(-1.43554174696, rel=1e-9)
-        assert spacetime["details"]["C_star"] == pytest.approx(0.0577852582129, rel=1e-9)
+        assert convergence["details"]["fit"]["exponent"] == pytest.approx(-1.42461361328, rel=1e-9)
+        assert spacetime["details"]["C_star"] == pytest.approx(0.0477681565543, rel=1e-9)
 
     def test_scalar_flat_limit_solved_once_per_run(self, dense_run, tmp_path, monkeypatch):
         solves = []
@@ -758,6 +770,31 @@ class TestReport:
         (verdict,) = json.loads(out.read_text())["runs"][0]["audits"]
         assert verdict["pass"] is None
         assert verdict["skipped_reason"] == "no scalar-flat limit (Y <= 0)"
+
+    @pytest.mark.parametrize("dt0, reason", [(1e-3, "dt-collapse"), (1e-9, "stalled")])
+    def test_numerical_failure_halt_is_no_evidence(self, tmp_path, capsys, dt0, reason):
+        # the A = 1e8 well (Y > 0) on flat data: from dt0 = 1e-3 every attempt
+        # of the first step fails; from 1e-9 the run crawls until it stalls.
+        # Neither halt is blow-up, and neither says anything of Y > 0
+        config = (
+            f"[run]\nid = well\n[grid]\nn = 3\nR_max = 64\nM = 256\n"
+            f"[background]\nname = {_WELL.format(A=1e8)}\n[initial]\nfamily = flat\n"
+            f"[flow]\ndt0 = {dt0}\nt_end = 1\n"
+        )
+        assert cmd_simulate(parse_config_text(config), tmp_path) == 3
+        rundir = tmp_path / "well"
+        summary = _strict_json(rundir / "summary.json")
+        assert (summary["halted"], summary["halt_reason"]) == (True, reason)
+        assert reason in NUMERICAL_HALTS
+        assert load_run(rundir).halt_reason == reason
+        out = tmp_path / "rep.json"
+        assert main(["report", str(rundir), "--audits", "blowup,spacetime-decay",
+                     "--out", str(out)]) == 4
+        blowup, decay = _strict_json(out)["runs"][0]["audits"]
+        assert blowup["pass"] is False and blowup["details"]["halt_reason"] == reason
+        assert decay["pass"] is None
+        assert decay["skipped_reason"] == (
+            f"the run halted on a numerical failure ({reason}), evidence of no claim")
 
     def test_schwarzschild_fixed_point_audits(self, tmp_path):
         config = (
@@ -843,6 +880,14 @@ class TestCheckpointSeries:
 _WELL = "synthetic:A={A},rc=2,sigma=1,tau=1"  # the default grid's wells of either sign
 
 
+def _strict_json(path):
+    """The JSON file at path, parsed with NaN, Infinity and -Infinity rejected."""
+    def reject(constant):
+        raise ValueError(f"{path} holds the non-JSON constant {constant}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 class TestFieldFiles:
     @pytest.mark.parametrize("index", range(len(_EDGE_FIELDS)))
     def test_field_file_is_a_one_snapshot_series(self, tmp_path, index):
@@ -919,7 +964,7 @@ class TestSignAcrossTheThreshold:
             sign = yamabe_sign(bg)
             assert sign.sign == (POSITIVE if positive else NON_POSITIVE), A
             assert not (positive and sign.low_confidence), A
-            run = RunContext(None, manifest, grid, bg, [], False)
+            run = RunContext(None, manifest, grid, bg, [], None)
             assert (run.limit is not None) == positive, A
             rc = main(["scalar-flat", "--config", str(config), "--background", background,
                        "--out", str(tmp_path / "o")])
@@ -944,7 +989,7 @@ class TestStronglyPositiveWells:
             sign = yamabe_sign(bg)
             assert sign.sign == POSITIVE and not sign.low_confidence, A
             assert verify_certificate(sign, bg), A
-            assert RunContext(None, manifest, grid, bg, [], False).limit is not None, A
+            assert RunContext(None, manifest, grid, bg, [], None).limit is not None, A
             out = tmp_path / f"o{A}"
             assert main(["scalar-flat", "--config", str(config), "--background", background,
                          "--out", str(out)]) == 0, A
@@ -967,7 +1012,7 @@ class TestUnderflowingFactors:
     def test_numerical_failure_not_a_sign(self, tmp_path, capsys, M, R_max, A):
         config = tmp_path / "run.ini"
         config.write_text(f"[run]\nid = well\n[grid]\nn = 3\nR_max = {R_max}\nM = {M}\n"
-                          f"[background]\nname = {_WELL.format(A=A)}\n[flow]\nt_end = 1e-13\n")
+                          f"[background]\nname = {_WELL.format(A=A)}\n[flow]\nt_end = 1e-300\n")
         out = tmp_path / "o"
         args = ["--config", str(config), "--out", str(out)]
         assert main(["yamabe-sign", *args]) == 3
@@ -977,20 +1022,23 @@ class TestUnderflowingFactors:
         assert _files(sign_dir) == {"solve_report.json"}
         with pytest.raises(ConvergenceError) as exc:
             yamabe_sign(cli.build_background(parse_config(config))[1])
-        payload = json.loads((sign_dir / "solve_report.json").read_text())
-        # as text: an underflowed factor's scaled residual is NaN (0/0)
-        assert json.dumps(payload, sort_keys=True) == json.dumps(
-            {**exc.value.report._asdict(), "error": str(exc.value)}, sort_keys=True)
+        payload = _strict_json(sign_dir / "solve_report.json")
+        # an underflowed factor's scaled residual can be NaN (0/0): null here
+        expected = {**exc.value.report._asdict(), "error": str(exc.value)}
+        assert payload == {key: None if isinstance(value, float) and not math.isfinite(value)
+                           else value for key, value in expected.items()}
         assert payload["converged"] is False and "underflows" in payload["error"]
         assert main(["scalar-flat", *args]) == 3
         (outdir,) = out.glob("scalar-flat-*")
-        payload = json.loads((outdir / "solve_report.json").read_text())
+        payload = _strict_json(outdir / "solve_report.json")
         assert payload["converged"] is False and "underflows" in payload["error"]
         values = _field_values(outdir / "u_inf.npy", cli.build_background(parse_config(config))[0])
         assert 0.0 <= payload["positivity"] == np.min(values) < np.finfo(np.float64).tiny
-        # a run directory on the well (t_end too short for a step): the
-        # report's limit fails the same way
+        # a run directory on the well (t_end so short that its one step
+        # leaves the factor as it is): the report's limit fails the same way
         assert main(["simulate", *args]) == 0
+        for path in (out / "well").glob("*.json"):
+            _strict_json(path)
         assert main(["report", str(out / "well"), "--audits", "mass-drop",
                      "--out", str(tmp_path / "rep.json")]) == 3
         assert "underflows" in capsys.readouterr().err
@@ -1010,7 +1058,7 @@ class TestUnderflowingFactors:
         assume(np.count_nonzero(grid.nodes >= R_max / 4.0) >= 8)  # scalar-flat reads a mass
         args = ["--config", str(config), "--out", str(config.parent / "o")]
         rc_sign, rc_flat = main(["yamabe-sign", *args]), main(["scalar-flat", *args])
-        run = RunContext(None, manifest, grid, bg, [], False)
+        run = RunContext(None, manifest, grid, bg, [], None)
         if rc_sign == 0:
             sign = yamabe_sign(bg)
             assert sign.sign == POSITIVE and verify_certificate(sign, bg)

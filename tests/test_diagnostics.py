@@ -11,6 +11,7 @@ from ylab.diagnostics import (
     NONDECREASING,
     NONINCREASING,
     audit_monotone,
+    blowup_audit,
     convergence_to_limit,
     fit_decay_exponent,
     flat_sobolev_constant,
@@ -21,7 +22,7 @@ from ylab.diagnostics import (
     spacetime_decay_audit,
 )
 from ylab.errors import FitDomainError, GridMismatchError, ParameterError
-from ylab.flow import FlowConfig, MonitorRecord, run_flow
+from ylab.flow import NUMERICAL_HALTS, FlowConfig, MonitorRecord, run_flow
 from ylab.grids import LOG_STRETCHED, RadialField, build_grid, constant_field
 
 
@@ -212,20 +213,29 @@ class TestSpacetimeDecay:
     LIMIT = constant_field(build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED), 1.0)
 
     def test_not_applicable_skips(self):
-        v = spacetime_decay_audit([], True, self.LIMIT)
+        v = spacetime_decay_audit([], "blowup", self.LIMIT)
         assert v.passed is None
         assert "Y > 0" in v.skipped_reason
 
+    @pytest.mark.parametrize("reason", NUMERICAL_HALTS)
+    def test_numerical_failure_skips_naming_it(self, reason):
+        # a halt that is a numerical failure is no evidence on Y > 0 either way
+        records = [make_record(float(t), wsup=1.0) for t in range(1, 7)]
+        v = spacetime_decay_audit(records, reason, self.LIMIT)
+        assert v.passed is None
+        assert f"numerical failure ({reason})" in v.skipped_reason
+        assert "Y > 0" not in v.skipped_reason
+
     def test_too_few_records_skips(self):
         records = [make_record(t, wsup=1.0) for t in (0.5, 1.0, 2.0, 3.0, 4.0)]
-        v = spacetime_decay_audit(records, False, self.LIMIT)
+        v = spacetime_decay_audit(records, None, self.LIMIT)
         assert v.passed is None
         assert "have 4" in v.skipped_reason
 
     def test_rising_bound_fails(self):
         # wsup_R constant: C(t) = (1+t)^1.1 peaks at the last record
         records = [make_record(float(t), wsup=1.0) for t in range(1, 6)]
-        v = spacetime_decay_audit(records, False, self.LIMIT)
+        v = spacetime_decay_audit(records, None, self.LIMIT)
         assert v.passed is False
         assert v.details["attained_at_t"] == 5.0
         assert v.details["per_record"] == [(1.0 + t) ** 1.1 for t in range(1, 6)]
@@ -237,13 +247,27 @@ class TestSpacetimeDecay:
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=30.0,
                          monitor_every=10, checkpoint_every=10)
         res = run_flow(bg, u0, cfg)
-        v = spacetime_decay_audit(res.records, False, constant_field(g, 1.0))
+        v = spacetime_decay_audit(res.records, None, constant_field(g, 1.0))
         assert v.passed is True
 
     def test_json_shape(self):
-        v = spacetime_decay_audit([], True, self.LIMIT)
+        v = spacetime_decay_audit([], "blowup", self.LIMIT)
         out = json.loads(json.dumps(v.to_json()))
         assert set(out) == {"name", "pass", "details", "skipped_reason"}
+
+
+class TestBlowup:
+    @pytest.mark.parametrize("reason, max_u, passed", [
+        ("blowup", 2.0, True), (None, 1e3, True), (None, 999.0, False),
+        ("dt-collapse", 2.0, False), ("stalled", 2.0, False), ("dt-collapse", 1e3, False),
+    ])
+    def test_only_growth_or_a_blowup_halt_passes(self, reason, max_u, passed):
+        # a numerical-failure halt is no evidence of blow-up, even after max u
+        # reached the threshold
+        records = [make_record(0.0), make_record(1.0)._replace(max_u=max_u)]
+        v = blowup_audit(records, reason)
+        assert v.passed is passed
+        assert v.details == {"halted": reason is not None, "halt_reason": reason, "max_u": max_u}
 
 
 class TestLpInequality:
@@ -286,8 +310,8 @@ class TestAuditorPurity:
         cfg = FlowConfig(dt0=1e-3, dt_max=0.2, safety=1.3, t_end=5.0,
                          monitor_every=2, checkpoint_every=5)
         res = run_flow(bg, u0, cfg)
-        first = spacetime_decay_audit(res.records, False, constant_field(g, 1.0))
-        second = spacetime_decay_audit(res.records, False, constant_field(g, 1.0))
+        first = spacetime_decay_audit(res.records, None, constant_field(g, 1.0))
+        second = spacetime_decay_audit(res.records, None, constant_field(g, 1.0))
         assert json.dumps(first.to_json()) == json.dumps(second.to_json())
         a1 = audit_monotone([r.min_R for r in res.records], NONDECREASING, 1e-8)
         a2 = audit_monotone([r.min_R for r in res.records], NONDECREASING, 1e-8)

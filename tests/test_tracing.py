@@ -90,18 +90,25 @@ def test_tracer_spans_one_operator_per_run_and_uninstalls(tracing, tmp_path):
 
     for name in ("operators.conformal_laplacian", "operators.boundary_laplacian"):
         assert sum(s.name == name and under_run_flow(s) for s in spans) == 1, name
-    # the benchmark's Newton counts agree with the run's own work counters:
-    # one Jacobian per iteration, and one residual per stencil evaluation
-    # (the initial data's aside) plus one per solve, whose start reuses the
-    # evaluation the previous step accepted
+    # the benchmark's counts agree with the run's own work counters: no
+    # Newton solve in the flow, two tridiagonal solves per step (no attempt
+    # is rejected), one stencil apply per evaluation, and one attempt and
+    # one step span per step
     calls = {name: sum(s.name == name and under_run_flow(s) for s in spans)
-             for name in ("operators.newton.jacobian", "operators.newton.residual",
-                          "operators.damped_newton")}
+             for name in ("operators.damped_newton", "operators.solve_tridiagonal",
+                          "operators.BoundaryLaplacian.apply", "flow._attempt_step",
+                          "flow.step")}
     work = json.loads((out / "traced" / "summary.json").read_text())
-    assert calls["operators.newton.jacobian"] == work["newton_iterations"] > 0
-    assert calls["operators.newton.residual"] == (
-        work["stencil_evaluations"] - 1 + calls["operators.damped_newton"]
-    )
+    assert work["halvings"] == 0
+    assert calls == {
+        "operators.damped_newton": 0,
+        "operators.solve_tridiagonal": 2 * work["steps"],
+        "operators.BoundaryLaplacian.apply": work["stencil_evaluations"],
+        "flow._attempt_step": work["steps"],
+        "flow.step": work["steps"],
+    }
+    metrics = tracing.layer_metrics(spans)
+    assert (metrics["flow.attempts"], metrics["flow.halvings"]) == (work["steps"], 0)
     after = _bindings(tracing)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
