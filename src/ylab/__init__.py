@@ -3,7 +3,7 @@ asymptotically flat radial backgrounds.
 
 Modules:
 
-* grids        -- radial grids, quadrature, plain/weighted norms, field I/O
+* grids        -- radial grids, their one volume rule (dV), weighted norms, field I/O
 * operators    -- the boundary-folded radial Laplacian, tridiagonal and Newton solves
 * backgrounds  -- catalog of asymptotically flat backgrounds and initial data
 * elliptic     -- scalar-flat solve, Yamabe sign/quotient, prescribed curvature

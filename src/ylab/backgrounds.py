@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, FitDomainError, ParameterError
-from .grids import RadialField, RadialGrid, constant_field, integrate_dV
+from .grids import RadialField, RadialGrid, _dot, constant_field
 
 
 def conformal_exponents(n: int) -> tuple[float, float]:
@@ -182,7 +182,8 @@ def newtonian_data(grid: RadialGrid, source: RadialField) -> RadialField:
 def bump_source(grid: RadialGrid, total: float, radius: float) -> RadialField:
     """Smooth compactly supported source with int f dx = total (n = 3).
 
-    Uses the C^inf bump exp(-s^2/(radius^2 - s^2)) on [0, radius).
+    Uses the C^inf bump exp(-s^2/(radius^2 - s^2)) on [0, radius), scaled so
+    that its dot product with grid.dV is total.
     """
     if radius <= 0.0:
         raise ParameterError(f"radius must be positive, got {radius}")
@@ -191,7 +192,7 @@ def bump_source(grid: RadialGrid, total: float, radius: float) -> RadialField:
     inside = r < radius
     s = r[inside]
     shape[inside] = np.exp(-(s**2) / (_square(radius, "radius") - s**2))
-    mass = integrate_dV(RadialField(grid, shape), constant_field(grid, 1.0))
+    mass = _dot(grid.dV, shape)
     if mass <= 0.0:
         raise ParameterError("source bump has no mass on this grid")
     return RadialField(grid, shape * (total / mass))

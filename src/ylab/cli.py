@@ -405,10 +405,9 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
     if rundir.exists():
         raise ConfigError(f"run directory already exists: {rundir}")
     grid, bg, u0, cfg = build_run(manifest)  # config errors leave no directory behind
-    far_field_window(grid)  # so does a grid too coarse to read the mass off
+    far_field_window(grid)  # so does a grid that cannot read the mass off
+    result = run_flow(bg, u0, cfg)  # and so does a run whose monitor overflows
     _outdir(out_root, manifest.run_id)
-
-    result = run_flow(bg, u0, cfg)
     final = result.checkpoints[-1]
 
     write_monitor_csv(rundir / "monitor.csv", result.records, grid.n)

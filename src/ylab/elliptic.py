@@ -175,9 +175,10 @@ def yamabe_quotient(v: RadialField, bg: BackgroundSpec) -> float:
     [a(n) int |v'|^2 dV0 + int R0 v^2 dV0] / (int |v|^{2n/(n-2)} dV0)^{(n-2)/n}
     with the flat volume dV0 = omega r^{n-1} dr.  The sums run over the
     trial's support only, the nodes up to the one after its last nonzero
-    value.  The volume integrals are dot products with grid.dV, the
-    trapezoid weights the flow's monitor uses; the gradient term is the
-    dot product of the squared node differences with grid.face_weights.
+    value.  The volume integrals are dot products with grid.dV, the one
+    volume rule, which the flow's monitor sums with too; the gradient term
+    is the dot product of the squared node differences with
+    grid.face_weights.
     Both weight arrays are built once per grid.
     """
     nonzero = v.values != 0.0

@@ -64,11 +64,12 @@ class NonPositiveYamabeError(YlabError):
 
 
 class FlowSingularityError(YlabError):
-    """The time stepper could not continue: a step failed at its dt and ten halvings of it."""
+    """A flow could not continue: a step failed at its dt and ten halvings of it, or
+    a monitored quantity of valid data overflowed float64."""
 
 
 class MassUndefinedError(ConfigError):
-    """The far-field fit window is degenerate; no mass can be read off.
+    """The far-field fit window is degenerate or its basis underflows; no mass can be read off.
 
     A grid property, so the CLI treats it as a configuration error.
     """

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .backgrounds import BackgroundSpec
-from .elliptic import curvature
+from .elliptic import _TINY, curvature
 from .errors import (
     ConfigError,
     FlowSingularityError,
@@ -337,19 +337,23 @@ def step(
     )
 
 
-def far_field_window(grid: RadialGrid) -> np.ndarray:
-    """Mask of the mass fit window [R_max/4, R_max]; MassUndefinedError below 8 nodes."""
+def far_field_window(grid: RadialGrid) -> tuple[int, np.ndarray, float]:
+    """(first node, basis r^{-(n-2)} from it on, its squared norm) of the mass fit.
+
+    The window is [R_max/4, R_max].  MassUndefinedError when it holds fewer
+    than 8 nodes, or when the norm is not a positive normal float64: the
+    squared basis underflows on a far wall (n = 5, M = 4096: R_max from 3e52).
+    """
     window = grid.nodes >= grid.R_max / 4.0
     if np.count_nonzero(window) < 8:
         raise MassUndefinedError("fewer than 8 nodes in the far-field fit window")
-    return window
-
-
-def _mass_fit(grid: RadialGrid) -> tuple[int, np.ndarray, float]:
-    """(first node, basis r^{-(n-2)} from it on, its squared norm) of the far-field fit."""
-    start = int(np.argmax(far_field_window(grid)))
+    start = int(np.argmax(window))
     basis = grid.nodes[start:] ** (-(grid.n - 2.0))
-    return start, basis, _dot(basis, basis)
+    norm = _dot(basis, basis)
+    if not norm >= _TINY:
+        raise MassUndefinedError(f"the far-field fit basis r^-{grid.n - 2} underflows with"
+                                 f" R_max = {grid.R_max:g}: its squared norm is {norm:.3g}")
+    return start, basis, norm
 
 
 def _fitted_mass(u: np.ndarray, fit: tuple[int, np.ndarray, float]) -> float:
@@ -362,17 +366,17 @@ def adm_mass(u: RadialField) -> float:
 
     A comes from a linear least-squares fit over the far-field window.
     """
-    return _fitted_mass(u.values, _mass_fit(u.grid))
+    return _fitted_mass(u.values, far_field_window(u.grid))
 
 
 class MonitorWeights(NamedTuple):
     """The grid constants monitor reads, built once per run by of(grid).
 
-    dV is the grid's volume weights grid.dV (omega r^{n-1} times the
-    trapezoid weights, shared with elliptic.yamabe_quotient), so the sum of dV f u^{N+1}
-    is grids.integrate_dV(f, u) up to summation order.  interior leaves out
-    the grids.boundary_mask nodes, which are at most the first and the last;
-    tau_weight is max(r,1)^{TAU_PRIME} on it.  mass_fit is adm_mass's fit.
+    dV is the grid's one volume rule grid.dV, which elliptic.yamabe_quotient
+    sums with too: the dot product of dV with f u^{N+1} is the integral of
+    f against dV_t.  interior leaves out the grids.boundary_mask nodes,
+    which are at most the first and the last; tau_weight is
+    max(r,1)^{TAU_PRIME} on it.  mass_fit is adm_mass's far_field_window.
     """
 
     interior: slice
@@ -383,13 +387,13 @@ class MonitorWeights(NamedTuple):
 
     @classmethod
     def of(cls, grid: RadialGrid) -> "MonitorWeights":
-        """MassUndefinedError when the mass fit window holds fewer than 8 nodes."""
+        """MassUndefinedError from far_field_window when no mass can be read off the grid."""
         interior = slice(int(boundary_mask(grid)[0]), grid.M)
         return cls(
             interior=interior,
             tau_weight=grid.w[interior] ** TAU_PRIME,
             dV=grid.dV,
-            mass_fit=_mass_fit(grid),
+            mass_fit=far_field_window(grid),
             p_list=default_p_list(grid.n),
         )
 
@@ -401,26 +405,32 @@ def monitor(t: float, ev: Evaluation, weights: MonitorWeights) -> MonitorRecord:
     the volume density u^{N+1} is u^2 / w, so a record applies no stencil and
     builds no grid constant.  l1_R and the LP_FIELDS (p in default_p_list(n))
     are dot products with weights.dV; the three |R|^p share one log.
+    FlowSingularityError, naming t, when a quantity is not finite: valid
+    data whose integrals float64 cannot hold (|R|^p or u^{N+1} overflows).
     """
     u, g, w = ev
-    R = curvature(u, g, w)
-    abs_R = np.abs(R)
-    with np.errstate(divide="ignore"):  # R = 0 (flat runs): log gives -inf, exp 0
-        log_abs_R = np.log(abs_R)
-    dV_t = weights.dV * (u * u / w)
     interior = weights.interior
-    return MonitorRecord(
-        t=t,
-        sup_R=float(np.max(abs_R[interior])),
-        min_R=float(np.min(R[interior])),
-        l1_R=_dot(dV_t, R),
-        mass=_fitted_mass(u, weights.mass_fit),
-        min_u=float(np.min(u)),
-        max_u=float(np.max(u)),
-        wsup_R=float(np.max(weights.tau_weight * abs_R[interior])),
-        **{name: _dot(dV_t, np.exp(p * log_abs_R))
-           for name, p in zip(LP_FIELDS, weights.p_list)},
-    )
+    # R = 0 (flat runs): log gives -inf, exp 0; overflows leave inf or nan
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        R = curvature(u, g, w)
+        abs_R = np.abs(R)
+        log_abs_R = np.log(abs_R)
+        dV_t = weights.dV * (u * u / w)
+        try:
+            return MonitorRecord(
+                t=t,
+                sup_R=float(np.max(abs_R[interior])),
+                min_R=float(np.min(R[interior])),
+                l1_R=_dot(dV_t, R),
+                mass=_fitted_mass(u, weights.mass_fit),
+                min_u=float(np.min(u)),
+                max_u=float(np.max(u)),
+                wsup_R=float(np.max(weights.tau_weight * abs_R[interior])),
+                **{name: _dot(dV_t, np.exp(p * log_abs_R))
+                   for name, p in zip(LP_FIELDS, weights.p_list)},
+            )
+        except ParameterError as exc:
+            raise FlowSingularityError(f"{exc}: float64 cannot hold its integrals") from exc
 
 
 # halt reasons that report a numerical failure, not the flow's behaviour, and

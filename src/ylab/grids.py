@@ -1,4 +1,4 @@
-"""Radial grids, quadrature and norms.
+"""Radial grids, their volume weights, norms and field output.
 
 Everything downstream (backgrounds, elliptic solves, the flow itself) works
 on a fixed radial grid over [r_in, R_max].  The grid is either uniform or
@@ -10,6 +10,8 @@ Conventions:
 
 * dimension n >= 3, volume element ``omega_{n-1} r^{n-1} dr`` against the
   flat reference metric, conformal volume weight ``u^{2n/(n-2)}``;
+* the one volume rule is ``RadialGrid.dV``: every volume integral is a dot
+  product of dV with nodal samples of its density;
 * the radial weight used by weighted norms is ``max(r, 1)``;
 * the one discrete Laplacian is ``operators.boundary_laplacian``.
 """
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError, ParameterError, PositivityError
+from .errors import ConfigError, GridMismatchError, ParameterError
 
 UNIFORM = "uniform"
 LOG_STRETCHED = "log-stretched"
@@ -38,7 +40,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 class RadialGrid:
-    """Strictly increasing radii r_0 < ... < r_M with an n-dimensional volume rule."""
+    """Strictly increasing radii r_0 < ... < r_M with an n-dimensional volume rule.
+
+    ConfigError when dV, face_weights or the stencil denominators h_{i-1}
+    h_i (h_{i-1} + h_i) of operators.boundary_laplacian overflow float64.
+    """
 
     def __init__(self, n: int, nodes: np.ndarray, policy: str):
         if n < 3:
@@ -65,6 +71,14 @@ class RadialGrid:
         self.policy = policy
         self._dr = _readonly(np.diff(nodes))
         self._w = _readonly(np.maximum(nodes, 1.0))
+        with np.errstate(over="ignore"):
+            hm, hp = self._dr[:-1], self._dr[1:]
+            if not all(np.isfinite(a).all()
+                       for a in (self.dV, self.face_weights, hm * hp * (hm + hp))):
+                raise ConfigError(
+                    f"grid with R_max = {self.R_max:g} and M = {self.M} is not representable"
+                    " in float64: its volume or stencil weights overflow"
+                )
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -99,17 +113,22 @@ class RadialGrid:
 
     @cached_property
     def dV(self) -> np.ndarray:
-        """Flat volume weights omega r^{n-1} times trapezoid_weights, built once per grid.
+        """The one volume rule: flat volume weights omega r^{n-1} times trapezoid node weights.
 
-        The dot product of dV with nodal samples f is integrate_dr's integral
-        of f against dV0 = omega r^{n-1} dr, up to summation order.
+        The dot product of dV with nodal samples f is the composite trapezoid
+        integral of f against dV0 = omega r^{n-1} dr; with f times the
+        density u^{2n/(n-2)} it is the conformal volume integral.  Built once
+        per grid, when the grid is.
         """
-        omega = sphere_volume(self.n)
-        return _readonly(omega * self.nodes ** (self.n - 1) * trapezoid_weights(self))
+        half = 0.5 * self._dr
+        weights = np.zeros(self.nodes.shape)
+        weights[:-1] += half
+        weights[1:] += half
+        return _readonly(sphere_volume(self.n) * self.nodes ** (self.n - 1) * weights)
 
     @cached_property
     def face_weights(self) -> np.ndarray:
-        """omega r_mid^{n-1} / h_i per interval, built once per grid.
+        """omega r_mid^{n-1} / h_i per interval, built once per grid, when the grid is.
 
         With r_mid the interval midpoints and h_i = dr, the dot product with
         diff(v)**2 is the midpoint rule of the energy integral of |v'|^2 dV0.
@@ -231,40 +250,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     idle worker then spins on a second core between calls.
     """
     return float(np.einsum("i,i", a, b))
-
-
-def integrate_dr(y: np.ndarray, grid: RadialGrid) -> float:
-    """Composite trapezoid of nodal samples y against dr: the one quadrature."""
-    return float(np.sum(0.5 * (y[:-1] + y[1:]) * grid.dr))
-
-
-def trapezoid_weights(grid: RadialGrid) -> np.ndarray:
-    """Node weights of integrate_dr's rule: trapezoid_weights(grid) @ y is its integral of y.
-
-    The two agree up to summation order; a caller integrating many samples
-    on one grid builds the weights once and takes dot products.
-    """
-    half = 0.5 * grid.dr
-    weights = np.zeros(grid.nodes.shape)
-    weights[:-1] += half
-    weights[1:] += half
-    return weights
-
-
-def integrate_dV(f: RadialField, u: RadialField) -> float:
-    """Integral of f against the conformal volume u^{2n/(n-2)} omega r^{n-1} dr.
-
-    Composite trapezoid on the (possibly nonuniform) grid; the unbounded
-    manifold is truncated at R_max (see truncation_tail_bound for the
-    discarded tail).
-    """
-    _require_same_grid(f, u)
-    if np.min(u.values) <= 0.0:
-        raise PositivityError("conformal factor must be positive everywhere")
-    grid = f.grid
-    n = grid.n
-    density = u.values ** (2.0 * n / (n - 2.0)) * sphere_volume(n) * grid.nodes ** (n - 1)
-    return integrate_dr(f.values * density, grid)
 
 
 def weighted_sup_norm(f: RadialField, beta: float) -> float:

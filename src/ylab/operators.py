@@ -18,8 +18,10 @@ and Robin constants; at zero flux every row maps a constant to exactly 0.
 Linear systems are solved by LAPACK's tridiagonal LU with partial
 pivoting (dgtsv): the flow's two Rosenbrock stages per step and the
 scalar-flat solve call it directly.  The one nonlinear solve, prescribe's,
-runs damped_newton, which returns what its residual evaluated at the final
-iterate so that the caller need not evaluate the solution again.  dgtsv comes from scipy's compiled LAPACK
+runs damped_newton, which returns the evaluation its residual_fn made at
+the final iterate with that iterate's scaled residual norm: prescribe's
+evaluation is the iterate itself, and prescribe applies F to it once more
+for its report's raw residual.  dgtsv comes from scipy's compiled LAPACK
 module, scipy.linalg._flapack, loaded on its own: for this one routine the
 scipy.linalg package import would more than double the start-up time of
 every ylab command and add about 24 MiB to it.  The module is loaded by the

@@ -368,6 +368,59 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "x" / "config.ini").exists()
 
+    # R_max from which float64 cannot carry the grid (M = 4096): the volume
+    # weights overflow (n = 3 from 1e103, n = 4 from about 1e77.5, n = 5
+    # from 1e62), the stencil weights too (n = 3 from 1e110), or the mass
+    # fit basis squared underflows (n = 5 from about 1e52.5)
+    @pytest.mark.parametrize("n, R_max, message", [
+        (3, 1e103, "not representable"), (3, 1e110, "not representable"),
+        (4, 1e80, "not representable"), (4, 1e100, "not representable"),
+        (5, 1e55, "underflows"), (5, 1e60, "underflows"), (5, 1e62, "not representable"),
+    ])
+    def test_grid_beyond_float64_is_a_config_error(self, tmp_path, capsys, n, R_max, message):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nid = x\n[grid]\nn = {n}\nR_max = {R_max!r}\nM = 4096\n"
+                          "[initial]\nfamily = gaussian_bump\n[flow]\nt_end = 0.01\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and f"R_max = {R_max:g}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, R_max", [(3, 1e103), (3, 1e110), (4, 1e78), (4, 1e110),
+                                          (5, 1e62), (5, 1e110)])
+    def test_yamabe_sign_on_a_grid_beyond_float64_is_a_config_error(self, tmp_path, capsys,
+                                                                  n, R_max):
+        # flat R^n is Positive; past these walls float64 used to answer
+        # NonPositive from a singular system
+        config = tmp_path / "grid.ini"
+        config.write_text(f"[grid]\nn = {n}\nR_max = {R_max!r}\nM = 4096\n")
+        out = tmp_path / "out"
+        assert main(["yamabe-sign", "--config", str(config), "--background", f"flat{n}",
+                     "--out", str(out)]) == 2
+        assert "M = 4096 is not representable" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("M, R_max", [(16, 8), (64, 64)])
+    @pytest.mark.parametrize("initial", [
+        "[background]\nname = synthetic:A=1e200,rc=2,sigma=1,tau=1\n",
+        "[background]\nname = synthetic:A=-1e200,rc=2,sigma=1,tau=1\n",
+        "[initial]\nfamily = gaussian_bump\neps = 1e75\n",
+    ], ids=["A=1e200", "A=-1e200", "eps=1e75"])
+    def test_overflowing_integrals_are_a_numerical_failure(self, tmp_path, capsys, M, R_max,
+                                                           initial):
+        # valid data whose monitored integrals float64 cannot hold: exit 3,
+        # naming t, with no warning (warnings are errors here) and no run
+        # directory, so the same command fails the same way again
+        config = tmp_path / "run.ini"
+        config.write_text(f"[run]\nid = x\n[grid]\nR_max = {R_max}\nM = {M}\n"
+                          f"[flow]\nt_end = 0.01\n{initial}")
+        out = tmp_path / "out"
+        for _ in range(2):
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 3
+            assert "monitor record at t=0.0" in capsys.readouterr().err
+            assert not (out / "x").exists()
+
     @pytest.mark.parametrize("absolute", [False, True], ids=["dotdot", "absolute"])
     def test_run_directory_stays_under_out(self, tmp_path, capsys, absolute):
         run_id = str(tmp_path / "escaped") if absolute else "../escaped"
@@ -813,7 +866,9 @@ class TestReport:
 @st.composite
 def _field_series(draw, values):
     """K >= 1 fields of floats drawn from values on a grid of arbitrary radii."""
-    radii = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=17,
+    # radii up to 1e100: past about 1e102 a grid's volume weights overflow,
+    # and RadialGrid rejects it
+    radii = draw(st.lists(st.floats(min_value=0.0, max_value=1e100), min_size=17,
                           max_size=40, unique=True))
     grid = RadialGrid(3, np.sort(radii), UNIFORM)
     k = draw(st.integers(min_value=1, max_value=6))

@@ -41,7 +41,6 @@ from ylab.grids import (
     build_grid,
     constant_field,
     field_from_function,
-    integrate_dr,
     sphere_volume,
 )
 from ylab.operators import ROUNDOFF_TARGET, boundary_laplacian, solve_tridiagonal
@@ -77,11 +76,12 @@ def _lifted_pair(g, amplitude, width):
 
 
 def full_grid_quotient(vals, bg):
-    """The Yamabe quotient by integrate_dr over every node of the grid.
+    """The Yamabe quotient by a composite trapezoid sum over every node of the grid.
 
     Midpoint slopes for the gradient term, trapezoid integrals of the
     densities for the other two: the same rule as yamabe_quotient, summed
-    without regard to the trial's support.
+    interval by interval here, independently of grid.dV, and without regard
+    to the trial's support.
     """
     g = bg.grid
     n = g.n
@@ -92,8 +92,12 @@ def full_grid_quotient(vals, bg):
     r_mid = 0.5 * (r[:-1] + r[1:])
     grad = float(np.sum(slope**2 * r_mid ** (n - 1) * g.dr)) * omega
     dens0 = omega * r ** (n - 1)
-    pot = integrate_dr(bg.r0_profile.values * vals**2 * dens0, g)
-    denom = integrate_dr(np.abs(vals) ** (2.0 * n / (n - 2.0)) * dens0, g) ** ((n - 2.0) / n)
+
+    def trapezoid(y):
+        return float(np.sum(0.5 * (y[:-1] + y[1:]) * g.dr))
+
+    pot = trapezoid(bg.r0_profile.values * vals**2 * dens0)
+    denom = trapezoid(np.abs(vals) ** (2.0 * n / (n - 2.0)) * dens0) ** ((n - 2.0) / n)
     return (a * grad + pot) / denom
 
 

@@ -14,7 +14,7 @@ from ylab.backgrounds import (
     make_synthetic_background,
     schwarzschild_data,
 )
-from ylab.elliptic import compute_R, curvature, solve_scalar_flat
+from ylab.elliptic import compute_R, curvature, solve_scalar_flat, yamabe_quotient
 from ylab.errors import (ConfigError, FlowSingularityError, MassUndefinedError, ParameterError,
                          YlabError)
 from ylab.flow import (
@@ -42,9 +42,7 @@ from ylab.grids import (
     build_grid,
     constant_field,
     field_from_function,
-    integrate_dV,
     sphere_volume,
-    trapezoid_weights,
 )
 from ylab.operators import (BoundaryLaplacian, boundary_laplacian, conformal_laplacian,
                             initial_inner_flux)
@@ -481,7 +479,11 @@ class TestMonitor:
         u, g, w = ev
         R = curvature(u, g, w)
         assert R.tobytes() == compute_R(state.u, bg, P).values.tobytes()
-        dV_t = sphere_volume(3) * grid.nodes**2 * trapezoid_weights(grid) * (u * u / w)
+        half = 0.5 * grid.dr
+        trapezoid = np.zeros(grid.nodes.shape)
+        trapezoid[:-1] += half
+        trapezoid[1:] += half
+        dV_t = sphere_volume(3) * grid.nodes**2 * trapezoid * (u * u / w)
         assert rec.l1_R != 0.0
         assert rec.l1_R == float(np.einsum("i,i", dV_t, R))
         with np.errstate(divide="ignore"):
@@ -493,7 +495,8 @@ class TestMonitor:
     @pytest.mark.parametrize("amplitude", [0.0, -50.0], ids=["bump", "synthetic-A-50"])
     def test_records_match_the_curvature_map_and_trapezoid_sums(self, amplitude):
         # every record against R, dV_t and the integrals evaluated as the
-        # curvature map and integrate_dV define them, written out here
+        # curvature map and the conformal volume u^{2n/(n-2)} dV0 define them,
+        # written out here
         g = build_grid(3, 0.0, 64.0, 512, LOG_STRETCHED)
         if amplitude:
             bg, u0 = make_synthetic_background(g, 1.0, amplitude, 2.0, 1.0), flat_data(g)
@@ -725,9 +728,9 @@ class TestRunFlow:
         dt = 0.002
         cfg = FlowConfig(dt0=dt, dt_max=dt, safety=1.0, t_end=0.1, monitor_every=1)
         res = run_flow(flat, u0, cfg)
-        one = constant_field(grid, 1.0)
         (t0, u0), (t1, u1) = res.checkpoints[0], res.checkpoints[-1]
-        lhs = (integrate_dV(one, u1) - integrate_dV(one, u0)) / (t1 - t0)
+        # the conformal volume int u^{2n/(n-2)} dV0 = int u^6 dV0 at n = 3
+        lhs = (grid.dV @ u1.values**6 - grid.dV @ u0.values**6) / (t1 - t0)
         ts = np.array([r.t for r in res.records])
         l1 = np.array([r.l1_R for r in res.records])
         rhs_val = -1.5 * np.trapezoid(l1, ts) / (t1 - t0)  # time-averaged -(n/2) int R dV
@@ -820,7 +823,9 @@ class TestScalingCovariance:
     uniform grid with lam = 2 every node, weight, dt and Robin coefficient
     scales by an exact power of 2, so floating point keeps the symmetry bit
     for bit: checkpoints, the monitor columns (t x lam^2, sup_R and min_R
-    / lam^2, the mass x lam^(n-2)) and the scalar-flat factor.  Any stray
+    / lam^2, the mass and l1_R x lam^(n-2)), the volume weights grid.dV
+    (x lam^n) and face_weights (x lam^(n-2)) and the scalar-flat factor; the
+    Yamabe quotient of a tent agrees to 4 ulp.  Any stray
     scale in the code (a hard-coded length or time, a clamp such as
     max(r, 1)) breaks it.  The log-stretched grid breaks the map itself:
     its split between the uniform and the geometric part sits at r = 1 on
@@ -861,6 +866,18 @@ class TestScalingCovariance:
             assert (a.t, a.sup_R, a.min_R) == (4.0 * b.t, b.sup_R / 4.0, b.min_R / 4.0)
             assert (a.min_u, a.max_u) == (b.min_u, b.max_u)
             assert a.mass == 2.0 ** (n - 2) * b.mass
+            assert a.l1_R == 2.0 ** (n - 2) * b.l1_R  # dV x 2^n, R / 4
+        # the one volume rule and the gradient weights scale exactly
+        grid_a, grid_b = bg_a.grid, bg_b.grid
+        assert grid_a.dV.tobytes() == (2.0**n * grid_b.dV).tobytes()
+        assert grid_a.face_weights.tobytes() == (2.0 ** (n - 2) * grid_b.face_weights).tobytes()
+        # so the Yamabe quotient, scale-invariant, agrees up to the rounding
+        # of its denominator's power (n-2)/n
+        tent = [RadialField(g, np.maximum(1.0 - g.nodes / (0.4 * g.R_max), 0.0))
+                for g in (grid_a, grid_b)]
+        assert tent[0].values.tobytes() == tent[1].values.tobytes()
+        q_a, q_b = yamabe_quotient(tent[0], bg_a), yamabe_quotient(tent[1], bg_b)
+        assert abs(q_a - q_b) <= 4.0 * math.ulp(q_b)
         limits = []
         for bg in (bg_a, bg_b):
             try:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from ylab.backgrounds import conformal_exponents, make_flat_background
 from ylab.elliptic import compute_R
-from ylab.errors import ConfigError, GridMismatchError, ParameterError, PositivityError
+from ylab.errors import ConfigError, GridMismatchError, MassUndefinedError, ParameterError
+from ylab.flow import Evaluation, MonitorWeights, far_field_window, monitor
 from ylab.grids import (
     _CSV_BLOCK_ROWS,
     LOG_STRETCHED,
@@ -17,10 +18,7 @@ from ylab.grids import (
     build_grid,
     constant_field,
     field_from_function,
-    integrate_dV,
-    integrate_dr,
     sphere_volume,
-    trapezoid_weights,
     truncation_tail_bound,
     weighted_sup_norm,
     write_field_csv,
@@ -72,6 +70,33 @@ class TestBuildGrid:
         assert np.all(np.diff(g.nodes) > 0)
         assert g.nodes[0] == pytest.approx(r_in)
         assert g.nodes[-1] == pytest.approx(10.0**logR)
+
+
+class TestRepresentableGrids:
+    """Every grid float64 can carry has finite weights; the build rejects the others."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([3, 4, 5]), M=st.integers(16, 4096),
+           log_R=st.floats(0.1, 300.0), policy=st.sampled_from([UNIFORM, LOG_STRETCHED]))
+    @example(n=3, M=4096, log_R=102.5, policy=LOG_STRETCHED)  # the last n = 3 wall kept
+    @example(n=3, M=4096, log_R=110.0, policy=LOG_STRETCHED)  # stencil weights overflow too
+    @example(n=5, M=4096, log_R=55.0, policy=LOG_STRETCHED)  # the fit basis underflows
+    @example(n=3, M=16, log_R=300.0, policy=LOG_STRETCHED)
+    def test_weights_are_finite_or_the_build_fails(self, n, M, log_R, policy):
+        try:
+            g = build_grid(n, 0.0, 10.0**log_R, M, policy)
+        except ConfigError as exc:
+            assert f"R_max = {10.0**log_R:g} and M = {M} is not representable" in str(exc)
+            return
+        lap = boundary_laplacian(g)
+        for weights in (g.dV, g.face_weights, lap.lower, lap.diag, lap.upper, lap.affine):
+            assert np.all(np.isfinite(weights))
+        try:
+            _, basis, norm = far_field_window(g)
+        except MassUndefinedError:
+            return
+        assert norm >= np.finfo(np.float64).tiny
+        assert norm == float(np.einsum("i,i", basis, basis))
 
 
 def laplacian(f):
@@ -143,51 +168,58 @@ class TestLaplacian:
         assert abs(lap[0] - (-8.0)) <= 10.0 * g.h**2
 
 
+def trapezoid_weights(grid):
+    """Node weights of the composite trapezoid rule against dr, written out here."""
+    half = 0.5 * grid.dr
+    weights = np.zeros(grid.nodes.shape)
+    weights[:-1] += half
+    weights[1:] += half
+    return weights
+
+
 class TestIntegration:
     def test_ball_volume(self):
         g = build_grid(3, 0.0, 10.0, 2000, UNIFORM)
-        one = constant_field(g, 1.0)
-        vol = integrate_dV(one, one)
+        vol = g.dV @ np.ones(g.nodes.shape)
         assert vol == pytest.approx(4.0 * math.pi / 3.0 * 1000.0, rel=1e-5)
 
     def test_decaying_profile_closed_form(self):
         # int_0^inf r^2 (1+r^2)^{-3} dr = pi/16, so the integral is pi^2/4
         g = build_grid(3, 0.0, 2000.0, 4096, LOG_STRETCHED)
-        f = field_from_function(g, lambda r: (1.0 + r**2) ** -3)
-        val = integrate_dV(f, constant_field(g, 1.0))
+        val = g.dV @ (1.0 + g.nodes**2) ** -3
         assert val == pytest.approx(math.pi**2 / 4.0, rel=1e-3)
 
     def test_constant_conformal_scaling(self):
+        # the one conformal density left is the monitor's u^{N+1} = u^2 / w:
+        # a constant u = 2 has R = u^{1-N} R0 = R0 / 16 and dV_t = 64 dV at
+        # n = 3, so its l1_R is four times that of u = 1
         g = build_grid(3, 0.0, 10.0, 2000, UNIFORM)
-        one = constant_field(g, 1.0)
-        two = constant_field(g, 2.0)
-        assert integrate_dV(one, two) == pytest.approx(64.0 * integrate_dV(one, one), rel=1e-13)
-
-    def test_mismatched_grids_rejected(self):
-        g1 = build_grid(3, 0.0, 10.0, 64, UNIFORM)
-        g2 = build_grid(3, 0.0, 10.0, 128, UNIFORM)
-        with pytest.raises(GridMismatchError):
-            integrate_dV(constant_field(g1, 1.0), constant_field(g2, 1.0))
-
-    def test_nonpositive_volume_factor_rejected(self):
-        g = build_grid(3, 0.0, 10.0, 64, UNIFORM)
-        u = field_from_function(g, lambda r: 1.0 - 0.2 * r)
-        with pytest.raises(PositivityError):
-            integrate_dV(constant_field(g, 1.0), u)
+        R0 = np.exp(-(g.nodes**2))
+        _, N = conformal_exponents(3)
+        weights = MonitorWeights.of(g)
+        l1 = [monitor(0.0, Evaluation(u, R0 * u, u ** (1.0 - N)), weights).l1_R
+              for u in (np.ones(g.nodes.shape), np.full(g.nodes.shape, 2.0))]
+        assert l1[0] == pytest.approx(math.pi**1.5, rel=1e-5)
+        assert l1[1] == pytest.approx(4.0 * l1[0], rel=1e-13)
 
     @pytest.mark.parametrize("policy", [UNIFORM, LOG_STRETCHED])
     def test_trapezoid_weights_are_the_same_rule(self, policy):
+        # grid.dV is omega r^{n-1} times the composite trapezoid node weights,
+        # bit for bit, and those weights integrate as the trapezoid rule does
         g = build_grid(3, 0.0, 100.0, 256, policy)
+        weights = trapezoid_weights(g)
+        assert g.dV.tobytes() == (sphere_volume(3) * g.nodes**2 * weights).tobytes()
         y = np.exp(-g.nodes) * (1.0 + np.sin(g.nodes))
-        assert trapezoid_weights(g) @ y == pytest.approx(integrate_dr(y, g), rel=1e-14, abs=0.0)
-        assert trapezoid_weights(g).sum() == pytest.approx(100.0, rel=1e-14)
+        assert weights @ y == pytest.approx(
+            float(np.sum(0.5 * (y[:-1] + y[1:]) * g.dr)), rel=1e-14, abs=0.0)
+        assert weights.sum() == pytest.approx(100.0, rel=1e-14)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_volume_and_face_weights_are_built_once(self, n):
         g = build_grid(n, 0.0, 100.0, 256, LOG_STRETCHED)
         r = g.nodes
         omega = sphere_volume(n)
-        assert np.array_equal(g.dV, omega * r ** (n - 1) * trapezoid_weights(g))
+        assert g.dV.tobytes() == (omega * r ** (n - 1) * trapezoid_weights(g)).tobytes()
         r_mid = 0.5 * (r[:-1] + r[1:])
         assert np.array_equal(g.face_weights, omega * r_mid ** (n - 1) / g.dr)
         for weights in (g.dV, g.face_weights):
@@ -207,8 +239,7 @@ class TestIntegration:
         errs = []
         for M in (128, 256):
             g = build_grid(3, 0.0, 8.0, M, LOG_STRETCHED)
-            f = field_from_function(g, lambda r: np.exp(-(r**2)))
-            errs.append(abs(integrate_dV(f, constant_field(g, 1.0)) - exact))
+            errs.append(abs(g.dV @ np.exp(-(g.nodes**2)) - exact))
         assert 3.6 <= errs[0] / errs[1] <= 4.4
 
 
@@ -273,7 +304,9 @@ def _per_row_csv(f, header):
 
 @st.composite
 def _fields_on_arbitrary_radii(draw):
-    radii = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=17, max_size=40,
+    # radii up to 1e100: past about 1e102 a grid's volume weights overflow,
+    # and RadialGrid rejects it
+    radii = draw(st.lists(st.floats(min_value=0.0, max_value=1e100), min_size=17, max_size=40,
                           unique=True))
     values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=len(radii), max_size=len(radii)))
