@@ -56,6 +56,7 @@ from .errors import (
     NonPositiveYamabeError,
     ParameterError,
     PositivityError,
+    SolveError,
     YlabError,
 )
 from .flow import (
@@ -419,7 +420,6 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
         rundir / "summary.json",
         {
             "run_id": manifest.run_id,
-            "halted": result.halted,
             "halt_reason": result.halt_reason,
             "final_t": final.t,
             "final_sup_R": last.sup_R,
@@ -493,12 +493,12 @@ def load_run(rundir) -> RunContext:
         summary = json.loads(summary_path.read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{summary_path} is missing or unreadable: {exc!r}") from exc
-    if not isinstance(summary, dict) or not isinstance(summary.get("halted"), bool):
-        raise ConfigError(f"{summary_path} has no boolean 'halted' entry")
-    halt_reason = summary.get("halt_reason")
-    if summary["halted"] != (halt_reason is not None) or halt_reason not in HALT_REASONS + (None,):
-        raise ConfigError(f"{summary_path} has halted = {summary['halted']} with halt_reason"
-                          f" {halt_reason!r}; a halted run has one of {list(HALT_REASONS)}")
+    if not isinstance(summary, dict) or "halt_reason" not in summary:
+        raise ConfigError(f"{summary_path} has no 'halt_reason' entry")
+    halt_reason = summary["halt_reason"]
+    if halt_reason not in HALT_REASONS + (None,):
+        raise ConfigError(f"{summary_path} has halt_reason {halt_reason!r}; a run ends with"
+                          f" null or one of {list(HALT_REASONS)}")
     return RunContext(rundir, manifest, grid, bg, records, halt_reason)
 
 
@@ -534,7 +534,7 @@ _AUDITS = {
 
 # errors main turns into exit codes 2 and 3; report passes them on
 _CONFIG_ERRORS = (ConfigError, ParameterError)
-_NUMERICAL_ERRORS = (ConvergenceError, NonPositiveYamabeError, FlowSingularityError)
+_NUMERICAL_ERRORS = (SolveError, FlowSingularityError)
 
 
 def _run_audit(name: str, ctx: RunContext):
@@ -632,7 +632,7 @@ def cmd_scalar_flat(manifest: RunManifest, out_root) -> int:
     outdir = _outdir(out_root, f"scalar-flat-{_slug(bg.name)}")
     try:
         u_inf, report = solve_scalar_flat(bg)
-    except (NonPositiveYamabeError, ConvergenceError) as exc:
+    except SolveError as exc:
         if exc.solution is not None:
             write_field_npy(exc.solution, outdir / "u_inf.npy")
         _write_failed_solve(outdir, exc)

@@ -126,7 +126,8 @@ def solve_scalar_flat(bg: BackgroundSpec) -> tuple[RadialField, SolveReport]:
     accepted when u > 0 and every row's residual is within ROUNDOFF_TARGET
     of its round-off level.  Where u << 1 the sum 1 + v cancels, so a
     factor that fails is solved again for u itself, and that one is judged
-    (report.iterations = 2).  Raises NonPositiveYamabeError when the system
+    (report.iterations = 2); a first factor with a node <= 0 fails before
+    its residual is computed.  Raises NonPositiveYamabeError when the system
     is singular, and otherwise carrying the last solution and its report
     when it has a negative node or fails the round-off test.  A failed
     factor with no negative node but nodes that underflowed to 0 or a
@@ -146,8 +147,10 @@ def solve_scalar_flat(bg: BackgroundSpec) -> tuple[RadialField, SolveReport]:
             raise NonPositiveYamabeError(f"scalar-flat system is singular: {exc}") from exc
         if not np.all(np.isfinite(u)):
             raise NonPositiveYamabeError("scalar-flat solve produced non-finite values")
-        residual, scaled = _scalar_flat_residual(u, P)
         positivity = float(np.min(u))
+        if iterations == 1 and positivity <= 0.0:
+            continue  # rejected without its residual
+        residual, scaled = _scalar_flat_residual(u, P)
         converged = scaled <= ROUNDOFF_TARGET and positivity > 0.0
         report = SolveReport(converged=converged, iterations=iterations,
                              final_residual=residual, positivity=positivity,
@@ -316,7 +319,7 @@ def prescribe_scalar_curvature(
         return P.apply(phi) - Rt * phi**P.N
 
     def residual_fn(phi):
-        return F(phi) / s, phi
+        return F(phi) / s
 
     def jacobian_fn(phi):
         dd = (P.diag - P.N * Rt * phi ** (P.N - 1.0)) / s

@@ -2,9 +2,10 @@
 
 Exit-code mapping used by the CLI: ConfigError (MassUndefinedError
 included) and ParameterError (GridMismatchError included) -> 2, numerical
-failures (ConvergenceError, NonPositiveYamabeError, FlowSingularityError)
--> 3, audit failures -> 4.  Any other ylab error an audit raises
-(FitDomainError, say) is that audit's failing verdict, so it also ends in 4.
+failures (the SolveErrors ConvergenceError and NonPositiveYamabeError, and
+FlowSingularityError) -> 3, audit failures -> 4.  Any other ylab error an
+audit raises (FitDomainError, say) is that audit's failing verdict, so it
+also ends in 4.
 """
 
 from __future__ import annotations
@@ -38,29 +39,28 @@ class HypothesisViolationError(YlabError):
     """Input violates the hypotheses of the solve (e.g. target curvature above background)."""
 
 
-class ConvergenceError(YlabError):
+class SolveError(YlabError):
+    """An elliptic solve failed; carries its last solution and SolveReport when it has them."""
+
+    def __init__(self, message: str, solution=None, report=None):
+        super().__init__(message)
+        self.solution = solution
+        self.report = report
+
+
+class ConvergenceError(SolveError):
     """Newton stagnated or ran out of iterations, a scalar-flat factor underflowed,
     or the best Yamabe trial quotient is not a finite float64.
 
     The scalar-flat one carries the solution and its SolveReport.
     """
 
-    def __init__(self, message: str, solution=None, report=None):
-        super().__init__(message)
-        self.solution = solution
-        self.report = report
 
-
-class NonPositiveYamabeError(YlabError):
+class NonPositiveYamabeError(SolveError):
     """The scalar-flat solve found no positive factor that passes the round-off test.
 
     Unless the system was singular, carries the solution and its SolveReport.
     """
-
-    def __init__(self, message: str, solution=None, report=None):
-        super().__init__(message)
-        self.solution = solution
-        self.report = report
 
 
 class FlowSingularityError(YlabError):

@@ -228,9 +228,12 @@ class RunResult(NamedTuple):
 
     records: list
     checkpoints: list  # FlowState snapshots
-    halted: bool
     halt_reason: str | None
     work: SolverWork
+
+    @property
+    def halted(self) -> bool:
+        return self.halt_reason is not None
 
 
 # attempts per step: dt0, then ten halvings
@@ -502,4 +505,4 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
         records.append(monitor(state.t, ev, weights))
     if state.step_index != last_checkpointed:
         checkpoints.append(state)
-    return RunResult(records, checkpoints, halt_reason is not None, halt_reason, work)
+    return RunResult(records, checkpoints, halt_reason, work)

@@ -87,9 +87,6 @@ class RadialGrid:
             return NotImplemented
         return self.n == other.n and np.array_equal(self.nodes, other.nodes)
 
-    def __hash__(self):
-        return hash((self.n, self.nodes.shape[0], float(self.nodes[0]), float(self.nodes[-1])))
-
     @property
     def M(self) -> int:
         return self.nodes.size - 1
@@ -159,14 +156,6 @@ class RadialField:
             raise ParameterError("field contains non-finite samples")
         self.grid = grid
         self.values = _readonly(values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RadialField):
-            return NotImplemented
-        return self.grid == other.grid and np.array_equal(self.values, other.values)
-
-    def with_values(self, values: np.ndarray) -> "RadialField":
-        return RadialField(self.grid, values)
 
     def __sub__(self, other: "RadialField") -> "RadialField":
         _require_same_grid(self, other)

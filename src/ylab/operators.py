@@ -18,11 +18,10 @@ and Robin constants; at zero flux every row maps a constant to exactly 0.
 Linear systems are solved by LAPACK's tridiagonal LU with partial
 pivoting (dgtsv): the flow's two Rosenbrock stages per step and the
 scalar-flat solve call it directly.  The one nonlinear solve, prescribe's,
-runs damped_newton, which returns the evaluation its residual_fn made at
-the final iterate with that iterate's scaled residual norm: prescribe's
-evaluation is the iterate itself, and prescribe applies F to it once more
-for its report's raw residual.  dgtsv comes from scipy's compiled LAPACK
-module, scipy.linalg._flapack, loaded on its own: for this one routine the
+runs damped_newton, which returns the final iterate with its scaled
+residual norm; prescribe applies F to it once more for its report's raw
+residual.  dgtsv comes from scipy's compiled LAPACK module,
+scipy.linalg._flapack, loaded on its own: for this one routine the
 scipy.linalg package import would more than double the start-up time of
 every ylab command and add about 24 MiB to it.  The module is loaded by the
 first solve_tridiagonal, not at import, so a command that solves nothing
@@ -139,17 +138,17 @@ def boundary_laplacian(grid: RadialGrid, inner_flux: float = 0.0) -> BoundaryLap
 
     h0 = dr[0]
     if r[0] == 0.0:
-        diag[0] = -2.0 * n / h0**2
-        upper[0] = 2.0 * n / h0**2
+        diag[0] = -2.0 * n / (h0 * h0)
+        upper[0] = 2.0 * n / (h0 * h0)
     else:
-        diag[0] = -2.0 / h0**2
-        upper[0] = 2.0 / h0**2
+        diag[0] = -2.0 / (h0 * h0)
+        upper[0] = 2.0 / (h0 * h0)
         affine[0] = inner_flux * _wall_flux_weight(grid)
 
     hM = dr[-1]
-    kappa = 2.0 * (n - 2) / (r[-1] * hM) + (n - 1) * (n - 2) / r[-1] ** 2
-    lower[-1] = 2.0 / hM**2
-    diag[-1] = -2.0 / hM**2 - kappa
+    kappa = 2.0 * (n - 2) / (r[-1] * hM) + (n - 1) * (n - 2) / (r[-1] * r[-1])
+    lower[-1] = 2.0 / (hM * hM)
+    diag[-1] = -2.0 / (hM * hM) - kappa
     affine[-1] = -(lower[-1] + diag[-1])  # kappa, rounded so constants cancel
     return BoundaryLaplacian(grid=grid, lower=lower, diag=diag, upper=upper, affine=affine)
 
@@ -207,7 +206,7 @@ def initial_inner_flux(u0: RadialField) -> float:
     d2, d1 = (np.linalg.solve(V, np.eye(4)[order] * math.factorial(order)) for order in (2, 1))
     lap0 = float((d2 + (grid.n - 1) / r[0] * d1) @ (v - v[0]))
     h0 = grid.dr[0]
-    return float((lap0 - 2.0 * (v[1] - v[0]) / h0**2) / _wall_flux_weight(grid))
+    return float((lap0 - 2.0 * (v[1] - v[0]) / (h0 * h0)) / _wall_flux_weight(grid))
 
 
 def solve_tridiagonal(
@@ -228,34 +227,34 @@ def solve_tridiagonal(
 def damped_newton(u0: np.ndarray, residual_fn, jacobian_fn, max_iter: int):
     """Newton iteration with residual backtracking and a positivity guard.
 
-    residual_fn(u) returns (F, e): the residual at u, divided row by row by
-    the rows' round-off levels, and the evaluation e it made there;
-    jacobian_fn(e) builds the tridiagonal bands (lower, diag, upper) of that
-    scaled residual from it.  Returns (e, residual_norm, iterations,
-    converged) of the final iterate: converged when the max-norm is at most
-    ROUNDOFF_TARGET.  Stagnation reports converged = False.  Candidates must
-    stay positive.  A residual above STALL_CEILING stagnates after a full
-    sweep of _MAX_BACKTRACKS halvings without reduction.  A residual at or
-    below it stagnates after the first evaluated candidate that fails to
-    reduce it, since halving the step cannot beat round-off.  Either sweep
-    ends at the first candidate equal to the iterate bit for bit: rounding
-    is monotone, so every shorter step gives that copy again, and its
-    residual is the one already rejected.
+    residual_fn(u) returns the residual F at u divided row by row by the
+    rows' round-off levels s; jacobian_fn(u) returns the tridiagonal bands
+    (lower, diag, upper) of that scaled residual at u.  Returns (u,
+    residual_norm, iterations, converged) of the final iterate: converged
+    when the max-norm is at most ROUNDOFF_TARGET.  Stagnation reports
+    converged = False.  Candidates must stay positive.  A residual above
+    STALL_CEILING stagnates after a full sweep of _MAX_BACKTRACKS halvings
+    without reduction.  A residual at or below it stagnates after the first
+    evaluated candidate that fails to reduce it, since halving the step
+    cannot beat round-off.  Either sweep ends at the first candidate equal
+    to the iterate bit for bit: rounding is monotone, so every shorter step
+    gives that copy again, and its residual is the one already rejected.
 
-    The first residual_fn call receives u0 itself, not a copy.  Its one
-    caller is elliptic.prescribe_scalar_curvature.
+    The first residual_fn call receives u0 itself, not a copy, and
+    jacobian_fn receives the array the last accepted residual_fn call did.
+    Its one caller is elliptic.prescribe_scalar_curvature.
     """
     u = np.asarray(u0, dtype=np.float64)
-    res, e = residual_fn(u)
+    res = residual_fn(u)
     rn = float(np.max(np.abs(res)))
     iterations = 0
     while rn > ROUNDOFF_TARGET and iterations < max_iter:
         try:
-            delta = solve_tridiagonal(*jacobian_fn(e), -res)
+            delta = solve_tridiagonal(*jacobian_fn(u), -res)
         except np.linalg.LinAlgError:
-            return e, rn, iterations, False
+            return u, rn, iterations, False
         if not np.all(np.isfinite(delta)):
-            return e, rn, iterations, False
+            return u, rn, iterations, False
         lam = 1.0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -263,10 +262,10 @@ def damped_newton(u0: np.ndarray, residual_fn, jacobian_fn, max_iter: int):
             if np.array_equal(cand, u):  # so is every shorter step: its residual is rn
                 break
             if np.min(cand) > 0.0:
-                cres, ce = residual_fn(cand)
+                cres = residual_fn(cand)
                 crn = float(np.max(np.abs(cres)))
                 if np.isfinite(crn) and (crn < rn or crn <= ROUNDOFF_TARGET):
-                    u, res, e, rn = cand, cres, ce, crn
+                    u, res, rn = cand, cres, crn
                     accepted = True
                     break
                 if rn <= STALL_CEILING:
@@ -274,5 +273,5 @@ def damped_newton(u0: np.ndarray, residual_fn, jacobian_fn, max_iter: int):
             lam *= 0.5
         iterations += 1
         if not accepted:
-            return e, rn, iterations, False
-    return e, rn, iterations, rn <= ROUNDOFF_TARGET
+            return u, rn, iterations, False
+    return u, rn, iterations, rn <= ROUNDOFF_TARGET

@@ -276,7 +276,7 @@ class TestSimulate:
         ]
         assert parse_config(rundir / "config.ini") == m
         summary = json.loads((rundir / "summary.json").read_text())
-        assert not summary["halted"]
+        assert summary["halt_reason"] is None
         assert summary["final_t"] == pytest.approx(2.0)
 
     def test_summary_counts_the_solver_work(self, tmp_path, monkeypatch):
@@ -296,9 +296,15 @@ class TestSimulate:
         assert (summary["rejected_estimate"], summary["rejected_nonpositive"],
                 summary["rejected_singular"]) == (0, 0, 0)
         assert 0.0 < summary["max_step_estimate"] <= STEP_TOL
+
+    def test_formats_doc_pins_the_summary_keys(self, tmp_path):
+        # the example in docs/formats.md lists the keys simulate writes
+        assert cmd_simulate(parse_config_text(BUMP_CONFIG.replace("t_end = 2.0", "t_end = 0.05")),
+                            tmp_path) == 0
+        summary = json.loads((tmp_path / "bump-test" / "summary.json").read_text())
         doc = (ROOT / "docs" / "formats.md").read_text()
         example = doc.split("## Run summary")[1].split("```json\n")[1].split("```")[0]
-        assert set(json.loads(example)) == set(summary)
+        assert sorted(json.loads(example)) == sorted(summary)
 
     def test_flat_run_reports_no_halving(self, tmp_path):
         config = BUMP_CONFIG.replace("family = gaussian_bump\neps = 0.1\nsigma = 1.0\n",
@@ -669,20 +675,15 @@ class TestReport:
             ("monitor.csv", lambda path: path.write_text(path.read_text()[:-40])),
             ("summary.json", lambda path: path.write_text("{not json")),
             ("summary.json", lambda path: path.write_text("{}")),
-            ("summary.json", lambda path: path.write_text('{"halted": 0}')),
-            ("summary.json", lambda path: path.write_text(
-                '{"halted": false, "halt_reason": "blowup"}')),
-            ("summary.json", lambda path: path.write_text('{"halted": true, "halt_reason": null}')),
-            ("summary.json", lambda path: path.write_text(
-                '{"halted": true, "halt_reason": "tired"}')),
+            ("summary.json", lambda path: path.write_text('{"halted": false}')),
+            ("summary.json", lambda path: path.write_text('{"halt_reason": "tired"}')),
             ("monitor.csv", _drop_monitor_column("lpR_p1.5")),
             ("monitor.csv", lambda path: path.write_text(
                 "\n".join(path.read_text().splitlines()[:2]) + "\n")),
         ],
         ids=["missing-monitor", "missing-summary", "monitor-without-columns",
              "truncated-monitor", "unreadable-summary", "summary-without-halted",
-             "non-boolean-halted", "reason-without-halt", "halt-without-reason",
-             "unknown-halt-reason", "missing-lp-column", "header-only-monitor"],
+             "non-boolean-halted", "unknown-halt-reason", "missing-lp-column", "header-only-monitor"],
     )
     def test_incomplete_run_directory_is_config_error(
         self, bump_run, tmp_path, capsys, name, corrupt
@@ -837,7 +838,7 @@ class TestReport:
         assert cmd_simulate(parse_config_text(config), tmp_path) == 3
         rundir = tmp_path / "well"
         summary = _strict_json(rundir / "summary.json")
-        assert (summary["halted"], summary["halt_reason"]) == (True, reason)
+        assert summary["halt_reason"] == reason and "halted" not in summary
         assert reason in NUMERICAL_HALTS
         assert load_run(rundir).halt_reason == reason
         out = tmp_path / "rep.json"
@@ -1176,7 +1177,88 @@ class TestReadmeCli:
         assert sorted(listed) == sorted(registered.split(","))
 
 
+_BRANCH_CONFIG = ("[run]\nid = case\n[grid]\nn = {n}\nR_max = 64\nM = {M}\npolicy = {policy}\n"
+                  "[initial]\n{initial}\n[flow]\n{flow}\n")
+
+
+def _branch_config(n=3, M="256", policy="log-stretched", initial="family = flat",
+                   flow="t_end = 0.01"):
+    return _BRANCH_CONFIG.format(n=n, M=M, policy=policy, initial=initial, flow=flow)
+
+
+# (command, config, --background, exit code, the message that names the branch)
+_ERROR_BRANCHES = {
+    "prescribe-target-above-background": (
+        "prescribe", _branch_config(), _WELL.format(A=-10), 3,
+        "target curvature exceeds background at r=1.27"),
+    "policy-spiral": ("simulate", _branch_config(policy="spiral"), None, 2,
+                      "unknown grid policy 'spiral'"),
+    "M-8": ("simulate", _branch_config(M="8"), None, 2, "M must be >= 16, got 8"),
+    "M-abc": ("simulate", _branch_config(M="abc"), None, 2, "[grid] M = 'abc'"),
+    "dt_max-below-dt0": ("simulate", _branch_config(flow="dt0 = 0.1\ndt_max = 0.01"), None, 2,
+                         "dt_max must be >= dt0"),
+    "t_end-0": ("simulate", _branch_config(flow="t_end = 0"), None, 2, "t_end must be positive"),
+    "monitor_every-0": ("simulate", _branch_config(flow="monitor_every = 0"), None, 2,
+                        "cadences must be >= 1"),
+    "safety-0.5": ("simulate", _branch_config(flow="safety = 0.5"), None, 2,
+                   "safety factor must be >= 1"),
+    "unclosed-section": ("simulate", _branch_config().replace("[grid]", "[grid"), None, 2,
+                         "config parse error"),
+    "flatx": ("simulate", _branch_config(), "flatx", 2, "unknown background 'flatx'"),
+    "flat4-on-n3": ("simulate", _branch_config(), "flat4", 2,
+                    "background 'flat4' conflicts with grid dimension 3"),
+    "sigma-without-value": ("simulate", _branch_config(), "synthetic:A=-10,rc=2,sigma,tau=1", 2,
+                            "malformed background parameter 'sigma'"),
+    "unknown-synthetic-parameter": (
+        "simulate", _branch_config(), "synthetic:A=-10,rc=2,sigma=1,tau=1,beta=2", 2,
+        "unknown synthetic background parameters ['beta']"),
+    "tau-0": ("simulate", _branch_config(), "synthetic:A=-10,rc=2,sigma=1,tau=0", 2,
+              "decay order tau must be positive"),
+    "sigma-0": ("simulate", _branch_config(), "synthetic:A=-10,rc=2,sigma=0,tau=1", 2,
+                "width must be positive"),
+    "bump-sigma-0": ("simulate", _branch_config(initial="family = gaussian_bump\nsigma = 0"),
+                     None, 2, "sigma must be positive"),
+    "schwarzschild-m-1": ("simulate", _branch_config(initial="family = schwarzschild\nm = -1"),
+                          None, 2, "mass parameter must be nonnegative"),
+    "newtonian-n4": ("simulate", _branch_config(n=4, initial="family = newtonian"), None, 2,
+                     "newtonian data is implemented for n = 3 only"),
+    "newtonian-radius-0": ("simulate", _branch_config(initial="family = newtonian\nradius = 0"),
+                           None, 2, "radius must be positive"),
+    "newtonian-radius-20": ("simulate", _branch_config(initial="family = newtonian\nradius = 20"),
+                            None, 2, "source must be supported within r <= R_max/8 = 8"),
+    "newtonian-radius-1e-9": (
+        "simulate", _branch_config(initial="family = newtonian\nradius = 1e-9"), None, 2,
+        "source bump has no mass on this grid"),
+    "report-without-config": ("report", None, None, 2, "is not a run directory (no config.ini)"),
+}
+
+
 class TestMainExitCodes:
+    @pytest.mark.parametrize("case", list(_ERROR_BRANCHES))
+    def test_error_branch_exits_with_its_code(self, tmp_path, capsys, case):
+        # each branch exits with its code and message, no traceback, and writes
+        # no run directory; prescribe's failed solve writes its report only
+        command, config, background, code, message = _ERROR_BRANCHES[case]
+        out = tmp_path / "o"
+        if command == "report":
+            (tmp_path / "run").mkdir()
+            argv = ["report", str(tmp_path / "run"), "--audits", "mass-drift",
+                    "--out", str(tmp_path / "rep.json")]
+        else:
+            (tmp_path / "case.ini").write_text(config)
+            argv = [command, "--config", str(tmp_path / "case.ini"), "--out", str(out)]
+            argv += ["--background", background] if background else []
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert message in (captured.out if code == 3 else captured.err)
+        assert "Traceback" not in captured.out + captured.err
+        if code == 3:
+            (outdir,) = out.iterdir()
+            assert _files(outdir) == {"solve_report.json"}
+            assert _strict_json(outdir / "solve_report.json")["converged"] is False
+        else:
+            assert not out.exists() and not (tmp_path / "rep.json").exists()
+
     def test_config_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[flow]\ndt0 = -1\n")

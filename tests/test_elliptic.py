@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ylab import elliptic
 from ylab.backgrounds import (
     background_from_name,
     conformal_exponents,
@@ -178,6 +179,28 @@ class TestScalarFlat:
         assert err.value.solution is not None
         assert np.min(err.value.solution.values) <= 0.0
 
+    @pytest.mark.parametrize("A, calls, converged", [(-50.0, 1, False), (1000.0, 2, True)])
+    def test_negative_first_factor_gets_no_residual(self, grid, monkeypatch, A, calls, converged):
+        # A = -50's first factor has negative nodes, so only the factor solved
+        # for u is judged; A = 1000's first factor is positive but fails the
+        # round-off test, so both are
+        residuals = []
+
+        def counted(u, P):
+            residuals.append(float(np.min(u)))
+            return residual(u, P)
+
+        residual = elliptic._scalar_flat_residual
+        monkeypatch.setattr(elliptic, "_scalar_flat_residual", counted)
+        bg = background_from_name(f"synthetic:A={A},rc=2,sigma=1,tau=1", grid)
+        try:
+            _, report = solve_scalar_flat(bg)
+        except NonPositiveYamabeError as exc:
+            report = exc.report
+        assert len(residuals) == calls and report.converged is converged
+        assert report.iterations == 2 and report.positivity == residuals[-1]
+        assert (min(residuals) > 0.0) is converged
+
     def test_report_invariant(self):
         g, bg, _ = manufactured_background(256)
         _, rep = solve_scalar_flat(bg)
@@ -202,7 +225,7 @@ class TestYamabeQuotient:
         bg = make_flat_background(g)
         v = field_from_function(g, lambda r: np.maximum(1.0 - (r / 3.0) ** 2, 0.0))
         q1 = yamabe_quotient(v, bg)
-        q2 = yamabe_quotient(v.with_values(c * v.values), bg)
+        q2 = yamabe_quotient(RadialField(v.grid, c * v.values), bg)
         assert q2 == pytest.approx(q1, rel=1e-12)
 
     def test_gaussian_trial_negative_on_deep_well(self, grid):

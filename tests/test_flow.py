@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ylab.backgrounds import (
@@ -846,6 +846,10 @@ class TestScalingCovariance:
         dt_max_factor=st.one_of(st.none(), st.floats(min_value=1.0, max_value=100.0)),
         safety=st.sampled_from([1.0, 1.3, 2.0]),
     )
+    # libm's pow misrounds this grid's h0**2 (0.001983543246654813 against
+    # h0*h0 = 0.0019835432466548133), so the stencil must square by multiplying
+    @example(n=4, M=158, R_max=158 * 0.04453698739985466, eps=0.5, sigma=1.0, amplitude=0.0,
+             t_end=1.0, first_steps=10, dt_max_factor=None, safety=1.3)
     def test_flow_and_limit_are_bitwise_covariant(self, n, M, R_max, eps, sigma, amplitude,
                                                   t_end, first_steps, dt_max_factor, safety):
         dt0 = t_end / first_steps

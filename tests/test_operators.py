@@ -24,12 +24,12 @@ SCALE = 4e12  # arctan residuals times SCALE meet ROUNDOFF_TARGET where |arctan|
 
 
 def counting(residual_fn):
-    """residual_fn as damped_newton calls it, returning (F, v); the list records each point."""
+    """residual_fn, wrapped so that the list records each point it is called at."""
     points = []
 
     def wrapped(v):
         points.append(np.array(v))
-        return residual_fn(v), v
+        return residual_fn(v)
 
     return wrapped, points
 
@@ -72,7 +72,7 @@ class TestDampedNewton:
                 np.full(4, 3.0), fn, jacobian_fn, max_iter=25
             )
             # initial residual, the accepted full step onto the floor, one
-            # failed candidate; the evaluation returned is the accepted iterate's
+            # failed candidate; the iterate returned is the accepted one
             assert ROUNDOFF_TARGET < level <= STALL_CEILING
             assert len(points) == 3
             assert (rn, iterations, converged) == (level, 2, False)
@@ -112,9 +112,9 @@ class TestDampedNewton:
     @pytest.mark.parametrize("floor", [0.0, 1e-3])
     def test_jacobian_sees_the_last_residual_array(self, floor):
         # arctan steps overshoot from 12, so candidates are rejected before a
-        # half step is accepted; every Jacobian call must receive the
-        # evaluation returned with the current iterate, which is also the
-        # last one the residual returned.  floor is an error the residual
+        # half step is accepted; every Jacobian call must receive the array
+        # the last accepted residual call received, the current iterate,
+        # which damped_newton also returns.  floor is an error the residual
         # carries besides its round-off 1 / SCALE: it raises the row's level,
         # so a coarser iterate converges and the stall rule sets in sooner
         scale = 1.0 / (1.0 / SCALE + floor)
@@ -124,33 +124,31 @@ class TestDampedNewton:
             return scale * np.arctan(v - 10.0)
 
         def residual_fn(v):
-            e = (v.copy(),)  # a new evaluation object per call
-            calls.append(("residual", e))
-            return rescaled_arctan(v), e
+            calls.append(("residual", v))
+            return rescaled_arctan(v)
 
-        def jacobian_fn(e):
-            calls.append(("jacobian", e))
-            (v,) = e
+        def jacobian_fn(v):
+            calls.append(("jacobian", v))
             return np.zeros(0), scale / (1.0 + (v - 10.0) ** 2), np.zeros(0)
 
-        e, _, iterations, converged = damped_newton(
-            np.array([12.0]), residual_fn, jacobian_fn, max_iter=25
-        )
+        u0 = np.array([12.0])
+        u, _, iterations, converged = damped_newton(u0, residual_fn, jacobian_fn, max_iter=25)
         assert converged
+        assert calls[0][1] is u0
         # the current iterate, replayed: a candidate replaces it when it
         # reduces the residual or meets ROUNDOFF_TARGET
         current, rn, rejected = None, np.inf, 0
-        for i, (kind, ev) in enumerate(calls):
+        for i, (kind, v) in enumerate(calls):
             if kind == "residual":
-                crn = abs(float(rescaled_arctan(ev[0])[0]))
+                crn = abs(float(rescaled_arctan(v)[0]))
                 if crn < rn or crn <= ROUNDOFF_TARGET:
-                    current, rn = ev, crn
+                    current, rn = v, crn
                 else:
                     rejected += 1
             else:
-                assert ev is current
-                assert ev is calls[i - 1][1]
-        assert e is current
+                assert v is current
+                assert v is calls[i - 1][1]
+        assert u is current
         assert sum(kind == "jacobian" for kind, _ in calls) == iterations
         assert rejected > 0
 
