@@ -41,12 +41,9 @@ class BackgroundSpec:
         check_decay(r0_profile, 2.0 + tau, decay_constant)
         self.tau = tau
         self.r0_profile = r0_profile
+        self.grid = r0_profile.grid
         self.name = name
         self.decay_constant = decay_constant
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.r0_profile.grid
 
 
 def _square(value: float, key: str) -> float:
@@ -83,7 +80,6 @@ def make_synthetic_background(
     amplitude: float,
     center: float,
     width: float,
-    name: str | None = None,
 ) -> BackgroundSpec:
     """Prescribed coefficient R0(r) = A exp(-(r-r_c)^2/sigma^2) (1+r^2)^{-(2+tau)/2}.
 
@@ -95,10 +91,10 @@ def make_synthetic_background(
     r = grid.nodes
     bump = np.exp(-((r - center) ** 2) / _square(width, "sigma"))
     values = amplitude * bump * (1.0 + r**2) ** (-(2.0 + tau) / 2.0)
-    if name is None:
-        name = f"synthetic:A={amplitude:g},rc={center:g},sigma={width:g},tau={tau:g}"
     return BackgroundSpec(
-        tau=tau, r0_profile=RadialField(grid, values), name=name, decay_constant=abs(amplitude),
+        tau=tau, r0_profile=RadialField(grid, values),
+        name=f"synthetic:A={amplitude:g},rc={center:g},sigma={width:g},tau={tau:g}",
+        decay_constant=abs(amplitude),
     )
 
 

@@ -143,11 +143,6 @@ def _get(cp, section, key, cast, default):
     return value
 
 
-def _flow_cast(annotation):
-    """Config cast of a FlowConfig field type: the type without None."""
-    return next(t for t in typing.get_args(annotation) or (annotation,) if t is not type(None))
-
-
 def parse_config_text(text: str, source: str = "<config>") -> RunManifest:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -178,9 +173,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunManifest:
     for key, default in _FAMILIES[family][0].items():
         initial[key] = _get(cp, "initial", key, type(default), default)
 
-    hints = typing.get_type_hints(FlowConfig)
+    # each key is cast by the type of its default; an unset (None) default is a float
     flow = FlowConfig(**{
-        name: _get(cp, "flow", name, _flow_cast(hints[name]), default)
+        name: _get(cp, "flow", name, float if default is None else type(default), default)
         for name, default in FlowConfig._field_defaults.items()
     })
     run_id = _get(cp, "run", "id", str, None) or _slug(f"{background}-{family}")
@@ -406,8 +401,8 @@ def cmd_simulate(manifest: RunManifest, out_root) -> int:
     if rundir.exists():
         raise ConfigError(f"run directory already exists: {rundir}")
     grid, bg, u0, cfg = build_run(manifest)  # config errors leave no directory behind
-    far_field_window(grid)  # so does a grid that cannot read the mass off
-    result = run_flow(bg, u0, cfg)  # and so does a run whose monitor overflows
+    # so does a run that cannot read the mass off its grid, or whose monitor overflows
+    result = run_flow(bg, u0, cfg)
     _outdir(out_root, manifest.run_id)
     final = result.checkpoints[-1]
 

@@ -212,7 +212,7 @@ def convergence_to_limit(
         if u.grid != u_inf.grid:
             raise GridMismatchError("trajectory snapshot grid differs from the limit's")
         times.append(float(t))
-        norms.append(weighted_sup_norm(u - u_inf, -tau_prime))
+        norms.append(weighted_sup_norm(RadialField(u.grid, u.values - u_inf.values), -tau_prime))
     times_a = np.asarray(times)
     norms_a = np.asarray(norms)
     if np.all(norms_a == 0.0):

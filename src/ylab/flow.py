@@ -84,6 +84,7 @@ def valid_time_horizon(grid: RadialGrid) -> float:
 
 
 class _FlowFields(NamedTuple):
+    # cli casts each [flow] key by its default's type: write 1.0, not 1
     dt0: float = 1e-3
     dt_max: float | None = None
     newton_max: int = 25
@@ -451,10 +452,13 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
     step fails at its dt and all ten halvings ("dt-collapse"), or when
     STALL_LIMIT steps since t last doubled were cut short ("stalled"): a
     step is cut short when it rejected an attempt, ended with a shorter dt
-    than it began with, or left t where it was.  Both are numerical
-    failures (NUMERICAL_HALTS).  A configured stop_max_u threshold halts with
-    reason 'blowup' once the factor exceeds it (the non-convergence
-    alternative of the dichotomy).
+    than it began with, left t where it was, or kept a dt below the largest
+    dt L the run has taken while t <= STALL_LIMIT L, that is while L would
+    still double t in STALL_LIMIT steps (with safety = 1 a cut dt never
+    grows back; a held cut of less than 2 never stalls).  Both are
+    numerical failures (NUMERICAL_HALTS).  A configured stop_max_u threshold
+    halts with reason 'blowup' once the factor exceeds it (the
+    non-convergence alternative of the dichotomy).
     """
     if u0.grid != bg.grid:
         raise GridMismatchError("initial data and background live on different grids")
@@ -470,6 +474,7 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
     halt_reason = None
     doubling_from = 0.0  # t when the current count of cut steps began
     cut_steps = 0
+    largest_dt = 0.0  # the largest dt a step has taken
 
     while True:
         remaining = cfg.t_end - state.t
@@ -493,9 +498,11 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
         if cfg.stop_max_u is not None and float(np.max(state.u.values)) >= cfg.stop_max_u:
             halt_reason = "blowup"
             break
+        largest_dt = max(largest_dt, before.dt * 0.5 ** (work.halvings - halvings))
         if state.t >= 2.0 * doubling_from:
             doubling_from, cut_steps = state.t, 0
-        elif work.halvings > halvings or state.dt < before.dt or state.t == before.t:
+        elif (work.halvings > halvings or state.dt < before.dt or state.t == before.t
+              or state.dt == before.dt < largest_dt and state.t <= STALL_LIMIT * largest_dt):
             cut_steps += 1
             if cut_steps >= STALL_LIMIT:
                 halt_reason = "stalled"

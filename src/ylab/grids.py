@@ -19,7 +19,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +40,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 class RadialGrid:
     """Strictly increasing radii r_0 < ... < r_M with an n-dimensional volume rule.
+
+    Its arrays are read-only and built once, with the grid: the spacings dr,
+    the radial weight w = max(r, 1), and
+
+    * dV, the one volume rule: flat volume weights omega r^{n-1} times the
+      composite trapezoid node weights.  The dot product of dV with nodal
+      samples f is the trapezoid integral of f against dV0 = omega r^{n-1} dr;
+      with f times the density u^{2n/(n-2)} it is the conformal volume integral;
+    * face_weights, omega r_mid^{n-1} / h_i per interval (r_mid the interval
+      midpoints, h_i = dr): the dot product with diff(v)**2 is the midpoint
+      rule of the energy integral of |v'|^2 dV0.
 
     ConfigError when dV, face_weights or the stencil denominators h_{i-1}
     h_i (h_{i-1} + h_i) of operators.boundary_laplacian overflow float64.
@@ -69,10 +79,17 @@ class RadialGrid:
         self.n = n
         self.nodes = _readonly(nodes)
         self.policy = policy
-        self._dr = _readonly(np.diff(nodes))
-        self._w = _readonly(np.maximum(nodes, 1.0))
+        self.dr = _readonly(np.diff(nodes))
+        self.w = _readonly(np.maximum(nodes, 1.0))
         with np.errstate(over="ignore"):
-            hm, hp = self._dr[:-1], self._dr[1:]
+            weights = np.zeros(nodes.shape)  # the trapezoid node weights
+            weights[:-1] += 0.5 * self.dr
+            weights[1:] += 0.5 * self.dr
+            self.dV = _readonly(sphere_volume(n) * self.nodes ** (n - 1) * weights)
+            del weights  # freed before face_weights' temporaries: a lower peak RSS at large M
+            r_mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
+            self.face_weights = _readonly(sphere_volume(n) * r_mid ** (n - 1) / self.dr)
+            hm, hp = self.dr[:-1], self.dr[1:]
             if not all(np.isfinite(a).all()
                        for a in (self.dV, self.face_weights, hm * hp * (hm + hp))):
                 raise ConfigError(
@@ -100,47 +117,13 @@ class RadialGrid:
         return float(self.nodes[-1])
 
     @property
-    def dr(self) -> np.ndarray:
-        return self._dr
-
-    @property
-    def w(self) -> np.ndarray:
-        """Radial weight max(r, 1)."""
-        return self._w
-
-    @cached_property
-    def dV(self) -> np.ndarray:
-        """The one volume rule: flat volume weights omega r^{n-1} times trapezoid node weights.
-
-        The dot product of dV with nodal samples f is the composite trapezoid
-        integral of f against dV0 = omega r^{n-1} dr; with f times the
-        density u^{2n/(n-2)} it is the conformal volume integral.  Built once
-        per grid, when the grid is.
-        """
-        half = 0.5 * self._dr
-        weights = np.zeros(self.nodes.shape)
-        weights[:-1] += half
-        weights[1:] += half
-        return _readonly(sphere_volume(self.n) * self.nodes ** (self.n - 1) * weights)
-
-    @cached_property
-    def face_weights(self) -> np.ndarray:
-        """omega r_mid^{n-1} / h_i per interval, built once per grid, when the grid is.
-
-        With r_mid the interval midpoints and h_i = dr, the dot product with
-        diff(v)**2 is the midpoint rule of the energy integral of |v'|^2 dV0.
-        """
-        r_mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        return _readonly(sphere_volume(self.n) * r_mid ** (self.n - 1) / self._dr)
-
-    @property
     def h(self) -> float:
         """Relative mesh parameter: max spacing measured against max(r, 1).
 
         Equals the uniform spacing on [r_in, 1] and the geometric stretch
         q - 1 on [1, R_max]; tolerance statements of the form C*h^2 use it.
         """
-        return float(np.max(self._dr / np.maximum(self.nodes[1:], 1.0)))
+        return float(np.max(self.dr / np.maximum(self.nodes[1:], 1.0)))
 
 
 class RadialField:
@@ -157,10 +140,6 @@ class RadialField:
         self.grid = grid
         self.values = _readonly(values)
 
-    def __sub__(self, other: "RadialField") -> "RadialField":
-        _require_same_grid(self, other)
-        return RadialField(self.grid, self.values - other.values)
-
 
 def sphere_volume(n: int) -> float:
     """omega_{n-1} = 2 pi^{n/2} / Gamma(n/2), the volume of the unit sphere in R^n."""
@@ -173,11 +152,6 @@ def constant_field(grid: RadialGrid, value: float) -> RadialField:
 
 def field_from_function(grid: RadialGrid, fn) -> RadialField:
     return RadialField(grid, np.asarray(fn(grid.nodes), dtype=np.float64))
-
-
-def _require_same_grid(f: RadialField, g: RadialField) -> None:
-    if f.grid is not g.grid and f.grid != g.grid:
-        raise GridMismatchError("fields live on different grids")
 
 
 def build_grid(n: int, r_in: float, R_max: float, M: int, policy: str = LOG_STRETCHED) -> RadialGrid:

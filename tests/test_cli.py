@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shutil
+import typing
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -41,8 +42,8 @@ from ylab.elliptic import (
     yamabe_sign,
 )
 from ylab.errors import ConfigError, ConvergenceError, NonPositiveYamabeError
-from ylab.flow import (NUMERICAL_HALTS, STEP_TOL, FlowState, MonitorRecord, monitor_columns,
-                       run_flow)
+from ylab.flow import (NUMERICAL_HALTS, STEP_TOL, FlowConfig, FlowState, MonitorRecord,
+                       monitor_columns, run_flow)
 from ylab.grids import UNIFORM, RadialField, RadialGrid
 from ylab.operators import BoundaryLaplacian
 
@@ -124,6 +125,14 @@ stop_max_u =\x20
 
 
 class TestParseConfig:
+    def test_flow_defaults_have_their_field_types(self):
+        # parse_config_text casts each [flow] key by its default's type, a
+        # None default as a float: a default written 1 would read 1.5 as an error
+        hints = typing.get_type_hints(FlowConfig)
+        for name, default in FlowConfig._field_defaults.items():
+            cast = float if default is None else type(default)
+            assert hints[name] in (cast, cast | None), name
+
     def test_minimal_fills_defaults(self):
         m = parse_config_text("")
         assert m.background == "flat"
@@ -1202,6 +1211,13 @@ _ERROR_BRANCHES = {
                         "cadences must be >= 1"),
     "safety-0.5": ("simulate", _branch_config(flow="safety = 0.5"), None, 2,
                    "safety factor must be >= 1"),
+    # each [flow] key is cast by the type of its default, a None default as a float
+    "newton_max-2.5": ("simulate", _branch_config(flow="newton_max = 2.5"), None, 2,
+                       "[flow] newton_max = '2.5'"),
+    "dt_max-abc": ("simulate", _branch_config(flow="dt_max = abc"), None, 2,
+                   "[flow] dt_max = 'abc'"),
+    "stop_max_u-inf": ("simulate", _branch_config(flow="stop_max_u = inf"), None, 2,
+                       "is not a finite number"),
     "unclosed-section": ("simulate", _branch_config().replace("[grid]", "[grid"), None, 2,
                          "config parse error"),
     "flatx": ("simulate", _branch_config(), "flatx", 2, "unknown background 'flatx'"),

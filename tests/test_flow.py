@@ -792,6 +792,31 @@ class TestRunEnd:
         if ending == "t_end-off-cadence":
             assert final.t == pytest.approx(cfg.t_end, rel=1e-12)
 
+    # With safety = 1 a cut dt never grows back.  A held dt below the largest
+    # dt L taken counts as cut short while t <= STALL_LIMIT L, so a run stalls
+    # on a held cut only when that cut is what keeps t from doubling.
+
+    def test_held_deep_cut_halts_stalled(self):
+        # the covariance test's crawl example: rejections between t = 0.011
+        # and 0.041 cut dt from L = 7.5e-3 to 5.1e-5, and it used to crawl to
+        # t_end in 134,623 steps
+        t_end = 6.94
+        cfg = FlowConfig(dt0=t_end / 29, t_end=t_end, safety=1.0)
+        (bg, u0, cfg), _ = _scaled_pair(4, 25, 15.37, -0.185, 3.97, 30.85, cfg)
+        res = run_flow(bg, u0, cfg)
+        assert res.halt_reason == "stalled"
+        assert res.checkpoints[-1].step_index == 1452
+
+    def test_held_cut_below_two_reaches_t_end(self):
+        # three rejections take the first step at L = 1.25e-4, and its
+        # estimate holds every later dt at 1.226e-4: a 2% cut, not a stall
+        g = build_grid(3, 0.0, 64.0, 64, LOG_STRETCHED)
+        cfg = FlowConfig(dt0=1e-3, t_end=0.26, safety=1.0)
+        res = run_flow(make_flat_background(g), gaussian_bump_data(g, -0.7, 1.0), cfg)
+        assert res.halt_reason is None
+        assert res.checkpoints[-1].step_index == 2121
+        assert res.work.halvings == 3
+
 
 def _scaled_pair(n, M, R_max, eps, sigma, amplitude, cfg, lam=2.0):
     """(background, data, config) of a run A on a uniform grid, and of its image B.
@@ -850,6 +875,10 @@ class TestScalingCovariance:
     # h0*h0 = 0.0019835432466548133), so the stencil must square by multiplying
     @example(n=4, M=158, R_max=158 * 0.04453698739985466, eps=0.5, sigma=1.0, amplitude=0.0,
              t_end=1.0, first_steps=10, dt_max_factor=None, safety=1.3)
+    # with safety = 1.0 no dt grows back once the estimate has cut it: this
+    # run crawled to t_end in 134,623 steps until such steps counted as cut
+    @example(n=4, M=25, R_max=15.37, eps=-0.185, sigma=3.97, amplitude=30.85,
+             t_end=6.94, first_steps=29, dt_max_factor=None, safety=1.0)
     def test_flow_and_limit_are_bitwise_covariant(self, n, M, R_max, eps, sigma, amplitude,
                                                   t_end, first_steps, dt_max_factor, safety):
         dt0 = t_end / first_steps
