@@ -64,8 +64,10 @@ class NonPositiveYamabeError(SolveError):
 
 
 class FlowSingularityError(YlabError):
-    """A flow could not continue: a step failed at its dt and ten halvings of it, or
-    a monitored quantity of valid data overflowed float64."""
+    """A flow could not continue: a monitored quantity of valid data overflowed float64.
+
+    A rejected step raises nothing; the run halves dt and tries again.
+    """
 
 
 class MassUndefinedError(ConfigError):

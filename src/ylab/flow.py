@@ -17,13 +17,15 @@ order.  With J the Jacobian of f at u_n and gamma = 1 + 1/sqrt(2):
 two tridiagonal solves with one matrix, and no iteration.  u_n + dt k1 is
 the linearly implicit Euler result, and max_i |u_{n+1} - (u_n + dt k1)|_i /
 u_{n+1,i} the step's embedded error estimate.  An attempt is rejected, and
-dt halved up to ten times before the run halts, when a stage or the result
-is not positive and finite, the stage matrix is singular, or the estimate
-exceeds STEP_TOL; an accepted step sets the next dt from its estimate.
-A run whose error control keeps cutting its steps while t fails to double
-halts too (STALL_LIMIT): strongly positive wells drive u toward limits far
-below round-off (min u_inf is 6e-41 at A = 1e5 on the n = 3, R_max = 64
-well), where the estimate admits only steps of dt/t ~ 1e-6 and less.
+the next one tries half its dt, when a stage or the result is not positive
+and finite, the stage matrix is singular, or the estimate exceeds STEP_TOL;
+an accepted step sets the next dt from its estimate.  For Y > 0 the flow
+runs for all time, so no rejection is evidence of a singularity: the one
+numerical halt is a run whose error control keeps cutting its steps while t
+fails to double (STALL_LIMIT).  Strongly positive wells drive u toward
+limits far below round-off (min u_inf is 6e-41 at A = 1e5 on the n = 3,
+R_max = 64 well), where the estimate admits only steps of dt/t ~ 1e-6 and
+less.
 
 A run builds its operator once: conformal_laplacian with the wall flux
 frozen from the initial data (operators.initial_inner_flux), so scalar-flat
@@ -116,8 +118,8 @@ class FlowConfig(_FlowFields):
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if self.monitor_every < 1 or self.checkpoint_every < 1:
             raise ConfigError("cadences must be >= 1")
-        if self.safety < 1.0:
-            raise ConfigError("safety factor must be >= 1")
+        if not self.safety > 1.0:
+            raise ConfigError(f"safety factor must be > 1, got {self.safety}")
         if self.stop_max_u is not None and self.stop_max_u <= 0.0:
             raise ConfigError(f"stop_max_u must be positive, got {self.stop_max_u}")
         return self
@@ -237,8 +239,6 @@ class RunResult(NamedTuple):
         return self.halt_reason is not None
 
 
-# attempts per step: dt0, then ten halvings
-_MAX_ATTEMPTS = 11
 # the largest embedded estimate max_i |u+ - u_E|_i / u+_i an accepted step may carry
 STEP_TOL = 0.05
 # ROS2's one stage coefficient, which makes it L-stable
@@ -304,41 +304,35 @@ def step(
     prev: Evaluation,
     work: SolverWork,
 ) -> tuple[FlowState, Evaluation]:
-    """Advance one accepted step with the run's operator P, halving dt on each rejection.
+    """One ROS2 attempt at state.dt with the run's operator P: (next state, its evaluation).
 
     prev is the evaluation at state's factor: a run passes the one its last
-    step accepted, and every attempt starts from it.  An accepted step of
-    size dt with estimate e sets the next dt to dt min(safety, max(1/5,
-    0.9 sqrt(STEP_TOL / e))), at most dt_max.  Returns the new state with
-    the evaluation at its factor, and adds the step's work to work.
-
-    Raises FlowSingularityError when dt and its ten halvings all fail: the
-    discrete stand-in for the curvature blow-up alternative.
+    accepted step returned.  An accepted attempt with estimate e advances to
+    a new state whose next dt is dt min(safety, max(1/5, 0.9 sqrt(STEP_TOL /
+    e))), at most dt_max.  A rejected one returns state with dt halved, and
+    prev, and adds one to work.halvings.  Either way the attempt's work goes
+    into work.
     """
-    for halvings in range(_MAX_ATTEMPTS):
-        dt = state.dt * 0.5**halvings
-        accepted = _attempt_step(prev, dt, P, work)
-        if accepted is not None:
-            ev, estimate = accepted
-            work.max_step_estimate = max(work.max_step_estimate, estimate)
-            growth = cfg.safety
-            if estimate > 0.0:
-                growth = min(growth, max(0.2, 0.9 * math.sqrt(STEP_TOL / estimate)))
-            next_dt = dt * growth
-            if cfg.dt_max is not None:
-                next_dt = min(next_dt, cfg.dt_max)
-            new_state = FlowState(
-                t=state.t + dt,
-                u=RadialField(state.u.grid, ev.v),
-                dt=next_dt,
-                step_index=state.step_index + 1,
-            )
-            return new_state, ev
+    dt = state.dt
+    accepted = _attempt_step(prev, dt, P, work)
+    if accepted is None:
         work.halvings += 1
-    raise FlowSingularityError(
-        f"step rejected in all {_MAX_ATTEMPTS} attempts at t={state.t:.6g}"
-        f" (smallest dt tried {dt:.3e})"
+        return FlowState(state.t, state.u, 0.5 * dt, state.step_index), prev
+    ev, estimate = accepted
+    work.max_step_estimate = max(work.max_step_estimate, estimate)
+    growth = cfg.safety
+    if estimate > 0.0:
+        growth = min(growth, max(0.2, 0.9 * math.sqrt(STEP_TOL / estimate)))
+    next_dt = dt * growth
+    if cfg.dt_max is not None:
+        next_dt = min(next_dt, cfg.dt_max)
+    new_state = FlowState(
+        t=state.t + dt,
+        u=RadialField(state.u.grid, ev.v),
+        dt=next_dt,
+        step_index=state.step_index + 1,
     )
+    return new_state, ev
 
 
 def far_field_window(grid: RadialGrid) -> tuple[int, np.ndarray, float]:
@@ -437,9 +431,9 @@ def monitor(t: float, ev: Evaluation, weights: MonitorWeights) -> MonitorRecord:
             raise FlowSingularityError(f"{exc}: float64 cannot hold its integrals") from exc
 
 
-# halt reasons that report a numerical failure, not the flow's behaviour, and
-# every halt reason
-NUMERICAL_HALTS = ("dt-collapse", "stalled")
+# the halt reasons that report a numerical failure, not the flow's
+# behaviour, and every halt reason
+NUMERICAL_HALTS = ("stalled",)
 HALT_REASONS = ("blowup",) + NUMERICAL_HALTS
 # steps cut short by the error control that a run may take while t doubles once
 STALL_LIMIT = 1000
@@ -448,15 +442,12 @@ STALL_LIMIT = 1000
 def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
     """March from t = 0 to t_end, emitting monitor records and checkpoints.
 
-    A run halts, returning its partial series tagged with the reason, when a
-    step fails at its dt and all ten halvings ("dt-collapse"), or when
-    STALL_LIMIT steps since t last doubled were cut short ("stalled"): a
-    step is cut short when it rejected an attempt, ended with a shorter dt
-    than it began with, left t where it was, or kept a dt below the largest
-    dt L the run has taken while t <= STALL_LIMIT L, that is while L would
-    still double t in STALL_LIMIT steps (with safety = 1 a cut dt never
-    grows back; a held cut of less than 2 never stalls).  Both are
-    numerical failures (NUMERICAL_HALTS).  A configured stop_max_u threshold
+    Each pass of the loop is one step attempt; a rejected attempt is neither
+    monitored nor checkpointed.  A run halts, returning its partial series
+    tagged with the reason, when STALL_LIMIT steps since t last doubled were
+    cut short ("stalled", the one numerical failure of NUMERICAL_HALTS): a
+    step is cut short when it was rejected, ended with a shorter dt than it
+    began with, or left t where it was.  A configured stop_max_u threshold
     halts with reason 'blowup' once the factor exceeds it (the
     non-convergence alternative of the dichotomy).
     """
@@ -474,7 +465,6 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
     halt_reason = None
     doubling_from = 0.0  # t when the current count of cut steps began
     cut_steps = 0
-    largest_dt = 0.0  # the largest dt a step has taken
 
     while True:
         remaining = cfg.t_end - state.t
@@ -482,27 +472,23 @@ def run_flow(bg: BackgroundSpec, u0: RadialField, cfg: FlowConfig) -> RunResult:
             break
         if state.dt > remaining:
             state = FlowState(state.t, state.u, remaining, state.step_index)
-        before, halvings = state, work.halvings
-        try:
-            state, ev = step(state, cfg, P, ev, work)
-        except FlowSingularityError:
-            halt_reason = "dt-collapse"
-            break
+        before = state
+        state, ev = step(state, cfg, P, ev, work)
         idx = state.step_index
-        if idx % cfg.monitor_every == 0:
-            records.append(monitor(state.t, ev, weights))
-            last_monitored = idx
-        if idx % cfg.checkpoint_every == 0:
-            checkpoints.append(state)
-            last_checkpointed = idx
-        if cfg.stop_max_u is not None and float(np.max(state.u.values)) >= cfg.stop_max_u:
-            halt_reason = "blowup"
-            break
-        largest_dt = max(largest_dt, before.dt * 0.5 ** (work.halvings - halvings))
-        if state.t >= 2.0 * doubling_from:
+        if idx > before.step_index:
+            if idx % cfg.monitor_every == 0:
+                records.append(monitor(state.t, ev, weights))
+                last_monitored = idx
+            if idx % cfg.checkpoint_every == 0:
+                checkpoints.append(state)
+                last_checkpointed = idx
+            if cfg.stop_max_u is not None and float(np.max(state.u.values)) >= cfg.stop_max_u:
+                halt_reason = "blowup"
+                break
+        # from t = 0 any step that moves t doubles it; a rejected one does not
+        if state.t > before.t and state.t >= 2.0 * doubling_from:
             doubling_from, cut_steps = state.t, 0
-        elif (work.halvings > halvings or state.dt < before.dt or state.t == before.t
-              or state.dt == before.dt < largest_dt and state.t <= STALL_LIMIT * largest_dt):
+        elif state.dt < before.dt or state.t == before.t:
             cut_steps += 1
             if cut_steps >= STALL_LIMIT:
                 halt_reason = "stalled"

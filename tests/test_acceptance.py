@@ -90,7 +90,7 @@ class TestCriterion1FixedPoints:
         g = build_grid(3, 0.0, 256.0, 1024, LOG_STRETCHED)
         bg = make_flat_background(g)
         cfg = FlowConfig(
-            dt0=0.01, dt_max=0.01, safety=1.0, t_end=10.0,
+            dt0=0.01, dt_max=0.01, t_end=10.0,
             monitor_every=100, checkpoint_every=10**9,
         )
         res = run_flow(bg, flat_data(g), cfg)
@@ -140,7 +140,7 @@ class TestCriterion2Linearization:
         errs = {}
         for dt in (0.02, 0.01, 0.00125):
             cfg = FlowConfig(
-                dt0=dt, dt_max=dt, safety=1.0, t_end=1.0,
+                dt0=dt, dt_max=dt, t_end=1.0,
                 monitor_every=10**9, checkpoint_every=10**9,
             )
             final = run_flow(bg, u0, cfg).checkpoints[-1]

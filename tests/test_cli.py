@@ -487,12 +487,16 @@ def dense_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def one_record_run(tmp_path_factory):
-    """A run whose dt collapses at its first step: it holds only the t = 0 record."""
+    """A run whose monitor.csv is cut to its comment, header and t = 0 record.
+
+    No run ends with a single record, but a file read from disk may hold one.
+    """
     root = tmp_path_factory.mktemp("one")
     config = ("[run]\nid = one\n[grid]\nR_max = 64\nM = 512\n"
-              "[initial]\nfamily = gaussian_bump\neps = -0.999\n"
-              "[flow]\ndt0 = 0.1\nnewton_max = 8\nt_end = 10\n")
-    assert cmd_simulate(parse_config_text(config), root) == 3
+              "[initial]\nfamily = gaussian_bump\neps = 0.2\n[flow]\nt_end = 1\n")
+    assert cmd_simulate(parse_config_text(config), root) == 0
+    monitor_csv = root / "one" / "monitor.csv"
+    monitor_csv.write_text("".join(monitor_csv.read_text().splitlines(keepends=True)[:3]))
     return root / "one"
 
 
@@ -686,13 +690,16 @@ class TestReport:
             ("summary.json", lambda path: path.write_text("{}")),
             ("summary.json", lambda path: path.write_text('{"halted": false}')),
             ("summary.json", lambda path: path.write_text('{"halt_reason": "tired"}')),
+            # a halt reason that runs no longer end with
+            ("summary.json", lambda path: path.write_text('{"halt_reason": "dt-collapse"}')),
             ("monitor.csv", _drop_monitor_column("lpR_p1.5")),
             ("monitor.csv", lambda path: path.write_text(
                 "\n".join(path.read_text().splitlines()[:2]) + "\n")),
         ],
         ids=["missing-monitor", "missing-summary", "monitor-without-columns",
              "truncated-monitor", "unreadable-summary", "summary-without-halted",
-             "non-boolean-halted", "unknown-halt-reason", "missing-lp-column", "header-only-monitor"],
+             "non-boolean-halted", "unknown-halt-reason", "retired-dt-collapse",
+             "missing-lp-column", "header-only-monitor"],
     )
     def test_incomplete_run_directory_is_config_error(
         self, bump_run, tmp_path, capsys, name, corrupt
@@ -834,11 +841,12 @@ class TestReport:
         assert verdict["pass"] is None
         assert verdict["skipped_reason"] == "no scalar-flat limit (Y <= 0)"
 
-    @pytest.mark.parametrize("dt0, reason", [(1e-3, "dt-collapse"), (1e-9, "stalled")])
+    @pytest.mark.parametrize("dt0, reason", [(1e-3, "stalled"), (1e-9, "stalled")])
     def test_numerical_failure_halt_is_no_evidence(self, tmp_path, capsys, dt0, reason):
-        # the A = 1e8 well (Y > 0) on flat data: from dt0 = 1e-3 every attempt
-        # of the first step fails; from 1e-9 the run crawls until it stalls.
-        # Neither halt is blow-up, and neither says anything of Y > 0
+        # the A = 1e8 well (Y > 0) on flat data: from dt0 = 1e-3, whose first
+        # attempts are rejected, as from 1e-9 the run crawls until it stalls
+        # (at t = 7.7e-8 and 7.5e-8).  The halt is no blow-up, and says
+        # nothing of Y > 0
         config = (
             f"[run]\nid = well\n[grid]\nn = 3\nR_max = 64\nM = 256\n"
             f"[background]\nname = {_WELL.format(A=1e8)}\n[initial]\nfamily = flat\n"
@@ -850,6 +858,7 @@ class TestReport:
         assert summary["halt_reason"] == reason and "halted" not in summary
         assert reason in NUMERICAL_HALTS
         assert load_run(rundir).halt_reason == reason
+        assert 7.5e-8 <= summary["final_t"] < 7.8e-8
         out = tmp_path / "rep.json"
         assert main(["report", str(rundir), "--audits", "blowup,spacetime-decay",
                      "--out", str(out)]) == 4
@@ -1210,7 +1219,9 @@ _ERROR_BRANCHES = {
     "monitor_every-0": ("simulate", _branch_config(flow="monitor_every = 0"), None, 2,
                         "cadences must be >= 1"),
     "safety-0.5": ("simulate", _branch_config(flow="safety = 0.5"), None, 2,
-                   "safety factor must be >= 1"),
+                   "safety factor must be > 1"),
+    "safety-1": ("simulate", _branch_config(flow="safety = 1.0"), None, 2,
+                 "safety factor must be > 1, got 1.0"),
     # each [flow] key is cast by the type of its default, a None default as a float
     "newton_max-2.5": ("simulate", _branch_config(flow="newton_max = 2.5"), None, 2,
                        "[flow] newton_max = '2.5'"),
