@@ -21,6 +21,8 @@ positive factor u0 -> 1 as a RadialField.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, FitDomainError, ParameterError
@@ -212,7 +214,10 @@ def decay_order_estimate(f: RadialField) -> float:
 
 
 def background_from_name(name: str, grid: RadialGrid) -> BackgroundSpec:
-    """Resolve catalog names: 'flat', 'flat3', or 'synthetic:A=..,rc=..,sigma=..,tau=..'."""
+    """Resolve catalog names: 'flat', 'flat3', or 'synthetic:A=..,rc=..,sigma=..,tau=..'.
+
+    Each synthetic parameter must be a finite number, as every INI float must.
+    """
     if name.startswith("flat"):
         suffix = name[4:]
         if suffix:
@@ -227,12 +232,12 @@ def background_from_name(name: str, grid: RadialGrid) -> BackgroundSpec:
         params = {}
         for item in name.split(":", 1)[1].split(","):
             key, _, value = item.partition("=")
-            if not value:
-                raise ConfigError(f"malformed background parameter {item!r}")
             try:
                 params[key.strip()] = float(value)
-            except ValueError as exc:
+            except ValueError as exc:  # an empty value too
                 raise ConfigError(f"malformed background parameter {item!r}") from exc
+            if not math.isfinite(params[key.strip()]):
+                raise ConfigError(f"background parameter {item!r} is not a finite number")
         missing = {"tau", "A", "rc", "sigma"} - set(params)
         extra = set(params) - {"tau", "A", "rc", "sigma"}
         if missing:

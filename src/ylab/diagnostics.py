@@ -239,11 +239,12 @@ def mass_drop_coefficient(n: int) -> float:
     return 1.0 / (2.0 * (n - 1.0) * sphere_volume(n))
 
 
-def mass_drop_report(records, u_inf: RadialField | None, grid: RadialGrid) -> Verdict:
+def mass_drop_report(records, u_inf: RadialField | None) -> Verdict:
     """The mass drops by the limit of coeff * int R dV; skipped when u_inf is None.
 
     coeff is 1/(2(n-1) omega_{n-1}), 1/(16 pi) for n = 3, and m_inf is the
-    mass of u_inf.  On the records up to the valid-time horizon it reports
+    mass of u_inf; the dimension and the valid-time horizon are those of
+    u_inf's grid, the run's.  On the records up to that horizon it reports
     (i) the mass-constancy drift relative to max(|m(0)|, 1), so a zero-mass
     run is judged on its absolute drift, (ii) the terminal value of
     c(t) = m(t) - coeff * int R dV against m_inf, and (iii) the terminal
@@ -253,14 +254,14 @@ def mass_drop_report(records, u_inf: RadialField | None, grid: RadialGrid) -> Ve
     """
     if u_inf is None:
         return Verdict("mass-drop", None, skipped_reason=_NO_LIMIT)
-    horizon = valid_time_horizon(grid)
+    horizon = valid_time_horizon(u_inf.grid)
     records = [r for r in records if r.t <= horizon]
     if not records:
         raise FitDomainError("no monitor record within the valid-time horizon")
     mass = np.array([r.mass for r in records], dtype=np.float64)
     l1 = np.array([r.l1_R for r in records], dtype=np.float64)
     m_inf = adm_mass(u_inf)
-    coeff = mass_drop_coefficient(grid.n)
+    coeff = mass_drop_coefficient(u_inf.grid.n)
     m0 = float(mass[0])
     scale = max(abs(m0), 1.0)
     drift_rel = float(np.max(np.abs(mass - m0)) / scale)

@@ -1,10 +1,10 @@
 """Radial grids, their volume weights, norms and field output.
 
 Everything downstream (backgrounds, elliptic solves, the flow itself) works
-on a fixed radial grid over [r_in, R_max].  The grid is either uniform or
-uniform on [r_in, 1] with geometric spacing on [1, R_max] ("log-stretched"),
-so that a single relative mesh parameter ``h`` controls accuracy across the
-whole truncated domain.
+on a fixed radial grid over [r_in, R_max].  A RadialGrid is its nodes;
+build_grid lays them out either uniformly or uniformly on [r_in, 1] with
+geometric spacing on [1, R_max] ("log-stretched"), so that a single relative
+mesh parameter ``h`` controls accuracy across the whole truncated domain.
 
 Conventions:
 
@@ -26,7 +26,6 @@ from .errors import ConfigError, GridMismatchError, ParameterError
 
 UNIFORM = "uniform"
 LOG_STRETCHED = "log-stretched"
-_POLICIES = (UNIFORM, LOG_STRETCHED)
 
 _MIN_INTERVALS = 16
 _CSV_BLOCK_ROWS = 4096  # rows formatted per write by write_field_csv
@@ -52,15 +51,16 @@ class RadialGrid:
       midpoints, h_i = dr): the dot product with diff(v)**2 is the midpoint
       rule of the energy integral of |v'|^2 dV0.
 
-    ConfigError when dV, face_weights or the stencil denominators h_{i-1}
-    h_i (h_{i-1} + h_i) of operators.boundary_laplacian overflow float64.
+    A grid is its nodes, whether build_grid laid them out or not.
+    ConfigError on fewer than 16 intervals, a negative first node or nodes
+    that do not increase strictly, and when dV, face_weights or the stencil
+    denominators h_{i-1} h_i (h_{i-1} + h_i) of operators.boundary_laplacian
+    overflow float64.
     """
 
-    def __init__(self, n: int, nodes: np.ndarray, policy: str):
+    def __init__(self, n: int, nodes: np.ndarray):
         if n < 3:
             raise ParameterError(f"dimension n must be >= 3, got {n}")
-        if policy not in _POLICIES:
-            raise ConfigError(f"unknown grid policy {policy!r}")
         nodes = np.asarray(nodes, dtype=np.float64)
         if nodes.ndim != 1 or nodes.size < _MIN_INTERVALS + 1:
             raise ConfigError(
@@ -70,15 +70,8 @@ class RadialGrid:
             raise ConfigError("innermost radius must be nonnegative")
         if not np.all(np.diff(nodes) > 0.0):
             raise ConfigError("grid nodes must be strictly increasing")
-        if policy == LOG_STRETCHED:
-            outer = nodes[nodes >= 1.0]
-            if outer.size >= 3:
-                ratios = outer[1:] / outer[:-1]
-                if np.max(np.abs(ratios / ratios[0] - 1.0)) > 1e-12:
-                    raise ConfigError("log-stretched grid has non-constant ratio past r=1")
         self.n = n
         self.nodes = _readonly(nodes)
-        self.policy = policy
         self.dr = _readonly(np.diff(nodes))
         self.w = _readonly(np.maximum(nodes, 1.0))
         with np.errstate(over="ignore"):
@@ -159,7 +152,8 @@ def build_grid(n: int, r_in: float, R_max: float, M: int, policy: str = LOG_STRE
 
     Uniform policy spaces nodes evenly.  Log-stretched keeps uniform spacing
     on [r_in, 1] and geometric spacing on [1, R_max], with the split chosen so
-    the spacing is continuous across r = 1.  RadialGrid checks n and policy.
+    the spacing is continuous across r = 1.  ConfigError on any other policy;
+    RadialGrid checks n and the nodes.
     """
     if M < _MIN_INTERVALS:
         raise ConfigError(f"M must be >= {_MIN_INTERVALS}, got {M}")
@@ -168,8 +162,10 @@ def build_grid(n: int, r_in: float, R_max: float, M: int, policy: str = LOG_STRE
             f"radii must satisfy 0 <= r_in < 1 < R_max, got r_in={r_in}, R_max={R_max}"
         )
 
-    if policy != LOG_STRETCHED:  # uniform, or an unknown policy that RadialGrid rejects
-        return RadialGrid(n=n, nodes=np.linspace(r_in, R_max, M + 1), policy=policy)
+    if policy == UNIFORM:
+        return RadialGrid(n, np.linspace(r_in, R_max, M + 1))
+    if policy != LOG_STRETCHED:
+        raise ConfigError(f"unknown grid policy {policy!r}")
 
     # Spacing continuity at r=1: (1 - r_in)/k ~ R_max^(1/(M-k)) - 1.  The
     # mismatch is strictly decreasing in k, so scan for the sign change.
@@ -188,7 +184,7 @@ def build_grid(n: int, r_in: float, R_max: float, M: int, policy: str = LOG_STRE
     inner = np.linspace(r_in, 1.0, k + 1)
     outer = np.geomspace(1.0, R_max, M - k + 1)
     nodes = np.concatenate([inner[:-1], outer])
-    return RadialGrid(n=n, nodes=nodes, policy=LOG_STRETCHED)
+    return RadialGrid(n, nodes)
 
 
 def boundary_mask(grid: RadialGrid) -> np.ndarray:

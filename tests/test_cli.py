@@ -44,7 +44,7 @@ from ylab.elliptic import (
 from ylab.errors import ConfigError, ConvergenceError, NonPositiveYamabeError
 from ylab.flow import (NUMERICAL_HALTS, STEP_TOL, FlowConfig, FlowState, MonitorRecord,
                        monitor_columns, run_flow)
-from ylab.grids import UNIFORM, RadialField, RadialGrid
+from ylab.grids import RadialField, RadialGrid
 from ylab.operators import BoundaryLaplacian
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -227,23 +227,24 @@ class TestBuildRun:
             build_run(parse_config(path))
 
     def test_bump_objects(self):
-        grid, bg, u0, cfg = build_run(parse_config_text(BUMP_CONFIG))
-        assert grid.M == 512
+        manifest = parse_config_text(BUMP_CONFIG)
+        bg, u0 = build_run(manifest)
+        assert bg.grid.M == 512
         assert bg.name == "flat3"
-        assert u0.grid is grid
+        assert u0.grid is bg.grid
         assert u0.values[0] == pytest.approx(1.1)  # gaussian_bump, eps = 0.1
-        assert cfg.t_end == 2.0
+        assert manifest.flow.t_end == 2.0
 
     def test_synthetic_background_cli_name(self):
         m = parse_config_text("[background]\nname = synthetic:A=-50,rc=2,sigma=1,tau=1\n")
-        _, bg, _, _ = build_run(m)
+        bg, _ = build_run(m)
         assert bg.name == "synthetic:A=-50,rc=2,sigma=1,tau=1"
 
 
 class TestMonitorCsv:
     def test_round_trip(self, tmp_path):
-        _, bg, u0, cfg = build_run(parse_config_text(BUMP_CONFIG))
-        res = run_flow(bg, u0, cfg)
+        manifest = parse_config_text(BUMP_CONFIG)
+        res = run_flow(*build_run(manifest), manifest.flow)
         path = tmp_path / "monitor.csv"
         write_monitor_csv(path, res.records, 3)
         header = path.read_text().splitlines()[1].split(",")
@@ -331,7 +332,7 @@ class TestSimulate:
         rundir = tmp_path / "bump-test"
         assert (rundir / "final_state.csv").read_text().splitlines()[0] == "r,u"
         series = np.load(rundir / "checkpoints.npy")
-        grid = build_run(parse_config_text(BUMP_CONFIG))[0]
+        grid = build_run(parse_config_text(BUMP_CONFIG))[0].grid
         assert series.dtype == np.dtype("<f8")
         assert series.shape[1] == grid.M + 1
         assert series[0].tobytes() == grid.nodes.tobytes()
@@ -868,11 +869,15 @@ class TestReport:
         assert decay["skipped_reason"] == (
             f"the run halted on a numerical failure ({reason}), evidence of no claim")
 
-    def test_schwarzschild_fixed_point_audits(self, tmp_path):
+    # the family where the grid resolves its wall: sup R at most 1.9e-4 against
+    # 10 h^2 = 3.5e-4 (2.9e-4 at r_in = 0.98); n = 3 and build_grid's r_in < 1
+    # leave no m >= 4
+    @pytest.mark.parametrize("m, r_in", [(0.25, 0.5), (1.0, 0.5), (2.0, 0.5), (3.9, 0.98)])
+    def test_schwarzschild_fixed_point_audits(self, tmp_path, m, r_in):
         config = (
             "[run]\nid = schw\n"
-            "[grid]\nn = 3\nr_in = 0.5\nR_max = 256\nM = 1024\npolicy = log-stretched\n"
-            "[initial]\nfamily = schwarzschild\nm = 1.0\n"
+            f"[grid]\nn = 3\nr_in = {r_in}\nR_max = 256\nM = 1024\npolicy = log-stretched\n"
+            f"[initial]\nfamily = schwarzschild\nm = {m}\n"
             "[flow]\ndt0 = 0.01\nsafety = 1.5\nt_end = 5.0\nmonitor_every = 1\n"
         )
         assert cmd_simulate(parse_config_text(config), tmp_path) == 0
@@ -889,7 +894,7 @@ def _field_series(draw, values):
     # and RadialGrid rejects it
     radii = draw(st.lists(st.floats(min_value=0.0, max_value=1e100), min_size=17,
                           max_size=40, unique=True))
-    grid = RadialGrid(3, np.sort(radii), UNIFORM)
+    grid = RadialGrid(3, np.sort(radii))
     k = draw(st.integers(min_value=1, max_value=6))
     return [
         RadialField(grid, np.array(draw(st.lists(values, min_size=grid.M + 1,
@@ -911,7 +916,7 @@ def _checkpoint_series(draw):
     ]
 
 
-_EDGE_GRID = RadialGrid(3, np.arange(17) * 0.25, UNIFORM)
+_EDGE_GRID = RadialGrid(3, np.arange(17) * 0.25)
 _EDGE_FIELDS = [
     RadialField(_EDGE_GRID, np.array([5e-324, 1.7976931348623157e308, 1e-310] + [1 / 3] * 14)),
     RadialField(_EDGE_GRID, np.full(17, 2.2250738585072014e-308)),
@@ -1034,11 +1039,11 @@ class TestSignAcrossTheThreshold:
         for A, positive in ((-28.6, True), (-28.7, True), (-28.72, True), (-28.73, False)):
             background = _WELL.format(A=A)
             manifest = parse_config(config)._replace(background=background)
-            grid, bg = cli.build_background(manifest)
+            bg = cli.build_background(manifest)
             sign = yamabe_sign(bg)
             assert sign.sign == (POSITIVE if positive else NON_POSITIVE), A
             assert not (positive and sign.low_confidence), A
-            run = RunContext(None, manifest, grid, bg, [], None)
+            run = RunContext(None, manifest, bg, [], None)
             assert (run.limit is not None) == positive, A
             rc = main(["scalar-flat", "--config", str(config), "--background", background,
                        "--out", str(tmp_path / "o")])
@@ -1059,11 +1064,11 @@ class TestStronglyPositiveWells:
         for A in (1, 100, 1e3, 1e4, 1e5):
             background = _WELL.format(A=A)
             manifest = parse_config(config)._replace(background=background)
-            grid, bg = cli.build_background(manifest)
+            bg = cli.build_background(manifest)
             sign = yamabe_sign(bg)
             assert sign.sign == POSITIVE and not sign.low_confidence, A
             assert verify_certificate(sign, bg), A
-            assert RunContext(None, manifest, grid, bg, [], None).limit is not None, A
+            assert RunContext(None, manifest, bg, [], None).limit is not None, A
             out = tmp_path / f"o{A}"
             assert main(["scalar-flat", "--config", str(config), "--background", background,
                          "--out", str(out)]) == 0, A
@@ -1095,7 +1100,7 @@ class TestUnderflowingFactors:
         (sign_dir,) = out.glob("yamabe-sign-*")
         assert _files(sign_dir) == {"solve_report.json"}
         with pytest.raises(ConvergenceError) as exc:
-            yamabe_sign(cli.build_background(parse_config(config))[1])
+            yamabe_sign(cli.build_background(parse_config(config)))
         payload = _strict_json(sign_dir / "solve_report.json")
         # an underflowed factor's scaled residual can be NaN (0/0): null here
         expected = {**exc.value.report._asdict(), "error": str(exc.value)}
@@ -1106,7 +1111,7 @@ class TestUnderflowingFactors:
         (outdir,) = out.glob("scalar-flat-*")
         payload = _strict_json(outdir / "solve_report.json")
         assert payload["converged"] is False and "underflows" in payload["error"]
-        values = _field_values(outdir / "u_inf.npy", cli.build_background(parse_config(config))[0])
+        values = _field_values(outdir / "u_inf.npy", cli.build_background(parse_config(config)).grid)
         assert 0.0 <= payload["positivity"] == np.min(values) < np.finfo(np.float64).tiny
         # a run directory on the well (t_end so short that its one step
         # leaves the factor as it is): the report's limit fails the same way
@@ -1128,11 +1133,11 @@ class TestUnderflowingFactors:
         config.write_text(f"[grid]\nn = 3\nR_max = {R_max!r}\nM = {M}\n"
                           f"[background]\nname = {_WELL.format(A=A)}\n")
         manifest = parse_config(config)
-        grid, bg = cli.build_background(manifest)
-        assume(np.count_nonzero(grid.nodes >= R_max / 4.0) >= 8)  # scalar-flat reads a mass
+        bg = cli.build_background(manifest)
+        assume(np.count_nonzero(bg.grid.nodes >= R_max / 4.0) >= 8)  # scalar-flat reads a mass
         args = ["--config", str(config), "--out", str(config.parent / "o")]
         rc_sign, rc_flat = main(["yamabe-sign", *args]), main(["scalar-flat", *args])
-        run = RunContext(None, manifest, grid, bg, [], None)
+        run = RunContext(None, manifest, bg, [], None)
         if rc_sign == 0:
             sign = yamabe_sign(bg)
             assert sign.sign == POSITIVE and verify_certificate(sign, bg)
@@ -1158,7 +1163,7 @@ class TestOverflowingQuotient:
         assert _files(sign_dir) == {"solve_report.json"}
         payload = json.loads((sign_dir / "solve_report.json").read_text())
         assert payload["converged"] is False and "-inf" in payload["error"]
-        bg = cli.build_background(parse_config(config)._replace(background=background))[1]
+        bg = cli.build_background(parse_config(config)._replace(background=background))
         with pytest.raises(ConvergenceError, match="not a finite float64"):
             yamabe_sign(bg)
 
@@ -1168,7 +1173,7 @@ def _elliptic_command(tmp_path, command, background):
     out = tmp_path / "o"
     rc = main([command, "--background", background, "--out", str(out)])
     (outdir,) = out.iterdir()
-    _, bg = cli.build_background(parse_config_text("")._replace(background=background))
+    bg = cli.build_background(parse_config_text("")._replace(background=background))
     return rc, outdir, bg
 
 
@@ -1243,6 +1248,11 @@ _ERROR_BRANCHES = {
               "decay order tau must be positive"),
     "sigma-0": ("simulate", _branch_config(), "synthetic:A=-10,rc=2,sigma=0,tau=1", 2,
                 "width must be positive"),
+    # the parameters of a background name are INI floats too: finite ones only
+    "tau-inf": ("yamabe-sign", _branch_config(), "synthetic:A=-50,rc=2,sigma=1,tau=inf", 2,
+                "background parameter 'tau=inf' is not a finite number"),
+    "A-nan": ("simulate", _branch_config(), "synthetic:A=nan,rc=2,sigma=1,tau=1", 2,
+              "background parameter 'A=nan' is not a finite number"),
     "bump-sigma-0": ("simulate", _branch_config(initial="family = gaussian_bump\nsigma = 0"),
                      None, 2, "sigma must be positive"),
     "schwarzschild-m-1": ("simulate", _branch_config(initial="family = schwarzschild\nm = -1"),

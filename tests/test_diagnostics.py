@@ -158,7 +158,7 @@ class TestConvergenceToLimit:
     def test_no_limit_skips(self):
         g = build_grid(3, 0.0, 100.0, 512, LOG_STRETCHED)
         for v in (convergence_to_limit([], None, make_flat_background(g)),
-                  mass_drop_report([], None, g)):
+                  mass_drop_report([], None)):
             assert v.passed is None
             assert "Y <= 0" in v.skipped_reason
 
@@ -168,7 +168,7 @@ class TestMassDrop:
 
     def report(self, records):
         """mass_drop_report against the flat limit u_inf = 1 (m_inf = 0)."""
-        return mass_drop_report(records, constant_field(self.GRID, 1.0), self.GRID).details
+        return mass_drop_report(records, constant_field(self.GRID, 1.0)).details
 
     def test_flat_run_all_zero(self):
         rep = self.report([make_record(t) for t in np.linspace(0, 10, 11)])
@@ -199,7 +199,7 @@ class TestMassDrop:
 
     def test_relative_drift_detected_at_nonzero_mass(self):
         records = [make_record(0.0, mass=2.0), make_record(1.0, mass=2.05)]
-        v = mass_drop_report(records, constant_field(self.GRID, 1.0), self.GRID)
+        v = mass_drop_report(records, constant_field(self.GRID, 1.0))
         assert v.details["mass_drift_rel"] == pytest.approx(0.025)
         assert v.passed is False
 

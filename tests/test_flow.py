@@ -469,7 +469,7 @@ class TestAdmMass:
         import ylab.grids as gr
 
         nodes = np.concatenate([np.linspace(0.0, 0.2, 16), [1.0]])
-        g = gr.RadialGrid(n=3, nodes=nodes, policy=gr.UNIFORM)
+        g = gr.RadialGrid(n=3, nodes=nodes)
         with pytest.raises(MassUndefinedError):
             adm_mass(constant_field(g, 1.0))
 

@@ -27,7 +27,7 @@ from ylab.operators import boundary_laplacian, conformal_laplacian
 
 
 def geom_grid(n=3, r0=1.0, r1=100.0, M=64):
-    return RadialGrid(n=n, nodes=np.geomspace(r0, r1, M + 1), policy=LOG_STRETCHED)
+    return RadialGrid(n=n, nodes=np.geomspace(r0, r1, M + 1))
 
 
 class TestBuildGrid:
@@ -310,12 +310,12 @@ def _fields_on_arbitrary_radii(draw):
                           unique=True))
     values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=len(radii), max_size=len(radii)))
-    return RadialField(RadialGrid(3, np.sort(radii), UNIFORM), np.array(values))
+    return RadialField(RadialGrid(3, np.sort(radii)), np.array(values))
 
 
 # 17 nodes r = k/4 carrying 1, 0.1, -0.0, 1/3, the smallest subnormal, -1e300, then 0.5
 _GOLDEN_FIELD = RadialField(
-    RadialGrid(3, np.arange(17) * 0.25, UNIFORM),
+    RadialGrid(3, np.arange(17) * 0.25),
     np.array([1.0, 0.1, -0.0, 1.0 / 3.0, 5e-324, -1e300] + [0.5] * 11),
 )
 _GOLDEN_ROWS = (

@@ -78,7 +78,7 @@ def test_tracer_spans_one_operator_per_run_and_uninstalls(tracing, tmp_path):
     spans = tracer.take()
     names = {span.name for span in spans}
     for name in ("flow.step", "flow._attempt_step", "operators.BoundaryLaplacian.apply",
-                 "cli.RunContext.checkpoints"):
+                 "cli.RunContext.checkpoints", "cli.cmd_simulate", "cli.cmd_report"):
         assert name in names
 
     def under_run_flow(span):
@@ -109,6 +109,9 @@ def test_tracer_spans_one_operator_per_run_and_uninstalls(tracing, tmp_path):
     }
     metrics = tracing.layer_metrics(spans)
     assert (metrics["flow.attempts"], metrics["flow.halvings"]) == (work["steps"], 0)
+    # main's dispatch reaches the traced command, whose span carries the artifact size
+    assert metrics["cli.artifact_bytes"] == sum(
+        p.stat().st_size for p in (out / "traced").iterdir())
     after = _bindings(tracing)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())

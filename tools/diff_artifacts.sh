@@ -6,11 +6,12 @@
 # In each checkout's own source tree it runs the commands of the three
 # benchmark workloads (configs and commands from perfbench/workloads.py,
 # seed 1) and, for every experiments/*.ini, `simulate` and `report` with
-# every audit.  Each side runs in WORKDIR/parent or WORKDIR/change with the
-# same relative paths, and console.log records each command, its exit code
-# and its output.  Then `diff -r` compares the two trees, ignoring only the
-# `report written to` line.  Exits 0 when they are identical.  WORKDIR
-# defaults to a new temporary directory and is kept for inspection.
+# every audit and `--plots`, so each run's sup_R.svg is compared too.  Each
+# side runs in WORKDIR/parent or WORKDIR/change with the same relative
+# paths, and console.log records each command, its exit code and its
+# output.  Then `diff -r` compares the two trees, ignoring only the `report
+# written to` line.  Exits 0 when they are identical.  WORKDIR defaults to a
+# new temporary directory and is kept for inspection.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -48,7 +49,7 @@ for ini in sorted((checkout / "experiments").glob("*.ini")):
     commands += [
         ["simulate", "--config", str(config), "--out", str(out)],
         ["report", str(out / parse_config(config).run_id), "--audits", ",".join(_AUDITS),
-         "--out", str(out / "report.json")],
+         "--out", str(out / "report.json"), "--plots"],
     ]
 
 with open("console.log", "w") as log:
